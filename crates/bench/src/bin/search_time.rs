@@ -506,9 +506,13 @@ fn main() {
     } else {
         second_hits as f64 / (second_hits + second_misses) as f64
     };
+    // A repeated sweep is answered by the plan memo, which reads no cost
+    // table entry: its hit rate is 0/0 and its plan hits tell the story.
     println!(
-        "second sweep {second_sweep_s:.3} s ({second_misses} new misses, hit rate {:.1}%)",
-        100.0 * second_hit_rate
+        "second sweep {second_sweep_s:.3} s ({second_misses} new misses, hit rate {:.1}%, \
+         {} plan-memo hits)",
+        100.0 * second_hit_rate,
+        after_second.plan_hits - after_first.plan_hits
     );
     // Per-tier attribution: the 0.10 headline rate is the cold pass
     // diluting the ratio — the exact tier itself, and the warm replay

@@ -15,11 +15,13 @@
 //! 3. **Warm restart**: one server solves the zoo into a cache
 //!    directory and shuts down; a second server starts from that
 //!    directory and must answer the whole zoo with **zero** exact
-//!    evaluations and byte-identical plans.
+//!    evaluations and byte-identical plans. It then repeats every query,
+//!    and the repeats must be served from the plan memo (`plan_hits`).
 //!
 //! With `--json <path>` the consolidated record is written for
 //! baselining; with `--check <path>` the run is gated against that
-//! baseline (duplicate-work ratios, warm evals, warm-restart qps) and
+//! baseline (duplicate-work ratios, warm evals, plan-memo hits,
+//! warm-restart qps) and
 //! exits non-zero on regression. `--smoke` shrinks the load phase for
 //! CI.
 
@@ -223,9 +225,12 @@ struct WarmResult {
     warm_evals: u64,
     warm_qps: f64,
     plans_match: bool,
+    plan_hits: u64,
 }
 
-/// Phase 3: solve the zoo into a cache dir, restart, and replay it warm.
+/// Phase 3: solve the zoo into a cache dir, restart, and replay it warm
+/// twice: the first replay rebuilds each plan from the imported costs,
+/// the second repeats every query and must be served from the plan memo.
 fn warm_restart_phase(dir: &Path) -> WarmResult {
     let _ = std::fs::remove_dir_all(dir);
     let zoo = fig13_slugs();
@@ -255,12 +260,17 @@ fn warm_restart_phase(dir: &Path) -> WarmResult {
         plans_match &= stable_reply(reply.text()) == cold_plan;
     }
     let warm_wall_s = restarted.elapsed().as_secs_f64();
+    for (slug, cold_plan) in zoo.iter().zip(&cold_plans) {
+        let reply = warm.handle_line(&format!("solve {slug}"));
+        plans_match &= stable_reply(reply.text()) == cold_plan;
+    }
     let (warm_stats, _) = warm.aggregate();
     let _ = std::fs::remove_dir_all(dir);
     WarmResult {
         warm_evals: warm_stats.misses,
         warm_qps: zoo.len() as f64 / warm_wall_s,
         plans_match,
+        plan_hits: warm_stats.plan_hits,
     }
 }
 
@@ -321,8 +331,8 @@ fn main() {
     println!("phase 3: warm restart through {}", cache_dir.display());
     let warm = warm_restart_phase(&cache_dir);
     println!(
-        "  {} warm evals, {:.1} warm qps, plans match: {}",
-        warm.warm_evals, warm.warm_qps, warm.plans_match
+        "  {} warm evals, {:.1} warm qps, {} plan-memo hits, plans match: {}",
+        warm.warm_evals, warm.warm_qps, warm.plan_hits, warm.plans_match
     );
 
     let record = format!(
@@ -332,7 +342,8 @@ fn main() {
          \"duplicate_work_ratio\":{:.4},\"coalesced\":{},\"shard_waits\":{},\
          \"singleflight_ratio\":{singleflight_ratio:.4},\"singleflight_evals\":{flight_evals},\
          \"lone_evals\":{lone_evals},\"singleflight_coalesced\":{flight_coalesced},\
-         \"warm_evals\":{},\"warm_qps\":{:.4},\"warm_restart_plans_match\":{}}}",
+         \"warm_evals\":{},\"warm_qps\":{:.4},\"warm_restart_plans_match\":{},\
+         \"plan_hits\":{}}}",
         load.qps,
         load.p50_ms,
         load.p99_ms,
@@ -342,6 +353,7 @@ fn main() {
         warm.warm_evals,
         warm.warm_qps,
         warm.plans_match,
+        warm.plan_hits,
     );
     println!("{record}");
     if let Some(path) = &json_path {
@@ -376,6 +388,13 @@ fn main() {
         eprintln!("FAIL: warm-restarted plans differ from the cold server's");
         failed = true;
     }
+    if warm.plan_hits == 0 {
+        eprintln!(
+            "FAIL: the warm server's repeated zoo queries were re-solved, not served \
+             from the plan memo (0 plan hits)"
+        );
+        failed = true;
+    }
     if let Some(baseline) = &baseline {
         // Speed gates are generous (5x) — they catch serving falling off
         // a cliff, not scheduler noise.
@@ -395,6 +414,15 @@ fn main() {
                     "FAIL: p99 latency {:.3} ms exceeds {limit:.3} ms \
                      (5x committed {base_p99:.3} ms + 25 ms slack)",
                     load.p99_ms
+                );
+                failed = true;
+            }
+        }
+        if let Some(base_plan_hits) = json_u64_field(baseline, "plan_hits") {
+            if warm.plan_hits < base_plan_hits {
+                eprintln!(
+                    "FAIL: warm plan-memo hits {} fell below the committed {base_plan_hits}",
+                    warm.plan_hits
                 );
                 failed = true;
             }

@@ -31,7 +31,7 @@
 //! ```text
 //! solve <model> [wafer=hpca|fig3|WxH] [engine=tcme|smap|gmap]
 //!               [deadline_ms=<n>] [objective=step_time|throughput|power_eff]
-//! stats      -> pool-wide counters (evals, unique keys, coalesced, ...)
+//! stats      -> pool-wide counters (evals, unique keys, plan_hits, ...)
 //! save       -> persist caches now
 //! ping       -> liveness probe
 //! shutdown   -> save (when a cache dir is set) and stop serving
@@ -445,6 +445,7 @@ impl PlanServer {
             total.shard_waits += stats.shard_waits;
             total.seg_hits += stats.seg_hits;
             total.seg_misses += stats.seg_misses;
+            total.plan_hits += stats.plan_hits;
             unique += keys;
         }
         (total, unique)
@@ -469,7 +470,7 @@ impl PlanServer {
             "{{\"ok\":true,\"queries\":{},\"errors\":{},\"timeouts\":{},\
              \"evals\":{},\"hits\":{},\"unique_keys\":{unique},\
              \"duplicate_work_ratio\":{},\"coalesced\":{},\"shard_waits\":{},\
-             \"models\":[{}]}}",
+             \"plan_hits\":{},\"models\":[{}]}}",
             self.queries.load(Ordering::Relaxed),
             self.errors.load(Ordering::Relaxed),
             self.timeouts.load(Ordering::Relaxed),
@@ -482,6 +483,7 @@ impl PlanServer {
             },
             stats.coalesced,
             stats.shard_waits,
+            stats.plan_hits,
             zoo_slugs()
                 .iter()
                 .map(|s| format!("\"{s}\""))
@@ -581,9 +583,40 @@ mod tests {
         );
         let (after, _) = server.aggregate();
         assert_eq!(before.misses, after.misses, "repeat query re-evaluated");
+        assert_eq!(
+            after.plan_hits,
+            before.plan_hits + 1,
+            "repeat query re-solved"
+        );
         let stats = server.handle_line("stats");
         assert!(stats.text().contains("\"queries\":2"));
+        assert!(stats.text().contains("\"plan_hits\":1"), "{}", stats.text());
         assert!(matches!(server.handle_line("shutdown"), Response::Quit(_)));
+    }
+
+    #[test]
+    fn zero_deadline_on_a_memoized_key_replies_with_the_full_plan() {
+        let server = PlanServer::new(None).expect("server");
+        let full = server.handle_line("solve gpt3_6_7b");
+        let reply = server.handle_line("solve gpt3_6_7b deadline_ms=0");
+        let text = reply.text();
+        assert!(text.contains("\"timed_out\":false"), "got {text}");
+        assert_eq!(
+            text.split("\"wall_ms\"").next(),
+            full.text().split("\"wall_ms\"").next(),
+            "a warm key must serve the full plan under any deadline"
+        );
+        assert_eq!(server.aggregate().0.plan_hits, 1);
+    }
+
+    #[test]
+    fn oversized_wafer_is_an_error_reply() {
+        let server = PlanServer::new(None).expect("server");
+        let reply = server.handle_line("solve gpt3_6_7b wafer=70000x70000");
+        let text = reply.text();
+        assert!(text.starts_with("{\"ok\":false"), "got {text}");
+        assert!(text.contains("die-id range"), "got {text}");
+        assert!(matches!(server.handle_line("ping"), Response::Reply(_)));
     }
 
     #[test]

@@ -87,6 +87,20 @@ impl ExecutionPlan {
     }
 }
 
+/// What a chain solve's plan is a function of, beyond the context's own
+/// state: the engine, the pipeline degree, the filtered candidate list
+/// (filters are closures, so the list they admit is their identity) and
+/// the GA parameters, floats carried as bits. Settings that can move a
+/// winner (cost tier, gate, pruning, imports) are not in the key: their
+/// setters clear the context's memo instead.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct PlanKey {
+    engine: MappingEngine,
+    pp: usize,
+    ga: [u64; 5],
+    candidates: Vec<HybridConfig>,
+}
+
 /// The dual-level wafer solver.
 #[derive(Debug, Clone)]
 pub struct Dlws {
@@ -217,7 +231,8 @@ impl Dlws {
         self.solve_with_engine(MappingEngine::Tcme, |_| true)
     }
 
-    /// Runs the full search under a wall-clock budget. A
+    /// Runs the full search under a wall-clock budget. A memoized plan
+    /// is returned at once, never timed out. Otherwise a
     /// [`CancelToken`] with the deadline is installed on the shared
     /// context; the exact costing loops poll it between candidates and
     /// skip the remainder once it fires, so the solve returns the best
@@ -226,7 +241,8 @@ impl Dlws {
     /// bounded serial fallback scan ignores the expired deadline and
     /// produces a usable plan anyway. The token is always cleared before
     /// returning, so the context (and the global worker pool under it)
-    /// keeps serving unbounded solves afterwards.
+    /// keeps serving unbounded solves afterwards. A plan solved under a
+    /// deadline is never memoized, whether or not the deadline fired.
     ///
     /// Returns the plan and whether the deadline fired. A `true` flag
     /// means the plan is best-effort: some candidates were never costed.
@@ -240,9 +256,13 @@ impl Dlws {
         &self,
         budget: std::time::Duration,
     ) -> Result<(ExecutionPlan, bool)> {
+        let key = self.plan_key(MappingEngine::Tcme, 1, |_| true);
+        if let Some(plan) = self.ctx.memoized_plan(&key) {
+            return Ok((plan, false));
+        }
         let token = CancelToken::with_deadline(budget);
         self.ctx.set_cancel_token(Some(token.clone()));
-        let result = self.solve();
+        let result = self.solve_candidates(key.engine, &key.candidates);
         self.ctx.set_cancel_token(None);
         let timed_out = token.is_cancelled();
         match result {
@@ -292,7 +312,9 @@ impl Dlws {
         // Re-enter the normal pipeline restricted to the winner (plus the
         // expert-parallel tuples a MoE chain's own segment row needs) so
         // the returned plan carries well-formed segments and chain cost.
-        self.solve_with_engine(engine, |c| *c == winner || c.ep > 1)
+        // Past the memo: a fallback is never stored.
+        let key = self.plan_key(engine, 1, |c| *c == winner || c.ep > 1);
+        self.solve_candidates(engine, &key.candidates)
     }
 
     /// Full search restricted to an engine and a configuration filter —
@@ -314,6 +336,12 @@ impl Dlws {
     /// As [`Dlws::solve_with_engine`] with a fixed pipeline degree across
     /// wafers (multi-WSC planning; Fig. 19).
     ///
+    /// A repeat of an earlier solve on the same context (same engine,
+    /// degree, admitted candidates and GA parameters, no setting changed
+    /// since) is answered from the context's plan memo without costing,
+    /// DP or GA. A plan is stored only when no cancellation token was
+    /// installed on the context at any point during its solve.
+    ///
     /// # Errors
     ///
     /// Returns [`SolverError::NoFeasiblePlan`] when no filtered
@@ -324,12 +352,56 @@ impl Dlws {
         pp: usize,
         filter: impl Fn(&HybridConfig) -> bool,
     ) -> Result<ExecutionPlan> {
-        let all_candidates: Vec<HybridConfig> = self
-            .ctx
-            .candidates_with_pp(pp)
-            .into_iter()
-            .filter(|c| filter(c))
-            .collect();
+        let key = self.plan_key(engine, pp, filter);
+        if let Some(plan) = self.ctx.memoized_plan(&key) {
+            return Ok(plan);
+        }
+        let ticket = self.ctx.plan_ticket();
+        let plan = self.solve_candidates(engine, &key.candidates)?;
+        self.ctx.memoize_plan(ticket, key, &plan);
+        Ok(plan)
+    }
+
+    /// The memo key of a solve over the `pp` candidates `filter` admits.
+    fn plan_key(
+        &self,
+        engine: MappingEngine,
+        pp: usize,
+        filter: impl Fn(&HybridConfig) -> bool,
+    ) -> PlanKey {
+        let GaParams {
+            population,
+            generations,
+            mutation_rate,
+            elite_fraction,
+            seed,
+        } = self.ga;
+        PlanKey {
+            engine,
+            pp,
+            ga: [
+                population as u64,
+                generations as u64,
+                mutation_rate.to_bits(),
+                elite_fraction.to_bits(),
+                seed,
+            ],
+            candidates: self
+                .ctx
+                .candidates_with_pp(pp)
+                .into_iter()
+                .filter(|c| filter(c))
+                .collect(),
+        }
+    }
+
+    /// The dual-level search proper over an admitted candidate list,
+    /// bypassing the plan memo.
+    fn solve_candidates(
+        &self,
+        engine: MappingEngine,
+        all_candidates: &[HybridConfig],
+    ) -> Result<ExecutionPlan> {
         if all_candidates.is_empty() {
             return Err(SolverError::NoFeasiblePlan(
                 "no candidates pass the filter".into(),
@@ -359,7 +431,7 @@ impl Dlws {
         // non-optimal skip the cost model entirely.
         let costed: Vec<CandidateCost> =
             self.ctx
-                .cost_candidates_chain(&candidates, &all_candidates, engine);
+                .cost_candidates_chain(&candidates, all_candidates, engine);
         if costed.iter().all(|(t, _)| !t.is_finite()) {
             return Err(SolverError::NoFeasiblePlan(
                 "every candidate OOMs even with full recomputation".into(),
@@ -389,7 +461,7 @@ impl Dlws {
             .segments()
             .iter()
             .map(|seg| match seg.kind {
-                SegmentKind::MoeBlock => &all_candidates[..],
+                SegmentKind::MoeBlock => all_candidates,
                 _ => &candidates[..],
             })
             .collect();
@@ -590,7 +662,95 @@ mod tests {
             after_first.misses, after_second.misses,
             "second solve must not re-cost anything"
         );
-        assert!(after_second.hits > after_first.hits);
+        assert_eq!(
+            after_second.plan_hits,
+            after_first.plan_hits + 1,
+            "second solve must be served from the plan memo"
+        );
+        assert_eq!(
+            after_first.hits, after_second.hits,
+            "a memo hit reads no cost-table entry"
+        );
+    }
+
+    #[test]
+    fn timed_out_solves_leave_the_plan_memo_empty() {
+        let s = solver(ModelZoo::gpt3_6_7b());
+        let (fallback, timed_out) = s
+            .solve_with_deadline(std::time::Duration::ZERO)
+            .expect("deadline fallback must produce a plan");
+        assert!(timed_out);
+        assert_eq!(s.context().plan_memo_len(), 0, "best effort was memoized");
+        // The next unbounded solve runs the full search, not the fallback.
+        let full = s.solve().unwrap();
+        assert_eq!(s.search_stats().plan_hits, 0);
+        // A fresh context re-folds HashMap-ordered sums, so the cost
+        // matches up to float association, not bitwise.
+        let cold = solver(ModelZoo::gpt3_6_7b()).solve().unwrap();
+        assert_eq!(full.config, cold.config);
+        assert!((full.chain_cost - cold.chain_cost).abs() <= 1e-9 * cold.chain_cost);
+        assert!(full.chain_cost <= fallback.chain_cost);
+        assert_eq!(s.context().plan_memo_len(), 1);
+    }
+
+    #[test]
+    fn a_token_installed_during_a_solve_keeps_its_plan_out_of_the_memo() {
+        let s = solver(ModelZoo::gpt3_6_7b());
+        let ctx = s.context();
+        let key = s.plan_key(MappingEngine::Tcme, 1, |_| true);
+
+        // Another query installs and clears its deadline while this
+        // solve is running: the solve's ticket goes stale.
+        let ticket = ctx.plan_ticket();
+        assert!(ticket.is_some());
+        let plan = s.solve_candidates(key.engine, &key.candidates).unwrap();
+        ctx.set_cancel_token(Some(CancelToken::new()));
+        ctx.set_cancel_token(None);
+        ctx.memoize_plan(ticket, key.clone(), &plan);
+        assert_eq!(ctx.plan_memo_len(), 0);
+
+        // A solve that starts under an installed token draws no ticket.
+        ctx.set_cancel_token(Some(CancelToken::new()));
+        assert_eq!(ctx.plan_ticket(), None);
+        ctx.set_cancel_token(None);
+
+        // An undisturbed ticket stores.
+        let ticket = ctx.plan_ticket();
+        ctx.memoize_plan(ticket, key, &plan);
+        assert_eq!(ctx.plan_memo_len(), 1);
+        assert_eq!(s.solve().unwrap(), plan);
+        assert_eq!(s.search_stats().plan_hits, 1);
+    }
+
+    #[test]
+    fn settings_changes_clear_the_plan_memo() {
+        let s = solver(ModelZoo::gpt3_6_7b());
+        let ctx = s.context();
+        let _ = s.solve().unwrap();
+        assert_eq!(ctx.plan_memo_len(), 1);
+        // Re-applying the current value keeps the memo.
+        ctx.set_pruning(true);
+        ctx.set_cost_tier(crate::search::CostTier::Exact);
+        assert_eq!(ctx.plan_memo_len(), 1);
+        ctx.set_pruning(false);
+        assert_eq!(ctx.plan_memo_len(), 0);
+        let _ = s.solve().unwrap();
+        ctx.set_cost_tier(crate::search::CostTier::SurrogateGated);
+        assert_eq!(ctx.plan_memo_len(), 0);
+        // A different GA is a different key.
+        ctx.set_cost_tier(crate::search::CostTier::Exact);
+        let _ = s.solve().unwrap();
+        let hits = s.search_stats().plan_hits;
+        let _ = s
+            .clone()
+            .with_ga(GaParams {
+                seed: 7,
+                ..GaParams::default()
+            })
+            .solve()
+            .unwrap();
+        assert_eq!(s.search_stats().plan_hits, hits);
+        assert_eq!(ctx.plan_memo_len(), 2);
     }
 
     #[test]

@@ -250,6 +250,7 @@ impl ContextPool {
             total.exact_ns += s.exact_ns;
             total.gate_fit_ns += s.gate_fit_ns;
             total.contention_ns += s.contention_ns;
+            total.plan_hits += s.plan_hits;
             unique_keys += ctx.eval_cache_len();
         }
         (total, unique_keys)

@@ -20,7 +20,12 @@
 //!   gate predictor round-trip through plain text
 //!   ([`SearchContext::export_cost_table`] /
 //!   [`SearchContext::import_cost_table`]), fingerprint-keyed so imports
-//!   can never cross wafers, models, workloads or cost-model revisions.
+//!   can never cross wafers, models, workloads or cost-model revisions;
+//! * a **plan memo** keyed by `PlanKey` — a solved plan is a pure
+//!   function of the costs above plus the solve's engine, pipeline
+//!   degree, candidate list and GA parameters, so a repeated query
+//!   returns the stored [`ExecutionPlan`] without costing, DP or GA
+//!   (in-memory only; see [`SearchContext::memoized_plan`]).
 //!
 //! Sharing a context across solves (clone the [`std::sync::Arc`]) turns
 //! the seed behavior — seven baselines × full re-enumeration and
@@ -37,6 +42,7 @@ use temp_parallel::strategy::HybridConfig;
 use temp_wsc::fault::FaultMap;
 
 use crate::cost::{CostReport, SegmentCost, WaferCostModel};
+use crate::dlws::{ExecutionPlan, PlanKey};
 use crate::dp::{DpError, StageCuts};
 use crate::par;
 use crate::runtime::CancelToken;
@@ -170,6 +176,9 @@ pub struct SearchStats {
     /// rerouted ContentionSim), attributed to the context that spawned
     /// the degraded sibling.
     pub contention_ns: u64,
+    /// Solves answered whole from the plan memo: no cost-table lookup,
+    /// chain DP or GA ran, so they add to neither `hits` nor `misses`.
+    pub plan_hits: u64,
 }
 
 impl SearchStats {
@@ -329,6 +338,15 @@ pub struct SearchContext {
     exact_ns: AtomicU64,
     gate_fit_ns: AtomicU64,
     contention_ns: AtomicU64,
+    /// Solved plans. Every entry was computed under the current settings
+    /// with no cancellation token installed at any point of its solve.
+    plans: RwLock<HashMap<PlanKey, ExecutionPlan>>,
+    /// Bumped after every settings change that can move a winner (which
+    /// also clears `plans`) and after every cancellation-token install.
+    /// A solve stores its plan only if the epoch it drew at start is
+    /// still current at the end.
+    plan_epoch: AtomicU64,
+    plan_hits: AtomicU64,
 }
 
 impl SearchContext {
@@ -447,6 +465,9 @@ impl SearchContext {
             exact_ns: AtomicU64::new(0),
             gate_fit_ns: AtomicU64::new(0),
             contention_ns: AtomicU64::new(0),
+            plans: RwLock::new(HashMap::new()),
+            plan_epoch: AtomicU64::new(0),
+            plan_hits: AtomicU64::new(0),
         }
     }
 
@@ -524,8 +545,17 @@ impl SearchContext {
     /// costing loops poll. Deadline-bounded solves set a
     /// [`CancelToken::with_deadline`] token, run, then clear it so the
     /// shared context keeps serving unbounded solves afterwards.
+    ///
+    /// An install also bars every solve in flight from memoizing its
+    /// plan: the token may have cut that solve's costing short.
     pub fn set_cancel_token(&self, token: Option<CancelToken>) {
+        let installs = token.is_some();
         *self.cancel.write().expect("cancel lock") = token;
+        if installs {
+            // After the install: a solve whose ticket missed this token
+            // drew its epoch before this bump (see `plan_ticket`).
+            self.plan_epoch.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     /// The currently installed cancellation token, if any.
@@ -557,7 +587,9 @@ impl SearchContext {
     /// baselines) disable it; plans are bit-identical either way — the
     /// flag only changes how many candidates pay the exact cost model.
     pub fn set_pruning(&self, on: bool) {
-        self.pruning.store(on, Ordering::Relaxed);
+        if self.pruning.swap(on, Ordering::Relaxed) != on {
+            self.invalidate_plans();
+        }
     }
 
     /// Whether the chain costing path may prune.
@@ -576,7 +608,10 @@ impl SearchContext {
     /// Selects the evaluation pipeline for batch costing (default:
     /// [`CostTier::Exact`]).
     pub fn set_cost_tier(&self, tier: CostTier) {
-        *self.tier.write().expect("tier lock") = tier;
+        let old = std::mem::replace(&mut *self.tier.write().expect("tier lock"), tier);
+        if old != tier {
+            self.invalidate_plans();
+        }
     }
 
     /// The active evaluation pipeline.
@@ -586,7 +621,10 @@ impl SearchContext {
 
     /// Overrides the surrogate-gate tuning parameters.
     pub fn set_gate_params(&self, params: GateParams) {
-        *self.gate.write().expect("gate lock") = params;
+        let old = std::mem::replace(&mut *self.gate.write().expect("gate lock"), params);
+        if old != params {
+            self.invalidate_plans();
+        }
     }
 
     /// The surrogate-gate tuning parameters.
@@ -646,6 +684,7 @@ impl SearchContext {
     pub fn import_gate_predictor(&self, text: &str) -> std::result::Result<(), String> {
         let p = temp_surrogate::gate::GatePredictor::from_text(text)?;
         *self.gate_predictor.write().expect("gate predictor lock") = Some((p, true));
+        self.invalidate_plans();
         Ok(())
     }
 
@@ -919,6 +958,8 @@ impl SearchContext {
             self.import_gate_predictor(&text)?;
         }
         self.cost.merge_collective_entries(&colls);
+        // Imported verdicts can move what the gate and the incumbent see.
+        self.invalidate_plans();
         Ok(summary)
     }
 
@@ -930,8 +971,12 @@ impl SearchContext {
     /// Records the surrogate rank at which a gated batch's exact winner
     /// was found (internal; feeds [`SearchContext::effective_top_k`]).
     pub(crate) fn observe_winner_rank(&self, rank: usize) {
-        self.winner_rank
-            .fetch_max(rank as u64 + 1, Ordering::Relaxed);
+        let rank = rank as u64 + 1;
+        // A deeper winner may widen the adaptive top-K, and with it the
+        // gated shortlist a fresh solve would cost.
+        if self.winner_rank.fetch_max(rank, Ordering::Relaxed) < rank {
+            self.invalidate_plans();
+        }
     }
 
     /// The top-K the surrogate gate should use *now*: the configured
@@ -1019,6 +1064,59 @@ impl SearchContext {
         self.cache.len()
     }
 
+    /// Plans the memo holds.
+    pub fn plan_memo_len(&self) -> usize {
+        self.plans.read().expect("plan memo lock").len()
+    }
+
+    /// The memoized plan for `key`, counted under
+    /// [`SearchStats::plan_hits`]. Deadline'd solves read the memo too, so
+    /// a warm key never times out.
+    pub(crate) fn memoized_plan(&self, key: &PlanKey) -> Option<ExecutionPlan> {
+        let plan = self
+            .plans
+            .read()
+            .expect("plan memo lock")
+            .get(key)
+            .cloned()?;
+        self.plan_hits.fetch_add(1, Ordering::Relaxed);
+        Some(plan)
+    }
+
+    /// The ticket a solve draws before it starts: the current epoch, or
+    /// `None` while a cancellation token is installed (its plan may be a
+    /// deadline's best effort and must never be memoized).
+    pub(crate) fn plan_ticket(&self) -> Option<u64> {
+        // Epoch first: installs set the token before bumping, so a token
+        // this check misses bumps the epoch after the load.
+        let epoch = self.plan_epoch.load(Ordering::SeqCst);
+        self.cancel
+            .read()
+            .expect("cancel lock")
+            .is_none()
+            .then_some(epoch)
+    }
+
+    /// Stores a solved plan when its `ticket` is still current: no
+    /// token was installed and no setting changed since the solve drew
+    /// it. Checked under the memo lock, so an invalidation racing the
+    /// store either fails the check or clears the entry after it.
+    pub(crate) fn memoize_plan(&self, ticket: Option<u64>, key: PlanKey, plan: &ExecutionPlan) {
+        let Some(epoch) = ticket else { return };
+        let mut plans = self.plans.write().expect("plan memo lock");
+        if self.plan_epoch.load(Ordering::SeqCst) == epoch {
+            plans.entry(key).or_insert_with(|| plan.clone());
+        }
+    }
+
+    /// Forgets every memoized plan after a setting that can move a
+    /// winner changed. The epoch bump comes first, so a solve that ran
+    /// under the old setting cannot store after the clear.
+    fn invalidate_plans(&self) {
+        self.plan_epoch.fetch_add(1, Ordering::SeqCst);
+        self.plans.write().expect("plan memo lock").clear();
+    }
+
     /// Cache counters so far.
     pub fn stats(&self) -> SearchStats {
         SearchStats {
@@ -1043,6 +1141,7 @@ impl SearchContext {
             exact_ns: self.exact_ns.load(Ordering::Relaxed),
             gate_fit_ns: self.gate_fit_ns.load(Ordering::Relaxed),
             contention_ns: self.contention_ns.load(Ordering::Relaxed),
+            plan_hits: self.plan_hits.load(Ordering::Relaxed),
         }
     }
 

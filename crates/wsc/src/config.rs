@@ -184,11 +184,19 @@ impl WaferConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`WscError::InvalidConfig`] if either dimension is zero.
+    /// Returns [`WscError::InvalidConfig`] if either dimension is zero, or
+    /// if the array has more dies than `u32` die ids can number.
     pub fn with_array(width: u32, height: u32) -> Result<Self> {
         if width == 0 || height == 0 {
             return Err(WscError::InvalidConfig(format!(
                 "die array must be nonzero, got {width}x{height}"
+            )));
+        }
+        let dies = u64::from(width) * u64::from(height);
+        // The mesh numbers dies (and counts them) in `u32`.
+        if dies > u64::from(u32::MAX) {
+            return Err(WscError::InvalidConfig(format!(
+                "die array {width}x{height} has {dies} dies, beyond the u32 die-id range"
             )));
         }
         Ok(WaferConfig {
@@ -200,7 +208,7 @@ impl WaferConfig {
 
     /// Number of dies on the wafer.
     pub fn die_count(&self) -> usize {
-        (self.mesh_width * self.mesh_height) as usize
+        self.mesh_width as usize * self.mesh_height as usize
     }
 
     /// Builds the mesh topology for this wafer.
@@ -326,6 +334,25 @@ mod tests {
         let c = WaferConfig::with_array(6, 9).unwrap();
         assert_eq!(c.die_count(), 54);
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn die_count_does_not_wrap_and_with_array_caps_it_at_the_die_id_range() {
+        // 70000 x 70000 wraps a u32 product; the count itself is exact.
+        let wide = WaferConfig {
+            mesh_width: 70_000,
+            mesh_height: 70_000,
+            ..WaferConfig::hpca()
+        };
+        assert_eq!(wide.die_count(), 4_900_000_000);
+        let err = WaferConfig::with_array(70_000, 70_000).unwrap_err();
+        assert!(
+            matches!(&err, WscError::InvalidConfig(m) if m.contains("die-id range")),
+            "{err}"
+        );
+        // u32::MAX = 65535 x 65537 dies is the largest array admitted.
+        assert!(WaferConfig::with_array(65_535, 65_537).is_ok());
+        assert!(WaferConfig::with_array(65_536, 65_536).is_err());
     }
 
     #[test]

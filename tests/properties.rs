@@ -523,12 +523,60 @@ fn bound_pruned_search_is_bit_identical_to_exhaustive_zoo_wide() {
         pruned_total += solver.context().stats().pruned_candidates();
         solver.context().set_pruning(false);
         let exhaustive = solver.solve().expect("exhaustive solve");
+        assert_eq!(
+            solver.context().stats().plan_hits,
+            0,
+            "{name}: the exhaustive solve was served the pruned plan"
+        );
         assert_eq!(pruned, exhaustive, "{name}");
     }
     assert!(
         pruned_total > 0,
         "the property is vacuous if nothing was ever pruned"
     );
+}
+
+/// A plan served from the memo is the plan a fresh solve returns, on
+/// every zoo model (dense and MoE) under every mapping engine. The fresh
+/// solve runs on the same context, so the comparison is bit-exact: a
+/// pruning toggle clears the memo and leaves the settings as they were,
+/// and the re-solve then prunes against a warmer cache than the cold one.
+#[test]
+fn memo_served_plans_equal_fresh_solves_zoo_wide() {
+    for model in ModelZoo::table2().into_iter().chain(ModelZoo::moe_zoo()) {
+        let name = model.name.clone();
+        let workload = Workload::for_model(&model);
+        let solver = Dlws::new(WaferConfig::hpca(), model, workload);
+        let ctx = solver.context();
+        for engine in [
+            MappingEngine::Tcme,
+            MappingEngine::SMap,
+            MappingEngine::GMap,
+        ] {
+            let cold = solver.solve_with_engine(engine, |_| true);
+            let hits = ctx.stats().plan_hits;
+            let memo = solver.solve_with_engine(engine, |_| true);
+            let served = ctx.stats().plan_hits - hits;
+            ctx.set_pruning(false);
+            ctx.set_pruning(true);
+            let fresh = solver.solve_with_engine(engine, |_| true);
+            assert_eq!(
+                ctx.stats().plan_hits - hits,
+                served,
+                "{name} {engine:?}: the fresh solve came from the memo"
+            );
+            match (cold, memo, fresh) {
+                (Ok(cold), Ok(memo), Ok(fresh)) => {
+                    assert_eq!(served, 1, "{name} {engine:?}: repeat missed the memo");
+                    assert_eq!(memo, cold, "{name} {engine:?}");
+                    assert_eq!(memo, fresh, "{name} {engine:?}");
+                }
+                // Infeasible solves store nothing and fail alike.
+                (Err(_), Err(_), Err(_)) => assert_eq!(served, 0, "{name} {engine:?}"),
+                _ => panic!("{name} {engine:?}: feasibility diverged"),
+            }
+        }
+    }
 }
 
 /// Pruned and exhaustive two-wafer staged plans agree: the staged
@@ -547,8 +595,14 @@ fn bound_pruned_staged_plans_match_exhaustive_at_two_wafers() {
         let system = BaselineSystem::temp();
         let wafers = MultiWaferSystem::new(temp.wafer().clone(), 2).unwrap();
         let pruned = temp.evaluate_multiwafer(&system, &wafers, 1);
+        let plan_hits = temp.search_stats().plan_hits;
         temp.solver().context().set_pruning(false);
         let exhaustive = temp.evaluate_multiwafer(&system, &wafers, 1);
+        assert_eq!(
+            temp.search_stats().plan_hits,
+            plan_hits,
+            "{name}: the exhaustive plan came from the memo"
+        );
         assert_eq!(pruned, exhaustive, "{name}");
     }
 }
@@ -573,6 +627,11 @@ fn bound_pruned_degraded_resolves_match_exhaustive_per_seed() {
             let pruned = degraded.solve();
             degraded.context().set_pruning(false);
             let exhaustive = degraded.solve();
+            assert_eq!(
+                degraded.search_stats().plan_hits,
+                0,
+                "{kind:?} rate {rate} seed {s}: the exhaustive plan came from the memo"
+            );
             match (pruned, exhaustive) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a, b, "{kind:?} rate {rate} seed {s}")

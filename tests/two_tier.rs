@@ -54,6 +54,10 @@ fn gated_search_matches_exhaustive_on_the_fig13_zoo() {
         let after_exact = ctx.stats();
 
         assert_eq!(
+            after_exact.plan_hits, after_gated.plan_hits,
+            "{name}: the exact plan came from the memo"
+        );
+        assert_eq!(
             gated, exact,
             "{name}: gated plan must equal the exhaustive plan"
         );
@@ -97,8 +101,14 @@ fn gated_matches_exact_on_a_heterogeneous_chain() {
         ctx.stats()
     );
 
+    let plan_hits = ctx.stats().plan_hits;
     ctx.set_cost_tier(CostTier::Exact);
     let exact = solver.solve().expect("exact plan");
+    assert_eq!(
+        ctx.stats().plan_hits,
+        plan_hits,
+        "the exact plan came from the memo"
+    );
     assert!(
         exact.is_heterogeneous(),
         "GPT-3 6.7B must exercise the heterogeneous chain: {:?}",
@@ -151,6 +161,10 @@ fn gated_search_matches_exhaustive_on_the_moe_zoo() {
         let exact = solver.solve().unwrap_or_else(|e| panic!("{name}: {e}"));
         let after_exact = ctx.stats();
 
+        assert_eq!(
+            after_exact.plan_hits, after_gated.plan_hits,
+            "{name}: the exact plan came from the memo"
+        );
         assert_eq!(
             gated, exact,
             "{name}: gated plan must equal the exhaustive plan"
@@ -331,6 +345,11 @@ fn tier_switch_is_idempotent_on_a_warm_context() {
     // A gated solve on the warm context answers everything from cache.
     ctx.set_cost_tier(CostTier::SurrogateGated);
     let gated = solver.solve().unwrap();
+    assert_eq!(
+        ctx.stats().plan_hits,
+        0,
+        "the gated plan came from the memo"
+    );
     assert_eq!(exact_first, gated);
     assert_eq!(
         ctx.stats().misses,
