@@ -439,13 +439,7 @@ impl PlanServer {
         let mut unique = 0usize;
         for pool in pools {
             let (stats, keys) = pool.aggregate_stats();
-            total.hits += stats.hits;
-            total.misses += stats.misses;
-            total.coalesced += stats.coalesced;
-            total.shard_waits += stats.shard_waits;
-            total.seg_hits += stats.seg_hits;
-            total.seg_misses += stats.seg_misses;
-            total.plan_hits += stats.plan_hits;
+            total += stats;
             unique += keys;
         }
         (total, unique)
@@ -592,6 +586,37 @@ mod tests {
         assert!(stats.text().contains("\"queries\":2"));
         assert!(stats.text().contains("\"plan_hits\":1"), "{}", stats.text());
         assert!(matches!(server.handle_line("shutdown"), Response::Quit(_)));
+    }
+
+    #[test]
+    fn server_aggregate_sums_every_stats_field_of_every_pool() {
+        let server = PlanServer::new(None).expect("server");
+        for line in ["solve gpt3_6_7b", "solve llama2_7b wafer=8x8"] {
+            let reply = server.handle_line(line);
+            assert!(reply.text().starts_with("{\"ok\":true"), "{}", reply.text());
+        }
+        let pools: Vec<Arc<ContextPool>> = server
+            .pools
+            .lock()
+            .expect("pools lock")
+            .values()
+            .cloned()
+            .collect();
+        assert_eq!(pools.len(), 2);
+        let mut expected = SearchStats::default();
+        let mut expected_keys = 0;
+        for pool in &pools {
+            for ctx in pool.contexts() {
+                expected += ctx.stats();
+                expected_keys += ctx.eval_cache_len();
+            }
+        }
+        let (total, keys) = server.aggregate();
+        assert_eq!(total, expected);
+        assert_eq!(keys, expected_keys);
+        // Counters the server once dropped from its sum.
+        assert!(total.bound_pruned > 0, "{total:?}");
+        assert!(total.exact_ns > 0 && total.bound_ns > 0, "{total:?}");
     }
 
     #[test]

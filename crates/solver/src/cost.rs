@@ -1863,4 +1863,44 @@ mod tests {
             .0;
         assert!((4..=16).contains(&best), "sweet spot at {best}: {times:?}");
     }
+
+    #[test]
+    fn segment_costs_are_identical_under_every_engine() {
+        // The per-segment cost table is keyed without the engine, so the
+        // engine must never enter segment arithmetic.
+        use crate::search::SearchContext;
+        let wafers = [
+            WaferConfig::hpca(),
+            WaferConfig::with_array(8, 8).expect("8x8 wafer"),
+        ];
+        let models = ModelZoo::table2().into_iter().chain(ModelZoo::moe_zoo());
+        for model in models {
+            for wafer in &wafers {
+                let dies = wafer.die_count();
+                let candidates = match model.moe {
+                    Some(moe) => {
+                        SearchContext::enumerate_moe_candidates(dies, moe.num_experts as usize)
+                    }
+                    None => SearchContext::enumerate_base_candidates(dies),
+                };
+                let m =
+                    WaferCostModel::new(wafer.clone(), model.clone(), Workload::for_model(&model));
+                for seg in m.chain().segments() {
+                    for cfg in &candidates {
+                        let tcme = m.evaluate_segment(seg, cfg, MappingEngine::Tcme).ok();
+                        for engine in [MappingEngine::SMap, MappingEngine::GMap] {
+                            assert_eq!(
+                                m.evaluate_segment(seg, cfg, engine).ok(),
+                                tcme,
+                                "{} {:?} {} under {engine:?}",
+                                model.name,
+                                seg.kind,
+                                cfg.label()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

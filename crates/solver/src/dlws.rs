@@ -36,7 +36,7 @@ use temp_wsc::config::WaferConfig;
 use temp_wsc::fault::FaultMap;
 
 use crate::cost::{CostReport, WaferCostModel};
-use crate::dp::solve_chain;
+use crate::dp::solve_keyed_chain;
 use crate::ga::{optimize_ragged, GaParams};
 use crate::runtime::CancelToken;
 use crate::search::{CandidateCost, SearchContext, SearchStats};
@@ -488,8 +488,17 @@ impl Dlws {
                     .ctx
                     .resharding_cost(&seg_cands[s - 1][a], &seg_cands[s][b])
         };
-        let dp = solve_chain(&seg_costs, reshard)
+        // Every boundary follows one law (an equal config is free, any
+        // other costs `micro x full_reshard`), so the keyed DP solves the
+        // chain in `O(S x C log C)` with `solve_chain`'s exact answer.
+        let dp = solve_keyed_chain(&seg_costs, &seg_cands, micro * self.ctx.full_reshard_cost())
             .map_err(|e| SolverError::Internal(format!("chain DP: {e}")))?;
+        debug_assert!(
+            crate::dp::solve_chain(&seg_costs, reshard).is_ok_and(|reference| {
+                reference.choices == dp.choices && reference.cost.to_bits() == dp.cost.to_bits()
+            }),
+            "keyed chain DP diverged from the reference"
+        );
 
         // Level 2: GA refinement seeded with the DP assignment, each
         // segment evolving over its own candidate list.

@@ -9,6 +9,16 @@
 //! the optimal assignment in `O(segments x candidates^2)` — the "recursive
 //! dynamic-programming routine [that] iteratively optimizes one operator
 //! at a time" of Fig. 12(b).
+//!
+//! The solver's own chains price every boundary by one law — staying on
+//! an equal configuration is free, any other move costs the same
+//! resharding charge — and [`solve_keyed_chain`] exploits it to solve
+//! them in `O(segments x candidates x log candidates)`, bit-identical to
+//! [`solve_chain`] (which stays the generic reference).
+
+use std::hash::Hash;
+
+use crate::shard::WordHashMap;
 
 /// Typed failure of a chain solve — malformed chains surface as errors
 /// instead of aborting a sweep.
@@ -99,18 +109,148 @@ pub fn solve_chain(
         best = next;
         back.push(bk);
     }
-    // Reconstruct.
+    Ok(backtrack(&best, &back))
+}
+
+/// Reads the optimal assignment out of the last segment's prefix costs
+/// and the per-segment back pointers.
+fn backtrack(best: &[f64], back: &[Vec<usize>]) -> DpSolution {
     let (mut cur, &cost) = best
         .iter()
         .enumerate()
         .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite or inf"))
         .expect("non-empty candidates");
-    let mut choices = vec![0; segment_costs.len()];
-    for s in (0..segment_costs.len()).rev() {
+    let mut choices = vec![0; back.len()];
+    for s in (0..back.len()).rev() {
         choices[s] = cur;
         cur = back[s][cur];
     }
-    Ok(DpSolution { choices, cost })
+    DpSolution { choices, cost }
+}
+
+/// [`solve_chain`] for chains whose transitions follow one law: moving
+/// between candidates with equal keys is free, any other move costs
+/// `switch`. `keys[s][c]` is the key (the strategy) of segment `s`'s
+/// candidate `c`. Returns exactly what
+/// `solve_chain(segment_costs, |s, a, b| if keys[s - 1][a] == keys[s][b] { 0.0 } else { switch })`
+/// returns — the same choices and the same cost, bit for bit — in
+/// `O(segments x candidates x log candidates)` instead of quadratic time.
+///
+/// At each boundary the paid arrivals `best[p] + switch` are sorted once.
+/// Adding a candidate's own cost is monotone in them, so the minimum is
+/// the first sorted entry and the entries that round to the same sum form
+/// a prefix, found by binary search; a prefix minimum of indices gives
+/// the first predecessor among them, which is the one the reference scan
+/// keeps. The free arrivals from equal-key predecessors are then compared
+/// directly. As in [`solve_chain`], `NaN` and infinite totals never win.
+///
+/// # Errors
+///
+/// As [`solve_chain`].
+///
+/// # Panics
+///
+/// When `keys` does not give one key per candidate.
+pub fn solve_keyed_chain<K: Eq + Hash>(
+    segment_costs: &[Vec<f64>],
+    keys: &[&[K]],
+    switch: f64,
+) -> Result<DpSolution, DpError> {
+    assert!(
+        keys.len() == segment_costs.len()
+            && keys
+                .iter()
+                .zip(segment_costs)
+                .all(|(k, c)| k.len() == c.len()),
+        "one key per candidate"
+    );
+    if switch.is_nan() || switch < 0.0 {
+        // A free move is no worse than a paid one only when the charge
+        // is non-negative; anything else takes the generic scan.
+        return solve_chain(segment_costs, |s, a, b| {
+            if keys[s - 1][a] == keys[s][b] {
+                0.0
+            } else {
+                switch
+            }
+        });
+    }
+    if segment_costs.is_empty() {
+        return Ok(DpSolution {
+            choices: Vec::new(),
+            cost: 0.0,
+        });
+    }
+    if let Some(segment) = segment_costs.iter().position(Vec::is_empty) {
+        return Err(DpError::EmptyCandidateList { segment });
+    }
+    const NONE: usize = usize::MAX;
+    let mut best: Vec<f64> = segment_costs[0].clone();
+    let mut back: Vec<Vec<usize>> = vec![vec![0; best.len()]];
+    // Paid arrivals sorted by value, with the smallest index seen so far.
+    let mut paid: Vec<(f64, usize)> = Vec::new();
+    let mut first_index: Vec<usize> = Vec::new();
+    // The first predecessor holding each key, and the next one after it.
+    let mut first_of_key: WordHashMap<&K, usize> = WordHashMap::default();
+    let mut next_of_key: Vec<usize> = Vec::new();
+    for (s, costs) in segment_costs.iter().enumerate().skip(1) {
+        paid.clear();
+        paid.extend(best.iter().enumerate().filter_map(|(p, &b)| {
+            let arrival = b + switch;
+            (arrival < f64::INFINITY).then_some((arrival, p))
+        }));
+        paid.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        first_index.clear();
+        first_index.extend(paid.iter().scan(NONE, |first, &(_, p)| {
+            *first = p.min(*first);
+            Some(*first)
+        }));
+        first_of_key.clear();
+        next_of_key.clear();
+        next_of_key.resize(best.len(), NONE);
+        for (p, key) in keys[s - 1].iter().enumerate().rev() {
+            if let Some(later) = first_of_key.insert(key, p) {
+                next_of_key[p] = later;
+            }
+        }
+
+        let mut next = vec![f64::INFINITY; costs.len()];
+        let mut bk = vec![0usize; costs.len()];
+        for (c, &seg_cost) in costs.iter().enumerate() {
+            let mut win: Option<(f64, usize)> = None;
+            if seg_cost < f64::INFINITY {
+                if let Some(&(lowest, _)) = paid.first() {
+                    let floor = lowest + seg_cost;
+                    if floor < f64::INFINITY {
+                        let ties = paid.partition_point(|&(g, _)| g + seg_cost <= floor);
+                        let p = first_index[ties - 1];
+                        win = Some((best[p] + switch + seg_cost, p));
+                    }
+                }
+            }
+            let mut q = first_of_key.get(&keys[s][c]).copied().unwrap_or(NONE);
+            while q != NONE {
+                // The reference adds the zero transition too (it turns a
+                // `-0.0` prefix into `+0.0`).
+                let total = best[q] + 0.0 + seg_cost;
+                let better = match win {
+                    None => total < f64::INFINITY,
+                    Some((value, p)) => total < value || (total == value && q < p),
+                };
+                if better {
+                    win = Some((total, q));
+                }
+                q = next_of_key[q];
+            }
+            if let Some((total, p)) = win {
+                next[c] = total;
+                bk[c] = p;
+            }
+        }
+        best = next;
+        back.push(bk);
+    }
+    Ok(backtrack(&best, &back))
 }
 
 /// Result of a stage-cut solve: how many block instances each pipeline
@@ -775,6 +915,97 @@ mod tests {
         let one = balance_weighted_cuts(&[1.0, 2.0], 1, 0.5, 0.25, &[]).unwrap();
         assert_eq!(one.blocks, vec![2]);
         assert!((one.bottleneck - 3.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn keyed_chain_matches_the_reference_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        // A small cost alphabet makes ties (equal values, and sums that
+        // round together) common; INFINITY marks infeasible candidates.
+        let alphabet = [0.0, 0.1, 0.2, 0.3, 1.0, 1e16, 3.0, f64::INFINITY];
+        for case in 0..600 {
+            let segs = rng.gen_range(1..6usize);
+            // Mostly short rows; long ones exercise the unstable sort.
+            let width = if case % 5 == 0 { 40 } else { 9 };
+            let sizes: Vec<usize> = (0..segs).map(|_| rng.gen_range(1..width)).collect();
+            let costs: Vec<Vec<f64>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(s, &k)| match rng.gen_range(0..8) {
+                    // Some rows are infeasible throughout.
+                    0 if s > 0 => vec![f64::INFINITY; k],
+                    // Huge rows: distinct predecessors round to the same
+                    // total on the optimal path.
+                    1 => (0..k)
+                        .map(|_| [1e16, 1e16 + 2.0, 2e16][rng.gen_range(0..3)])
+                        .collect(),
+                    _ => (0..k)
+                        .map(|_| match rng.gen_range(0..3) {
+                            0 => alphabet[rng.gen_range(0..alphabet.len())],
+                            _ => rng.gen_range(0.0..4.0),
+                        })
+                        .collect(),
+                })
+                .collect();
+            // Keys from a small pool so neighbouring rows share some
+            // configs and a row may repeat one.
+            let pool = rng.gen_range(1..10u32);
+            let keys: Vec<Vec<u32>> = sizes
+                .iter()
+                .map(|&k| (0..k).map(|_| rng.gen_range(0..pool)).collect())
+                .collect();
+            let key_rows: Vec<&[u32]> = keys.iter().map(Vec::as_slice).collect();
+            let switch = match case % 4 {
+                0 => 0.0,
+                1 => alphabet[rng.gen_range(0..alphabet.len())],
+                _ => rng.gen_range(0.0..2.0),
+            };
+            let reference = solve_chain(&costs, |s, a, b| {
+                if keys[s - 1][a] == keys[s][b] {
+                    0.0
+                } else {
+                    switch
+                }
+            })
+            .unwrap();
+            let keyed = solve_keyed_chain(&costs, &key_rows, switch).unwrap();
+            assert_eq!(
+                (keyed.choices.clone(), keyed.cost.to_bits()),
+                (reference.choices.clone(), reference.cost.to_bits()),
+                "case {case}: costs {costs:?} keys {keys:?} switch {switch}: \
+                 keyed {keyed:?} vs reference {reference:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn keyed_chain_handles_degenerate_inputs_like_the_reference() {
+        let empty: [Vec<f64>; 0] = [];
+        let none: [&[u8]; 0] = [];
+        assert_eq!(solve_keyed_chain(&empty, &none, 1.0).unwrap().cost, 0.0);
+        let costs = vec![vec![1.0], Vec::new()];
+        assert_eq!(
+            solve_keyed_chain(&costs, &[&[0u8][..], &[]], 1.0).unwrap_err(),
+            DpError::EmptyCandidateList { segment: 1 }
+        );
+        // NaN costs and switches never win, as in the reference scan.
+        let costs = vec![vec![1.0, 2.0], vec![f64::NAN, 0.5]];
+        let keys: [&[u8]; 2] = [&[0, 1], &[0, 1]];
+        for switch in [f64::NAN, -1.0, f64::INFINITY] {
+            let reference = solve_chain(&costs, |s, a, b| {
+                if keys[s - 1][a] == keys[s][b] {
+                    0.0
+                } else {
+                    switch
+                }
+            })
+            .unwrap();
+            let keyed = solve_keyed_chain(&costs, &keys, switch).unwrap();
+            assert_eq!(keyed.choices, reference.choices, "switch {switch}");
+            assert_eq!(keyed.cost.to_bits(), reference.cost.to_bits());
+        }
     }
 
     #[test]

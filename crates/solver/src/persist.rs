@@ -128,13 +128,29 @@ impl<'a> Fields<'a> {
             .ok_or_else(|| format!("truncated record: {:?}", self.line))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
+    /// The next field as an integer of type `T`. A value out of `T`'s
+    /// range fails the parse rather than wrapping, so a corrupted code
+    /// can never alias a valid one.
+    fn int<T: std::str::FromStr>(&mut self) -> Result<T, String> {
         let s = self.next()?;
-        s.parse().map_err(|_| format!("bad integer {s:?}"))
+        s.parse()
+            .map_err(|_| format!("bad {} {s:?}", std::any::type_name::<T>()))
+    }
+
+    pub(crate) fn u8(&mut self) -> Result<u8, String> {
+        self.int()
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, String> {
+        self.int()
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, String> {
+        self.int()
     }
 
     pub(crate) fn usize(&mut self) -> Result<usize, String> {
-        Ok(self.u64()? as usize)
+        self.int()
     }
 
     pub(crate) fn f64(&mut self) -> Result<f64, String> {
@@ -378,5 +394,15 @@ mod tests {
         let mut some = Fields::new("5");
         assert!(!some.takes_none_marker());
         assert_eq!(some.u64().unwrap(), 5);
+    }
+
+    #[test]
+    fn narrow_fields_reject_out_of_range_values() {
+        let mut f = Fields::new("255 256 4294967295 4294967296 -1");
+        assert_eq!(f.u8().unwrap(), 255);
+        assert!(f.u8().is_err(), "256 must not wrap to 0");
+        assert_eq!(f.u32().unwrap(), u32::MAX);
+        assert!(f.u32().is_err(), "2^32 must not wrap to 0");
+        assert!(f.u64().is_err(), "negative");
     }
 }

@@ -230,27 +230,7 @@ impl ContextPool {
         let mut total = crate::search::SearchStats::default();
         let mut unique_keys = 0usize;
         for ctx in self.contexts() {
-            let s = ctx.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.coalesced += s.coalesced;
-            total.shard_waits += s.shard_waits;
-            total.exact_hits += s.exact_hits;
-            total.exact_misses += s.exact_misses;
-            total.gated_hits += s.gated_hits;
-            total.gated_misses += s.gated_misses;
-            total.gate_pruned += s.gate_pruned;
-            total.seg_hits += s.seg_hits;
-            total.seg_misses += s.seg_misses;
-            total.adaptive_top_k += s.adaptive_top_k;
-            total.bound_pruned += s.bound_pruned;
-            total.dominated_pruned += s.dominated_pruned;
-            total.enumerate_ns += s.enumerate_ns;
-            total.bound_ns += s.bound_ns;
-            total.exact_ns += s.exact_ns;
-            total.gate_fit_ns += s.gate_fit_ns;
-            total.contention_ns += s.contention_ns;
-            total.plan_hits += s.plan_hits;
+            total += ctx.stats();
             unique_keys += ctx.eval_cache_len();
         }
         (total, unique_keys)
@@ -351,13 +331,51 @@ mod tests {
         };
         let bit_flipped = good.replacen('.', "x", 1).into_bytes();
         let version_skewed = good
-            .replacen("temp-cache v1", "temp-cache v9", 1)
+            .replacen("temp-cache v2", "temp-cache v9", 1)
             .into_bytes();
+        // The previous format: the same header at v1, and segment records
+        // stored once per engine (an engine code after the config).
+        let v1_format = good
+            .replacen("temp-cache v2", "temp-cache v1", 1)
+            .lines()
+            .map(|line| match line.strip_prefix("S ") {
+                Some(rest) => {
+                    let mut fields: Vec<&str> = rest.split(' ').collect();
+                    fields.insert(9, "2");
+                    format!("S {}\n", fields.join(" "))
+                }
+                None => format!("{line}\n"),
+            })
+            .collect::<String>()
+            .into_bytes();
+        // Section counts the file cannot hold must be rejected, not
+        // reserved: 10^12 once aborted on a failed allocation, 10^17 on a
+        // capacity overflow.
+        let evals_line = good
+            .lines()
+            .find(|l| l.starts_with("evals "))
+            .expect("evals section");
+        let huge_count = |n: &str| {
+            good.replacen(evals_line, &format!("evals {n}"), 1)
+                .into_bytes()
+        };
+        // An engine code of 258 must not wrap to 2 (TCME).
+        let e_record = good
+            .lines()
+            .find(|l| l.starts_with("E "))
+            .expect("E record");
+        let mut fields: Vec<&str> = e_record.split(' ').collect();
+        fields[9] = "258";
+        let wrapped_code = good.replacen(e_record, &fields.join(" "), 1).into_bytes();
         let unreadable = vec![0xff, 0xfe, 0x80, 0x00, b'\n'];
-        let cases: [(&str, Vec<u8>); 4] = [
+        let cases: [(&str, Vec<u8>); 8] = [
             ("truncated", truncated),
             ("bit-flipped", bit_flipped),
             ("version-skewed", version_skewed),
+            ("v1 format", v1_format),
+            ("evals 10^12", huge_count("1000000000000")),
+            ("evals 10^17", huge_count("100000000000000000")),
+            ("out-of-range engine code", wrapped_code),
             ("unreadable (non-UTF-8)", unreadable),
         ];
         for (what, bytes) in cases {

@@ -46,7 +46,7 @@ use crate::dlws::{ExecutionPlan, PlanKey};
 use crate::dp::{DpError, StageCuts};
 use crate::par;
 use crate::runtime::CancelToken;
-use crate::shard::{Claim, FlightTable, ShardedMap};
+use crate::shard::{Claim, FlightTable, ShardedMap, WordHashMap};
 use crate::surrogate_gate::{self, GateParams};
 
 /// Memoization key: one cost-model evaluation is fully determined by the
@@ -55,9 +55,12 @@ use crate::surrogate_gate::{self, GateParams};
 pub type EvalKey = (HybridConfig, MappingEngine, RecomputeMode);
 
 /// Memoization key of the per-segment cost table: one entry per
-/// `(SegmentKind, HybridConfig, engine, recompute)` — block instances are
-/// identical, so the kind (not the instance index) keys the table.
-pub type SegmentKey = (SegmentKind, HybridConfig, MappingEngine, RecomputeMode);
+/// `(SegmentKind, HybridConfig, recompute)` — block instances are
+/// identical, so the kind (not the instance index) keys the table, and
+/// segment costs never depend on the mapping engine (see
+/// [`WaferCostModel::evaluate_segment_with`]), so one table serves every
+/// engine.
+pub type SegmentKey = (SegmentKind, HybridConfig, RecomputeMode);
 
 /// Memoization key of one stage-cut solve: the full argument tuple of
 /// [`crate::dp::balance_stage_cuts`] / [`crate::dp::balance_weighted_cuts`]
@@ -242,6 +245,57 @@ impl SearchStats {
     }
 }
 
+impl std::ops::AddAssign for SearchStats {
+    /// Field-by-field sum: the one way pool- and server-wide stats roll
+    /// up from contexts. `adaptive_top_k` is a per-context quantity and is
+    /// summed only for completeness.
+    fn add_assign(&mut self, other: SearchStats) {
+        // Destructured, so a new field cannot be left out of the sum.
+        let SearchStats {
+            hits,
+            misses,
+            coalesced,
+            shard_waits,
+            exact_hits,
+            exact_misses,
+            gated_hits,
+            gated_misses,
+            gate_pruned,
+            seg_hits,
+            seg_misses,
+            adaptive_top_k,
+            bound_pruned,
+            dominated_pruned,
+            enumerate_ns,
+            bound_ns,
+            exact_ns,
+            gate_fit_ns,
+            contention_ns,
+            plan_hits,
+        } = other;
+        self.hits += hits;
+        self.misses += misses;
+        self.coalesced += coalesced;
+        self.shard_waits += shard_waits;
+        self.exact_hits += exact_hits;
+        self.exact_misses += exact_misses;
+        self.gated_hits += gated_hits;
+        self.gated_misses += gated_misses;
+        self.gate_pruned += gate_pruned;
+        self.seg_hits += seg_hits;
+        self.seg_misses += seg_misses;
+        self.adaptive_top_k += adaptive_top_k;
+        self.bound_pruned += bound_pruned;
+        self.dominated_pruned += dominated_pruned;
+        self.enumerate_ns += enumerate_ns;
+        self.bound_ns += bound_ns;
+        self.exact_ns += exact_ns;
+        self.gate_fit_ns += gate_fit_ns;
+        self.contention_ns += contention_ns;
+        self.plan_hits += plan_hits;
+    }
+}
+
 /// What [`SearchContext::import_cost_table`] brought in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ImportSummary {
@@ -340,7 +394,7 @@ pub struct SearchContext {
     contention_ns: AtomicU64,
     /// Solved plans. Every entry was computed under the current settings
     /// with no cancellation token installed at any point of its solve.
-    plans: RwLock<HashMap<PlanKey, ExecutionPlan>>,
+    plans: RwLock<WordHashMap<PlanKey, ExecutionPlan>>,
     /// Bumped after every settings change that can move a winner (which
     /// also clears `plans`) and after every cancellation-token install.
     /// A solve stores its plan only if the epoch it drew at start is
@@ -465,7 +519,7 @@ impl SearchContext {
             exact_ns: AtomicU64::new(0),
             gate_fit_ns: AtomicU64::new(0),
             contention_ns: AtomicU64::new(0),
-            plans: RwLock::new(HashMap::new()),
+            plans: RwLock::default(),
             plan_epoch: AtomicU64::new(0),
             plan_hits: AtomicU64::new(0),
         }
@@ -477,17 +531,16 @@ impl SearchContext {
         self.cost.chain()
     }
 
-    /// Memoized per-segment cost of one `(kind, config, engine, recompute)`
-    /// key. `None` records "the segment could not be evaluated" (invalid
+    /// Memoized per-segment cost of one `(kind, config, recompute)` key.
+    /// `None` records "the segment could not be evaluated" (invalid
     /// configuration), exactly like the whole-chain cache.
     pub fn segment_cost(
         &self,
         kind: SegmentKind,
         cfg: &HybridConfig,
-        engine: MappingEngine,
         mode: RecomputeMode,
     ) -> Option<SegmentCost> {
-        let key = (kind, *cfg, engine, mode);
+        let key = (kind, *cfg, mode);
         if let Some(cached) = self.seg_cache.get(&key) {
             self.seg_hits.fetch_add(1, Ordering::Relaxed);
             return cached;
@@ -699,11 +752,11 @@ impl SearchContext {
     /// bit-exactly):
     ///
     /// ```text
-    /// temp-cache v1 <fingerprint as 16 hex digits>
+    /// temp-cache v2 <fingerprint as 16 hex digits>
     /// evals <n>
     /// E <dp> <fsdp> <tp> <sp> <cp> <tatp> <ep> <pp> <engine> <mode> <report | ->
     /// segs <n>
-    /// S <kind> <dp> ... <pp> <engine> <mode> <segment-cost | ->
+    /// S <kind> <dp> ... <pp> <mode> <segment-cost | ->
     /// winner_rank <r>
     /// gate <lines>
     /// <gate predictor text, verbatim>
@@ -711,13 +764,15 @@ impl SearchContext {
     /// C <kind> <participants> <bytes-bits> <raw-time>
     /// ```
     ///
-    /// Records are sorted, so exporting the same state twice yields
-    /// byte-identical text (HashMap iteration order never leaks out).
+    /// `S` records carry no engine: segment costs are engine-free, so one
+    /// segment table serves every mapping engine. Records are sorted, so
+    /// exporting the same state twice yields byte-identical text (HashMap
+    /// iteration order never leaks out).
     pub fn export_cost_table(&self) -> String {
         use crate::persist;
         use std::fmt::Write as _;
 
-        let mut out = format!("temp-cache v1 {:016x}\n", self.cost.fingerprint());
+        let mut out = format!("temp-cache v2 {:016x}\n", self.cost.fingerprint());
 
         let mut evals: Vec<String> = self
             .cache
@@ -747,16 +802,15 @@ impl SearchContext {
             .seg_cache
             .snapshot()
             .into_iter()
-            .map(|((kind, cfg, engine, mode), cost)| {
+            .map(|((kind, cfg, mode), cost)| {
                 let payload = match cost {
                     Some(sc) => persist::encode_segment_cost(&sc),
                     None => "-".to_string(),
                 };
                 format!(
-                    "S {} {} {} {} {payload}",
+                    "S {} {} {} {payload}",
                     kind.code(),
                     persist::encode_cfg(&cfg),
-                    persist::engine_code(engine),
                     persist::mode_code(mode),
                 )
             })
@@ -817,9 +871,11 @@ impl SearchContext {
     ///
     /// # Errors
     ///
-    /// Rejects text whose header, fingerprint (wrong wafer/model/workload
-    /// or cost-model revision — see [`crate::cost::COST_MODEL_VERSION`])
-    /// or any record is malformed; on error the context is left exactly
+    /// Rejects text whose header (including any other format version),
+    /// fingerprint (wrong wafer/model/workload or cost-model revision —
+    /// see [`crate::cost::COST_MODEL_VERSION`]) or any record is
+    /// malformed, including section counts the file cannot hold and codes
+    /// out of range for their field; on error the context is left exactly
     /// as it was (the import is parsed fully before anything is merged).
     pub fn import_cost_table(&self, text: &str) -> std::result::Result<ImportSummary, String> {
         use crate::persist::{self, Fields};
@@ -827,8 +883,8 @@ impl SearchContext {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty cache text")?;
         let mut f = Fields::new(header);
-        if f.next()? != "temp-cache" || f.next()? != "v1" {
-            return Err(format!("not a temp-cache v1 header: {header:?}"));
+        if f.next()? != "temp-cache" || f.next()? != "v2" {
+            return Err(format!("not a temp-cache v2 header: {header:?}"));
         }
         let fp = u64::from_str_radix(f.next()?, 16).map_err(|e| format!("bad fingerprint: {e}"))?;
         f.finish()?;
@@ -852,10 +908,13 @@ impl SearchContext {
             f.finish()?;
             Ok(n)
         };
+        // Section counts come from the file itself: never reserve more
+        // records than the file has lines.
+        let line_count = text.bytes().filter(|&b| b == b'\n').count() + 1;
 
         // Parse everything first; merge only a fully-valid import.
         let n_evals = section(&mut lines, "evals")?;
-        let mut evals = Vec::with_capacity(n_evals);
+        let mut evals = Vec::with_capacity(n_evals.min(line_count));
         for _ in 0..n_evals {
             let line = lines.next().ok_or("truncated evals section")?;
             let mut f = Fields::new(line);
@@ -863,8 +922,8 @@ impl SearchContext {
                 return Err(format!("expected E record, got {line:?}"));
             }
             let cfg = persist::decode_cfg(&mut f)?;
-            let engine = persist::engine_from_code(f.u64()? as u8)?;
-            let mode = persist::mode_from_code(f.u64()? as u8)?;
+            let engine = persist::engine_from_code(f.u8()?)?;
+            let mode = persist::mode_from_code(f.u8()?)?;
             let report = if f.takes_none_marker() {
                 None
             } else {
@@ -875,24 +934,23 @@ impl SearchContext {
         }
 
         let n_segs = section(&mut lines, "segs")?;
-        let mut segs = Vec::with_capacity(n_segs);
+        let mut segs = Vec::with_capacity(n_segs.min(line_count));
         for _ in 0..n_segs {
             let line = lines.next().ok_or("truncated segs section")?;
             let mut f = Fields::new(line);
             if f.next()? != "S" {
                 return Err(format!("expected S record, got {line:?}"));
             }
-            let kind = persist::kind_from_code(f.u64()? as u8)?;
+            let kind = persist::kind_from_code(f.u8()?)?;
             let cfg = persist::decode_cfg(&mut f)?;
-            let engine = persist::engine_from_code(f.u64()? as u8)?;
-            let mode = persist::mode_from_code(f.u64()? as u8)?;
+            let mode = persist::mode_from_code(f.u8()?)?;
             let cost = if f.takes_none_marker() {
                 None
             } else {
                 Some(persist::decode_segment_cost(kind, &mut f)?)
             };
             f.finish()?;
-            segs.push(((kind, cfg, engine, mode), cost));
+            segs.push(((kind, cfg, mode), cost));
         }
 
         let rank_line = lines.next().ok_or("missing winner_rank")?;
@@ -924,15 +982,15 @@ impl SearchContext {
             }
             let n_colls = f.usize()?;
             f.finish()?;
-            colls.reserve(n_colls);
+            colls.reserve(n_colls.min(line_count));
             for _ in 0..n_colls {
                 let line = lines.next().ok_or("truncated coll section")?;
                 let mut f = Fields::new(line);
                 if f.next()? != "C" {
                     return Err(format!("expected C record, got {line:?}"));
                 }
-                let kind = persist::collective_from_code(f.u64()? as u8)?;
-                let participants = f.u64()? as u32;
+                let kind = persist::collective_from_code(f.u8()?)?;
+                let participants = f.u32()?;
                 let bits = f.u64()?;
                 let time = f.f64()?;
                 f.finish()?;
@@ -1013,11 +1071,15 @@ impl SearchContext {
     /// This is the single source of the end-segment rows for both the
     /// chain DP (`Dlws`) and the surrogate gate's chain correction — they
     /// must agree or the winner-retention guarantee degrades.
+    ///
+    /// Segment costs do not depend on the mapping engine, so `_engine`
+    /// does not enter the row; it is accepted so every engine's solve
+    /// calls this one way.
     pub fn segment_step_costs(
         &self,
         kind: SegmentKind,
         candidates: &[HybridConfig],
-        engine: MappingEngine,
+        _engine: MappingEngine,
         mode: RecomputeMode,
     ) -> Vec<f64> {
         let count = self.cost.chain().find(kind).map(|s| s.count).unwrap_or(1) as f64;
@@ -1025,7 +1087,7 @@ impl SearchContext {
         let row_with = |require_fit: bool| -> Vec<f64> {
             candidates
                 .iter()
-                .map(|cfg| match self.segment_cost(kind, cfg, engine, mode) {
+                .map(|cfg| match self.segment_cost(kind, cfg, mode) {
                     Some(sc) if sc.fits_memory || !require_fit => sc.time * count * micro,
                     _ => f64::INFINITY,
                 })
@@ -1947,30 +2009,15 @@ mod tests {
     fn segment_cost_table_is_memoized_per_key() {
         let ctx = context();
         let cfg = HybridConfig::tuple(2, 2, 1, 8);
-        let first = ctx.segment_cost(
-            SegmentKind::Head,
-            &cfg,
-            MappingEngine::Tcme,
-            RecomputeMode::Selective,
-        );
+        let first = ctx.segment_cost(SegmentKind::Head, &cfg, RecomputeMode::Selective);
         assert!(first.is_some());
         let misses = ctx.stats().seg_misses;
         assert!(misses >= 1);
-        let second = ctx.segment_cost(
-            SegmentKind::Head,
-            &cfg,
-            MappingEngine::Tcme,
-            RecomputeMode::Selective,
-        );
+        let second = ctx.segment_cost(SegmentKind::Head, &cfg, RecomputeMode::Selective);
         assert_eq!(first, second);
         assert_eq!(ctx.stats().seg_misses, misses, "second lookup must hit");
         // A different kind under the same config is a distinct key.
-        let emb = ctx.segment_cost(
-            SegmentKind::Embedding,
-            &cfg,
-            MappingEngine::Tcme,
-            RecomputeMode::Selective,
-        );
+        let emb = ctx.segment_cost(SegmentKind::Embedding, &cfg, RecomputeMode::Selective);
         assert!(emb.is_some());
         assert_ne!(first, emb);
         assert_eq!(ctx.stats().seg_misses, misses + 1);
@@ -1978,12 +2025,7 @@ mod tests {
         let bad = HybridConfig::tuple(2, 2, 1, 4);
         for _ in 0..2 {
             assert!(ctx
-                .segment_cost(
-                    SegmentKind::Block,
-                    &bad,
-                    MappingEngine::Tcme,
-                    RecomputeMode::Selective
-                )
+                .segment_cost(SegmentKind::Block, &bad, RecomputeMode::Selective)
                 .is_none());
         }
         assert_eq!(ctx.stats().seg_misses, misses + 2);
@@ -2008,12 +2050,7 @@ mod tests {
         // consistent with the memoized table.
         let micro = ctx.cost_model().workload().micro_batches as f64;
         let sc = ctx
-            .segment_cost(
-                SegmentKind::Head,
-                &candidates[0],
-                MappingEngine::Tcme,
-                RecomputeMode::Selective,
-            )
+            .segment_cost(SegmentKind::Head, &candidates[0], RecomputeMode::Selective)
             .unwrap();
         if sc.fits_memory {
             assert!((row[0] - sc.time * micro).abs() <= 1e-12 * row[0].abs());
@@ -2052,12 +2089,7 @@ mod tests {
         ctx.evaluate(&good, MappingEngine::Tcme, RecomputeMode::Selective);
         ctx.evaluate(&good, MappingEngine::SMap, RecomputeMode::Full);
         ctx.evaluate(&bad, MappingEngine::Tcme, RecomputeMode::Selective);
-        ctx.segment_cost(
-            SegmentKind::Head,
-            &good,
-            MappingEngine::Tcme,
-            RecomputeMode::Selective,
-        );
+        ctx.segment_cost(SegmentKind::Head, &good, RecomputeMode::Selective);
         ctx.observe_winner_rank(5);
 
         let text = ctx.export_cost_table();
@@ -2118,6 +2150,10 @@ mod tests {
         let fresh = context();
         assert!(fresh.import_cost_table("").is_err());
         assert!(fresh.import_cost_table("temp-cache v2 0\n").is_err());
+        // A v1 file (per-engine segment table) is rejected whole.
+        let v1 = text.replacen("temp-cache v2", "temp-cache v1", 1);
+        let err = fresh.import_cost_table(&v1).unwrap_err();
+        assert!(err.contains("v2 header"), "{err}");
         let truncated = text.lines().take(2).collect::<Vec<_>>().join("\n");
         assert!(fresh.import_cost_table(&truncated).is_err());
         let mangled = text.replacen("E ", "E x", 1);
@@ -2170,7 +2206,7 @@ mod tests {
         // The fingerprint embeds `COST_MODEL_VERSION`, so a cache written
         // by any other cost-model revision dies at the header.
         let header = text.lines().next().unwrap().to_string();
-        let skewed = text.replacen(&header, "temp-cache v1 0000000000000000", 1);
+        let skewed = text.replacen(&header, "temp-cache v2 0000000000000000", 1);
         let err = context().import_cost_table(&skewed).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
 
@@ -2204,13 +2240,8 @@ mod tests {
         assert!((s.gated_hit_rate() - 0.5).abs() < 1e-12);
 
         // Segment-table hits are counted too.
-        let seg_args = (
-            SegmentKind::Head,
-            MappingEngine::Tcme,
-            RecomputeMode::Selective,
-        );
-        ctx.segment_cost(seg_args.0, &cfg, seg_args.1, seg_args.2);
-        ctx.segment_cost(seg_args.0, &cfg, seg_args.1, seg_args.2);
+        ctx.segment_cost(SegmentKind::Head, &cfg, RecomputeMode::Selective);
+        ctx.segment_cost(SegmentKind::Head, &cfg, RecomputeMode::Selective);
         let s = ctx.stats();
         assert_eq!((s.seg_hits, s.seg_misses), (1, 1));
         assert!((s.segment_hit_rate() - 0.5).abs() < 1e-12);

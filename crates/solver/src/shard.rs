@@ -17,15 +17,20 @@
 //!   tasks while they wait, so a follower never convoys behind the
 //!   leader's own fan-out — and then observe the identical stored value.
 //!
+//! Both hash with [`WordHasher`]: their keys are small fixed-shape
+//! records built by the solver, never strings from clients, so a
+//! multiply-rotate word hash does the work of SipHash at a fraction of
+//! the cost, and one hash value picks both the shard (top bits) and the
+//! bucket inside it (low bits).
+//!
 //! The leader's claim is a [`FlightLease`]: dropping it (normally or by
 //! panic) retires the flight and wakes every follower. Followers
 //! re-check the destination cache after waking; a leader that died
 //! without publishing simply leaves the key missing, and the retry loop
 //! in the caller elects a new leader.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::Duration;
@@ -39,10 +44,70 @@ pub const SHARDS: usize = 16;
 /// promptly even if the wake-up notification raced the sleep.
 const FOLLOWER_NAP: Duration = Duration::from_micros(200);
 
+/// A dependency-free hasher for the solver's internal cache keys: each
+/// machine word is folded in with one rotate, xor and multiply, and
+/// [`Hasher::finish`] folds the well-mixed high half down into the low
+/// bits `HashMap` picks buckets by. It is not DoS-resistant; keys that
+/// come from clients (such as `temp-serve`'s pool names) stay on SipHash.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordHasher(u64);
+
+/// Odd multiplier of [`WordHasher`] (2^64 over the golden ratio).
+const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.write_u64(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(i as u64);
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(i as u64);
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(WORD_MUL);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn write_isize(&mut self, i: isize) {
+        self.write_u64(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// The [`BuildHasher`] of every map keyed by [`WordHasher`].
+pub type WordBuildHasher = BuildHasherDefault<WordHasher>;
+
+/// A `HashMap` hashed by [`WordHasher`].
+pub type WordHashMap<K, V> = HashMap<K, V, WordBuildHasher>;
+
+/// The shard a hash value lands in: its top bits, which stay independent
+/// of the low bits `HashMap` picks buckets by.
+fn shard_of_hash(hash: u64) -> usize {
+    (hash >> 60) as usize & (SHARDS - 1)
+}
+
 fn shard_of<K: Hash>(key: &K) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() >> 60) as usize & (SHARDS - 1)
+    shard_of_hash(WordBuildHasher::default().hash_one(key))
 }
 
 /// A concurrent map over [`SHARDS`] `RwLock`ed shards with contention
@@ -50,14 +115,14 @@ fn shard_of<K: Hash>(key: &K) -> usize {
 /// immediately counts one wait in [`ShardedMap::waits`].
 #[derive(Debug)]
 pub struct ShardedMap<K, V> {
-    shards: Vec<RwLock<HashMap<K, V>>>,
+    shards: Vec<RwLock<WordHashMap<K, V>>>,
     waits: AtomicU64,
 }
 
 impl<K, V> Default for ShardedMap<K, V> {
     fn default() -> Self {
         ShardedMap {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
             waits: AtomicU64::new(0),
         }
     }
@@ -69,7 +134,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
         Self::default()
     }
 
-    fn read_shard(&self, i: usize) -> RwLockReadGuard<'_, HashMap<K, V>> {
+    fn read_shard(&self, i: usize) -> RwLockReadGuard<'_, WordHashMap<K, V>> {
         match self.shards[i].try_read() {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => {
@@ -80,7 +145,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
         }
     }
 
-    fn write_shard(&self, i: usize) -> RwLockWriteGuard<'_, HashMap<K, V>> {
+    fn write_shard(&self, i: usize) -> RwLockWriteGuard<'_, WordHashMap<K, V>> {
         match self.shards[i].try_write() {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => {
@@ -224,13 +289,13 @@ pub enum Claim<'t, K: Hash + Eq + Clone> {
 /// Per-key single-flight claims, sharded like [`ShardedMap`].
 #[derive(Debug)]
 pub struct FlightTable<K> {
-    shards: Vec<Mutex<HashMap<K, Arc<Flight>>>>,
+    shards: Vec<Mutex<WordHashMap<K, Arc<Flight>>>>,
 }
 
 impl<K> Default for FlightTable<K> {
     fn default() -> Self {
         FlightTable {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 }
@@ -292,6 +357,40 @@ mod tests {
         // this is the guard against a degenerate shard function.
         let used: std::collections::HashSet<usize> = (0..1000u64).map(|k| shard_of(&k)).collect();
         assert_eq!(used.len(), SHARDS);
+    }
+
+    #[test]
+    fn word_hasher_spreads_candidate_keys_over_every_shard() {
+        use temp_graph::workload::RecomputeMode;
+        use temp_mapping::engines::MappingEngine;
+        let candidates = crate::search::SearchContext::enumerate_base_candidates(128);
+        let mut per_shard = [0usize; SHARDS];
+        for cfg in &candidates {
+            for engine in [
+                MappingEngine::SMap,
+                MappingEngine::GMap,
+                MappingEngine::Tcme,
+            ] {
+                per_shard[shard_of(&(*cfg, engine, RecomputeMode::Selective))] += 1;
+            }
+        }
+        let keys = 3 * candidates.len();
+        assert!(keys >= 16 * SHARDS, "{keys} keys");
+        // Every shard is used, and none holds more than twice its share.
+        assert!(
+            per_shard.iter().all(|&n| n > 0 && n <= 2 * keys / SHARDS),
+            "{per_shard:?}"
+        );
+    }
+
+    #[test]
+    fn word_hasher_mixes_high_bits_into_the_bucket_bits() {
+        // Keys that differ only in one small field must differ in the low
+        // bits `HashMap` masks buckets with, not just in the top bits.
+        let low: std::collections::HashSet<u64> = (0..64u64)
+            .map(|k| WordBuildHasher::default().hash_one((k, 7u8)) & 0xff)
+            .collect();
+        assert!(low.len() > 40, "{} distinct low bytes", low.len());
     }
 
     #[test]
