@@ -1,15 +1,15 @@
 //! §VIII-H: DLS search time vs the exact (ILP-style) baseline, plus the
-//! search-pipeline regression benchmark: serial vs scoped-thread vs
-//! work-stealing-pool candidate costing, the two-tier surrogate gate vs
-//! exhaustive exact costing, the candidate-cache hit rate of the
-//! seven-system sweep, and the persisted-cache warm start over the fig13
-//! zoo.
+//! search-pipeline regression benchmark: serial vs work-stealing-pool
+//! candidate costing, the bound-pruned evaluation counts of a cold
+//! single-model solve, the multi-wafer sweep and the MoE chain, the
+//! candidate-cache hit rate of the seven-system sweep, and the
+//! persisted-cache warm start over the fig13 zoo.
 //!
 //! Machine-readable results are emitted as single-line JSON records
 //! (prefix `{"bench":"search_time",...}`) for the bench trajectory.
 //! With `--json <path>` the binary additionally writes one consolidated
 //! `BENCH_search.json` record so the perf trajectory is machine-tracked
-//! across PRs. With `--check <path>` the fresh gated eval counts are
+//! across PRs. With `--check <path>` the fresh exact eval counts are
 //! diffed against a committed baseline record (>20% regression fails),
 //! the warm start must replay with ≤10% of the cold evaluations, and on
 //! a ≥4-core runner the pool must beat serial costing by >1.5x — the CI
@@ -31,7 +31,7 @@ use temp_solver::cost::WaferCostModel;
 use temp_solver::dlws::Dlws;
 use temp_solver::dp::solve_chain;
 use temp_solver::ilp::solve_exact;
-use temp_solver::par::{available_workers, par_map_scoped};
+use temp_solver::par::available_workers;
 use temp_solver::pool::ContextPool;
 use temp_solver::search::SearchContext;
 use temp_wsc::config::WaferConfig;
@@ -40,15 +40,6 @@ fn context() -> SearchContext {
     let model = ModelZoo::gpt3_6_7b();
     let workload = Workload::for_model(&model);
     SearchContext::new(WaferCostModel::new(WaferConfig::hpca(), model, workload))
-}
-
-fn fresh_solver() -> Dlws {
-    let model = ModelZoo::gpt3_6_7b();
-    Dlws::new(
-        WaferConfig::hpca(),
-        model.clone(),
-        Workload::for_model(&model),
-    )
 }
 
 /// Pulls an integer field out of a one-record bench JSON line without a
@@ -252,12 +243,12 @@ fn main() {
         .map(|path| {
             let record = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| panic!("read bench baseline {path}: {e}"));
-            let evals = json_u64_field(&record, "gated_evals")
-                .unwrap_or_else(|| panic!("no gated_evals field in {path}"));
-            let mw_evals = json_u64_field(&record, "multiwafer_gated_evals")
-                .unwrap_or_else(|| panic!("no multiwafer_gated_evals field in {path}"));
-            let moe_evals = json_u64_field(&record, "moe_gated_evals")
-                .unwrap_or_else(|| panic!("no moe_gated_evals field in {path}"));
+            let evals = json_u64_field(&record, "exact_evals")
+                .unwrap_or_else(|| panic!("no exact_evals field in {path}"));
+            let mw_evals = json_u64_field(&record, "multiwafer_exact_evals")
+                .unwrap_or_else(|| panic!("no multiwafer_exact_evals field in {path}"));
+            let moe_evals = json_u64_field(&record, "moe_exact_evals")
+                .unwrap_or_else(|| panic!("no moe_exact_evals field in {path}"));
             let pruned_candidates = json_u64_field(&record, "pruned_candidates")
                 .unwrap_or_else(|| panic!("no pruned_candidates field in {path}"));
             let campaign_s = json_f64_field(&record, "campaign_s")
@@ -273,13 +264,27 @@ fn main() {
         });
 
     header("§VIII-H: end-to-end DLS solve time (GPT-3 6.7B, 32 dies)");
-    let solver = fresh_solver();
+    let model = ModelZoo::gpt3_6_7b();
+    let solver = Dlws::new(
+        WaferConfig::hpca(),
+        model.clone(),
+        Workload::for_model(&model),
+    );
     let t0 = Instant::now();
     let plan = solver.solve().expect("feasible");
     let dls_total = t0.elapsed().as_secs_f64();
+    // Evaluations of the cold bound-pruned solve: the `exact_evals` gate.
+    let exact_evals = solver.search_stats().misses;
     println!(
-        "DLS total: {dls_total:.2} s -> plan {} (paper: ~3 minutes incl. simulation)",
-        plan.config.label()
+        "DLS total: {dls_total:.2} s ({exact_evals} evals) -> plan {} (chain cost {:.4} s{}) \
+         (paper: ~3 minutes incl. simulation)",
+        plan.config.label(),
+        plan.chain_cost,
+        if plan.is_heterogeneous() {
+            ", heterogeneous chain"
+        } else {
+            ""
+        }
     );
     // A second solve is answered from the candidate cache.
     let t0 = Instant::now();
@@ -292,20 +297,19 @@ fn main() {
         stats.hits,
         stats.misses
     );
-    let (enum_s, bound_s, exact_s, gate_fit_s, contention_s) = stats.phase_seconds();
+    let (enum_s, bound_s, exact_s, derate_s) = stats.phase_seconds();
     println!(
         "phases: enumerate {enum_s:.4} s, bound {bound_s:.4} s, exact {exact_s:.4} s, \
-         gate-fit {gate_fit_s:.4} s, contention {contention_s:.4} s \
-         ({} bound-pruned + {} dominated)",
+         derate {derate_s:.4} s ({} bound-pruned + {} dominated)",
         stats.bound_pruned, stats.dominated_pruned
     );
     println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"solve\",\"cold_s\":{dls_total:.6},\"cached_s\":{dls_cached:.6},\"bound_s\":{bound_s:.6},\"exact_s\":{exact_s:.6},\"pruned\":{},\"plan\":\"{}\"}}",
+        "{{\"bench\":\"search_time\",\"metric\":\"solve\",\"cold_s\":{dls_total:.6},\"cached_s\":{dls_cached:.6},\"evals\":{exact_evals},\"bound_s\":{bound_s:.6},\"exact_s\":{exact_s:.6},\"pruned\":{},\"plan\":\"{}\"}}",
         stats.pruned_candidates(),
         plan.config.label()
     );
 
-    header("search pipeline: serial vs scoped-thread vs work-stealing-pool costing");
+    header("search pipeline: serial vs work-stealing-pool costing");
     let threads = available_workers();
     // What the work-stealing runtime actually brought up — the figure CI
     // legs pin via TEMP_THREADS and the one every parallel claim is
@@ -319,15 +323,6 @@ fn main() {
     let _ = serial_ctx.cost_candidates(&candidates, MappingEngine::Tcme);
     let serial_s = t0.elapsed().as_secs_f64();
 
-    // Scoped-thread baseline: the seed's spawn-per-call strategy, kept
-    // so the pool's win over it is measured, not assumed.
-    let scoped_ctx = context();
-    let t0 = Instant::now();
-    let _ = par_map_scoped(threads, &candidates, |c| {
-        scoped_ctx.cost_of(c, MappingEngine::Tcme)
-    });
-    let scoped_s = t0.elapsed().as_secs_f64();
-
     // Pool path: what `cost_candidates` actually runs in production —
     // the persistent work-stealing runtime behind `par_map`.
     let pool_ctx = context();
@@ -335,150 +330,60 @@ fn main() {
     let _ = pool_ctx.cost_candidates(&candidates, MappingEngine::Tcme);
     let pool_s = t0.elapsed().as_secs_f64();
 
-    let speedup = serial_s / scoped_s.max(1e-9);
     let pool_speedup = serial_s / pool_s.max(1e-9);
     println!(
-        "{} candidates, {threads} worker thread(s): serial {serial_s:.3} s, scoped {scoped_s:.3} s ({speedup:.2}x), pool {pool_s:.3} s ({pool_speedup:.2}x)",
+        "{} candidates, {threads} worker thread(s): serial {serial_s:.3} s, pool {pool_s:.3} s ({pool_speedup:.2}x)",
         candidates.len()
     );
     if threads == 1 {
-        println!("(single core: both parallel paths degrade to the serial loop by design)");
+        println!("(single core: the pool degrades to the serial loop by design)");
     }
     println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"costing\",\"candidates\":{},\"threads\":{threads},\"serial_s\":{serial_s:.6},\"scoped_s\":{scoped_s:.6},\"pool_s\":{pool_s:.6},\"speedup\":{speedup:.4},\"pool_speedup\":{pool_speedup:.4}}}",
+        "{{\"bench\":\"search_time\",\"metric\":\"costing\",\"candidates\":{},\"threads\":{threads},\"serial_s\":{serial_s:.6},\"pool_s\":{pool_s:.6},\"pool_speedup\":{pool_speedup:.4}}}",
         candidates.len()
     );
 
-    header("two-tier search: surrogate gate vs exhaustive exact costing");
-    // Cold full-sweep solves on fresh contexts: the exact path costs every
-    // candidate, the gated path exact-costs only the stride-sampled
-    // training set plus the surrogate's top-K survivors.
-    let exact_solver = fresh_solver();
-    let t0 = Instant::now();
-    let exact_plan = exact_solver.solve().expect("feasible");
-    let exact_cold_s = t0.elapsed().as_secs_f64();
-    let exact_stats = exact_solver.search_stats();
-
-    let gated_solver = fresh_solver().with_surrogate_gate();
-    let t0 = Instant::now();
-    let gated_plan = gated_solver.solve().expect("feasible");
-    let gated_cold_s = t0.elapsed().as_secs_f64();
-    let gated_stats = gated_solver.search_stats();
-
-    let gated_speedup = exact_cold_s / gated_cold_s.max(1e-9);
-    let plans_match = exact_plan == gated_plan;
-    println!(
-        "exact cold solve {exact_cold_s:.3} s ({} evals) -> {} (chain cost {:.4} s{})",
-        exact_stats.misses,
-        exact_plan.config.label(),
-        exact_plan.chain_cost,
-        if exact_plan.is_heterogeneous() {
-            ", heterogeneous chain"
-        } else {
-            ""
-        }
-    );
-    println!(
-        "gated cold solve {gated_cold_s:.3} s ({} evals, {} pruned, adaptive K {}) -> {} ({gated_speedup:.2}x, plans match: {plans_match})",
-        gated_stats.misses,
-        gated_stats.gate_pruned,
-        gated_stats.adaptive_top_k,
-        gated_plan.config.label()
-    );
-    println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"surrogate_gate\",\"exact_cold_s\":{exact_cold_s:.6},\"gated_cold_s\":{gated_cold_s:.6},\"speedup\":{gated_speedup:.4},\"gate_pruned\":{},\"adaptive_top_k\":{},\"plans_match\":{plans_match}}}",
-        gated_stats.gate_pruned, gated_stats.adaptive_top_k
-    );
-
-    header("multi-wafer sweep: per-degree gated batch mode vs exact");
-    // Fresh frameworks so both sweeps cost from cold caches. The gated
-    // sweep runs the surrogate gate once per pipeline degree (per-degree
-    // batch mode: each degree ranked and shortlisted on its own, so the
-    // winner-retention guarantee holds per solve).
+    header("multi-wafer sweep: 2 and 4 wafers, cold");
+    // A fresh framework so the sweep costs from a cold cache. Partitioned
+    // stages are not bound-pruned yet, so this count is the one stage
+    // pruning would cut.
     use temp_core::baselines::BaselineSystem;
-    let sweep_wafers = [2usize, 4];
-    let sweep_multipliers = [1usize];
-    let exact_temp = Temp::hpca(ModelZoo::gpt3_6_7b());
+    let sweep_temp = Temp::hpca(ModelZoo::gpt3_6_7b());
     let t0 = Instant::now();
-    let exact_entries = exact_temp.evaluate_multiwafer_sweep(
-        &BaselineSystem::temp(),
-        &sweep_wafers,
-        &sweep_multipliers,
-    );
-    let exact_sweep_s = t0.elapsed().as_secs_f64();
-    let exact_sweep_evals = exact_temp.search_stats().misses;
-
-    let gated_temp = Temp::hpca(ModelZoo::gpt3_6_7b()).with_surrogate_gate();
-    let t0 = Instant::now();
-    let gated_entries = gated_temp.evaluate_multiwafer_sweep(
-        &BaselineSystem::temp(),
-        &sweep_wafers,
-        &sweep_multipliers,
-    );
-    let gated_sweep_s = t0.elapsed().as_secs_f64();
-    let mw_gated_stats = gated_temp.search_stats();
-    let mw_gated_evals = mw_gated_stats.misses;
-
-    // Winner retention across the sweep: every point's body strategy and
-    // stage cuts must match the exact sweep's (bit-exact equality needs a
-    // shared context; tests/two_tier.rs asserts that form).
-    let mw_plans_match = exact_entries.len() == gated_entries.len()
-        && exact_entries.iter().zip(&gated_entries).all(|(e, g)| {
-            e.report
-                .plan
-                .as_ref()
-                .map(|p| (p.body.config, p.blocks_per_stage()))
-                == g.report
-                    .plan
-                    .as_ref()
-                    .map(|p| (p.body.config, p.blocks_per_stage()))
-        });
-    let mw_speedup = exact_sweep_s / gated_sweep_s.max(1e-9);
+    let sweep_entries =
+        sweep_temp.evaluate_multiwafer_sweep(&BaselineSystem::temp(), &[2, 4], &[1]);
+    let sweep_s = t0.elapsed().as_secs_f64();
+    let mw_exact_evals = sweep_temp.search_stats().misses;
     println!(
-        "exact sweep {exact_sweep_s:.3} s ({exact_sweep_evals} evals) over {} points",
-        exact_entries.len()
+        "sweep {sweep_s:.3} s ({mw_exact_evals} evals) over {} points",
+        sweep_entries.len()
     );
     println!(
-        "gated sweep {gated_sweep_s:.3} s ({mw_gated_evals} evals, {} pruned) -> {mw_speedup:.2}x, plans match: {mw_plans_match}",
-        mw_gated_stats.gate_pruned
-    );
-    println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"multiwafer_sweep\",\"exact_s\":{exact_sweep_s:.6},\"gated_s\":{gated_sweep_s:.6},\"exact_evals\":{exact_sweep_evals},\"gated_evals\":{mw_gated_evals},\"plans_match\":{mw_plans_match}}}"
+        "{{\"bench\":\"search_time\",\"metric\":\"multiwafer_sweep\",\"exact_s\":{sweep_s:.6},\"exact_evals\":{mw_exact_evals}}}"
     );
 
-    header("MoE chain: gated vs exact on the fine-grained expert config");
-    // A mixed dense/MoE chain (DeepSeek-style, 64 experts): the gate
-    // trains on the dense block-only residual and adds the closed-form
-    // segment rows, so the expert-parallel winner survives the shortlist.
+    header("MoE chain: cold bound-pruned solve on the fine-grained expert config");
+    // A mixed dense/MoE chain (DeepSeek-style, 64 experts): the MoE row is
+    // priced over the expert-parallel space and is not pruned yet.
     let moe_model = ModelZoo::deepseek_moe_16b();
-    let moe_ctx = std::sync::Arc::new(SearchContext::new(WaferCostModel::new(
+    let moe_solver = Dlws::new(
         WaferConfig::hpca(),
         moe_model.clone(),
         Workload::for_model(&moe_model),
-    )));
-    let moe_solver = Dlws::from_context(moe_ctx.clone());
-    moe_ctx.set_cost_tier(temp_solver::search::CostTier::SurrogateGated);
+    );
     let t0 = Instant::now();
-    let moe_gated_plan = moe_solver.solve().expect("gated MoE plan");
-    let moe_gated_s = t0.elapsed().as_secs_f64();
-    let moe_gated_evals = moe_ctx.stats().misses;
-    moe_ctx.set_cost_tier(temp_solver::search::CostTier::Exact);
-    let t0 = Instant::now();
-    let moe_exact_plan = moe_solver.solve().expect("exact MoE plan");
+    let moe_plan = moe_solver.solve().expect("MoE plan");
     let moe_exact_s = t0.elapsed().as_secs_f64();
-    let moe_exact_evals = moe_ctx.stats().misses;
-    let moe_plans_match = moe_gated_plan == moe_exact_plan;
-    let moe_ep = moe_exact_plan
+    let moe_exact_evals = moe_solver.search_stats().misses;
+    let moe_ep = moe_plan
         .segments
         .iter()
         .find(|s| s.kind == temp_graph::segment::SegmentKind::MoeBlock)
         .map(|s| s.config.ep)
         .unwrap_or(1);
+    println!("cold solve {moe_exact_s:.3} s ({moe_exact_evals} evals) -> MoE run ep={moe_ep}");
     println!(
-        "gated cold solve {moe_gated_s:.3} s ({moe_gated_evals} evals) vs exact warm {moe_exact_s:.3} s ({moe_exact_evals} total) -> MoE run ep={moe_ep}, plans match: {moe_plans_match}"
-    );
-    println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"moe_gate\",\"gated_s\":{moe_gated_s:.6},\"gated_evals\":{moe_gated_evals},\"exact_evals\":{moe_exact_evals},\"moe_ep\":{moe_ep},\"plans_match\":{moe_plans_match}}}"
+        "{{\"bench\":\"search_time\",\"metric\":\"moe_solve\",\"exact_s\":{moe_exact_s:.6},\"exact_evals\":{moe_exact_evals},\"moe_ep\":{moe_ep}}}"
     );
 
     header("candidate cache: the seven-system compare_all sweep");
@@ -514,25 +419,11 @@ fn main() {
         100.0 * second_hit_rate,
         after_second.plan_hits - after_first.plan_hits
     );
-    // Per-tier attribution: the 0.10 headline rate is the cold pass
-    // diluting the ratio — the exact tier itself, and the warm replay
-    // above all, sit far higher.
+    println!("segment-table hits {}", after_second.seg_hits);
     println!(
-        "per-tier: exact {}/{} ({:.1}%), gated {}/{} ({:.1}%), segment-table hits {}",
-        after_second.exact_hits,
-        after_second.exact_hits + after_second.exact_misses,
-        100.0 * after_second.exact_hit_rate(),
-        after_second.gated_hits,
-        after_second.gated_hits + after_second.gated_misses,
-        100.0 * after_second.gated_hit_rate(),
-        after_second.seg_hits
-    );
-    println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"cache\",\"first_sweep_s\":{first_sweep_s:.6},\"second_sweep_s\":{second_sweep_s:.6},\"first_sweep_misses\":{},\"first_sweep_hits\":{},\"second_sweep_hit_rate\":{second_hit_rate:.4},\"exact_hit_rate\":{:.4},\"gated_hit_rate\":{:.4},\"seg_hits\":{}}}",
+        "{{\"bench\":\"search_time\",\"metric\":\"cache\",\"first_sweep_s\":{first_sweep_s:.6},\"second_sweep_s\":{second_sweep_s:.6},\"first_sweep_misses\":{},\"first_sweep_hits\":{},\"second_sweep_hit_rate\":{second_hit_rate:.4},\"seg_hits\":{}}}",
         after_first.misses,
         after_first.hits,
-        after_second.exact_hit_rate(),
-        after_second.gated_hit_rate(),
         after_second.seg_hits
     );
 
@@ -598,7 +489,7 @@ fn main() {
         let ctx = pruned_pool.context(&model, &workload);
         let s = ctx.stats();
         pruned_candidates += s.pruned_candidates();
-        let (_, b, e, _, _) = s.phase_seconds();
+        let (_, b, e, _) = s.phase_seconds();
         zoo_bound_s += b;
         zoo_exact_s += e;
         let (h, m) = ctx.cost_model().collective_memo_stats();
@@ -722,15 +613,10 @@ fn main() {
             concat!(
                 "{{\"bench\":\"search_time\",\"model\":\"GPT-3 6.7B\",\"threads\":{},",
                 "\"threads_effective\":{},",
-                "\"serial_s\":{:.6},\"scoped_s\":{:.6},\"pool_s\":{:.6},",
-                "\"parallel_speedup\":{:.4},\"pool_speedup\":{:.4},",
-                "\"exact_cold_s\":{:.6},\"gated_cold_s\":{:.6},\"gated_speedup\":{:.4},",
-                "\"gated_evals\":{},\"gate_pruned\":{},\"adaptive_top_k\":{},",
-                "\"plans_match\":{},\"multiwafer_gated_evals\":{},",
-                "\"multiwafer_exact_evals\":{},\"multiwafer_plans_match\":{},",
-                "\"moe_gated_evals\":{},\"moe_exact_evals\":{},\"moe_plans_match\":{},",
-                "\"sweep_cache_hit_rate\":{:.4},\"sweep_exact_hit_rate\":{:.4},",
-                "\"sweep_gated_hit_rate\":{:.4},\"sweep_seg_hits\":{},",
+                "\"serial_s\":{:.6},\"pool_s\":{:.6},\"pool_speedup\":{:.4},",
+                "\"exact_cold_s\":{:.6},\"exact_evals\":{},",
+                "\"multiwafer_exact_evals\":{},\"moe_exact_evals\":{},\"moe_ep\":{},",
+                "\"sweep_cache_hit_rate\":{:.4},\"sweep_seg_hits\":{},",
                 "\"cold_evals\":{},\"warm_evals\":{},\"warm_plans_match\":{},",
                 "\"exhaustive_zoo_s\":{:.6},\"pruned_zoo_s\":{:.6},",
                 "\"prune_speedup\":{:.4},\"exhaustive_evals\":{},\"pruned_evals\":{},",
@@ -743,26 +629,14 @@ fn main() {
             threads,
             threads_effective,
             serial_s,
-            scoped_s,
             pool_s,
-            speedup,
             pool_speedup,
-            exact_cold_s,
-            gated_cold_s,
-            gated_speedup,
-            gated_stats.misses,
-            gated_stats.gate_pruned,
-            gated_stats.adaptive_top_k,
-            plans_match,
-            mw_gated_evals,
-            exact_sweep_evals,
-            mw_plans_match,
-            moe_gated_evals,
+            dls_total,
+            exact_evals,
+            mw_exact_evals,
             moe_exact_evals,
-            moe_plans_match,
+            moe_ep,
             after_first.hit_rate(),
-            after_second.exact_hit_rate(),
-            after_second.gated_hit_rate(),
             after_second.seg_hits,
             cold_evals,
             warm_evals,
@@ -804,14 +678,14 @@ fn main() {
         baseline_campaign_s,
     )) = check_baseline
     {
-        // Bench-regression gate: fail when the gated search — single
-        // wafer, the multi-wafer sweep, or the MoE chain — needs >20%
-        // more exact evaluations than the committed baseline record.
+        // Bench-regression gate: fail when a cold bound-pruned search —
+        // single wafer, the multi-wafer sweep, or the MoE chain — needs
+        // >20% more exact evaluations than the committed baseline record.
         let mut failed = false;
         for (what, fresh, baseline) in [
-            ("gated_evals", gated_stats.misses, baseline_evals),
-            ("multiwafer_gated_evals", mw_gated_evals, baseline_mw_evals),
-            ("moe_gated_evals", moe_gated_evals, baseline_moe_evals),
+            ("exact_evals", exact_evals, baseline_evals),
+            ("multiwafer_exact_evals", mw_exact_evals, baseline_mw_evals),
+            ("moe_exact_evals", moe_exact_evals, baseline_moe_evals),
         ] {
             let limit = (baseline as f64 * 1.2).ceil() as u64;
             println!(

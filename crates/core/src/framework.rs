@@ -4,6 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use temp_graph::models::ModelConfig;
 use temp_graph::workload::Workload;
+use temp_parallel::strategy::HybridConfig;
 use temp_solver::cost::CostReport;
 use temp_solver::dlws::{Dlws, ExecutionPlan};
 use temp_solver::pool::ContextPool;
@@ -145,23 +146,9 @@ impl Temp {
         }
     }
 
-    /// Enables the surrogate gate on the shared search context (see
-    /// [`Dlws::with_surrogate_gate`]).
-    ///
-    /// The cost tier is **context-scoped** state: every solver holding
-    /// the same context — clones of this framework, and in particular
-    /// other [`Temp::pooled`] instances built from the same pool entry —
-    /// switches tier with it. Gate a pooled framework only when every
-    /// holder of that `(model, workload)` context wants gated costing.
-    pub fn with_surrogate_gate(self) -> Self {
-        Temp {
-            solver: self.solver.with_surrogate_gate(),
-        }
-    }
-
     /// Wraps an existing solver (and its shared search context) in a
     /// framework instance — tests and tools that need direct control of
-    /// the context (cost tier, gate parameters) build through here.
+    /// the context (pruning, cancellation) build through here.
     pub fn from_solver(solver: Dlws) -> Self {
         Temp { solver }
     }
@@ -321,12 +308,10 @@ impl Temp {
 
     /// Sweeps wafer counts and pipeline multipliers inside this
     /// framework's one shared search context. The union of every distinct
-    /// pipeline degree's admitted candidates is pre-costed up front —
-    /// under the exact tier as **one** parallel batch (best load
-    /// balancing), under the surrogate gate in **per-degree batch mode**
-    /// (each degree ranked and shortlisted on its own, preserving the
-    /// winner-retention guarantee per solve) — so the per-combination
-    /// stage solves that follow replay from the warm cache. Combinations
+    /// pipeline degree's admitted candidates is pre-costed up front — the
+    /// partitioned degrees as **one** parallel batch (best load
+    /// balancing) — so the per-combination stage solves that follow
+    /// replay from the warm cache. Combinations
     /// sharing a pipeline degree (2 wafers x 2 stages, 4 wafers x 1)
     /// share all candidate costing and differ only in wafer placement and
     /// handoff pricing.
@@ -356,7 +341,7 @@ impl Temp {
         // batches are disjoint by construction.
         let ctx = self.solver.context();
         let partitioner = system.partitioner;
-        let groups: Vec<Vec<temp_parallel::strategy::HybridConfig>> = distinct_pps
+        let groups: Vec<Vec<HybridConfig>> = distinct_pps
             .iter()
             .map(|&pp| {
                 ctx.candidates_with_pp(pp)
@@ -365,31 +350,24 @@ impl Temp {
                     .collect()
             })
             .collect();
-        match ctx.cost_tier() {
-            // Exact: route each group down the same path the per-combo
-            // solve takes, so the pre-cost fills exactly the cache
-            // entries the solves will read back. The single-stage group
-            // (`pp = 1`) goes through the bound-pruned chain path like
-            // `Dlws::solve_with_engine_pp` (its body row is the `ep = 1`
-            // subset; the full group prices the MoE row); partitioned
-            // degrees keep the exhaustive batch their stage DP needs.
-            temp_solver::search::CostTier::Exact => {
-                let mut flat: Vec<temp_parallel::strategy::HybridConfig> = Vec::new();
-                for group in &groups {
-                    if group.iter().all(|c| c.pp == 1) {
-                        let dense: Vec<temp_parallel::strategy::HybridConfig> =
-                            group.iter().filter(|c| c.ep == 1).copied().collect();
-                        let _ = ctx.cost_candidates_chain(&dense, group, system.engine);
-                    } else {
-                        flat.extend_from_slice(group);
-                    }
-                }
-                let _ = ctx.cost_candidates_exact(&flat, system.engine);
-            }
-            temp_solver::search::CostTier::SurrogateGated => {
-                let _ = ctx.cost_candidate_groups(&groups, system.engine);
+        // Route each group down the same path the per-combo solve takes,
+        // so the pre-cost fills exactly the cache entries the solves will
+        // read back. The single-stage group (`pp = 1`) goes through the
+        // bound-pruned chain path like `Dlws::solve_with_engine_pp` (its
+        // body row is the `ep = 1` subset; the full group prices the MoE
+        // row); partitioned degrees keep the exhaustive batch their stage
+        // DP needs.
+        let mut flat: Vec<HybridConfig> = Vec::new();
+        for group in &groups {
+            if group.iter().all(|c| c.pp == 1) {
+                let dense: Vec<HybridConfig> =
+                    group.iter().filter(|c| c.ep == 1).copied().collect();
+                let _ = ctx.cost_candidates_chain(&dense, group, system.engine);
+            } else {
+                flat.extend_from_slice(group);
             }
         }
+        let _ = ctx.cost_candidates(&flat, system.engine);
 
         combos
             .into_iter()

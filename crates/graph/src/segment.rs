@@ -55,7 +55,7 @@ pub enum SegmentKind {
 impl SegmentKind {
     /// Every segment kind, in the one canonical order. [`SegmentKind::index`]
     /// is defined as the position in this array; anything that needs a
-    /// dense per-kind table (cost-table keys, surrogate features) must go
+    /// dense per-kind table (cost-table keys, persisted cache records) must go
     /// through it so adding a kind cannot desynchronize consumers.
     pub const ALL: [SegmentKind; 4] = [
         SegmentKind::Embedding,
@@ -76,8 +76,8 @@ impl SegmentKind {
         }
     }
 
-    /// Stable small-integer encoding for surrogate features (derived from
-    /// the canonical [`SegmentKind::index`]).
+    /// Stable small-integer encoding for persisted cache records (derived
+    /// from the canonical [`SegmentKind::index`]).
     pub fn code(&self) -> u8 {
         self.index() as u8
     }

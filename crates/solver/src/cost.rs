@@ -108,9 +108,8 @@ impl CostReport {
 ///
 /// Deliberately closed-form: per-die operator arithmetic plus analytic
 /// ring-collective times, no layout and no contention simulation, so a
-/// whole candidate batch can be segment-costed in microseconds and the
-/// result is independent of the evaluation tier (the surrogate gate and
-/// the exact pipeline see identical segment tables). The per-segment
+/// whole candidate batch can be segment-costed in microseconds and bound
+/// pruning never changes what the table holds. The per-segment
 /// memory check is a *necessary* condition — the segment's own parameter
 /// state and activations must fit a die; whole-chain feasibility is still
 /// settled by the exact [`CostReport::fits_memory`].
@@ -524,7 +523,7 @@ impl WaferCostModel {
     ) -> Result<std::sync::Arc<MappedComm>> {
         use std::sync::atomic::Ordering;
         let key = (
-            engine_code(engine),
+            crate::persist::engine_code(engine),
             *layout_cfg,
             workload.global_batch,
             workload.seq_len,
@@ -748,26 +747,6 @@ impl WaferCostModel {
                 }
             })
             .collect()
-    }
-
-    /// Cheap analytic surrogate features of one evaluation key — the
-    /// tier-1 input of the two-tier search. Closed-form arithmetic only:
-    /// no layout, no routing, no contention simulation, so a whole
-    /// candidate batch can be featurized in microseconds.
-    pub fn feature_vector(
-        &self,
-        cfg: &HybridConfig,
-        engine: MappingEngine,
-        mode: temp_graph::workload::RecomputeMode,
-    ) -> Vec<f64> {
-        temp_surrogate::chain_features(
-            &self.model,
-            &self.workload,
-            &self.wafer,
-            cfg,
-            engine_code(engine),
-            mode,
-        )
     }
 
     /// Evaluates one configuration end to end (Eq. 4).
@@ -1120,7 +1099,7 @@ impl WaferCostModel {
     }
 
     /// Evaluates one segment instance under this model's workload. See
-    /// [`SegmentCost`] for the contract (closed-form, tier-independent,
+    /// [`SegmentCost`] for the contract (closed-form, engine-independent,
     /// per-micro-batch units).
     ///
     /// # Errors
@@ -1139,8 +1118,7 @@ impl WaferCostModel {
     /// As [`WaferCostModel::evaluate_segment`] with an explicit workload
     /// (recompute escalation flows through here). The mapping engine does
     /// not enter the arithmetic — segment comm is priced with analytic
-    /// ring collectives so the table is identical across engines and
-    /// evaluation tiers.
+    /// ring collectives so the table is identical across engines.
     pub fn evaluate_segment_with(
         &self,
         segment: &Segment,
@@ -1518,16 +1496,6 @@ const STREAM_WAVE_MULTIPLICITY: f64 = 1.5;
 /// Micro-batching divides the batch dimension before DP does.
 fn micro_share(workload: &Workload) -> u64 {
     workload.micro_batches.max(1)
-}
-
-/// Stable engine encoding for surrogate features (the surrogate crate
-/// does not depend on `temp-mapping`).
-pub(crate) fn engine_code(engine: MappingEngine) -> u8 {
-    match engine {
-        MappingEngine::SMap => 0,
-        MappingEngine::GMap => 1,
-        MappingEngine::Tcme => 2,
-    }
 }
 
 fn shard(v: u64, by: u64) -> u64 {

@@ -91,8 +91,8 @@ impl ExecutionPlan {
 /// state: the engine, the pipeline degree, the filtered candidate list
 /// (filters are closures, so the list they admit is their identity) and
 /// the GA parameters, floats carried as bits. Settings that can move a
-/// winner (cost tier, gate, pruning, imports) are not in the key: their
-/// setters clear the context's memo instead.
+/// winner (pruning, cache imports) are not in the key: their setters
+/// clear the context's memo instead.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
     engine: MappingEngine,
@@ -194,18 +194,6 @@ impl Dlws {
     /// Overrides GA parameters.
     pub fn with_ga(mut self, ga: GaParams) -> Self {
         self.ga = ga;
-        self
-    }
-
-    /// Enables the surrogate gate on the shared context: candidate
-    /// batches are ranked by the learned predictor and only the top-K
-    /// survivors pay the exact cost model (see
-    /// [`crate::surrogate_gate`]). The final DP/GA ranking still consumes
-    /// exact reports, so the plan matches exhaustive search whenever the
-    /// exact winner survives the gate.
-    pub fn with_surrogate_gate(self) -> Self {
-        self.ctx
-            .set_cost_tier(crate::search::CostTier::SurrogateGated);
         self
     }
 
@@ -447,9 +435,9 @@ impl Dlws {
         // The block run's per-candidate cost is the *exact* whole-model
         // step time minus the embedding/head/MoE contributions
         // (contention simulation included); every other segment is priced
-        // from the shared closed-form segment table, which is identical
-        // across evaluation tiers — so the surrogate gate can prune block
-        // candidates without ever perturbing the other segments' choices.
+        // from the shared closed-form segment table, which pruning never
+        // touches — so skipping block candidates cannot perturb the other
+        // segments' choices.
         // A resharding boundary is crossed once per micro-batch.
         let base_mode = self.ctx.cost_model().workload().recompute;
         let micro = self.ctx.cost_model().workload().micro_batches.max(1) as f64;
@@ -478,7 +466,7 @@ impl Dlws {
                     })
                     .collect(),
                 // End and MoE segments: the shared per-step rows (one
-                // source of truth with the gate's chain correction).
+                // source of truth with the pruned path's bounds).
                 kind => self.ctx.segment_step_costs(kind, cands, engine, base_mode),
             })
             .collect();
@@ -739,15 +727,10 @@ mod tests {
         assert_eq!(ctx.plan_memo_len(), 1);
         // Re-applying the current value keeps the memo.
         ctx.set_pruning(true);
-        ctx.set_cost_tier(crate::search::CostTier::Exact);
         assert_eq!(ctx.plan_memo_len(), 1);
         ctx.set_pruning(false);
         assert_eq!(ctx.plan_memo_len(), 0);
-        let _ = s.solve().unwrap();
-        ctx.set_cost_tier(crate::search::CostTier::SurrogateGated);
-        assert_eq!(ctx.plan_memo_len(), 0);
         // A different GA is a different key.
-        ctx.set_cost_tier(crate::search::CostTier::Exact);
         let _ = s.solve().unwrap();
         let hits = s.search_stats().plan_hits;
         let _ = s

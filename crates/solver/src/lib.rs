@@ -18,17 +18,15 @@
 //!   for the ILP formulation whose search time §VIII-H compares against;
 //! * [`search`] — the shared search pipeline: candidates enumerated once,
 //!   evaluations memoized behind a thread-safe cache, cache misses costed
-//!   in parallel, with a two-tier [`search::CostTier`] switch;
-//! * [`surrogate_gate`] — tier 1 of the two-tier pipeline: a learned
-//!   predictor ranks candidate batches so the exact model only runs on
-//!   the top-K survivors (§VII-A);
+//!   exactly and in parallel, with admissible bound pruning on chain
+//!   solves (the one way the solver prices candidates);
 //! * [`runtime`] — the persistent work-stealing thread pool (Chase–Lev
 //!   deques, chunked tasks, nested submission) every batch path runs on;
 //! * [`shard`] — sharded cache locks and single-flight coalescing, so
 //!   concurrent solvers neither serialize on one mutex nor duplicate an
 //!   in-flight evaluation;
 //! * [`par`] — the data-parallel map facade over the runtime, with an
-//!   adaptive serial cutoff and the retained scoped-thread baseline;
+//!   adaptive serial cutoff;
 //! * [`dlws`] — the end-to-end solver: enumerate → cost → DP → GA → plan;
 //! * [`stage`] — stage-partitioned multi-wafer planning: pipeline stages
 //!   as contiguous segment-chain slices, with cut positions, per-stage
@@ -64,15 +62,13 @@ pub mod runtime;
 pub mod search;
 pub mod shard;
 pub mod stage;
-pub mod surrogate_gate;
 
 pub use cost::{CostReport, SegmentCost, WaferCostModel};
 pub use dlws::{Dlws, ExecutionPlan, SegmentAssignment};
 pub use dp::DpError;
 pub use pool::ContextPool;
-pub use search::{CostTier, ImportSummary, SearchContext, SearchStats};
+pub use search::{ImportSummary, SearchContext, SearchStats};
 pub use stage::{MultiWaferPlan, StagePlan};
-pub use surrogate_gate::GateParams;
 
 /// Errors produced by the solver.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,27 +1,18 @@
 //! Data-parallel map facade over the work-stealing runtime.
 //!
 //! The offline build environment has no rayon, so candidate costing uses
-//! this hand-rolled equivalent of `par_iter().map().collect()`. Two
-//! implementations live here:
-//!
-//! * [`par_map`] — the production path: dispatches onto the persistent
-//!   [`crate::runtime`] work-stealing pool, with an **adaptive serial
-//!   cutoff**. Each call site class keeps an EWMA of its observed
-//!   per-item cost ([`ParClass`]); when `items × estimate` falls below
-//!   the dispatch threshold the map runs inline, so tiny batches (a
-//!   handful of DP transitions) never pay queue traffic, while real
-//!   costing batches fan out in ~100 µs chunks.
-//! * [`par_map_scoped`] — the retained scoped-thread baseline (one fresh
-//!   thread per worker per call, shared atomic work index). Benchmarks
-//!   keep it alive so `BENCH_search.json` can report `pool_speedup`
-//!   against the very implementation it replaced; results are written
-//!   straight into pre-allocated slots (no `Vec<Option<R>>` pass).
+//! this hand-rolled equivalent of `par_iter().map().collect()`:
+//! [`par_map`] dispatches onto the persistent [`crate::runtime`]
+//! work-stealing pool, with an **adaptive serial cutoff**. Each call site
+//! class keeps an EWMA of its observed per-item cost ([`ParClass`]); when
+//! `items × estimate` falls below the dispatch threshold the map runs
+//! inline, so tiny batches (a handful of DP transitions) never pay queue
+//! traffic, while real costing batches fan out in ~100 µs chunks.
 //!
 //! `TEMP_THREADS` (clamped to the machine's `available_parallelism`)
-//! controls the worker count of both paths and the size of the global
-//! pool.
+//! controls the worker count and the size of the global pool.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::runtime;
 
@@ -212,57 +203,6 @@ where
     pool.map(items, &f, chunk)
 }
 
-/// The retained scoped-thread baseline: spawns `workers` fresh threads,
-/// pulls items one at a time off a shared atomic index, and writes each
-/// result **directly into its pre-allocated output slot** (the former
-/// `Vec<Option<R>>` assembly pass is gone). Benchmarks compare the pool
-/// against this; production paths use [`par_map`].
-pub fn par_map_scoped<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = workers.min(n).max(1);
-    if workers == 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut out: Vec<R> = Vec::with_capacity(n);
-    let base = SendPtr(out.as_mut_ptr());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (base, f, next) = (&base, &f, &next);
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let value = f(&items[i]);
-                    // SAFETY: `i` is claimed by exactly one worker via
-                    // fetch_add, so each slot in the capacity-n buffer is
-                    // written exactly once while the scope borrows `out`.
-                    unsafe { base.0.add(i).write(value) };
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("par_map worker panicked");
-        }
-    });
-    // SAFETY: the scope joined every worker and the atomic index covered
-    // 0..n, so all n slots are initialized.
-    unsafe { out.set_len(n) };
-    out
-}
-
-/// Raw output-buffer pointer shared with scoped workers.
-struct SendPtr<R>(*mut R);
-// SAFETY: workers write disjoint slots (unique fetch_add indices).
-unsafe impl<R: Send> Sync for SendPtr<R> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,17 +248,6 @@ mod tests {
     fn more_workers_than_items_is_fine() {
         let items = [1u32, 2, 3];
         assert_eq!(par_map_with(64, &items, |x| x + 1), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn scoped_baseline_matches_serial() {
-        let items: Vec<u64> = (0..1023).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x * 7 + 3).collect();
-        for workers in [1, 2, 4, 16] {
-            assert_eq!(par_map_scoped(workers, &items, |x| x * 7 + 3), serial);
-        }
-        let empty: Vec<u64> = vec![];
-        assert!(par_map_scoped(4, &empty, |x| *x).is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Text codecs for persisting solver caches across processes.
 //!
 //! The vendored `serde` is a no-op stub, so persistence is a hand-rolled
-//! line format in the same spirit as the gate-predictor `to_text` /
+//! line format in the same spirit as the surrogate models' `to_text` /
 //! `from_text` ("linreg v1 ..."): whitespace-separated fields, floats
 //! written with `{:?}` (which round-trips `f64` exactly, including `inf`
 //! and `NaN`), one record per line. The cost-table format lives on top of

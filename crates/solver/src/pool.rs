@@ -19,7 +19,7 @@
 //!   the caches the first sweep filled.
 //!
 //! Warmth also survives the process: [`ContextPool::save_to`] persists
-//! every context's cost table, segment table and gate predictor as one
+//! every context's cost table, segment table and collective memo as one
 //! text file per context (named by the
 //! [`crate::cost::WaferCostModel::fingerprint`] of its `(wafer, model,
 //! workload, cost-model version)`), and a pool pointed at that directory
@@ -71,7 +71,7 @@ impl ContextPool {
     }
 
     /// Persists every pooled context's warm state (cost table, segment
-    /// table, winner-rank statistic, gate predictor) into `dir`, one text
+    /// table, collective memo) into `dir`, one text
     /// file per context, named by fingerprint. Returns the number of
     /// files written. Re-saving over an existing directory overwrites the
     /// matching files and leaves foreign files alone.
@@ -190,10 +190,9 @@ impl ContextPool {
     /// model get distinct contexts (the evaluation cache is only valid
     /// per workload).
     ///
-    /// Sharing is by `Arc`, so context-scoped knobs — the cost tier, the
-    /// gate parameters, the parallel switch — are shared too: flipping
-    /// one holder's tier flips it for every solver built from this
-    /// entry.
+    /// Sharing is by `Arc`, so context-scoped knobs — the pruning and
+    /// parallel switches — are shared too: flipping one holder's switch
+    /// flips it for every solver built from this entry.
     pub fn context(&self, model: &ModelConfig, workload: &Workload) -> Arc<SearchContext> {
         let key = format!("{model:?}#{workload:?}");
         let mut contexts = self.contexts.lock().expect("pool lock");
@@ -224,8 +223,8 @@ impl ContextPool {
     /// [`SearchContext::stats`] counters summed over every pooled
     /// context, plus the total number of distinct evaluation keys held
     /// (the denominator of the duplicate-work ratio). Serving layers
-    /// report these; the phase timings and `adaptive_top_k` are
-    /// per-context quantities and are summed only for completeness.
+    /// report these; the phase timings are per-context wall times, so
+    /// their sum is total time spent, not elapsed time.
     pub fn aggregate_stats(&self) -> (crate::search::SearchStats, usize) {
         let mut total = crate::search::SearchStats::default();
         let mut unique_keys = 0usize;
@@ -331,12 +330,12 @@ mod tests {
         };
         let bit_flipped = good.replacen('.', "x", 1).into_bytes();
         let version_skewed = good
-            .replacen("temp-cache v2", "temp-cache v9", 1)
+            .replacen("temp-cache v3", "temp-cache v9", 1)
             .into_bytes();
-        // The previous format: the same header at v1, and segment records
+        // Two formats back: the header at v1, and segment records
         // stored once per engine (an engine code after the config).
         let v1_format = good
-            .replacen("temp-cache v2", "temp-cache v1", 1)
+            .replacen("temp-cache v3", "temp-cache v1", 1)
             .lines()
             .map(|line| match line.strip_prefix("S ") {
                 Some(rest) => {
@@ -347,6 +346,12 @@ mod tests {
                 None => format!("{line}\n"),
             })
             .collect::<String>()
+            .into_bytes();
+        // The previous format: the header at v2, with the winner-rank and
+        // gate-predictor sections ahead of the collective section.
+        let v2_format = good
+            .replacen("temp-cache v3", "temp-cache v2", 1)
+            .replacen("\ncoll ", "\nwinner_rank 0\ngate 0\ncoll ", 1)
             .into_bytes();
         // Section counts the file cannot hold must be rejected, not
         // reserved: 10^12 once aborted on a failed allocation, 10^17 on a
@@ -368,11 +373,12 @@ mod tests {
         fields[9] = "258";
         let wrapped_code = good.replacen(e_record, &fields.join(" "), 1).into_bytes();
         let unreadable = vec![0xff, 0xfe, 0x80, 0x00, b'\n'];
-        let cases: [(&str, Vec<u8>); 8] = [
+        let cases: [(&str, Vec<u8>); 9] = [
             ("truncated", truncated),
             ("bit-flipped", bit_flipped),
             ("version-skewed", version_skewed),
             ("v1 format", v1_format),
+            ("v2 format", v2_format),
             ("evals 10^12", huge_count("1000000000000")),
             ("evals 10^17", huge_count("100000000000000000")),
             ("out-of-range engine code", wrapped_code),

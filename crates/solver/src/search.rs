@@ -17,7 +17,7 @@
 //!   candidates are filled on the persistent work-stealing runtime
 //!   ([`crate::par`] over [`crate::runtime`]);
 //! * **cross-process warmth** — the evaluation cache, segment table and
-//!   gate predictor round-trip through plain text
+//!   collective memo round-trip through plain text
 //!   ([`SearchContext::export_cost_table`] /
 //!   [`SearchContext::import_cost_table`]), fingerprint-keyed so imports
 //!   can never cross wafers, models, workloads or cost-model revisions;
@@ -47,7 +47,6 @@ use crate::dp::{DpError, StageCuts};
 use crate::par;
 use crate::runtime::CancelToken;
 use crate::shard::{Claim, FlightTable, ShardedMap, WordHashMap};
-use crate::surrogate_gate::{self, GateParams};
 
 /// Memoization key: one cost-model evaluation is fully determined by the
 /// configuration, the mapping engine and the recompute mode (the wafer,
@@ -86,29 +85,6 @@ enum StageCutKey {
     },
 }
 
-/// Which evaluation pipeline batch costing runs (§VII-A).
-///
-/// * [`CostTier::Exact`] — every candidate pays the full cost model
-///   (mapping + contention simulation). The default; bit-identical to the
-///   pre-gate behavior.
-/// * [`CostTier::SurrogateGated`] — a learned predictor ranks the batch
-///   in microseconds, the exact model runs only on a stride-sampled
-///   training set plus the top-K survivors (in surrogate-ranked order, so
-///   the most promising candidates finish first), and everything the gate
-///   prunes is reported infeasible without evaluation. The final DP/GA
-///   ranking always consumes exact [`CostReport`]s, so the returned plan
-///   is identical to exhaustive search whenever the exact winner survives
-///   the gate — which the default [`GateParams`] guarantee across the
-///   fig13 model zoo (asserted by `tests/two_tier.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostTier {
-    /// Exact costing of every candidate.
-    #[default]
-    Exact,
-    /// Surrogate-ranked shortlist, exact costing of survivors only.
-    SurrogateGated,
-}
-
 /// A costed candidate: its objective (step time; infinite when nothing
 /// fits memory) and, when feasible, the workload it was planned under
 /// (recompute may have escalated) plus the full report.
@@ -135,27 +111,11 @@ pub struct SearchStats {
     /// memo) that found their shard contended and had to block — the
     /// residual serialization left after sharding.
     pub shard_waits: u64,
-    /// Cache hits attributed to [`CostTier::Exact`] lookups.
-    pub exact_hits: u64,
-    /// Cost-model runs attributed to [`CostTier::Exact`] lookups.
-    pub exact_misses: u64,
-    /// Cache hits attributed to [`CostTier::SurrogateGated`] lookups
-    /// (training samples, top-K survivors and fallback paths).
-    pub gated_hits: u64,
-    /// Cost-model runs attributed to [`CostTier::SurrogateGated`] lookups.
-    pub gated_misses: u64,
-    /// Candidates the surrogate gate pruned without exact evaluation.
-    pub gate_pruned: u64,
     /// Per-segment cost-table lookups answered from the table.
     pub seg_hits: u64,
     /// Per-segment cost-table entries computed (closed-form; cheap, but
     /// counted so tests can assert the table is memoized).
     pub seg_misses: u64,
-    /// The top-K the surrogate gate is currently using: the configured
-    /// default until a gated batch has been observed, then adapted from
-    /// rank-of-winner statistics (see
-    /// [`SearchContext::effective_top_k`]).
-    pub adaptive_top_k: u64,
     /// Candidates the admissible prefilter rejected outright (invalid
     /// degrees, disconnected fabric, or HBM overflow under every
     /// recompute escalation) — exactly the set the exact path would have
@@ -173,12 +133,11 @@ pub struct SearchStats {
     /// Wall time (ns) spent in exact batch costing (mapping + contention
     /// simulation of cache misses).
     pub exact_ns: u64,
-    /// Wall time (ns) spent fitting surrogate gate predictors.
-    pub gate_fit_ns: u64,
     /// Wall time (ns) spent deriving degraded fabrics (DegradedView +
     /// rerouted ContentionSim), attributed to the context that spawned
-    /// the degraded sibling.
-    pub contention_ns: u64,
+    /// the degraded sibling. ContentionSim runs on the healthy path too,
+    /// inside exact costing; that time is part of `exact_ns`.
+    pub derate_ns: u64,
     /// Solves answered whole from the plan memo: no cost-table lookup,
     /// chain DP or GA ran, so they add to neither `hits` nor `misses`.
     pub plan_hits: u64,
@@ -192,26 +151,6 @@ impl SearchStats {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-
-    /// Hit rate of the exact-tier lookups alone.
-    pub fn exact_hit_rate(&self) -> f64 {
-        let total = self.exact_hits + self.exact_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.exact_hits as f64 / total as f64
-        }
-    }
-
-    /// Hit rate of the gated-tier lookups alone.
-    pub fn gated_hit_rate(&self) -> f64 {
-        let total = self.gated_hits + self.gated_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.gated_hits as f64 / total as f64
         }
     }
 
@@ -232,23 +171,21 @@ impl SearchStats {
     }
 
     /// The phase timing breakdown in seconds:
-    /// `(enumerate, bound, exact, gate_fit, contention)`.
-    pub fn phase_seconds(&self) -> (f64, f64, f64, f64, f64) {
+    /// `(enumerate, bound, exact, derate)`.
+    pub fn phase_seconds(&self) -> (f64, f64, f64, f64) {
         let s = |ns: u64| ns as f64 / 1e9;
         (
             s(self.enumerate_ns),
             s(self.bound_ns),
             s(self.exact_ns),
-            s(self.gate_fit_ns),
-            s(self.contention_ns),
+            s(self.derate_ns),
         )
     }
 }
 
 impl std::ops::AddAssign for SearchStats {
     /// Field-by-field sum: the one way pool- and server-wide stats roll
-    /// up from contexts. `adaptive_top_k` is a per-context quantity and is
-    /// summed only for completeness.
+    /// up from contexts.
     fn add_assign(&mut self, other: SearchStats) {
         // Destructured, so a new field cannot be left out of the sum.
         let SearchStats {
@@ -256,42 +193,28 @@ impl std::ops::AddAssign for SearchStats {
             misses,
             coalesced,
             shard_waits,
-            exact_hits,
-            exact_misses,
-            gated_hits,
-            gated_misses,
-            gate_pruned,
             seg_hits,
             seg_misses,
-            adaptive_top_k,
             bound_pruned,
             dominated_pruned,
             enumerate_ns,
             bound_ns,
             exact_ns,
-            gate_fit_ns,
-            contention_ns,
+            derate_ns,
             plan_hits,
         } = other;
         self.hits += hits;
         self.misses += misses;
         self.coalesced += coalesced;
         self.shard_waits += shard_waits;
-        self.exact_hits += exact_hits;
-        self.exact_misses += exact_misses;
-        self.gated_hits += gated_hits;
-        self.gated_misses += gated_misses;
-        self.gate_pruned += gate_pruned;
         self.seg_hits += seg_hits;
         self.seg_misses += seg_misses;
-        self.adaptive_top_k += adaptive_top_k;
         self.bound_pruned += bound_pruned;
         self.dominated_pruned += dominated_pruned;
         self.enumerate_ns += enumerate_ns;
         self.bound_ns += bound_ns;
         self.exact_ns += exact_ns;
-        self.gate_fit_ns += gate_fit_ns;
-        self.contention_ns += contention_ns;
+        self.derate_ns += derate_ns;
         self.plan_hits += plan_hits;
     }
 }
@@ -304,9 +227,6 @@ pub struct ImportSummary {
     pub evals: usize,
     /// Per-segment cost-table entries imported.
     pub segs: usize,
-    /// Whether a gate predictor rode along (imported as authoritative —
-    /// gated batches skip the per-batch fit).
-    pub gate: bool,
     /// Memoized collective-kernel entries imported.
     pub colls: usize,
 }
@@ -333,17 +253,6 @@ pub struct SearchContext {
     /// candidates are **not** written to the cache (a skip is not a
     /// verdict), so a later solve re-costs them.
     cancel: RwLock<Option<CancelToken>>,
-    /// Which evaluation pipeline `cost_candidates` runs.
-    tier: RwLock<CostTier>,
-    /// Surrogate-gate tuning (stride, top-K, minimum batch size, model).
-    gate: RwLock<GateParams>,
-    /// The most recent gate predictor and whether it was imported.
-    /// Imported predictors short-circuit the per-batch fit; locally
-    /// fitted ones are only published for
-    /// [`SearchContext::export_gate_predictor`] — every batch still fits
-    /// its own (the per-degree winner-retention guarantee depends on
-    /// per-batch fits).
-    gate_predictor: RwLock<Option<(temp_surrogate::gate::GatePredictor, bool)>>,
     /// Whole-chain evaluation cache, sharded so concurrent solvers on
     /// different keys do not serialize on one lock.
     cache: ShardedMap<EvalKey, Option<CostReport>>,
@@ -352,7 +261,7 @@ pub struct SearchContext {
     /// parks on the flight (helping the runtime) instead of recomputing.
     flights: FlightTable<EvalKey>,
     /// Per-segment cost table — closed-form entries, memoized so repeated
-    /// chain solves (and the gate's chain correction) featurize for free.
+    /// chain solves read their end-segment rows for free.
     seg_cache: ShardedMap<SegmentKey, Option<SegmentCost>>,
     /// Memoized stage-cut solves — sweep re-solves (pipeline multipliers,
     /// engines, campaign rate points) rediscover the same cut problems, so
@@ -360,23 +269,11 @@ pub struct SearchContext {
     stage_cuts: RwLock<HashMap<StageCutKey, Result<StageCuts, DpError>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Per-tier attribution of the hit/miss totals above, keyed by the
-    /// tier active at lookup time — the diagnosis channel for low sweep
-    /// hit rates (is the gate evaluating fresh keys, or is the exact path
-    /// re-costing?).
-    exact_hits: AtomicU64,
-    exact_misses: AtomicU64,
-    gated_hits: AtomicU64,
-    gated_misses: AtomicU64,
     /// Lookups answered by parking on another thread's in-flight
     /// evaluation (see [`SearchStats::coalesced`]).
     coalesced: AtomicU64,
-    pruned: AtomicU64,
     seg_hits: AtomicU64,
     seg_misses: AtomicU64,
-    /// Max observed surrogate rank of a gated batch's exact winner, stored
-    /// as `rank + 1` (0 = no observation yet).
-    winner_rank: AtomicU64,
     /// Whether the chain costing path may skip candidates via the
     /// admissible prefilter + incumbent dominance (default on; turned off
     /// for exhaustive reference runs).
@@ -390,8 +287,7 @@ pub struct SearchContext {
     enumerate_ns: AtomicU64,
     bound_ns: AtomicU64,
     exact_ns: AtomicU64,
-    gate_fit_ns: AtomicU64,
-    contention_ns: AtomicU64,
+    derate_ns: AtomicU64,
     /// Solved plans. Every entry was computed under the current settings
     /// with no cancellation token installed at any point of its solve.
     plans: RwLock<WordHashMap<PlanKey, ExecutionPlan>>,
@@ -492,24 +388,15 @@ impl SearchContext {
             full_reshard,
             parallel: AtomicBool::new(true),
             cancel: RwLock::new(None),
-            tier: RwLock::new(CostTier::Exact),
-            gate: RwLock::new(GateParams::default()),
-            gate_predictor: RwLock::new(None),
             cache: ShardedMap::new(),
             flights: FlightTable::new(),
             seg_cache: ShardedMap::new(),
             stage_cuts: RwLock::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            exact_hits: AtomicU64::new(0),
-            exact_misses: AtomicU64::new(0),
-            gated_hits: AtomicU64::new(0),
-            gated_misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            pruned: AtomicU64::new(0),
             seg_hits: AtomicU64::new(0),
             seg_misses: AtomicU64::new(0),
-            winner_rank: AtomicU64::new(0),
             pruning: AtomicBool::new(true),
             bound_seeds: RwLock::new(Vec::new()),
             bound_pruned: AtomicU64::new(0),
@@ -517,8 +404,7 @@ impl SearchContext {
             enumerate_ns: AtomicU64::new(enumerate_ns),
             bound_ns: AtomicU64::new(0),
             exact_ns: AtomicU64::new(0),
-            gate_fit_ns: AtomicU64::new(0),
-            contention_ns: AtomicU64::new(0),
+            derate_ns: AtomicU64::new(0),
             plans: RwLock::default(),
             plan_epoch: AtomicU64::new(0),
             plan_hits: AtomicU64::new(0),
@@ -630,7 +516,7 @@ impl SearchContext {
         // Deriving the DegradedView and the rerouted ContentionSim is the
         // expensive part of spawning a degraded sibling; attribute it to
         // the parent so campaign profiles show where fault sweeps spend.
-        self.contention_ns
+        self.derate_ns
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         ctx
     }
@@ -658,93 +544,10 @@ impl SearchContext {
         *self.bound_seeds.write().expect("bound seeds lock") = seeds;
     }
 
-    /// Selects the evaluation pipeline for batch costing (default:
-    /// [`CostTier::Exact`]).
-    pub fn set_cost_tier(&self, tier: CostTier) {
-        let old = std::mem::replace(&mut *self.tier.write().expect("tier lock"), tier);
-        if old != tier {
-            self.invalidate_plans();
-        }
-    }
-
-    /// The active evaluation pipeline.
-    pub fn cost_tier(&self) -> CostTier {
-        *self.tier.read().expect("tier lock")
-    }
-
-    /// Overrides the surrogate-gate tuning parameters.
-    pub fn set_gate_params(&self, params: GateParams) {
-        let old = std::mem::replace(&mut *self.gate.write().expect("gate lock"), params);
-        if old != params {
-            self.invalidate_plans();
-        }
-    }
-
-    /// The surrogate-gate tuning parameters.
-    pub fn gate_params(&self) -> GateParams {
-        *self.gate.read().expect("gate lock")
-    }
-
-    /// The current gate predictor (last fitted or imported), if any.
-    pub fn gate_predictor(&self) -> Option<temp_surrogate::gate::GatePredictor> {
-        self.gate_predictor
-            .read()
-            .expect("gate predictor lock")
-            .as_ref()
-            .map(|(p, _)| p.clone())
-    }
-
-    /// The imported warm predictor, if one was set — only these may skip
-    /// the per-batch fit.
-    pub(crate) fn imported_gate_predictor(&self) -> Option<temp_surrogate::gate::GatePredictor> {
-        self.gate_predictor
-            .read()
-            .expect("gate predictor lock")
-            .as_ref()
-            .and_then(|(p, imported)| imported.then(|| p.clone()))
-    }
-
-    /// Publishes a locally fitted gate predictor (internal to the gate).
-    /// Never overwrites an imported one — the import stays authoritative
-    /// until cleared by another import.
-    pub(crate) fn store_gate_predictor(&self, p: temp_surrogate::gate::GatePredictor) {
-        let mut slot = self.gate_predictor.write().expect("gate predictor lock");
-        match slot.as_ref() {
-            Some((_, true)) => {}
-            _ => *slot = Some((p, false)),
-        }
-    }
-
-    /// Serializes the current gate predictor so a warm fit can cross
-    /// contexts (processes, even machines — it is plain text). Returns
-    /// `None` before any gated batch has fitted one.
-    pub fn export_gate_predictor(&self) -> Option<String> {
-        self.gate_predictor().map(|p| p.to_text())
-    }
-
-    /// Imports a predictor persisted by
-    /// [`SearchContext::export_gate_predictor`]. Gated batches whose
-    /// feature layout matches the import skip the per-batch fit and rank
-    /// with it directly; mismatched layouts fall back to fitting. The
-    /// caller owns semantic compatibility — import predictors fitted on
-    /// the same `(model, workload)` family, or ranking quality silently
-    /// degrades to whatever the foreign fit generalizes to (the
-    /// winner-retention fallback paths still apply either way).
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error of a malformed predictor text.
-    pub fn import_gate_predictor(&self, text: &str) -> std::result::Result<(), String> {
-        let p = temp_surrogate::gate::GatePredictor::from_text(text)?;
-        *self.gate_predictor.write().expect("gate predictor lock") = Some((p, true));
-        self.invalidate_plans();
-        Ok(())
-    }
-
     /// Serializes the full warm state of this context — the whole-chain
     /// evaluation cache (including memoized *failures*), the per-segment
-    /// cost table, the observed winner-rank statistic and the gate
-    /// predictor — as plain text, keyed by
+    /// cost table and the memoized collective kernel — as plain text,
+    /// keyed by
     /// [`WaferCostModel::fingerprint`]. A fresh context importing this
     /// re-solves the same searches with near-zero exact evaluations.
     ///
@@ -752,14 +555,11 @@ impl SearchContext {
     /// bit-exactly):
     ///
     /// ```text
-    /// temp-cache v2 <fingerprint as 16 hex digits>
+    /// temp-cache v3 <fingerprint as 16 hex digits>
     /// evals <n>
     /// E <dp> <fsdp> <tp> <sp> <cp> <tatp> <ep> <pp> <engine> <mode> <report | ->
     /// segs <n>
     /// S <kind> <dp> ... <pp> <mode> <segment-cost | ->
-    /// winner_rank <r>
-    /// gate <lines>
-    /// <gate predictor text, verbatim>
     /// coll <n>
     /// C <kind> <participants> <bytes-bits> <raw-time>
     /// ```
@@ -772,7 +572,7 @@ impl SearchContext {
         use crate::persist;
         use std::fmt::Write as _;
 
-        let mut out = format!("temp-cache v2 {:016x}\n", self.cost.fingerprint());
+        let mut out = format!("temp-cache v3 {:016x}\n", self.cost.fingerprint());
 
         let mut evals: Vec<String> = self
             .cache
@@ -822,26 +622,6 @@ impl SearchContext {
             out.push('\n');
         }
 
-        writeln!(
-            out,
-            "winner_rank {}",
-            self.winner_rank.load(Ordering::Relaxed)
-        )
-        .expect("write to string");
-
-        match self.export_gate_predictor() {
-            Some(text) => {
-                let trimmed = text.trim_end_matches('\n');
-                writeln!(out, "gate {}", trimmed.lines().count()).expect("write to string");
-                out.push_str(trimmed);
-                out.push('\n');
-            }
-            None => out.push_str("gate 0\n"),
-        }
-
-        // The memoized collective kernel rides along as a trailing
-        // section (older files simply end after the gate — imports treat
-        // a missing section as empty).
         let mut colls: Vec<String> = self
             .cost
             .collective_table_entries()
@@ -862,9 +642,6 @@ impl SearchContext {
     /// Imports a cache persisted by [`SearchContext::export_cost_table`]
     /// into this context, merging entry by entry (existing entries win —
     /// an import never clobbers state the live context already computed).
-    /// The winner-rank statistic merges by maximum and an embedded gate
-    /// predictor is imported as authoritative (as if by
-    /// [`SearchContext::import_gate_predictor`]).
     ///
     /// Imported entries touch neither the hit nor the miss counters:
     /// stats keep measuring what *this* process computed and reused.
@@ -883,8 +660,8 @@ impl SearchContext {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty cache text")?;
         let mut f = Fields::new(header);
-        if f.next()? != "temp-cache" || f.next()? != "v2" {
-            return Err(format!("not a temp-cache v2 header: {header:?}"));
+        if f.next()? != "temp-cache" || f.next()? != "v3" {
+            return Err(format!("not a temp-cache v3 header: {header:?}"));
         }
         let fp = u64::from_str_radix(f.next()?, 16).map_err(|e| format!("bad fingerprint: {e}"))?;
         f.finish()?;
@@ -953,56 +730,27 @@ impl SearchContext {
             segs.push(((kind, cfg, mode), cost));
         }
 
-        let rank_line = lines.next().ok_or("missing winner_rank")?;
-        let mut f = Fields::new(rank_line);
-        if f.next()? != "winner_rank" {
-            return Err(format!("expected winner_rank, got {rank_line:?}"));
-        }
-        let rank = f.u64()?;
-        f.finish()?;
-
-        let gate_lines = section(&mut lines, "gate")?;
-        let gate_text = if gate_lines > 0 {
-            let collected: Vec<&str> = (&mut lines).take(gate_lines).collect();
-            if collected.len() < gate_lines {
-                return Err("truncated gate section".into());
-            }
-            Some(collected.join("\n"))
-        } else {
-            None
-        };
-
-        // Trailing collective-kernel section; files persisted before the
-        // kernel existed simply end here, which imports as "no entries".
-        let mut colls: Vec<crate::cost::CollectiveEntry> = Vec::new();
-        if let Some(line) = lines.next() {
+        let n_colls = section(&mut lines, "coll")?;
+        let mut colls: Vec<crate::cost::CollectiveEntry> =
+            Vec::with_capacity(n_colls.min(line_count));
+        for _ in 0..n_colls {
+            let line = lines.next().ok_or("truncated coll section")?;
             let mut f = Fields::new(line);
-            if f.next()? != "coll" {
-                return Err(format!("expected coll section, got {line:?}"));
+            if f.next()? != "C" {
+                return Err(format!("expected C record, got {line:?}"));
             }
-            let n_colls = f.usize()?;
+            let kind = persist::collective_from_code(f.u8()?)?;
+            let participants = f.u32()?;
+            let bits = f.u64()?;
+            let time = f.f64()?;
             f.finish()?;
-            colls.reserve(n_colls.min(line_count));
-            for _ in 0..n_colls {
-                let line = lines.next().ok_or("truncated coll section")?;
-                let mut f = Fields::new(line);
-                if f.next()? != "C" {
-                    return Err(format!("expected C record, got {line:?}"));
-                }
-                let kind = persist::collective_from_code(f.u8()?)?;
-                let participants = f.u32()?;
-                let bits = f.u64()?;
-                let time = f.f64()?;
-                f.finish()?;
-                colls.push((kind, participants, bits, time));
-            }
+            colls.push((kind, participants, bits, time));
         }
 
         // All parsed — merge.
         let summary = ImportSummary {
             evals: evals.len(),
             segs: segs.len(),
-            gate: gate_text.is_some(),
             colls: colls.len(),
         };
         for (key, report) in evals {
@@ -1011,53 +759,10 @@ impl SearchContext {
         for (key, cost) in segs {
             self.seg_cache.insert_if_absent(key, cost);
         }
-        self.winner_rank.fetch_max(rank, Ordering::Relaxed);
-        if let Some(text) = gate_text {
-            self.import_gate_predictor(&text)?;
-        }
         self.cost.merge_collective_entries(&colls);
-        // Imported verdicts can move what the gate and the incumbent see.
+        // Imported verdicts can move what the incumbent sees.
         self.invalidate_plans();
         Ok(summary)
-    }
-
-    /// Records candidates skipped by the surrogate gate (internal).
-    pub(crate) fn note_pruned(&self, n: u64) {
-        self.pruned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records the surrogate rank at which a gated batch's exact winner
-    /// was found (internal; feeds [`SearchContext::effective_top_k`]).
-    pub(crate) fn observe_winner_rank(&self, rank: usize) {
-        let rank = rank as u64 + 1;
-        // A deeper winner may widen the adaptive top-K, and with it the
-        // gated shortlist a fresh solve would cost.
-        if self.winner_rank.fetch_max(rank, Ordering::Relaxed) < rank {
-            self.invalidate_plans();
-        }
-    }
-
-    /// The top-K the surrogate gate should use *now*: the configured
-    /// default until the first gated batch completes, afterwards adapted
-    /// from the observed rank-of-winner statistics — twice the worst rank
-    /// at which an exact winner has been found (safety margin), clamped to
-    /// `[default, 2 x default]`.
-    ///
-    /// Adaptation only ever **widens** the shortlist: a winner that gets
-    /// pruned is unobservable (the gate never learns its rank), so
-    /// shrinking below the empirically-safe default could silently break
-    /// the winner-retention guarantee with no signal to recover from.
-    /// Deep observed winners widen K; a well-ranked history keeps the
-    /// default.
-    pub fn effective_top_k(&self) -> usize {
-        let params = self.gate_params();
-        if !params.adaptive {
-            return params.top_k;
-        }
-        match self.winner_rank.load(Ordering::Relaxed) {
-            0 => params.top_k,
-            observed => (2 * observed as usize).clamp(params.top_k, 2 * params.top_k.max(1)),
-        }
     }
 
     /// Per-step DP-row costs of one segment kind over a candidate list:
@@ -1069,8 +774,8 @@ impl SearchContext {
     /// chain objective never silently drops a segment's real cost.
     ///
     /// This is the single source of the end-segment rows for both the
-    /// chain DP (`Dlws`) and the surrogate gate's chain correction — they
-    /// must agree or the winner-retention guarantee degrades.
+    /// chain DP (`Dlws`) and the pruned path's incumbent and floors —
+    /// they must agree or the pruning stops being admissible.
     ///
     /// Segment costs do not depend on the mapping engine, so `_engine`
     /// does not enter the row; it is accepted so every engine's solve
@@ -1188,39 +893,15 @@ impl SearchContext {
             shard_waits: self.cache.waits()
                 + self.seg_cache.waits()
                 + self.cost.collective_shard_waits(),
-            exact_hits: self.exact_hits.load(Ordering::Relaxed),
-            exact_misses: self.exact_misses.load(Ordering::Relaxed),
-            gated_hits: self.gated_hits.load(Ordering::Relaxed),
-            gated_misses: self.gated_misses.load(Ordering::Relaxed),
-            gate_pruned: self.pruned.load(Ordering::Relaxed),
             seg_hits: self.seg_hits.load(Ordering::Relaxed),
             seg_misses: self.seg_misses.load(Ordering::Relaxed),
-            adaptive_top_k: self.effective_top_k() as u64,
             bound_pruned: self.bound_pruned.load(Ordering::Relaxed),
             dominated_pruned: self.dominated_pruned.load(Ordering::Relaxed),
             enumerate_ns: self.enumerate_ns.load(Ordering::Relaxed),
             bound_ns: self.bound_ns.load(Ordering::Relaxed),
             exact_ns: self.exact_ns.load(Ordering::Relaxed),
-            gate_fit_ns: self.gate_fit_ns.load(Ordering::Relaxed),
-            contention_ns: self.contention_ns.load(Ordering::Relaxed),
+            derate_ns: self.derate_ns.load(Ordering::Relaxed),
             plan_hits: self.plan_hits.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Records time spent fitting a gate predictor (internal to the
-    /// surrogate gate).
-    pub(crate) fn note_gate_fit_ns(&self, ns: u64) {
-        self.gate_fit_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// The per-tier attribution counter for a hit (`true`) or miss under
-    /// the tier active right now.
-    fn tier_counter(&self, hit: bool) -> &AtomicU64 {
-        match (self.cost_tier(), hit) {
-            (CostTier::Exact, true) => &self.exact_hits,
-            (CostTier::Exact, false) => &self.exact_misses,
-            (CostTier::SurrogateGated, true) => &self.gated_hits,
-            (CostTier::SurrogateGated, false) => &self.gated_misses,
         }
     }
 
@@ -1245,7 +926,6 @@ impl SearchContext {
         loop {
             if let Some(cached) = self.cache.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.tier_counter(true).fetch_add(1, Ordering::Relaxed);
                 return cached;
             }
             match self.flights.claim(key) {
@@ -1255,11 +935,9 @@ impl SearchContext {
                     if let Some(cached) = self.cache.get(&key) {
                         drop(lease);
                         self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.tier_counter(true).fetch_add(1, Ordering::Relaxed);
                         return cached;
                     }
                     self.misses.fetch_add(1, Ordering::Relaxed);
-                    self.tier_counter(false).fetch_add(1, Ordering::Relaxed);
                     let workload = self.cost.workload().clone().with_recompute(mode);
                     let result = self.cost.evaluate_with(cfg, engine, &workload).ok();
                     // Publish before retiring the flight, so woken
@@ -1283,8 +961,8 @@ impl SearchContext {
     /// returns `None` when the cached entries cannot determine the
     /// outcome (some mode on the escalation path is not cached yet).
     /// Never evaluates and never touches the hit/miss counters — the
-    /// surrogate gate uses this so pruning a warm context still surfaces
-    /// the exact results it already owns.
+    /// pruned chain path uses this to draw its incumbent from verdicts a
+    /// warm context already owns.
     pub(crate) fn cost_of_cached(
         &self,
         cfg: &HybridConfig,
@@ -1363,7 +1041,6 @@ impl SearchContext {
         let hits = (need.len() - missing.len()) as u64;
         if hits > 0 {
             self.hits.fetch_add(hits, Ordering::Relaxed);
-            self.tier_counter(true).fetch_add(hits, Ordering::Relaxed);
         }
         if missing.is_empty() {
             return out.into_iter().map(|o| o.expect("resolved")).collect();
@@ -1400,7 +1077,6 @@ impl SearchContext {
                     Some(cached) => {
                         drop(lease);
                         self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.tier_counter(true).fetch_add(1, Ordering::Relaxed);
                         resolved[ui] = Some(cached);
                     }
                     None => {
@@ -1439,8 +1115,6 @@ impl SearchContext {
             };
             self.misses
                 .fetch_add(leaders.len() as u64, Ordering::Relaxed);
-            self.tier_counter(false)
-                .fetch_add(leaders.len() as u64, Ordering::Relaxed);
             // Publish every report before retiring any lease (stored
             // entries win races, so every observer of a key sees one
             // consistent report), then wake the followers.
@@ -1464,7 +1138,6 @@ impl SearchContext {
         let dup = (missing.len() - uniques.len()) as u64;
         if dup > 0 {
             self.hits.fetch_add(dup, Ordering::Relaxed);
-            self.tier_counter(true).fetch_add(dup, Ordering::Relaxed);
         }
         let stored: Vec<Option<CostReport>> = resolved
             .into_iter()
@@ -1477,7 +1150,7 @@ impl SearchContext {
         out.into_iter().map(|o| o.expect("resolved")).collect()
     }
 
-    /// The batched body of [`SearchContext::cost_candidates_exact`]: the
+    /// The batched body of [`SearchContext::cost_candidates`]: the
     /// whole batch resolves its base recompute mode in one wave, only the
     /// candidates that erred or overflowed HBM escalate to a second
     /// [`RecomputeMode::Full`] wave — the same `[base, Full]` ladder as
@@ -1600,64 +1273,17 @@ impl SearchContext {
             .clone()
     }
 
-    /// Costs a batch of candidates under the active [`CostTier`], filling
-    /// cache misses in parallel when enabled. The returned vector is
-    /// aligned with `candidates`; under [`CostTier::SurrogateGated`],
-    /// candidates the gate prunes are reported as infeasible
-    /// (`f64::INFINITY`, no report) without ever running the cost model.
+    /// Costs a batch of candidates exactly, aligned with `candidates`.
+    /// Without a cancellation token the batch routes through the batched
+    /// SoA engine ([`SearchContext::cost_candidates_batched`]): one cache
+    /// wave per recompute mode, distinct misses costed by
+    /// [`WaferCostModel::evaluate_batch`] in runtime-sized chunks, in
+    /// parallel when enabled. When a cancellation token is installed
+    /// (deadline-bounded solves), the per-candidate loop polls it between
+    /// candidates: once it fires, the remaining candidates come back
+    /// `(INFINITY, None)` **without** being written to the cache — a skip
+    /// is not a verdict, so later unbounded solves re-cost them.
     pub fn cost_candidates(
-        &self,
-        candidates: &[HybridConfig],
-        engine: MappingEngine,
-    ) -> Vec<CandidateCost> {
-        match self.cost_tier() {
-            CostTier::Exact => self.cost_candidates_exact(candidates, engine),
-            CostTier::SurrogateGated => {
-                surrogate_gate::cost_candidates_gated(self, candidates, engine, self.gate_params())
-            }
-        }
-    }
-
-    /// Costs several candidate batches — one per pipeline degree of a
-    /// multi-wafer sweep — under the active [`CostTier`]. Under
-    /// [`CostTier::Exact`] the groups are flattened into **one** batch so
-    /// the parallel map load-balances across the whole sweep; under
-    /// [`CostTier::SurrogateGated`] each group is gated **on its own**
-    /// (its own training sample, fit and top-K shortlist), because the
-    /// winner-retention guarantee is per solve: a single ranking across
-    /// degrees could shortlist one degree's candidates at the expense of
-    /// another's winner. Returned vectors align with the input groups.
-    pub fn cost_candidate_groups(
-        &self,
-        groups: &[Vec<HybridConfig>],
-        engine: MappingEngine,
-    ) -> Vec<Vec<CandidateCost>> {
-        match self.cost_tier() {
-            CostTier::Exact => {
-                let flat: Vec<HybridConfig> = groups.iter().flatten().copied().collect();
-                let mut costed = self.cost_candidates_exact(&flat, engine).into_iter();
-                groups
-                    .iter()
-                    .map(|g| costed.by_ref().take(g.len()).collect())
-                    .collect()
-            }
-            CostTier::SurrogateGated => {
-                surrogate_gate::cost_candidate_groups(self, groups, engine, self.gate_params())
-            }
-        }
-    }
-
-    /// The exact (tier-2) batch costing path. Without a cancellation
-    /// token the batch routes through the batched SoA engine
-    /// ([`SearchContext::cost_candidates_batched`]): one cache wave per
-    /// recompute mode, distinct misses costed by
-    /// [`WaferCostModel::evaluate_batch`] in runtime-sized chunks. When a
-    /// cancellation token is installed (deadline-bounded solves), the
-    /// per-candidate loop polls it between candidates: once it fires, the
-    /// remaining candidates come back `(INFINITY, None)` **without**
-    /// being written to the cache — a skip is not a verdict, so later
-    /// unbounded solves re-cost them.
-    pub fn cost_candidates_exact(
         &self,
         candidates: &[HybridConfig],
         engine: MappingEngine,
@@ -1710,27 +1336,10 @@ impl SearchContext {
     ///
     /// Skipped candidates are **not** cached (a skip is not a verdict);
     /// a warm rerun prunes a superset of the cold run's skips, so replays
-    /// stay zero-miss. [`SearchContext::set_pruning`]`(false)` restores
-    /// the exhaustive pre-PR behavior bit for bit.
+    /// stay zero-miss. [`SearchContext::set_pruning`]`(false)` costs the
+    /// whole batch instead — the exhaustive reference tests compare
+    /// against; plans are bit-identical either way.
     pub fn cost_candidates_chain(
-        &self,
-        candidates: &[HybridConfig],
-        moe_candidates: &[HybridConfig],
-        engine: MappingEngine,
-    ) -> Vec<CandidateCost> {
-        match self.cost_tier() {
-            CostTier::SurrogateGated => {
-                surrogate_gate::cost_candidates_gated(self, candidates, engine, self.gate_params())
-            }
-            CostTier::Exact if !self.pruning() => self.cost_candidates_exact(candidates, engine),
-            CostTier::Exact => {
-                self.cost_candidates_chain_pruned(candidates, moe_candidates, engine)
-            }
-        }
-    }
-
-    /// The pruned exact path behind [`SearchContext::cost_candidates_chain`].
-    fn cost_candidates_chain_pruned(
         &self,
         candidates: &[HybridConfig],
         moe_candidates: &[HybridConfig],
@@ -1745,6 +1354,10 @@ impl SearchContext {
         /// association differences between the bound's fixed-order sums
         /// and the exact evaluation's fold order.
         const REL_MARGIN: f64 = 1e-9;
+
+        if !self.pruning() {
+            return self.cost_candidates(candidates, engine);
+        }
 
         let bound_started = std::time::Instant::now();
         let base_mode = self.cost.workload().recompute;
@@ -1813,7 +1426,7 @@ impl SearchContext {
 
         // Incumbent: the best uniform chain value among candidates whose
         // verdict the cache already knows (warm contexts, prior campaign
-        // rate points, gate shortlists).
+        // rate points, earlier solves).
         let mut incumbent = f64::INFINITY;
         let mut cached_idx: Vec<usize> = Vec::new();
         let mut uncached: Vec<usize> = Vec::new();
@@ -1863,7 +1476,7 @@ impl SearchContext {
                 }
             }
             let seed_cfgs: Vec<HybridConfig> = seed.iter().map(|&i| candidates[i]).collect();
-            let seed_costs = self.cost_candidates_exact(&seed_cfgs, engine);
+            let seed_costs = self.cost_candidates(&seed_cfgs, engine);
             for (&i, cc) in seed.iter().zip(seed_costs) {
                 if cc.0.is_finite() {
                     if let Some((_, report)) = &cc.1 {
@@ -1904,7 +1517,7 @@ impl SearchContext {
         // exact cost model.
         let rest: Vec<usize> = cached_idx.into_iter().chain(survivors).collect();
         let rest_cfgs: Vec<HybridConfig> = rest.iter().map(|&i| candidates[i]).collect();
-        let rest_costs = self.cost_candidates_exact(&rest_cfgs, engine);
+        let rest_costs = self.cost_candidates(&rest_cfgs, engine);
         for (&i, cc) in rest.iter().zip(rest_costs) {
             results[i] = Some(cc);
         }
@@ -2058,30 +1671,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_top_k_follows_observed_winner_ranks() {
-        let ctx = context();
-        let default_k = ctx.gate_params().top_k;
-        assert_eq!(ctx.effective_top_k(), default_k, "no observations yet");
-        ctx.observe_winner_rank(0);
-        // A well-ranked winner keeps the default: adaptation never
-        // shrinks below the empirically-safe shortlist (a pruned winner
-        // is unobservable, so there would be no signal to recover from).
-        assert_eq!(ctx.effective_top_k(), default_k);
-        ctx.observe_winner_rank(13);
-        // A deep winner widens K (2x worst observed rank), clamped.
-        assert_eq!(ctx.effective_top_k(), (2 * 14).min(2 * default_k));
-        ctx.observe_winner_rank(40);
-        // The ceiling caps runaway widening.
-        assert_eq!(ctx.effective_top_k(), 2 * default_k);
-        // Disabling adaptation restores the fixed default.
-        ctx.set_gate_params(GateParams {
-            adaptive: false,
-            ..GateParams::default()
-        });
-        assert_eq!(ctx.effective_top_k(), default_k);
-    }
-
-    #[test]
     fn cost_table_round_trips_through_text() {
         let ctx = context();
         let good = HybridConfig::tuple(2, 2, 1, 8);
@@ -2090,7 +1679,6 @@ mod tests {
         ctx.evaluate(&good, MappingEngine::SMap, RecomputeMode::Full);
         ctx.evaluate(&bad, MappingEngine::Tcme, RecomputeMode::Selective);
         ctx.segment_cost(SegmentKind::Head, &good, RecomputeMode::Selective);
-        ctx.observe_winner_rank(5);
 
         let text = ctx.export_cost_table();
         assert_eq!(
@@ -2103,7 +1691,6 @@ mod tests {
         let summary = fresh.import_cost_table(&text).expect("import");
         assert_eq!(summary.evals, 3);
         assert_eq!(summary.segs, 1);
-        assert!(!summary.gate, "no predictor was fitted");
 
         // Imported entries answer without running the cost model, and the
         // memoized failure is a failure on the warm side too.
@@ -2116,11 +1703,6 @@ mod tests {
             .is_none());
         assert_eq!(fresh.stats().misses, 0, "warm lookups must not evaluate");
         assert_eq!(fresh.stats().hits, 2);
-        assert_eq!(
-            fresh.effective_top_k(),
-            ctx.effective_top_k(),
-            "winner-rank statistic must survive the round trip"
-        );
 
         // Exporting the import reproduces the text bit for bit.
         assert_eq!(fresh.export_cost_table(), text);
@@ -2149,11 +1731,14 @@ mod tests {
         // Malformed input leaves the context untouched.
         let fresh = context();
         assert!(fresh.import_cost_table("").is_err());
-        assert!(fresh.import_cost_table("temp-cache v2 0\n").is_err());
-        // A v1 file (per-engine segment table) is rejected whole.
-        let v1 = text.replacen("temp-cache v2", "temp-cache v1", 1);
-        let err = fresh.import_cost_table(&v1).unwrap_err();
-        assert!(err.contains("v2 header"), "{err}");
+        assert!(fresh.import_cost_table("temp-cache v3 0\n").is_err());
+        // Older formats — v1 (per-engine segment table) and v2 (winner-rank
+        // and gate-predictor sections) — are rejected whole.
+        for old in ["v1", "v2"] {
+            let stale = text.replacen("temp-cache v3", &format!("temp-cache {old}"), 1);
+            let err = fresh.import_cost_table(&stale).unwrap_err();
+            assert!(err.contains("v3 header"), "{err}");
+        }
         let truncated = text.lines().take(2).collect::<Vec<_>>().join("\n");
         assert!(fresh.import_cost_table(&truncated).is_err());
         let mangled = text.replacen("E ", "E x", 1);
@@ -2206,7 +1791,7 @@ mod tests {
         // The fingerprint embeds `COST_MODEL_VERSION`, so a cache written
         // by any other cost-model revision dies at the header.
         let header = text.lines().next().unwrap().to_string();
-        let skewed = text.replacen(&header, "temp-cache v2 0000000000000000", 1);
+        let skewed = text.replacen(&header, "temp-cache v3 0000000000000000", 1);
         let err = context().import_cost_table(&skewed).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
 
@@ -2221,23 +1806,18 @@ mod tests {
     }
 
     #[test]
-    fn stats_attribute_hits_and_misses_per_tier() {
+    fn stats_count_hits_and_misses() {
         let ctx = context();
         let cfg = HybridConfig::tuple(2, 2, 1, 8);
         ctx.evaluate(&cfg, MappingEngine::Tcme, RecomputeMode::Selective);
         ctx.evaluate(&cfg, MappingEngine::Tcme, RecomputeMode::Selective);
         let s = ctx.stats();
-        assert_eq!((s.exact_hits, s.exact_misses), (1, 1));
-        assert_eq!((s.gated_hits, s.gated_misses), (0, 0));
+        assert_eq!((s.hits, s.misses), (1, 1));
 
-        ctx.set_cost_tier(CostTier::SurrogateGated);
-        ctx.evaluate(&cfg, MappingEngine::Tcme, RecomputeMode::Selective);
+        // A different engine is a distinct key.
         ctx.evaluate(&cfg, MappingEngine::SMap, RecomputeMode::Selective);
         let s = ctx.stats();
-        assert_eq!((s.gated_hits, s.gated_misses), (1, 1));
-        assert_eq!(s.hits, s.exact_hits + s.gated_hits, "totals must tie out");
-        assert_eq!(s.misses, s.exact_misses + s.gated_misses);
-        assert!((s.gated_hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!((s.hits, s.misses), (1, 2));
 
         // Segment-table hits are counted too.
         ctx.segment_cost(SegmentKind::Head, &cfg, RecomputeMode::Selective);

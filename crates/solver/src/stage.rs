@@ -25,10 +25,10 @@
 //! stay on one wafer keep the activation resident and pay nothing.
 //!
 //! The search reuses the whole existing pipeline: candidates are costed
-//! through the shared [`crate::search::SearchContext`] (exact or
-//! surrogate-gated), the block unit time comes from the exact whole-model
-//! evaluation, the end segments from the tier-independent per-segment
-//! cost table, and the cut positions from the
+//! exactly through the shared [`crate::search::SearchContext`], the
+//! block unit time comes from the exact whole-model evaluation, the end
+//! segments from the closed-form per-segment cost table, and the cut
+//! positions from the
 //! [`crate::dp::balance_stage_cuts`] parametric DP. With one stage the
 //! planner delegates to the single-wafer solve, so `wafer_count = 1`
 //! reproduces it bit-for-bit.
@@ -224,7 +224,7 @@ impl Dlws {
             ));
         }
 
-        // End-segment rows (per-step, tier-independent) and the per-step
+        // End-segment rows (per-step, closed-form) and the per-step
         // resharding charge of moving an end segment off the body's
         // strategy — the same quantities the single-wafer chain DP uses.
         let base_mode = ctx.cost_model().workload().recompute;

@@ -14,6 +14,10 @@
 //!   equations);
 //! * [`metrics`] — Pearson correlation and mean relative error.
 //!
+//! The crate reproduces the Fig. 21 accuracy study. The solver does not
+//! consult it: DLWS prices candidates with the exact cost model, and
+//! admissible bound pruning is what keeps the search fast.
+//!
 //! # Example
 //!
 //! ```
@@ -31,17 +35,10 @@
 //! ```
 
 pub mod dataset;
-pub mod features;
-pub mod gate;
 pub mod linreg;
 pub mod metrics;
 pub mod mlp;
 
 pub use dataset::{Dataset, TargetClass};
-pub use features::{
-    chain_features, config_features, segment_features, CHAIN_FEATURE_DIM, CONFIG_FEATURE_DIM,
-    SEGMENT_FEATURE_DIM,
-};
-pub use gate::{GateModel, GatePredictor};
 pub use linreg::LinearRegression;
 pub use mlp::{Mlp, TrainParams};

@@ -137,12 +137,10 @@ fn repeated_pooled_solves_hit_at_least_ninety_percent() {
          ({warm_hits} hits / {warm_misses} misses)"
     );
 
-    // Per-tier breakdown ties out: these sweeps ran under the exact tier
-    // only, and totals always decompose into the tier counters.
-    assert_eq!(warm.hits, warm.exact_hits + warm.gated_hits);
-    assert_eq!(warm.misses, warm.exact_misses + warm.gated_misses);
-    assert_eq!(warm.gated_hits + warm.gated_misses, 0, "no gated lookups");
-    assert!(warm.exact_hit_rate() > 0.0);
+    // The context-wide totals: the hit counter never runs backwards and
+    // the sweeps' lookups include cache serves.
+    assert!(warm.hits >= cold.hits, "{cold:?} -> {warm:?}");
+    assert!(warm.hit_rate() > 0.0, "{warm:?}");
 }
 
 #[test]

@@ -19,6 +19,7 @@ use temp_repro::solver::dlws::Dlws;
 use temp_repro::wsc::config::WaferConfig;
 use temp_repro::wsc::fault::FaultMap;
 use temp_repro::wsc::topology::{DieId, Mesh, RouteOrder};
+use temp_repro::wsc::units::MB;
 
 /// Algorithm 1 invariants hold for every group size.
 #[test]
@@ -517,6 +518,7 @@ fn bound_pruned_search_is_bit_identical_to_exhaustive_zoo_wide() {
     let mut pruned_total = 0u64;
     for model in ModelZoo::table2().into_iter().chain(ModelZoo::moe_zoo()) {
         let name = model.name.clone();
+        let is_moe = model.moe.is_some();
         let workload = Workload::for_model(&model);
         let solver = Dlws::new(WaferConfig::hpca(), model, workload);
         let pruned = solver.solve().expect("pruned solve");
@@ -529,6 +531,20 @@ fn bound_pruned_search_is_bit_identical_to_exhaustive_zoo_wide() {
             "{name}: the exhaustive solve was served the pruned plan"
         );
         assert_eq!(pruned, exhaustive, "{name}");
+        if is_moe {
+            // The plan exercises the expert-parallel axis: the MoE run
+            // picks `ep > 1` and a strategy the dense blocks do not.
+            let run = |kind: SegmentKind| {
+                pruned
+                    .segments
+                    .iter()
+                    .find(|s| s.kind == kind)
+                    .unwrap_or_else(|| panic!("{name}: no {kind} run in the solved chain"))
+            };
+            let (moe, dense) = (run(SegmentKind::MoeBlock), run(SegmentKind::Block));
+            assert!(moe.config.ep > 1, "{name}: MoE run stayed at ep = 1");
+            assert_ne!(moe.config, dense.config, "{name}");
+        }
     }
     assert!(
         pruned_total > 0,
@@ -693,7 +709,7 @@ fn chain_bounds_are_admissible_on_a_sampled_grid() {
             .collect();
         assert!(sampled.len() > 20, "{name}: sample too small to mean much");
         let bounds = ctx.cost_model().chain_bounds(&sampled);
-        let costs = ctx.cost_candidates_exact(&sampled, MappingEngine::Tcme);
+        let costs = ctx.cost_candidates(&sampled, MappingEngine::Tcme);
         for ((cfg, b), (t, report)) in sampled.iter().zip(&bounds).zip(&costs) {
             if !b.feasible {
                 assert!(
@@ -952,6 +968,81 @@ fn warm_started_fixed_points_match_cold_solves_on_random_meshes() {
             fallback.makespan.to_bits(),
             cold_perturbed.makespan.to_bits(),
             "case {case} ({w}x{h}): non-proportional fallback must be cold"
+        );
+    }
+}
+
+/// Fig. 5(b)-style contended flow sets: neighbor chains forced through
+/// shared links, row/column crossings, plus seeded random traffic. The
+/// dense water-filling must agree with the HashMap reference to 1e-9
+/// relative on every completion time.
+#[test]
+fn dense_contention_sim_matches_reference_on_fig05_flow_sets() {
+    let cfg = WaferConfig::hpca();
+    let mesh = cfg.mesh();
+    let sim = ContentionSim::new(&cfg);
+    let dies = mesh.die_count() as u32;
+
+    let mut flow_sets: Vec<Vec<Flow>> = Vec::new();
+    // Fig. 5(a)/(b): same-row transfers sharing middle links.
+    flow_sets.push(
+        (0..6)
+            .map(|i| Flow::xy(&mesh, DieId(i), DieId(i + 2), 128.0 * MB))
+            .collect(),
+    );
+    // Row/column crossings plus long diagonals.
+    flow_sets.push(vec![
+        Flow::xy(&mesh, DieId(0), DieId(7), 64.0 * MB),
+        Flow::xy(&mesh, DieId(8), DieId(15), 64.0 * MB),
+        Flow::xy(&mesh, DieId(0), DieId(24), 64.0 * MB),
+        Flow::xy(&mesh, DieId(7), DieId(31), 64.0 * MB),
+        Flow::xy(&mesh, DieId(0), DieId(31), 96.0 * MB),
+        Flow::xy(&mesh, DieId(31), DieId(0), 96.0 * MB),
+    ]);
+    // Seeded random traffic, including local (zero-route) flows.
+    let mut rng = StdRng::seed_from_u64(41);
+    for _ in 0..8 {
+        let n = rng.gen_range(4..24);
+        flow_sets.push(
+            (0..n)
+                .map(|_| {
+                    let src = DieId(rng.gen_range(0..dies));
+                    let dst = DieId(rng.gen_range(0..dies));
+                    let bytes = rng.gen_range(1.0..256.0) * MB;
+                    Flow::xy(&mesh, src, dst, bytes)
+                })
+                .collect(),
+        );
+    }
+
+    for (case, flows) in flow_sets.iter().enumerate() {
+        let dense = sim.simulate(flows);
+        let reference = sim.simulate_reference(flows);
+        let tol = |r: f64| 1e-9 * r.abs().max(1e-12);
+        assert!(
+            (dense.makespan - reference.makespan).abs() <= tol(reference.makespan),
+            "case {case}: makespan {} vs {}",
+            dense.makespan,
+            reference.makespan
+        );
+        for (i, (d, r)) in dense
+            .completion
+            .iter()
+            .zip(&reference.completion)
+            .enumerate()
+        {
+            assert!(
+                (d - r).abs() <= tol(*r),
+                "case {case}, flow {i}: {d} vs {r}"
+            );
+        }
+        assert_eq!(dense.link_bytes, reference.link_bytes, "case {case}");
+        // Ties in the max-load scan may resolve to different links across
+        // HashMap instances; the load itself must agree.
+        assert_eq!(
+            dense.max_loaded_link.map(|(_, b)| b),
+            reference.max_loaded_link.map(|(_, b)| b),
+            "case {case}"
         );
     }
 }
