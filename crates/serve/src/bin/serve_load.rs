@@ -15,8 +15,9 @@
 //! 3. **Warm restart**: one server solves the zoo into a cache
 //!    directory and shuts down; a second server starts from that
 //!    directory and must answer the whole zoo with **zero** exact
-//!    evaluations and byte-identical plans. It then repeats every query,
-//!    and the repeats must be served from the plan memo (`plan_hits`).
+//!    evaluations and byte-identical plans. The cache restores each
+//!    solved plan, so the first pass and a repeat of every query are
+//!    all served from the plan memo (`plan_hits` = 2 x zoo).
 //!
 //! With `--json <path>` the consolidated record is written for
 //! baselining; with `--check <path>` the run is gated against that
@@ -226,11 +227,13 @@ struct WarmResult {
     warm_qps: f64,
     plans_match: bool,
     plan_hits: u64,
+    /// Queries per warm pass (the fig13 zoo's size).
+    zoo: u64,
 }
 
 /// Phase 3: solve the zoo into a cache dir, restart, and replay it warm
-/// twice: the first replay rebuilds each plan from the imported costs,
-/// the second repeats every query and must be served from the plan memo.
+/// twice. Both replays must be served from the plan memo: the first from
+/// the plans the cache restored, the second from the same entries.
 fn warm_restart_phase(dir: &Path) -> WarmResult {
     let _ = std::fs::remove_dir_all(dir);
     let zoo = fig13_slugs();
@@ -271,6 +274,7 @@ fn warm_restart_phase(dir: &Path) -> WarmResult {
         warm_qps: zoo.len() as f64 / warm_wall_s,
         plans_match,
         plan_hits: warm_stats.plan_hits,
+        zoo: zoo.len() as u64,
     }
 }
 
@@ -388,10 +392,12 @@ fn main() {
         eprintln!("FAIL: warm-restarted plans differ from the cold server's");
         failed = true;
     }
-    if warm.plan_hits == 0 {
+    if warm.plan_hits != 2 * warm.zoo {
         eprintln!(
-            "FAIL: the warm server's repeated zoo queries were re-solved, not served \
-             from the plan memo (0 plan hits)"
+            "FAIL: the warm server served {} of its {} zoo queries from the plan memo; \
+             restored plans must answer every one",
+            warm.plan_hits,
+            2 * warm.zoo
         );
         failed = true;
     }

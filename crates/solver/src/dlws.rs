@@ -13,9 +13,12 @@
 //!    candidate **per segment** under resharding transition costs: the
 //!    blocks are priced by the exact whole-model evaluation, the end
 //!    segments by the shared closed-form segment table;
-//! 4. **GA refinement** — evolves the DP assignment over each segment's
-//!    own (possibly ragged) candidate list;
-//! 5. Emit the best [`ExecutionPlan`].
+//! 4. Emit the best [`ExecutionPlan`].
+//!
+//! The paper's DLS level 2 is a GA over mapping parameters its DP does
+//! not see. Here every gene would be one of the DP's own per-segment
+//! choices, which the chain DP already solves optimally, so there is no
+//! GA stage: the DP's assignment is the plan.
 //!
 //! A [`Dlws`] is a thin façade over a shared [`SearchContext`]: cloning
 //! the solver (or building several solvers from one context via
@@ -37,7 +40,6 @@ use temp_wsc::fault::FaultMap;
 
 use crate::cost::{CostReport, WaferCostModel};
 use crate::dp::solve_keyed_chain;
-use crate::ga::{optimize_ragged, GaParams};
 use crate::runtime::CancelToken;
 use crate::search::{CandidateCost, SearchContext, SearchStats};
 use crate::{Result, SolverError};
@@ -88,24 +90,44 @@ impl ExecutionPlan {
 }
 
 /// What a chain solve's plan is a function of, beyond the context's own
-/// state: the engine, the pipeline degree, the filtered candidate list
-/// (filters are closures, so the list they admit is their identity) and
-/// the GA parameters, floats carried as bits. Settings that can move a
-/// winner (pruning, cache imports) are not in the key: their setters
-/// clear the context's memo instead.
+/// state: the engine, the pipeline degree and the filtered candidate list
+/// (filters are closures, so the list they admit is their identity).
+/// Settings that can move a winner are not in the key: changing the
+/// pruning flag clears the context's memo, and a cache import replaces
+/// it with the file's plans.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
-    engine: MappingEngine,
-    pp: usize,
-    ga: [u64; 5],
-    candidates: Vec<HybridConfig>,
+    pub(crate) engine: MappingEngine,
+    pub(crate) pp: usize,
+    /// A subsequence of `candidates_with_pp(pp)`, in enumeration order.
+    pub(crate) candidates: Vec<HybridConfig>,
+}
+
+impl PlanKey {
+    /// The key of a solve over the `pp` candidates of `ctx` that
+    /// `admit` accepts.
+    pub(crate) fn new(
+        ctx: &SearchContext,
+        engine: MappingEngine,
+        pp: usize,
+        admit: impl Fn(&HybridConfig) -> bool,
+    ) -> PlanKey {
+        PlanKey {
+            engine,
+            pp,
+            candidates: ctx
+                .candidates_with_pp(pp)
+                .into_iter()
+                .filter(|c| admit(c))
+                .collect(),
+        }
+    }
 }
 
 /// The dual-level wafer solver.
 #[derive(Debug, Clone)]
 pub struct Dlws {
     ctx: Arc<SearchContext>,
-    ga: GaParams,
 }
 
 impl Dlws {
@@ -120,10 +142,7 @@ impl Dlws {
     /// Creates a solver over an existing (possibly shared) context — all
     /// solvers built this way share one evaluation cache.
     pub fn from_context(ctx: Arc<SearchContext>) -> Self {
-        Dlws {
-            ctx,
-            ga: GaParams::default(),
-        }
+        Dlws { ctx }
     }
 
     /// Creates a solver that plans directly on the degraded fabric
@@ -145,14 +164,13 @@ impl Dlws {
 
     /// A sibling solver planning the same `(model, workload)` on the
     /// degraded fabric: shares the candidate enumeration (an `Arc` —
-    /// faults change feasibility, not which degree tuples exist) and the
-    /// GA tuning, but costs everything through the fault-derated model.
+    /// faults change feasibility, not which degree tuples exist), but
+    /// costs everything through the fault-derated model.
     /// The degraded context's caches start empty; they are keyed by a
     /// fault-extended fingerprint and must not mix with healthy entries.
     pub fn degraded(&self, faults: &FaultMap) -> Dlws {
         Dlws {
             ctx: Arc::new(self.ctx.derated(faults)),
-            ga: self.ga,
         }
     }
 
@@ -189,12 +207,6 @@ impl Dlws {
     /// Cache counters of the shared context.
     pub fn search_stats(&self) -> SearchStats {
         self.ctx.stats()
-    }
-
-    /// Overrides GA parameters.
-    pub fn with_ga(mut self, ga: GaParams) -> Self {
-        self.ga = ga;
-        self
     }
 
     /// All candidate configurations for this wafer (enumerated once, at
@@ -244,7 +256,7 @@ impl Dlws {
         &self,
         budget: std::time::Duration,
     ) -> Result<(ExecutionPlan, bool)> {
-        let key = self.plan_key(MappingEngine::Tcme, 1, |_| true);
+        let key = PlanKey::new(&self.ctx, MappingEngine::Tcme, 1, |_| true);
         if let Some(plan) = self.ctx.memoized_plan(&key) {
             return Ok((plan, false));
         }
@@ -301,7 +313,7 @@ impl Dlws {
         // expert-parallel tuples a MoE chain's own segment row needs) so
         // the returned plan carries well-formed segments and chain cost.
         // Past the memo: a fallback is never stored.
-        let key = self.plan_key(engine, 1, |c| *c == winner || c.ep > 1);
+        let key = PlanKey::new(&self.ctx, engine, 1, |c| *c == winner || c.ep > 1);
         self.solve_candidates(engine, &key.candidates)
     }
 
@@ -325,10 +337,11 @@ impl Dlws {
     /// wafers (multi-WSC planning; Fig. 19).
     ///
     /// A repeat of an earlier solve on the same context (same engine,
-    /// degree, admitted candidates and GA parameters, no setting changed
-    /// since) is answered from the context's plan memo without costing,
-    /// DP or GA. A plan is stored only when no cancellation token was
-    /// installed on the context at any point during its solve.
+    /// degree and admitted candidates, no setting changed since, or a
+    /// plan restored by a cache import) is answered from the context's
+    /// plan memo without costing or DP. A plan is stored only when no
+    /// cancellation token was installed on the context at any point
+    /// during its solve.
     ///
     /// # Errors
     ///
@@ -340,7 +353,7 @@ impl Dlws {
         pp: usize,
         filter: impl Fn(&HybridConfig) -> bool,
     ) -> Result<ExecutionPlan> {
-        let key = self.plan_key(engine, pp, filter);
+        let key = PlanKey::new(&self.ctx, engine, pp, filter);
         if let Some(plan) = self.ctx.memoized_plan(&key) {
             return Ok(plan);
         }
@@ -348,39 +361,6 @@ impl Dlws {
         let plan = self.solve_candidates(engine, &key.candidates)?;
         self.ctx.memoize_plan(ticket, key, &plan);
         Ok(plan)
-    }
-
-    /// The memo key of a solve over the `pp` candidates `filter` admits.
-    fn plan_key(
-        &self,
-        engine: MappingEngine,
-        pp: usize,
-        filter: impl Fn(&HybridConfig) -> bool,
-    ) -> PlanKey {
-        let GaParams {
-            population,
-            generations,
-            mutation_rate,
-            elite_fraction,
-            seed,
-        } = self.ga;
-        PlanKey {
-            engine,
-            pp,
-            ga: [
-                population as u64,
-                generations as u64,
-                mutation_rate.to_bits(),
-                elite_fraction.to_bits(),
-                seed,
-            ],
-            candidates: self
-                .ctx
-                .candidates_with_pp(pp)
-                .into_iter()
-                .filter(|c| filter(c))
-                .collect(),
-        }
     }
 
     /// The dual-level search proper over an admitted candidate list,
@@ -488,30 +468,28 @@ impl Dlws {
             "keyed chain DP diverged from the reference"
         );
 
-        // Level 2: GA refinement seeded with the DP assignment, each
-        // segment evolving over its own candidate list.
-        let cards: Vec<usize> = seg_costs.iter().map(Vec::len).collect();
-        let ga = optimize_ragged(&cards, &dp.choices, &self.ga, |genome| {
-            let mut total = 0.0;
-            for (s, &c) in genome.iter().enumerate() {
-                total += seg_costs[s][c];
-                if s > 0 {
-                    total += reshard(s, genome[s - 1], c);
-                }
+        // The chain objective of the DP's assignment, summed forward
+        // segment by segment (the DP folds in its own order, which can
+        // differ in the last bit).
+        let choices = &dp.choices;
+        let mut chain_cost = 0.0;
+        for (s, &c) in choices.iter().enumerate() {
+            chain_cost += seg_costs[s][c];
+            if s > 0 {
+                chain_cost += reshard(s, choices[s - 1], c);
             }
-            total
-        });
-        let winner = ga.genome[block_row];
+        }
+        let winner = choices[block_row];
         // Clone the winner's payload out of the costed vector instead of
         // `mem::take`-ing it: the shared cache must stay intact so the
         // context remains reusable across solves.
         let (workload, report) = costed[winner].1.clone().ok_or_else(|| {
-            SolverError::NoFeasiblePlan("GA converged on an infeasible candidate".into())
+            SolverError::NoFeasiblePlan("chain DP chose an infeasible candidate".into())
         })?;
         let segments: Vec<SegmentAssignment> = chain
             .segments()
             .iter()
-            .zip(&ga.genome)
+            .zip(choices)
             .enumerate()
             .map(|(s, (seg, &c))| SegmentAssignment {
                 kind: seg.kind,
@@ -526,7 +504,7 @@ impl Dlws {
             workload,
             report,
             segments,
-            chain_cost: ga.cost,
+            chain_cost,
         })
     }
 }
@@ -694,7 +672,7 @@ mod tests {
     fn a_token_installed_during_a_solve_keeps_its_plan_out_of_the_memo() {
         let s = solver(ModelZoo::gpt3_6_7b());
         let ctx = s.context();
-        let key = s.plan_key(MappingEngine::Tcme, 1, |_| true);
+        let key = PlanKey::new(ctx, MappingEngine::Tcme, 1, |_| true);
 
         // Another query installs and clears its deadline while this
         // solve is running: the solve's ticket goes stale.
@@ -730,19 +708,45 @@ mod tests {
         assert_eq!(ctx.plan_memo_len(), 1);
         ctx.set_pruning(false);
         assert_eq!(ctx.plan_memo_len(), 0);
-        // A different GA is a different key.
+        // A different engine is a different key.
         let _ = s.solve().unwrap();
         let hits = s.search_stats().plan_hits;
-        let _ = s
-            .clone()
-            .with_ga(GaParams {
-                seed: 7,
-                ..GaParams::default()
-            })
-            .solve()
-            .unwrap();
+        let _ = s.solve_with_engine(MappingEngine::SMap, |_| true).unwrap();
         assert_eq!(s.search_stats().plan_hits, hits);
         assert_eq!(ctx.plan_memo_len(), 2);
+    }
+
+    #[test]
+    fn only_memoized_plans_reach_the_export() {
+        // A server's `deadline_ms` query is a `solve_with_deadline`.
+        let p_records = |s: &Dlws| {
+            let text = s.context().export_cost_table();
+            text.lines().filter(|l| l.starts_with("P ")).count()
+        };
+        for budget in [
+            std::time::Duration::ZERO,
+            std::time::Duration::from_secs(3600),
+        ] {
+            let s = solver(ModelZoo::gpt3_6_7b());
+            let _ = s.solve_with_deadline(budget).unwrap();
+            assert_eq!(
+                p_records(&s),
+                0,
+                "a deadline'd plan was exported ({budget:?})"
+            );
+        }
+        let s = solver(ModelZoo::gpt3_6_7b());
+        let plan = s.solve().unwrap();
+        assert_eq!(p_records(&s), 1);
+        let restarted = solver(ModelZoo::gpt3_6_7b());
+        let text = s.context().export_cost_table();
+        assert_eq!(
+            restarted.context().import_cost_table(&text).unwrap().plans,
+            1
+        );
+        assert_eq!(restarted.solve().unwrap(), plan);
+        s.context().set_pruning(false);
+        assert_eq!(p_records(&s), 0, "a cleared memo still exported a plan");
     }
 
     #[test]

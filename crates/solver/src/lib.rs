@@ -12,8 +12,6 @@
 //!   segment chain, with ragged per-segment candidate lists, resharding
 //!   transition costs and typed [`dp::DpError`]s (level 1 of the DLS
 //!   algorithm, Fig. 12(b));
-//! * [`ga`] — the genetic refinement stage (level 2): configuration genes,
-//!   crossover, mutation and elitist selection;
 //! * [`ilp`] — an exact exhaustive/branch-and-bound baseline, standing in
 //!   for the ILP formulation whose search time §VIII-H compares against;
 //! * [`search`] — the shared search pipeline: candidates enumerated once,
@@ -27,7 +25,7 @@
 //!   in-flight evaluation;
 //! * [`par`] — the data-parallel map facade over the runtime, with an
 //!   adaptive serial cutoff;
-//! * [`dlws`] — the end-to-end solver: enumerate → cost → DP → GA → plan;
+//! * [`dlws`] — the end-to-end solver: enumerate → cost → chain DP → plan;
 //! * [`stage`] — stage-partitioned multi-wafer planning: pipeline stages
 //!   as contiguous segment-chain slices, with cut positions, per-stage
 //!   strategies and inter-wafer handoffs solved jointly (Fig. 19);
@@ -53,7 +51,6 @@ pub mod cost;
 pub mod dlws;
 pub mod dp;
 pub mod faultcamp;
-pub mod ga;
 pub mod ilp;
 pub mod par;
 pub mod persist;

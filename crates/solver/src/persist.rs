@@ -4,17 +4,29 @@
 //! line format in the same spirit as the surrogate models' `to_text` /
 //! `from_text` ("linreg v1 ..."): whitespace-separated fields, floats
 //! written with `{:?}` (which round-trips `f64` exactly, including `inf`
-//! and `NaN`), one record per line. The cost-table format lives on top of
-//! these codecs in [`crate::search::SearchContext::export_cost_table`].
+//! and `NaN`), one record per line. The cache-file format lives on top
+//! of these codecs in [`crate::search::SearchContext::export_cost_table`]:
+//! the evaluation cache, the segment table, the collective memo and the
+//! plan memo, so a restarted process answers its first query per key
+//! from a restored plan.
 //!
 //! Cache files are keyed by an FNV-1a fingerprint of the full
 //! `(wafer, model, workload)` triple plus [`crate::cost::COST_MODEL_VERSION`],
 //! so a cache written under a different die array, model shape, workload
 //! or cost-model revision is rejected instead of silently poisoning the
 //! warm start.
+//!
+//! Plan records are solver output, not cost-model output: their candidate
+//! masks index the candidate enumeration, and their winners follow the
+//! chain DP's and the pruning's tie-breaking. The `plans` section header
+//! carries an [`enumeration_hash`], so a file saved under another
+//! enumeration is rejected whole. Any other change to what a solve
+//! returns for a given table must bump the `temp-cache` format version.
+
+use std::fmt::Write as _;
 
 use temp_graph::segment::SegmentKind;
-use temp_graph::workload::RecomputeMode;
+use temp_graph::workload::{RecomputeMode, Workload};
 use temp_mapping::engines::MappingEngine;
 use temp_parallel::memory::FootprintBreakdown;
 use temp_parallel::strategy::HybridConfig;
@@ -22,6 +34,7 @@ use temp_sim::collectives::CollectiveKind;
 use temp_sim::power::EnergyLedger;
 
 use crate::cost::{CostReport, SegmentCost};
+use crate::dlws::{ExecutionPlan, SegmentAssignment};
 
 /// 64-bit FNV-1a over arbitrary bytes — stable, dependency-free, and good
 /// enough to key cache files (a collision merely merges two caches whose
@@ -108,16 +121,17 @@ pub(crate) fn encode_cfg(c: &HybridConfig) -> String {
     )
 }
 
-/// Shared field cursor for the decoders below.
+/// Shared field cursor for the decoders below. The encoders only ever
+/// write ASCII, so fields split on ASCII whitespace.
 pub(crate) struct Fields<'a> {
-    iter: std::str::SplitWhitespace<'a>,
+    iter: std::str::SplitAsciiWhitespace<'a>,
     line: &'a str,
 }
 
 impl<'a> Fields<'a> {
     pub(crate) fn new(line: &'a str) -> Self {
         Fields {
-            iter: line.split_whitespace(),
+            iter: line.split_ascii_whitespace(),
             line,
         }
     }
@@ -294,6 +308,128 @@ pub(crate) fn decode_segment_cost(
     })
 }
 
+/// FNV-1a over a candidate enumeration, in order. Plan masks are
+/// positions in the enumeration, so they only decode under the
+/// enumeration they were written against.
+pub(crate) fn enumeration_hash(enumeration: &[HybridConfig]) -> u64 {
+    // Degrees never exceed the die count, which fits a `u32`.
+    let mut bytes = Vec::with_capacity(enumeration.len() * 8 * 4);
+    for c in enumeration {
+        for field in [c.dp, c.fsdp as usize, c.tp, c.sp, c.cp, c.tatp, c.ep, c.pp] {
+            bytes.extend_from_slice(&(field as u32).to_le_bytes());
+        }
+    }
+    fnv1a(&bytes)
+}
+
+/// An admitted candidate list as `<words> <hex word>...`: bit `i` of the
+/// little-endian word sequence is set when `enumeration[i]` is admitted.
+/// `admitted` must be a subsequence of `enumeration` (a filter over it,
+/// in order), which is how every plan key's list is built.
+pub(crate) fn encode_mask(enumeration: &[HybridConfig], admitted: &[HybridConfig]) -> String {
+    let mut words = vec![0u64; enumeration.len().div_ceil(64)];
+    let mut rest = admitted.iter().peekable();
+    for (i, cfg) in enumeration.iter().enumerate() {
+        if rest.next_if(|a| *a == cfg).is_some() {
+            words[i / 64] |= 1 << (i % 64);
+        }
+    }
+    debug_assert!(rest.peek().is_none(), "admitted list is not a subsequence");
+    let mut out = words.len().to_string();
+    for word in words {
+        write!(out, " {word:x}").expect("write to string");
+    }
+    out
+}
+
+/// Inverse of [`encode_mask`] over the same enumeration. A word count
+/// other than the enumeration's, or a bit past its end, fails the parse.
+pub(crate) fn decode_mask(
+    f: &mut Fields,
+    enumeration: &[HybridConfig],
+) -> Result<Vec<HybridConfig>, String> {
+    let words = f.usize()?;
+    let want = enumeration.len().div_ceil(64);
+    if words != want {
+        return Err(format!(
+            "candidate mask has {words} words, the enumeration needs {want}"
+        ));
+    }
+    let mut admitted = Vec::new();
+    for w in 0..words {
+        let s = f.next()?;
+        let mut word = u64::from_str_radix(s, 16).map_err(|_| format!("bad mask word {s:?}"))?;
+        while word != 0 {
+            let i = w * 64 + word.trailing_zeros() as usize;
+            let cfg = enumeration.get(i).ok_or_else(|| {
+                format!(
+                    "mask bit {i} is past the {}-candidate enumeration",
+                    enumeration.len()
+                )
+            })?;
+            admitted.push(*cfg);
+            word &= word - 1;
+        }
+    }
+    Ok(admitted)
+}
+
+/// A solved plan's value fields: `<winner cfg> <mode> <report> <n>
+/// <segment>... <chain cost>`, each segment `<kind> <count> <cfg>
+/// <step time>`. The engine rides in the record key; the workload is
+/// the context's own with the plan's recompute mode.
+pub(crate) fn encode_plan(plan: &ExecutionPlan) -> String {
+    let mut out = format!(
+        "{} {} {} {}",
+        encode_cfg(&plan.config),
+        mode_code(plan.workload.recompute),
+        encode_report(&plan.report),
+        plan.segments.len(),
+    );
+    for seg in &plan.segments {
+        write!(
+            out,
+            " {} {} {} {:?}",
+            seg.kind.code(),
+            seg.count,
+            encode_cfg(&seg.config),
+            seg.step_time
+        )
+        .expect("write to string");
+    }
+    write!(out, " {:?}", plan.chain_cost).expect("write to string");
+    out
+}
+
+/// Inverse of [`encode_plan`]: `base` is the context's workload.
+pub(crate) fn decode_plan(
+    engine: MappingEngine,
+    base: &Workload,
+    f: &mut Fields,
+) -> Result<ExecutionPlan, String> {
+    let config = decode_cfg(f)?;
+    let mode = mode_from_code(f.u8()?)?;
+    let report = decode_report(config, engine, f)?;
+    let n = f.usize()?;
+    let mut segments = Vec::new();
+    for _ in 0..n {
+        segments.push(SegmentAssignment {
+            kind: kind_from_code(f.u8()?)?,
+            count: f.u64()?,
+            config: decode_cfg(f)?,
+            step_time: f.f64()?,
+        });
+    }
+    Ok(ExecutionPlan {
+        config,
+        engine,
+        workload: base.clone().with_recompute(mode),
+        report,
+        segments,
+        chain_cost: f.f64()?,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,6 +530,39 @@ mod tests {
         let mut some = Fields::new("5");
         assert!(!some.takes_none_marker());
         assert_eq!(some.u64().unwrap(), 5);
+    }
+
+    #[test]
+    fn candidate_masks_round_trip_and_reject_stray_bits() {
+        let enumeration: Vec<HybridConfig> = (1..=70)
+            .map(|dp| HybridConfig {
+                dp,
+                ..HybridConfig::tuple(1, 1, 1, 1)
+            })
+            .collect();
+        let admitted: Vec<HybridConfig> = enumeration
+            .iter()
+            .copied()
+            .filter(|c| c.dp % 3 == 0 || c.dp > 66)
+            .collect();
+        let text = encode_mask(&enumeration, &admitted);
+        assert!(text.starts_with("2 "), "{text}");
+        let mut f = Fields::new(&text);
+        assert_eq!(decode_mask(&mut f, &enumeration).unwrap(), admitted);
+        f.finish().unwrap();
+        for bad in ["1 ffff", "3 0 0 0", "2 0 40", "2 0 zz", "2 0"] {
+            let mut f = Fields::new(bad);
+            assert!(decode_mask(&mut f, &enumeration).is_err(), "{bad}");
+        }
+
+        // The enumeration hash sees order as well as content.
+        let mut swapped = enumeration.clone();
+        swapped.swap(0, 1);
+        assert_ne!(enumeration_hash(&swapped), enumeration_hash(&enumeration));
+        assert_eq!(
+            enumeration_hash(&enumeration),
+            enumeration_hash(&enumeration.clone())
+        );
     }
 
     #[test]

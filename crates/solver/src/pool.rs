@@ -19,12 +19,13 @@
 //!   the caches the first sweep filled.
 //!
 //! Warmth also survives the process: [`ContextPool::save_to`] persists
-//! every context's cost table, segment table and collective memo as one
-//! text file per context (named by the
+//! every context's cost table, segment table, collective memo and plan
+//! memo as one text file per context (named by the
 //! [`crate::cost::WaferCostModel::fingerprint`] of its `(wafer, model,
 //! workload, cost-model version)`), and a pool pointed at that directory
 //! with [`ContextPool::load_from`] imports the matching file whenever a
-//! context is built — a second *process* solving the same zoo performs
+//! context is built — a second *process* answers every solve the first
+//! one memoized from the restored plan, and re-solves others with
 //! near-zero exact evaluations.
 
 use std::collections::HashMap;
@@ -71,7 +72,7 @@ impl ContextPool {
     }
 
     /// Persists every pooled context's warm state (cost table, segment
-    /// table, collective memo) into `dir`, one text
+    /// table, collective memo, plan memo) into `dir`, one text
     /// file per context, named by fingerprint. Returns the number of
     /// files written. Re-saving over an existing directory overwrites the
     /// matching files and leaves foreign files alone.
@@ -316,9 +317,12 @@ mod tests {
         let cold = ContextPool::new(WaferConfig::hpca());
         let ctx = cold.context(&model, &workload);
         ctx.cost_of(&cfg, temp_mapping::engines::MappingEngine::Tcme);
+        let cold_plan = cold.solver(&model, &workload).solve().expect("cold solve");
         cold.save_to(&dir).expect("save");
         let name = ContextPool::cache_file_name(&ctx);
         let good = std::fs::read_to_string(dir.join(&name)).expect("read good cache");
+        let (tables, plans) = good.split_at(good.find("plans ").expect("plans section"));
+        assert_eq!(plans.lines().count(), 2, "one memoized plan: {plans:?}");
 
         let truncated = {
             // Cut mid-line so the last record is torn, not merely absent.
@@ -330,11 +334,13 @@ mod tests {
         };
         let bit_flipped = good.replacen('.', "x", 1).into_bytes();
         let version_skewed = good
-            .replacen("temp-cache v3", "temp-cache v9", 1)
+            .replacen("temp-cache v4", "temp-cache v9", 1)
             .into_bytes();
-        // Two formats back: the header at v1, and segment records
+        // The previous format: the header at v3, and no plans section.
+        let v3_body = tables.replacen("temp-cache v4", "temp-cache v3", 1);
+        // Three formats back: the header at v1, and segment records
         // stored once per engine (an engine code after the config).
-        let v1_format = good
+        let v1_format = v3_body
             .replacen("temp-cache v3", "temp-cache v1", 1)
             .lines()
             .map(|line| match line.strip_prefix("S ") {
@@ -347,9 +353,9 @@ mod tests {
             })
             .collect::<String>()
             .into_bytes();
-        // The previous format: the header at v2, with the winner-rank and
+        // Two formats back: the header at v2, with the winner-rank and
         // gate-predictor sections ahead of the collective section.
-        let v2_format = good
+        let v2_format = v3_body
             .replacen("temp-cache v3", "temp-cache v2", 1)
             .replacen("\ncoll ", "\nwinner_rank 0\ngate 0\ncoll ", 1)
             .into_bytes();
@@ -372,13 +378,66 @@ mod tests {
         let mut fields: Vec<&str> = e_record.split(' ').collect();
         fields[9] = "258";
         let wrapped_code = good.replacen(e_record, &fields.join(" "), 1).into_bytes();
+        // `P <engine> <pp> <words> <word>... <cfg x8> <mode> <report x22>
+        // <segments> <kind> ...`: damage one field of the plan record.
+        let p_record = plans.lines().nth(1).expect("P record");
+        let p_fields: Vec<&str> = p_record.split(' ').collect();
+        let words: usize = p_fields[3].parse().expect("mask word count");
+        let with_p =
+            |fields: Vec<String>| good.replacen(p_record, &fields.join(" "), 1).into_bytes();
+        let owned = || p_fields.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+        let extra_word = {
+            let mut fields = owned();
+            fields[3] = (words + 1).to_string();
+            fields.insert(4 + words, "0".to_string());
+            with_p(fields)
+        };
+        let bit_past_end = {
+            let n = ctx.candidates().len();
+            assert!(n % 64 != 0, "{n} candidates leave no spare mask bit");
+            let mut fields = owned();
+            let last: u64 = u64::from_str_radix(&fields[3 + words], 16).expect("mask word");
+            fields[3 + words] = format!("{:x}", last | 1 << (n % 64));
+            with_p(fields)
+        };
+        let torn_plan = {
+            let mut fields = owned();
+            fields.truncate(fields.len() / 2);
+            with_p(fields)
+        };
+        let bad_segment_kind = {
+            let mut fields = owned();
+            let first_kind = 4 + words + 8 + 1 + 22 + 1;
+            assert_eq!(
+                fields[first_kind], "0",
+                "the chain opens with the embedding"
+            );
+            fields[first_kind] = "9".to_string();
+            with_p(fields)
+        };
+        // Masks index the candidate enumeration: plans saved under
+        // another order must not decode against this one.
+        let foreign_enumeration = {
+            let plans_header = plans.lines().next().expect("plans header");
+            let mut reordered = ctx.candidates().to_vec();
+            reordered.reverse();
+            let hash = crate::persist::enumeration_hash(&reordered);
+            good.replacen(plans_header, &format!("plans 1 {hash:016x}"), 1)
+                .into_bytes()
+        };
         let unreadable = vec![0xff, 0xfe, 0x80, 0x00, b'\n'];
-        let cases: [(&str, Vec<u8>); 9] = [
+        let cases: [(&str, Vec<u8>); 15] = [
             ("truncated", truncated),
             ("bit-flipped", bit_flipped),
             ("version-skewed", version_skewed),
             ("v1 format", v1_format),
             ("v2 format", v2_format),
+            ("v3 format", v3_body.into_bytes()),
+            ("P mask with an extra word", extra_word),
+            ("P mask bit past the enumeration", bit_past_end),
+            ("truncated P record", torn_plan),
+            ("out-of-range segment kind in a P record", bad_segment_kind),
+            ("plans over another enumeration", foreign_enumeration),
             ("evals 10^12", huge_count("1000000000000")),
             ("evals 10^17", huge_count("100000000000000000")),
             ("out-of-range engine code", wrapped_code),
@@ -392,6 +451,7 @@ mod tests {
             let wctx = warm.context(&model, &workload);
             // All-or-nothing: nothing from the corrupt file was applied,
             // and the context still costs correctly from scratch.
+            assert_eq!(wctx.plan_memo_len(), 0, "{what}: no plan may be restored");
             let (cost, _) = wctx.cost_of(&cfg, temp_mapping::engines::MappingEngine::Tcme);
             assert!(cost.is_finite(), "{what}: pool context must stay usable");
             assert!(
@@ -426,6 +486,8 @@ mod tests {
             0,
             "good cache must import after quarantines"
         );
+        assert_eq!(warm.solver(&model, &workload).solve(), Ok(cold_plan));
+        assert_eq!(wctx.stats().plan_hits, 1);
         assert!(dir.join(&name).exists());
 
         let _ = std::fs::remove_dir_all(&dir);

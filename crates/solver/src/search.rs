@@ -16,16 +16,16 @@
 //! * the **parallel costing** path — cache misses for a batch of
 //!   candidates are filled on the persistent work-stealing runtime
 //!   ([`crate::par`] over [`crate::runtime`]);
-//! * **cross-process warmth** — the evaluation cache, segment table and
-//!   collective memo round-trip through plain text
+//! * **cross-process warmth** — the evaluation cache, segment table,
+//!   collective memo and plan memo round-trip through plain text
 //!   ([`SearchContext::export_cost_table`] /
 //!   [`SearchContext::import_cost_table`]), fingerprint-keyed so imports
 //!   can never cross wafers, models, workloads or cost-model revisions;
 //! * a **plan memo** keyed by `PlanKey` — a solved plan is a pure
 //!   function of the costs above plus the solve's engine, pipeline
-//!   degree, candidate list and GA parameters, so a repeated query
-//!   returns the stored [`ExecutionPlan`] without costing, DP or GA
-//!   (in-memory only; see [`SearchContext::memoized_plan`]).
+//!   degree and candidate list, so a repeated query returns the stored
+//!   [`ExecutionPlan`] without costing or DP (see
+//!   [`SearchContext::memoized_plan`]).
 //!
 //! Sharing a context across solves (clone the [`std::sync::Arc`]) turns
 //! the seed behavior — seven baselines × full re-enumeration and
@@ -138,8 +138,9 @@ pub struct SearchStats {
     /// the degraded sibling. ContentionSim runs on the healthy path too,
     /// inside exact costing; that time is part of `exact_ns`.
     pub derate_ns: u64,
-    /// Solves answered whole from the plan memo: no cost-table lookup,
-    /// chain DP or GA ran, so they add to neither `hits` nor `misses`.
+    /// Solves answered whole from the plan memo (solved here or restored
+    /// by an import): no cost-table lookup or chain DP ran, so they add
+    /// to neither `hits` nor `misses`.
     pub plan_hits: u64,
 }
 
@@ -229,6 +230,8 @@ pub struct ImportSummary {
     pub segs: usize,
     /// Memoized collective-kernel entries imported.
     pub colls: usize,
+    /// Solved plans restored into the plan memo.
+    pub plans: usize,
 }
 
 /// Shared, thread-safe search state for one `(wafer, model, workload)`
@@ -527,7 +530,7 @@ impl SearchContext {
     /// flag only changes how many candidates pay the exact cost model.
     pub fn set_pruning(&self, on: bool) {
         if self.pruning.swap(on, Ordering::Relaxed) != on {
-            self.invalidate_plans();
+            self.replace_plans(Vec::new());
         }
     }
 
@@ -546,33 +549,43 @@ impl SearchContext {
 
     /// Serializes the full warm state of this context — the whole-chain
     /// evaluation cache (including memoized *failures*), the per-segment
-    /// cost table and the memoized collective kernel — as plain text,
-    /// keyed by
-    /// [`WaferCostModel::fingerprint`]. A fresh context importing this
-    /// re-solves the same searches with near-zero exact evaluations.
+    /// cost table, the memoized collective kernel and the plan memo — as
+    /// plain text, keyed by [`WaferCostModel::fingerprint`]. A fresh
+    /// context importing this answers every memoized solve from its
+    /// restored plan, and re-solves other searches with near-zero exact
+    /// evaluations.
     ///
     /// Format (line-oriented, floats `{:?}`-rendered so they round-trip
     /// bit-exactly):
     ///
     /// ```text
-    /// temp-cache v3 <fingerprint as 16 hex digits>
+    /// temp-cache v4 <fingerprint as 16 hex digits>
     /// evals <n>
     /// E <dp> <fsdp> <tp> <sp> <cp> <tatp> <ep> <pp> <engine> <mode> <report | ->
     /// segs <n>
     /// S <kind> <dp> ... <pp> <mode> <segment-cost | ->
     /// coll <n>
     /// C <kind> <participants> <bytes-bits> <raw-time>
+    /// plans <n> <enumeration hash as 16 hex digits>
+    /// P <engine> <pp> <words> <mask word>... <winner cfg> <mode> <report>
+    ///   <segments> (<kind> <count> <cfg> <step-time>)... <chain-cost>
     /// ```
     ///
     /// `S` records carry no engine: segment costs are engine-free, so one
-    /// segment table serves every mapping engine. Records are sorted, so
-    /// exporting the same state twice yields byte-identical text (HashMap
-    /// iteration order never leaks out).
+    /// segment table serves every mapping engine. A `P` record (one line)
+    /// is a memoized plan: its key's admitted candidates are a hex bitmask
+    /// over [`SearchContext::candidates_with_pp`], and its workload is the
+    /// context's own with the plan's recompute mode. The `plans` line
+    /// carries a hash of the base enumeration the masks index, so a
+    /// file written under another enumeration is rejected. Deadline'd solves
+    /// never enter the memo, so no best-effort plan is ever written.
+    /// Records are sorted, so exporting the same state twice yields
+    /// byte-identical text (HashMap iteration order never leaks out).
     pub fn export_cost_table(&self) -> String {
         use crate::persist;
         use std::fmt::Write as _;
 
-        let mut out = format!("temp-cache v3 {:016x}\n", self.cost.fingerprint());
+        let mut out = format!("temp-cache v4 {:016x}\n", self.cost.fingerprint());
 
         let mut evals: Vec<String> = self
             .cache
@@ -636,12 +649,41 @@ impl SearchContext {
             out.push_str(&line);
             out.push('\n');
         }
+
+        let mut plans: Vec<String> = self
+            .plans
+            .read()
+            .expect("plan memo lock")
+            .iter()
+            .map(|(key, plan)| {
+                format!(
+                    "P {} {} {} {}",
+                    persist::engine_code(key.engine),
+                    key.pp,
+                    persist::encode_mask(&self.candidates_with_pp(key.pp), &key.candidates),
+                    persist::encode_plan(plan),
+                )
+            })
+            .collect();
+        plans.sort_unstable();
+        writeln!(
+            out,
+            "plans {} {:016x}",
+            plans.len(),
+            persist::enumeration_hash(self.candidates())
+        )
+        .expect("write to string");
+        for line in plans {
+            out.push_str(&line);
+            out.push('\n');
+        }
         out
     }
 
     /// Imports a cache persisted by [`SearchContext::export_cost_table`]
     /// into this context, merging entry by entry (existing entries win —
     /// an import never clobbers state the live context already computed).
+    /// The plan memo is replaced by the file's plans.
     ///
     /// Imported entries touch neither the hit nor the miss counters:
     /// stats keep measuring what *this* process computed and reused.
@@ -660,8 +702,8 @@ impl SearchContext {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty cache text")?;
         let mut f = Fields::new(header);
-        if f.next()? != "temp-cache" || f.next()? != "v3" {
-            return Err(format!("not a temp-cache v3 header: {header:?}"));
+        if f.next()? != "temp-cache" || f.next()? != "v4" {
+            return Err(format!("not a temp-cache v4 header: {header:?}"));
         }
         let fp = u64::from_str_radix(f.next()?, 16).map_err(|e| format!("bad fingerprint: {e}"))?;
         f.finish()?;
@@ -747,11 +789,48 @@ impl SearchContext {
             colls.push((kind, participants, bits, time));
         }
 
+        let plans_line = lines.next().ok_or("missing plans section")?;
+        let mut f = Fields::new(plans_line);
+        if f.next()? != "plans" {
+            return Err(format!("expected plans section, got {plans_line:?}"));
+        }
+        let n_plans = f.usize()?;
+        let enumeration =
+            u64::from_str_radix(f.next()?, 16).map_err(|e| format!("bad enumeration hash: {e}"))?;
+        f.finish()?;
+        let own = persist::enumeration_hash(self.candidates());
+        if enumeration != own {
+            return Err(format!(
+                "plans index candidate enumeration {enumeration:016x}, \
+                 this context enumerates {own:016x}"
+            ));
+        }
+        let mut plans = Vec::with_capacity(n_plans.min(line_count));
+        for _ in 0..n_plans {
+            let line = lines.next().ok_or("truncated plans section")?;
+            let mut f = Fields::new(line);
+            if f.next()? != "P" {
+                return Err(format!("expected P record, got {line:?}"));
+            }
+            let engine = persist::engine_from_code(f.u8()?)?;
+            let pp = f.usize()?;
+            let candidates = persist::decode_mask(&mut f, &self.candidates_with_pp(pp))?;
+            let plan = persist::decode_plan(engine, self.cost.workload(), &mut f)?;
+            f.finish()?;
+            let key = PlanKey {
+                engine,
+                pp,
+                candidates,
+            };
+            plans.push((key, plan));
+        }
+
         // All parsed — merge.
         let summary = ImportSummary {
             evals: evals.len(),
             segs: segs.len(),
             colls: colls.len(),
+            plans: plans.len(),
         };
         for (key, report) in evals {
             self.cache.insert_if_absent(key, report);
@@ -760,8 +839,10 @@ impl SearchContext {
             self.seg_cache.insert_if_absent(key, cost);
         }
         self.cost.merge_collective_entries(&colls);
-        // Imported verdicts can move what the incumbent sees.
-        self.invalidate_plans();
+        // Imported verdicts can move what the incumbent sees, so the
+        // memo is replaced by the file's plans, each a pure function of
+        // the table it was saved with.
+        self.replace_plans(plans);
         Ok(summary)
     }
 
@@ -876,12 +957,15 @@ impl SearchContext {
         }
     }
 
-    /// Forgets every memoized plan after a setting that can move a
-    /// winner changed. The epoch bump comes first, so a solve that ran
-    /// under the old setting cannot store after the clear.
-    fn invalidate_plans(&self) {
+    /// Replaces the memo by `restored` (empty after a setting that can
+    /// move a winner changed) under one lock. The epoch bump comes first,
+    /// so a solve that ran under the old state cannot store after the
+    /// swap.
+    fn replace_plans(&self, restored: Vec<(PlanKey, ExecutionPlan)>) {
         self.plan_epoch.fetch_add(1, Ordering::SeqCst);
-        self.plans.write().expect("plan memo lock").clear();
+        let mut plans = self.plans.write().expect("plan memo lock");
+        plans.clear();
+        plans.extend(restored);
     }
 
     /// Cache counters so far.
@@ -1332,7 +1416,7 @@ impl SearchContext {
     ///    seed chunk of the best-bounded candidates), a candidate whose
     ///    lower-bounded chain value exceeds it cannot be on the optimal
     ///    DP path, so its row entry may be infinite without changing the
-    ///    DP/GA winner.
+    ///    chain DP winner.
     ///
     /// Skipped candidates are **not** cached (a skip is not a verdict);
     /// a warm rerun prunes a superset of the cold run's skips, so replays
@@ -1731,14 +1815,26 @@ mod tests {
         // Malformed input leaves the context untouched.
         let fresh = context();
         assert!(fresh.import_cost_table("").is_err());
-        assert!(fresh.import_cost_table("temp-cache v3 0\n").is_err());
-        // Older formats — v1 (per-engine segment table) and v2 (winner-rank
-        // and gate-predictor sections) — are rejected whole.
-        for old in ["v1", "v2"] {
-            let stale = text.replacen("temp-cache v3", &format!("temp-cache {old}"), 1);
+        assert!(fresh.import_cost_table("temp-cache v4 0\n").is_err());
+        // Older formats — v1 (per-engine segment table), v2 (winner-rank
+        // and gate-predictor sections) and v3 (no plans section) — are
+        // rejected whole.
+        for old in ["v1", "v2", "v3"] {
+            let stale = text.replacen("temp-cache v4", &format!("temp-cache {old}"), 1);
             let err = fresh.import_cost_table(&stale).unwrap_err();
-            assert!(err.contains("v3 header"), "{err}");
+            assert!(err.contains("v4 header"), "{err}");
         }
+        // A v4 header over a body without the plans section is torn.
+        let plans_line = text
+            .lines()
+            .find(|l| l.starts_with("plans "))
+            .expect("plans section");
+        let sectionless = text.replacen(&format!("{plans_line}\n"), "", 1);
+        let err = fresh.import_cost_table(&sectionless).unwrap_err();
+        assert!(err.contains("missing plans section"), "{err}");
+        // So is a plans section without its enumeration hash.
+        let unhashed = text.replacen(plans_line, "plans 0", 1);
+        assert!(fresh.import_cost_table(&unhashed).is_err());
         let truncated = text.lines().take(2).collect::<Vec<_>>().join("\n");
         assert!(fresh.import_cost_table(&truncated).is_err());
         let mangled = text.replacen("E ", "E x", 1);
@@ -1791,7 +1887,7 @@ mod tests {
         // The fingerprint embeds `COST_MODEL_VERSION`, so a cache written
         // by any other cost-model revision dies at the header.
         let header = text.lines().next().unwrap().to_string();
-        let skewed = text.replacen(&header, "temp-cache v3 0000000000000000", 1);
+        let skewed = text.replacen(&header, "temp-cache v4 0000000000000000", 1);
         let err = context().import_cost_table(&skewed).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
 

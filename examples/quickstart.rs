@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Run the full DLWS search: enumerate hybrid configurations, cost them
-    // with the TCME-mapped wafer model, DP + GA refine.
+    // with the TCME-mapped wafer model, solve the segment chain by DP.
     let plan = temp.solve()?;
     println!("\nTEMP plan: {}", plan.config);
     println!("  step time          {}", fmt_time(plan.report.step_time));

@@ -2,7 +2,8 @@
 //! persistent cache warm starts: pool results must be bit-identical to
 //! serial execution under stress (concurrent submitters, skewed task
 //! costs, nested submission), and a fresh process importing persisted
-//! caches must re-solve the zoo with (near) zero exact evaluations.
+//! caches must answer the zoo from restored plans with zero exact
+//! evaluations, and re-solve it identically from the tables alone.
 
 use std::sync::Arc;
 
@@ -10,7 +11,6 @@ use temp_repro::graph::models::ModelZoo;
 use temp_repro::graph::workload::Workload;
 use temp_repro::solver::pool::ContextPool;
 use temp_repro::solver::runtime::WorkPool;
-use temp_repro::wsc::config::WaferConfig;
 
 /// Deterministic xorshift — the stress tests are seeded, not flaky.
 fn xorshift(state: &mut u64) -> u64 {
@@ -103,52 +103,125 @@ fn nested_submission_inside_tasks_matches_serial() {
     assert_eq!(nested, serial);
 }
 
+/// Every cache file in `from`, copied into `to` with its plans section
+/// emptied: the tables a restart would import without restored plans.
+fn copy_without_plans(from: &std::path::Path, to: &std::path::Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).expect("create stripped dir");
+    for entry in std::fs::read_dir(from).expect("list cache dir") {
+        let path = entry.expect("cache dir entry").path();
+        let text = std::fs::read_to_string(&path).expect("read cache file");
+        let cut = text.find("\nplans ").expect("plans section") + 1;
+        let enumeration = text[cut..]
+            .split_ascii_whitespace()
+            .nth(2)
+            .expect("enumeration hash");
+        let stripped = format!("{}plans 0 {enumeration}\n", &text[..cut]);
+        std::fs::write(to.join(path.file_name().unwrap()), stripped).expect("write stripped");
+    }
+}
+
 #[test]
 fn persisted_caches_warm_start_a_fresh_pool_with_identical_plans() {
+    use temp_repro::graph::models::ModelConfig;
     use temp_repro::mapping::engines::MappingEngine;
+    use temp_repro::parallel::strategy::HybridConfig;
+    use temp_repro::serve::{model_by_slug, wafer_config, zoo_slugs};
+    use temp_repro::solver::dlws::ExecutionPlan;
+    use temp_repro::solver::SearchStats;
 
-    let dir =
-        std::env::temp_dir().join(format!("temp-warm-start-round-trip-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("temp-plan-restore-{}", std::process::id()));
+    let stripped = dir.with_extension("stripped");
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Keep the test fast: the two smallest zoo models stand in for the
-    // fig13 zoo (the full sweep runs in the benchmark and the CI smoke).
-    let zoo = [ModelZoo::gpt3_6_7b(), ModelZoo::llama2_7b()];
-    let engine = MappingEngine::Tcme;
-
-    // Cold process: solve everything, then persist.
-    let cold = ContextPool::new(WaferConfig::hpca());
-    let mut cold_plans = Vec::new();
-    let mut cold_evals = 0u64;
-    for model in &zoo {
-        let workload = Workload::for_model(model);
-        let plan = cold
-            .solver(model, &workload)
-            .solve_with_engine(engine, |_| true)
-            .expect("cold solve");
-        cold_evals += cold.context(model, &workload).stats().misses;
-        cold_plans.push(plan);
+    // One solve: `(wafer, model, engine, pp, Megatron-style filter?)`.
+    type Solve = (&'static str, ModelConfig, MappingEngine, usize, bool);
+    let megatron = |c: &HybridConfig| c.tatp == 1 && !c.fsdp;
+    let mut solves: Vec<Solve> = Vec::new();
+    for wafer in ["hpca", "8x8"] {
+        for slug in zoo_slugs() {
+            for engine in [
+                MappingEngine::Tcme,
+                MappingEngine::SMap,
+                MappingEngine::GMap,
+            ] {
+                solves.push((wafer, model_by_slug(slug).unwrap(), engine, 1, false));
+            }
+        }
     }
-    assert!(cold_evals > 0, "cold solves must evaluate");
-    assert_eq!(cold.save_to(&dir).expect("save"), zoo.len());
+    solves.push(("hpca", ModelZoo::gpt3_6_7b(), MappingEngine::SMap, 1, true));
+    solves.push(("hpca", ModelZoo::gpt3_6_7b(), MappingEngine::Tcme, 2, false));
+    assert_eq!(solves.len(), 8 * 2 * 3 + 2);
 
-    // "Fresh process": a brand-new pool importing the saved caches.
-    let warm = ContextPool::new(WaferConfig::hpca());
-    assert_eq!(warm.load_from(&dir).expect("load"), zoo.len());
-    let mut warm_evals = 0u64;
-    for (model, cold_plan) in zoo.iter().zip(&cold_plans) {
-        let workload = Workload::for_model(model);
-        let plan = warm
-            .solver(model, &workload)
-            .solve_with_engine(engine, |_| true)
-            .expect("warm solve");
-        assert_eq!(&plan, cold_plan, "warm-started plans must be bit-identical");
-        warm_evals += warm.context(model, &workload).stats().misses;
+    let pools =
+        || ["hpca", "8x8"].map(|wafer| ContextPool::new(wafer_config(wafer).expect("known wafer")));
+    let run = |pools: &[ContextPool; 2]| -> (Vec<ExecutionPlan>, SearchStats) {
+        let plans = solves
+            .iter()
+            .map(|(wafer, model, engine, pp, filtered)| {
+                let pool = &pools[usize::from(*wafer == "8x8")];
+                let solver = pool.solver(model, &Workload::for_model(model));
+                solver
+                    .solve_with_engine_pp(*engine, *pp, |c| !filtered || megatron(c))
+                    .expect("zoo solve")
+            })
+            .collect();
+        let mut stats = SearchStats::default();
+        for pool in pools {
+            stats += pool.aggregate_stats().0;
+        }
+        (plans, stats)
+    };
+
+    let cold = pools();
+    let (cold_plans, cold_stats) = run(&cold);
+    assert!(cold_stats.misses > 0);
+    for pool in &cold {
+        pool.save_to(&dir).expect("save");
     }
+
+    // A restart: every key is answered from its restored plan.
+    let warm = pools();
+    for pool in &warm {
+        pool.load_from(&dir).expect("load");
+    }
+    let (warm_plans, warm_stats) = run(&warm);
+    for (i, (warm, cold)) in warm_plans.iter().zip(&cold_plans).enumerate() {
+        assert_eq!(
+            warm, cold,
+            "solve {i} ({:?}) differs after restore",
+            solves[i].1.name
+        );
+    }
+    assert_eq!(warm_stats.plan_hits, solves.len() as u64);
+    assert_eq!(warm_stats.misses, 0, "{warm_stats:?}");
     assert_eq!(
-        warm_evals, 0,
-        "a warm start over the identical searches must run zero exact evaluations"
+        warm_stats.hits, 0,
+        "a restored plan reads no cost-table entry"
     );
 
+    // Without the plans section, the imported tables alone re-solve to
+    // the same plans with zero exact evaluations.
+    copy_without_plans(&dir, &stripped);
+    let resolved = pools();
+    for pool in &resolved {
+        pool.load_from(&stripped).expect("load stripped");
+    }
+    let (resolved_plans, resolved_stats) = run(&resolved);
+    assert_eq!(resolved_stats.plan_hits, 0);
+    assert_eq!(
+        resolved_stats.misses, 0,
+        "the imported tables alone answer every solve without evaluating: {resolved_stats:?}"
+    );
+    assert!(resolved_stats.hits > 0, "{resolved_stats:?}");
+    for (i, (plan, cold)) in resolved_plans.iter().zip(&cold_plans).enumerate() {
+        assert_eq!(
+            plan, cold,
+            "solve {i} ({:?}) differs after re-solve",
+            solves[i].1.name
+        );
+    }
+
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&stripped);
 }
