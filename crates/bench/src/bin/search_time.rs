@@ -364,9 +364,9 @@ fn main() {
     );
 
     header("multi-wafer sweep: 2 and 4 wafers, cold");
-    // A fresh framework so the sweep costs from a cold cache. Partitioned
-    // stages are not bound-pruned yet, so this count is the one stage
-    // pruning would cut.
+    // A fresh framework so the sweep costs from a cold cache: each
+    // point's stage solve bound-prunes its candidates against the
+    // verdicts the points before it cached.
     use temp_core::baselines::BaselineSystem;
     let sweep_temp = Temp::hpca(ModelZoo::gpt3_6_7b());
     let t0 = Instant::now();

@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use temp_graph::models::ModelConfig;
 use temp_graph::workload::Workload;
-use temp_parallel::strategy::HybridConfig;
 use temp_solver::cost::CostReport;
 use temp_solver::dlws::{Dlws, ExecutionPlan};
 use temp_solver::pool::ContextPool;
@@ -307,70 +306,22 @@ impl Temp {
     }
 
     /// Sweeps wafer counts and pipeline multipliers inside this
-    /// framework's one shared search context. The union of every distinct
-    /// pipeline degree's admitted candidates is pre-costed up front — the
-    /// partitioned degrees as **one** parallel batch (best load
-    /// balancing) — so the per-combination stage solves that follow
-    /// replay from the warm cache. Combinations
+    /// framework's one shared search context. Each point is one
+    /// [`Temp::evaluate_multiwafer`] solve, bound-pruned against the
+    /// verdicts the points before it left in the cache: combinations
     /// sharing a pipeline degree (2 wafers x 2 stages, 4 wafers x 1)
-    /// share all candidate costing and differ only in wafer placement and
-    /// handoff pricing.
+    /// share their candidate costing and differ only in wafer placement
+    /// and handoff pricing.
     pub fn evaluate_multiwafer_sweep(
         &self,
         system: &BaselineSystem,
         wafer_counts: &[usize],
         pp_multipliers: &[usize],
     ) -> Vec<MultiWaferSweepEntry> {
-        use std::collections::BTreeSet;
-
-        let combos: Vec<(usize, usize)> = wafer_counts
+        wafer_counts
             .iter()
             .filter(|c| **c > 0)
             .flat_map(|&c| pp_multipliers.iter().map(move |&m| (c, m.max(1))))
-            .collect();
-        // The pipeline degree each combo actually solves at: one wafer
-        // has no pipeline boundaries, so the planner collapses it to a
-        // single stage (`pp = 1`) regardless of the multiplier.
-        let distinct_pps: BTreeSet<usize> = combos
-            .iter()
-            .map(|&(c, m)| if c == 1 { 1 } else { c * m })
-            .collect();
-
-        // Pre-cost every degree's admitted batch. No dedup needed across
-        // degrees: every candidate carries its pipeline degree, so the
-        // batches are disjoint by construction.
-        let ctx = self.solver.context();
-        let partitioner = system.partitioner;
-        let groups: Vec<Vec<HybridConfig>> = distinct_pps
-            .iter()
-            .map(|&pp| {
-                ctx.candidates_with_pp(pp)
-                    .into_iter()
-                    .filter(|cfg| partitioner.admits_intra(cfg))
-                    .collect()
-            })
-            .collect();
-        // Route each group down the same path the per-combo solve takes,
-        // so the pre-cost fills exactly the cache entries the solves will
-        // read back. The single-stage group (`pp = 1`) goes through the
-        // bound-pruned chain path like `Dlws::solve_with_engine_pp` (its
-        // body row is the `ep = 1` subset; the full group prices the MoE
-        // row); partitioned degrees keep the exhaustive batch their stage
-        // DP needs.
-        let mut flat: Vec<HybridConfig> = Vec::new();
-        for group in &groups {
-            if group.iter().all(|c| c.pp == 1) {
-                let dense: Vec<HybridConfig> =
-                    group.iter().filter(|c| c.ep == 1).copied().collect();
-                let _ = ctx.cost_candidates_chain(&dense, group, system.engine);
-            } else {
-                flat.extend_from_slice(group);
-            }
-        }
-        let _ = ctx.cost_candidates(&flat, system.engine);
-
-        combos
-            .into_iter()
             .map(|(wafer_count, pp_multiplier)| {
                 let wafers = MultiWaferSystem::new(self.wafer().clone(), wafer_count)
                     .expect("positive wafer count");
@@ -517,9 +468,10 @@ mod tests {
             let single = temp.evaluate_multiwafer(&system, &wafers, e.pp_multiplier);
             assert_eq!(e.report, single, "{}x{}", e.wafer_count, e.pp_multiplier);
         }
-        // ...and replaying every point costs nothing new: the sweep's
-        // up-front batched pass already covered all distinct pipeline
-        // degrees.
+        // ...and replaying every point costs nothing new: each replay
+        // re-prunes against a cache holding its point's winner, so it
+        // skips a superset of what the sweep skipped and every
+        // candidate it does cost is already cached.
         assert_eq!(temp.search_stats().misses, after_sweep.misses);
 
         // 2x2 and 4x1 share the pp = 4 candidate costing but differ in
@@ -587,8 +539,8 @@ mod tests {
     #[test]
     fn sweeping_a_single_wafer_point_pre_costs_the_degree_it_solves_at() {
         // One wafer collapses to a single stage (`pp = 1`) whatever the
-        // multiplier; the sweep's up-front batch must cost that degree,
-        // not `1 x multiplier` — no wasted batch, no cold solve.
+        // multiplier; the sweep must cost that degree, not
+        // `1 x multiplier` — exactly the single-wafer solve's costing.
         let swept = Temp::hpca(ModelZoo::gpt3_6_7b());
         let entries = swept.evaluate_multiwafer_sweep(&BaselineSystem::temp(), &[1], &[2]);
         assert_eq!(entries.len(), 1);

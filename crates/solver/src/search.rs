@@ -1405,40 +1405,20 @@ impl SearchContext {
     /// MoeBlock row (if any) is priced over — a superset of `candidates`
     /// for MoE models, ignored for dense chains.
     ///
-    /// Two admissible skip rules (see [`WaferCostModel::chain_bounds`]):
-    ///
-    /// 1. **Prefilter** — candidates whose exact evaluation is guaranteed
-    ///    infinite (invalid degrees, disconnected fabric, HBM overflow
-    ///    under every recompute escalation) come back `(INFINITY, None)`
-    ///    without touching the cost model.
-    /// 2. **Incumbent dominance** — once any feasible candidate's full
-    ///    uniform chain value is known (warm cache, campaign seed, or the
-    ///    seed chunk of the best-bounded candidates), a candidate whose
-    ///    lower-bounded chain value exceeds it cannot be on the optimal
-    ///    DP path, so its row entry may be infinite without changing the
-    ///    chain DP winner.
-    ///
-    /// Skipped candidates are **not** cached (a skip is not a verdict);
-    /// a warm rerun prunes a superset of the cold run's skips, so replays
-    /// stay zero-miss. [`SearchContext::set_pruning`]`(false)` costs the
-    /// whole batch instead — the exhaustive reference tests compare
-    /// against; plans are bit-identical either way.
+    /// A candidate's lower bound is its [`WaferCostModel::chain_bounds`]
+    /// block row plus the per-row minima of the end segments; its exact
+    /// value is the uniform chain value (its own end rows plus its exact
+    /// block row), which the chain DP can always achieve. See
+    /// [`SearchContext::cost_candidates_bounded`] for the skip rules.
+    /// [`SearchContext::set_pruning`]`(false)` costs the whole batch
+    /// instead — the exhaustive reference tests compare against; plans
+    /// are bit-identical either way.
     pub fn cost_candidates_chain(
         &self,
         candidates: &[HybridConfig],
         moe_candidates: &[HybridConfig],
         engine: MappingEngine,
     ) -> Vec<CandidateCost> {
-        /// How many of the best-bounded uncached candidates seed the
-        /// incumbent on a cold cache. A fixed constant (never derived
-        /// from the worker count) so the pruned-candidate counts are
-        /// identical across `TEMP_THREADS` legs.
-        const SEED_CHUNK: usize = 16;
-        /// Relative slack on the dominance threshold, covering the float
-        /// association differences between the bound's fixed-order sums
-        /// and the exact evaluation's fold order.
-        const REL_MARGIN: f64 = 1e-9;
-
         if !self.pruning() {
             return self.cost_candidates(candidates, engine);
         }
@@ -1461,14 +1441,7 @@ impl SearchContext {
                 SegmentKind::MoeBlock => {
                     let full =
                         self.segment_step_costs(segment.kind, moe_candidates, engine, base_mode);
-                    let floor = full
-                        .iter()
-                        .copied()
-                        .filter(|t| t.is_finite())
-                        .fold(f64::INFINITY, f64::min);
-                    if floor.is_finite() {
-                        end_floor += floor;
-                    }
+                    end_floor += finite_min(&full);
                     let mut pos: HashMap<HybridConfig, usize> = HashMap::new();
                     for (i, c) in moe_candidates.iter().enumerate() {
                         pos.entry(*c).or_insert(i);
@@ -1480,14 +1453,7 @@ impl SearchContext {
                 }
                 kind => {
                     let row = self.segment_step_costs(kind, candidates, engine, base_mode);
-                    let floor = row
-                        .iter()
-                        .copied()
-                        .filter(|t| t.is_finite())
-                        .fold(f64::INFINITY, f64::min);
-                    if floor.is_finite() {
-                        end_floor += floor;
-                    }
+                    end_floor += finite_min(&row);
                     row
                 }
             };
@@ -1495,22 +1461,85 @@ impl SearchContext {
                 *s += v;
             }
         }
+        let lower: Vec<Option<f64>> = bounds
+            .iter()
+            .map(|b| b.feasible.then_some(end_floor + b.lb_block))
+            .collect();
+        self.add_bound_time(bound_started.elapsed());
 
-        // Prefilter: reject what the exact path is guaranteed to report
-        // infinite. Not cached — a skip is not a verdict.
+        self.cost_candidates_bounded(
+            candidates,
+            engine,
+            &lower,
+            |i, (t, payload)| match payload {
+                Some((_, report)) if t.is_finite() => end_sum[i] + report.block_time(),
+                _ => f64::INFINITY,
+            },
+        )
+    }
+
+    /// Charges bound-phase wall time to [`SearchStats::bound_ns`].
+    pub(crate) fn add_bound_time(&self, elapsed: std::time::Duration) {
+        self.bound_ns
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    /// The bound-pruning skeleton shared by the chain solve
+    /// ([`SearchContext::cost_candidates_chain`]) and the
+    /// stage-partitioned solve (`Dlws::solve_stage_partitioned`). The
+    /// caller supplies, per candidate, an admissible lower bound on the
+    /// objective it minimizes (`None` when the exact path is guaranteed
+    /// to report infinity) and `exact(i, cost)`, the objective value
+    /// candidate `i` achieves given its exact costing (infinite when it
+    /// cannot be scored). Three admissible skip rules:
+    ///
+    /// 1. **Prefilter** — `None` bounds come back `(INFINITY, None)`
+    ///    without touching the cost model (counted in `bound_pruned`).
+    /// 2. **Incumbent** — the best `exact` value among candidates whose
+    ///    verdict the cache already knows (warm contexts, campaign rate
+    ///    points, earlier solves). On a cold cache a fixed seed chunk —
+    ///    any forced campaign seeds plus the lowest-bounded candidates —
+    ///    is costed first to establish it.
+    /// 3. **Dominance** — an uncached candidate whose bound exceeds the
+    ///    incumbent (up to a relative float margin) cannot win, so it
+    ///    comes back `(INFINITY, None)` (counted in `dominated_pruned`).
+    ///
+    /// Skipped candidates are **not** cached (a skip is not a verdict);
+    /// a warm rerun prunes a superset of the cold run's skips, so replays
+    /// stay zero-miss. Everything else — cached verdicts (counted as
+    /// hits, exactly like the exhaustive path) and surviving unknowns —
+    /// pays [`SearchContext::cost_candidates`].
+    pub(crate) fn cost_candidates_bounded(
+        &self,
+        candidates: &[HybridConfig],
+        engine: MappingEngine,
+        lower: &[Option<f64>],
+        exact: impl Fn(usize, &CandidateCost) -> f64,
+    ) -> Vec<CandidateCost> {
+        /// How many of the best-bounded uncached candidates seed the
+        /// incumbent on a cold cache. A fixed constant (never derived
+        /// from the worker count) so the pruned-candidate counts are
+        /// identical across `TEMP_THREADS` legs.
+        const SEED_CHUNK: usize = 16;
+        /// Relative slack on the dominance threshold, covering the float
+        /// association differences between the bound's fixed-order sums
+        /// and the exact evaluation's fold order.
+        const REL_MARGIN: f64 = 1e-9;
+
+        let bound_started = std::time::Instant::now();
+        let n = candidates.len();
+        // Prefilter. Not cached — a skip is not a verdict.
         let mut results: Vec<Option<CandidateCost>> = vec![None; n];
         let mut prefiltered = 0u64;
-        for (i, b) in bounds.iter().enumerate() {
-            if !b.feasible {
+        for (i, lb) in lower.iter().enumerate() {
+            if lb.is_none() {
                 results[i] = Some((f64::INFINITY, None));
                 prefiltered += 1;
             }
         }
         self.bound_pruned.fetch_add(prefiltered, Ordering::Relaxed);
 
-        // Incumbent: the best uniform chain value among candidates whose
-        // verdict the cache already knows (warm contexts, prior campaign
-        // rate points, earlier solves).
+        // Incumbent from the verdicts the cache already holds.
         let mut incumbent = f64::INFINITY;
         let mut cached_idx: Vec<usize> = Vec::new();
         let mut uncached: Vec<usize> = Vec::new();
@@ -1519,30 +1548,23 @@ impl SearchContext {
                 continue;
             }
             match self.cost_of_cached(&candidates[i], engine) {
-                Some((t, payload)) => {
-                    if t.is_finite() {
-                        if let Some((_, report)) = &payload {
-                            incumbent = incumbent.min(end_sum[i] + report.block_time());
-                        }
-                    }
+                Some(cc) => {
+                    incumbent = incumbent.min(exact(i, &cc));
                     cached_idx.push(i);
                 }
                 None => uncached.push(i),
             }
         }
-        self.bound_ns
-            .fetch_add(bound_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let lb = |i: usize| lower[i].expect("prefiltered candidates are resolved");
+        self.add_bound_time(bound_started.elapsed());
 
-        // Cold cache: evaluate a deterministic seed chunk — any forced
-        // campaign seeds plus the best-bounded candidates — to establish
-        // the incumbent before pruning the rest.
+        // Cold cache: cost the deterministic seed chunk first.
         if !incumbent.is_finite() && !uncached.is_empty() {
             let forced = self.bound_seeds.read().expect("bound seeds lock").clone();
             let mut order = uncached.clone();
             order.sort_by(|&a, &b| {
-                bounds[a]
-                    .lb_block
-                    .partial_cmp(&bounds[b].lb_block)
+                lb(a)
+                    .partial_cmp(&lb(b))
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
             });
@@ -1562,26 +1584,20 @@ impl SearchContext {
             let seed_cfgs: Vec<HybridConfig> = seed.iter().map(|&i| candidates[i]).collect();
             let seed_costs = self.cost_candidates(&seed_cfgs, engine);
             for (&i, cc) in seed.iter().zip(seed_costs) {
-                if cc.0.is_finite() {
-                    if let Some((_, report)) = &cc.1 {
-                        incumbent = incumbent.min(end_sum[i] + report.block_time());
-                    }
-                }
+                incumbent = incumbent.min(exact(i, &cc));
                 results[i] = Some(cc);
             }
             uncached.retain(|i| !seed.contains(i));
         }
 
-        // Dominance: a candidate whose lower-bounded chain value exceeds
-        // the incumbent's (achievable) chain value cannot be on the
-        // optimal DP path.
+        // Dominance.
         let prune_started = std::time::Instant::now();
         let mut survivors: Vec<usize> = Vec::new();
         if incumbent.is_finite() {
             let threshold = incumbent * (1.0 + REL_MARGIN);
             let mut dominated = 0u64;
             for &i in &uncached {
-                if end_floor + bounds[i].lb_block > threshold {
+                if lb(i) > threshold {
                     results[i] = Some((f64::INFINITY, None));
                     dominated += 1;
                 } else {
@@ -1593,12 +1609,8 @@ impl SearchContext {
         } else {
             survivors = uncached;
         }
-        self.bound_ns
-            .fetch_add(prune_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.add_bound_time(prune_started.elapsed());
 
-        // Everything left — cached verdicts (counted as hits, exactly
-        // like the exhaustive path) and surviving unknowns — pays the
-        // exact cost model.
         let rest: Vec<usize> = cached_idx.into_iter().chain(survivors).collect();
         let rest_cfgs: Vec<HybridConfig> = rest.iter().map(|&i| candidates[i]).collect();
         let rest_costs = self.cost_candidates(&rest_cfgs, engine);
@@ -1609,6 +1621,21 @@ impl SearchContext {
             .into_iter()
             .map(|r| r.expect("every candidate resolved"))
             .collect()
+    }
+}
+
+/// The smallest finite entry of a cost row, or `0.0` when it has none —
+/// the additive floor a row contributes to a lower bound.
+pub(crate) fn finite_min(row: &[f64]) -> f64 {
+    let min = row
+        .iter()
+        .copied()
+        .filter(|t| t.is_finite())
+        .fold(f64::INFINITY, f64::min);
+    if min.is_finite() {
+        min
+    } else {
+        0.0
     }
 }
 

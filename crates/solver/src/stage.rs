@@ -29,20 +29,27 @@
 //! block unit time comes from the exact whole-model evaluation, the end
 //! segments from the closed-form per-segment cost table, and the cut
 //! positions from the
-//! [`crate::dp::balance_stage_cuts`] parametric DP. With one stage the
+//! [`crate::dp::balance_stage_cuts`] parametric DP. Candidates are
+//! bound-pruned like the single-wafer body row: since the pace is at
+//! least the mean wafer load, `(1 + (micro - 1) / W) x` a floor on
+//! `sum_s t_s` bounds every candidate's step from below, and a candidate
+//! whose bound exceeds an already-scored candidate's exact step is never
+//! costed (see [`crate::search::SearchContext::cost_candidates_bounded`]).
+//! Plans are bit-identical to the exhaustive search. With one stage the
 //! planner delegates to the single-wafer solve, so `wafer_count = 1`
 //! reproduces it bit-for-bit.
 
 use serde::{Deserialize, Serialize};
 
 use temp_graph::segment::{SegmentChain, SegmentKind};
-use temp_graph::workload::Workload;
+use temp_graph::workload::{RecomputeMode, Workload};
 use temp_mapping::engines::MappingEngine;
 use temp_parallel::strategy::HybridConfig;
 use temp_wsc::multiwafer::MultiWaferSystem;
 
 use crate::dlws::{Dlws, ExecutionPlan, SegmentAssignment};
 use crate::par;
+use crate::search::{finite_min, CandidateCost, SearchContext};
 use crate::{Result, SolverError};
 
 /// One pipeline stage of a multi-wafer plan: which slice of the chain it
@@ -143,24 +150,17 @@ impl Dlws {
         let pp_multiplier = pp_multiplier.max(1);
         // One wafer has no pipeline boundaries and its stages would
         // time-multiplex one die array, so the multiplier is moot: plan
-        // it as a single stage.
-        let stage_count = if wafers.wafer_count == 1 {
-            1
-        } else {
-            wafers.stage_count(pp_multiplier)
-        };
-        let ctx = self.context();
-        let chain = ctx.chain().clone();
-        let micro = ctx.cost_model().workload().micro_batches.max(1) as f64;
-
-        // One stage: the single-wafer solve *is* the plan (bit-for-bit).
-        if stage_count == 1 {
+        // it as a single stage. The single-wafer solve *is* that plan
+        // (bit-for-bit).
+        if wafers.wafer_count == 1 {
+            let ctx = self.context();
+            let micro = ctx.cost_model().workload().micro_batches.max(1) as f64;
             let body = self.solve_with_engine_pp(engine, 1, filter)?;
             let stage_time = body.report.step_time / micro;
             let stages = vec![StagePlan {
                 stage: 0,
                 wafer: 0,
-                chain,
+                chain: ctx.chain().clone(),
                 segments: body.segments.clone(),
                 stage_time,
                 inbound_bytes: 0.0,
@@ -178,25 +178,103 @@ impl Dlws {
             });
         }
 
-        // Interior instances in chain order: dense blocks and (for MoE
-        // models) MoE blocks. They are the pipeline's divisible work; the
-        // embedding/head stay pinned to the end stages.
-        let interior: Vec<(SegmentKind, u64)> = chain
+        let search = StageSearch::new(self.context(), wafers, pp_multiplier, engine, filter)?;
+        let costed = search.cost();
+        if costed.iter().all(|(t, _)| !t.is_finite()) {
+            return Err(SolverError::NoFeasiblePlan(
+                "every candidate OOMs even with full recomputation".into(),
+            ));
+        }
+
+        // Scoring one candidate is pure arithmetic over the precomputed
+        // rows, so the batch fans out on the runtime pool (its own cost
+        // class — items here are far cheaper than exact costing, so the
+        // adaptive cutoff keeps small sweeps serial), while the winner
+        // fold below runs in index order with strict less-than,
+        // bit-identical to the serial loop.
+        static STAGE_SCORE_CLASS: par::ParClass = par::ParClass::new();
+        let indices: Vec<usize> = (0..costed.len()).collect();
+        let scored = par::par_map_class(&STAGE_SCORE_CLASS, &indices, |&i| {
+            search.score(i, &costed[i])
+        });
+        let mut best: Option<Winner> = None;
+        for candidate in scored.into_iter().flatten() {
+            if best
+                .as_ref()
+                .map(|b| candidate.step < b.step)
+                .unwrap_or(true)
+            {
+                best = Some(candidate);
+            }
+        }
+        let w = best.ok_or_else(|| {
+            SolverError::NoFeasiblePlan("no candidate admits a stage partition".into())
+        })?;
+
+        search.assemble(w, &costed)
+    }
+}
+
+/// One partitioned stage problem (at least two wafers): the filtered
+/// candidate list at the pipeline degree, the interior runs the cuts
+/// balance over, and the end-segment rows and resharding charge every
+/// candidate's score reads.
+struct StageSearch<'a> {
+    ctx: &'a SearchContext,
+    wafers: &'a MultiWaferSystem,
+    engine: MappingEngine,
+    pp_multiplier: usize,
+    stage_count: usize,
+    micro: f64,
+    /// Interior instances in chain order: dense blocks and (for MoE
+    /// models) MoE blocks. They are the pipeline's divisible work; the
+    /// embedding/head stay pinned to the end stages.
+    interior: Vec<(SegmentKind, u64)>,
+    dense_blocks: u64,
+    moe_blocks: u64,
+    /// Per-wafer block floors: with `m` virtual stages per wafer every
+    /// stage must stay non-empty, so interior wafers need `m` blocks
+    /// and the end wafers `m - 1` (their end segment fills one stage).
+    wafer_mins: Vec<u64>,
+    candidates: Vec<HybridConfig>,
+    /// End-segment rows (per-step, closed-form) over `candidates`.
+    emb_row: Vec<f64>,
+    head_row: Vec<f64>,
+    /// Per-step resharding charge of moving an end segment off the
+    /// body's strategy — the same quantity the single-wafer chain DP
+    /// uses.
+    boundary_step: f64,
+}
+
+impl<'a> StageSearch<'a> {
+    /// # Errors
+    ///
+    /// [`SolverError::NoFeasiblePlan`] when the pipeline is deeper than
+    /// the block chain or no candidate passes `filter`.
+    fn new(
+        ctx: &'a SearchContext,
+        wafers: &'a MultiWaferSystem,
+        pp_multiplier: usize,
+        engine: MappingEngine,
+        filter: impl Fn(&HybridConfig) -> bool,
+    ) -> Result<Self> {
+        let stage_count = wafers.stage_count(pp_multiplier);
+        let interior: Vec<(SegmentKind, u64)> = ctx
+            .chain()
             .segments()
             .iter()
             .filter(|s| matches!(s.kind, SegmentKind::Block | SegmentKind::MoeBlock))
             .map(|s| (s.kind, s.count))
             .collect();
-        let dense_blocks: u64 = interior
-            .iter()
-            .filter(|(k, _)| *k == SegmentKind::Block)
-            .map(|(_, c)| c)
-            .sum();
-        let moe_blocks: u64 = interior
-            .iter()
-            .filter(|(k, _)| *k == SegmentKind::MoeBlock)
-            .map(|(_, c)| c)
-            .sum();
+        let count_of = |kind: SegmentKind| -> u64 {
+            interior
+                .iter()
+                .filter(|(k, _)| *k == kind)
+                .map(|(_, c)| c)
+                .sum()
+        };
+        let dense_blocks = count_of(SegmentKind::Block);
+        let moe_blocks = count_of(SegmentKind::MoeBlock);
         let blocks = dense_blocks + moe_blocks;
         if blocks == 0 {
             return Err(SolverError::Internal("chain has no block segment".into()));
@@ -217,25 +295,13 @@ impl Dlws {
                 "no candidates pass the filter".into(),
             ));
         }
-        let costed = ctx.cost_candidates(&candidates, engine);
-        if costed.iter().all(|(t, _)| !t.is_finite()) {
-            return Err(SolverError::NoFeasiblePlan(
-                "every candidate OOMs even with full recomputation".into(),
-            ));
-        }
 
-        // End-segment rows (per-step, closed-form) and the per-step
-        // resharding charge of moving an end segment off the body's
-        // strategy — the same quantities the single-wafer chain DP uses.
         let base_mode = ctx.cost_model().workload().recompute;
         let emb_row =
             ctx.segment_step_costs(SegmentKind::Embedding, &candidates, engine, base_mode);
         let head_row = ctx.segment_step_costs(SegmentKind::Head, &candidates, engine, base_mode);
-        let boundary_step = micro * ctx.full_reshard_cost();
+        let micro = ctx.cost_model().workload().micro_batches.max(1) as f64;
 
-        // Per-wafer block floors: with `m` virtual stages per wafer every
-        // stage must stay non-empty, so interior wafers need `m` blocks
-        // and the end wafers `m - 1` (their end segment fills one stage).
         let wafer_count = wafers.wafer_count;
         let m = pp_multiplier as u64;
         let wafer_mins: Vec<u64> = if m == 1 {
@@ -252,156 +318,215 @@ impl Dlws {
                 .collect()
         };
 
-        // Joint search: for each feasible body candidate, assign the end
-        // segments (per-segment cost table + resharding boundary), balance
-        // the wafer loads against the end-wafer extras, and price the
-        // pipelined step; keep the global minimum. Scoring one candidate
-        // is pure arithmetic over the precomputed rows, so the batch fans
-        // out on the runtime pool (its own cost class — items here are
-        // far cheaper than exact costing, so the adaptive cutoff keeps
-        // small sweeps serial), while the winner fold below runs in index
-        // order with strict less-than, bit-identical to the serial loop.
-        let score = |i: usize| -> Option<Winner> {
-            let (t, payload) = &costed[i];
-            if !t.is_finite() {
-                return None;
-            }
-            let (_, report) = payload.as_ref()?;
-            let (emb_idx, emb_step) = best_end(&emb_row, i, boundary_step);
-            let (head_idx, head_step) = best_end(&head_row, i, boundary_step);
-            if !emb_step.is_finite() || !head_step.is_finite() {
-                return None;
-            }
-            // Per-(micro-batch, instance) units of the body, one per
-            // interior kind: the exact whole-model dense/MoE times divided
-            // back out of Eq. 4 (`block_time = (micro + S - 1) x
-            // (dense / S) x layer_time`, and likewise `moe_time`).
-            let s_f = stage_count as f64;
-            let pipeline_reps = micro + s_f - 1.0;
-            let unit = if moe_blocks == 0 {
-                // Dense chains keep the seed arithmetic bit-for-bit.
-                let local_layers = (blocks as f64 / s_f).max(1.0);
-                report.block_time() / (pipeline_reps * local_layers)
-            } else if dense_blocks > 0 {
-                report.block_time() * s_f / (pipeline_reps * dense_blocks as f64)
-            } else {
-                0.0
-            };
-            let unit_moe = if moe_blocks > 0 {
-                report.moe_time * s_f / (pipeline_reps * moe_blocks as f64)
-            } else {
-                0.0
-            };
-            // Balance at wafer granularity: the pace is the most loaded
-            // wafer, however its blocks split into virtual stages. Dense
-            // chains keep the uniform parametric solver; mixed chains run
-            // the weighted one, whose cuts can isolate expert-heavy
-            // stretches onto their own wafers (a stage of expensive MoE
-            // instances simply takes fewer of them).
-            let cuts = if moe_blocks == 0 {
-                ctx.balanced_stage_cuts(
-                    blocks,
-                    wafer_count,
-                    unit,
-                    emb_step / micro,
-                    head_step / micro,
-                    &wafer_mins,
-                )
-            } else {
-                let weights = interior_weights(&interior, unit, unit_moe);
-                ctx.balanced_weighted_cuts(
-                    &weights,
-                    wafer_count,
-                    emb_step / micro,
-                    head_step / micro,
-                    &wafer_mins,
-                )
-            };
-            let cuts = cuts.ok()?;
-
-            // Handoffs: only wafer-crossing boundaries pay the link, and
-            // each is priced from the boundary tensor at its actual cut.
-            let mut handoff = 0.0;
-            let mut acc = 1u64; // the embedding precedes the first cut
-            for wafer_blocks in cuts.blocks.iter().take(wafer_count - 1) {
-                acc += wafer_blocks;
-                let bytes = chain.boundary_activation_bytes(acc).unwrap_or(0.0);
-                handoff += micro * wafers.inter_wafer_transfer_time(bytes);
-            }
-
-            let interior_time = dense_blocks as f64 * unit + moe_blocks as f64 * unit_moe;
-            let sum_stages = interior_time + (emb_step + head_step) / micro;
-            let step = (micro - 1.0) * cuts.bottleneck + sum_stages + handoff;
-            Some(Winner {
-                index: i,
-                emb_idx,
-                head_idx,
-                emb_step,
-                head_step,
-                unit,
-                unit_moe,
-                wafer_blocks: cuts.blocks,
-                pace: cuts.bottleneck,
-                bubble: sum_stages - cuts.bottleneck,
-                handoff,
-                step,
-            })
-        };
-        static STAGE_SCORE_CLASS: par::ParClass = par::ParClass::new();
-        let indices: Vec<usize> = (0..costed.len()).collect();
-        let scored = par::par_map_class(&STAGE_SCORE_CLASS, &indices, |&i| score(i));
-        let mut best: Option<Winner> = None;
-        for candidate in scored.into_iter().flatten() {
-            if best
-                .as_ref()
-                .map(|b| candidate.step < b.step)
-                .unwrap_or(true)
-            {
-                best = Some(candidate);
-            }
-        }
-        let w = best.ok_or_else(|| {
-            SolverError::NoFeasiblePlan("no candidate admits a stage partition".into())
-        })?;
-
-        self.assemble(
-            w,
+        Ok(StageSearch {
+            ctx,
             wafers,
-            pp_multiplier,
             engine,
-            &chain,
-            &interior,
-            &candidates,
-            &costed,
-            &emb_row,
-            &head_row,
+            pp_multiplier,
+            stage_count,
             micro,
-        )
+            interior,
+            dense_blocks,
+            moe_blocks,
+            wafer_mins,
+            candidates,
+            emb_row,
+            head_row,
+            boundary_step: micro * ctx.full_reshard_cost(),
+        })
+    }
+
+    /// Costs the candidates exactly, skipping those whose stage-step
+    /// lower bound cannot beat the incumbent
+    /// ([`SearchContext::cost_candidates_bounded`]); with pruning off,
+    /// the exhaustive batch.
+    fn cost(&self) -> Vec<CandidateCost> {
+        if !self.ctx.pruning() {
+            return self.ctx.cost_candidates(&self.candidates, self.engine);
+        }
+        let lower = self.lower_bounds();
+        self.ctx
+            .cost_candidates_bounded(&self.candidates, self.engine, &lower, |i, cc| {
+                self.score(i, cc).map_or(f64::INFINITY, |w| w.step)
+            })
+    }
+
+    /// Admissible lower bounds on every candidate's stage step
+    /// `(micro - 1) x pace + sum_stages + handoff`: the pace (the most
+    /// loaded wafer) is at least the mean wafer load `sum_stages / W`
+    /// and handoffs are non-negative, so with `S` stages
+    ///
+    /// ```text
+    /// lb = (1 + (micro - 1) / W) x ( S x lb_block / (micro + S - 1)
+    ///        + S x share x moe_layers x min_mode t_moe
+    ///        + (min emb_row + min head_row) / micro )
+    /// ```
+    ///
+    /// where `lb_block` is the [`WaferCostModel::chain_bounds`] block
+    /// row, `share = max(layers / S, 1) / layers` (Eq. 4's stage share)
+    /// and `t_moe` the per-micro MoE segment time, minimized over the
+    /// recompute modes the exact path may escalate through. `None` marks
+    /// candidates the exact path is guaranteed to price infinite.
+    ///
+    /// [`WaferCostModel::chain_bounds`]: crate::cost::WaferCostModel::chain_bounds
+    fn lower_bounds(&self) -> Vec<Option<f64>> {
+        let started = std::time::Instant::now();
+        let ctx = self.ctx;
+        let model = ctx.cost_model().model();
+        let s = self.stage_count as f64;
+        let w = self.wafers.wafer_count as f64;
+        let micro = self.micro;
+        let pace_factor = 1.0 + (micro - 1.0) / w;
+        let layers = model.layers as f64;
+        let moe_layers = model.moe_layer_count() as f64;
+        let share = (layers / s).max(1.0) / layers;
+        let end_floor = (finite_min(&self.emb_row) + finite_min(&self.head_row)) / micro;
+        let base_mode = ctx.cost_model().workload().recompute;
+        let bounds = ctx.cost_model().chain_bounds(&self.candidates);
+        let out = self
+            .candidates
+            .iter()
+            .zip(&bounds)
+            .map(|(cfg, b)| {
+                if !b.feasible {
+                    return None;
+                }
+                let moe = if moe_layers > 0.0 {
+                    let t_moe: Vec<f64> = [base_mode, RecomputeMode::Full]
+                        .into_iter()
+                        .filter_map(|mode| ctx.segment_cost(SegmentKind::MoeBlock, cfg, mode))
+                        .map(|sc| sc.time)
+                        .collect();
+                    s * share * moe_layers * finite_min(&t_moe)
+                } else {
+                    0.0
+                };
+                let interior = s * b.lb_block / (micro + s - 1.0) + moe;
+                Some(pace_factor * (interior + end_floor))
+            })
+            .collect();
+        ctx.add_bound_time(started.elapsed());
+        out
+    }
+
+    /// Scores candidate `i` given its exact costing: assigns the end
+    /// segments (per-segment cost table + resharding boundary), balances
+    /// the wafer loads against the end-wafer extras, and prices the
+    /// pipelined step. `None` when the candidate is infeasible or admits
+    /// no partition.
+    fn score(&self, i: usize, costed: &CandidateCost) -> Option<Winner> {
+        let (t, payload) = costed;
+        if !t.is_finite() {
+            return None;
+        }
+        let (_, report) = payload.as_ref()?;
+        let micro = self.micro;
+        let (emb_idx, emb_step) = best_end(&self.emb_row, i, self.boundary_step);
+        let (head_idx, head_step) = best_end(&self.head_row, i, self.boundary_step);
+        if !emb_step.is_finite() || !head_step.is_finite() {
+            return None;
+        }
+        let (dense_blocks, moe_blocks) = (self.dense_blocks, self.moe_blocks);
+        let blocks = dense_blocks + moe_blocks;
+        let wafer_count = self.wafers.wafer_count;
+        // Per-(micro-batch, instance) units of the body, one per
+        // interior kind: the exact whole-model dense/MoE times divided
+        // back out of Eq. 4 (`block_time = (micro + S - 1) x
+        // (dense / S) x layer_time`, and likewise `moe_time`).
+        let s_f = self.stage_count as f64;
+        let pipeline_reps = micro + s_f - 1.0;
+        let unit = if moe_blocks == 0 {
+            // Dense chains keep the seed arithmetic bit-for-bit.
+            let local_layers = (blocks as f64 / s_f).max(1.0);
+            report.block_time() / (pipeline_reps * local_layers)
+        } else if dense_blocks > 0 {
+            report.block_time() * s_f / (pipeline_reps * dense_blocks as f64)
+        } else {
+            0.0
+        };
+        let unit_moe = if moe_blocks > 0 {
+            report.moe_time * s_f / (pipeline_reps * moe_blocks as f64)
+        } else {
+            0.0
+        };
+        // Balance at wafer granularity: the pace is the most loaded
+        // wafer, however its blocks split into virtual stages. Dense
+        // chains keep the uniform parametric solver; mixed chains run
+        // the weighted one, whose cuts can isolate expert-heavy
+        // stretches onto their own wafers (a stage of expensive MoE
+        // instances simply takes fewer of them).
+        let cuts = if moe_blocks == 0 {
+            self.ctx.balanced_stage_cuts(
+                blocks,
+                wafer_count,
+                unit,
+                emb_step / micro,
+                head_step / micro,
+                &self.wafer_mins,
+            )
+        } else {
+            let weights = interior_weights(&self.interior, unit, unit_moe);
+            self.ctx.balanced_weighted_cuts(
+                &weights,
+                wafer_count,
+                emb_step / micro,
+                head_step / micro,
+                &self.wafer_mins,
+            )
+        };
+        let cuts = cuts.ok()?;
+
+        // Handoffs: only wafer-crossing boundaries pay the link, and
+        // each is priced from the boundary tensor at its actual cut.
+        let chain = self.ctx.chain();
+        let mut handoff = 0.0;
+        let mut acc = 1u64; // the embedding precedes the first cut
+        for wafer_blocks in cuts.blocks.iter().take(wafer_count - 1) {
+            acc += wafer_blocks;
+            let bytes = chain.boundary_activation_bytes(acc).unwrap_or(0.0);
+            handoff += micro * self.wafers.inter_wafer_transfer_time(bytes);
+        }
+
+        let interior_time = dense_blocks as f64 * unit + moe_blocks as f64 * unit_moe;
+        let sum_stages = interior_time + (emb_step + head_step) / micro;
+        let step = (micro - 1.0) * cuts.bottleneck + sum_stages + handoff;
+        Some(Winner {
+            index: i,
+            emb_idx,
+            head_idx,
+            emb_step,
+            head_step,
+            unit,
+            unit_moe,
+            wafer_blocks: cuts.blocks,
+            pace: cuts.bottleneck,
+            bubble: sum_stages - cuts.bottleneck,
+            handoff,
+            step,
+        })
     }
 
     /// Builds the [`MultiWaferPlan`] for a chosen winner: slices the
-    /// chain at the cut positions and attaches per-run assignments.
-    /// `interior` is the same (kind, count) run list the cut solver
-    /// balanced over — passed through so the stage-time accounting cannot
-    /// diverge from the cuts it prices.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        &self,
-        w: Winner,
-        wafers: &MultiWaferSystem,
-        pp_multiplier: usize,
-        engine: MappingEngine,
-        chain: &SegmentChain,
-        interior: &[(SegmentKind, u64)],
-        candidates: &[HybridConfig],
-        costed: &[crate::search::CandidateCost],
-        emb_row: &[f64],
-        head_row: &[f64],
-        micro: f64,
-    ) -> Result<MultiWaferPlan> {
+    /// chain at the cut positions and attaches per-run assignments. The
+    /// stage-time accounting reads the same interior run list the cut
+    /// solver balanced over, so it cannot diverge from the cuts it
+    /// prices.
+    fn assemble(&self, w: Winner, costed: &[CandidateCost]) -> Result<MultiWaferPlan> {
+        let StageSearch {
+            wafers,
+            engine,
+            pp_multiplier,
+            stage_count,
+            micro,
+            ref interior,
+            ref candidates,
+            ref emb_row,
+            ref head_row,
+            boundary_step,
+            ..
+        } = *self;
+        let chain = self.ctx.chain();
         let wafer_count = w.wafer_blocks.len();
-        let m = pp_multiplier.max(1);
-        let stage_count = wafer_count * m;
         let (workload, report): (Workload, _) = costed[w.index]
             .1
             .clone()
@@ -415,7 +540,7 @@ impl Dlws {
         for (wafer, &k) in w.wafer_blocks.iter().enumerate() {
             stage_blocks.extend(split_within_wafer(
                 k,
-                m,
+                pp_multiplier,
                 wafer == 0,
                 wafer == wafer_count - 1,
             ));
@@ -514,7 +639,7 @@ impl Dlws {
             + if w.emb_idx == w.index {
                 0.0
             } else {
-                micro * self.context().full_reshard_cost()
+                boundary_step
             }
             + report.block_time()
             + report.moe_time
@@ -522,7 +647,7 @@ impl Dlws {
             + if w.head_idx == w.index {
                 0.0
             } else {
-                micro * self.context().full_reshard_cost()
+                boundary_step
             };
         let mut body_segments = vec![assignment_for(SegmentKind::Embedding, 1)];
         for &(kind, count) in interior {
@@ -764,6 +889,70 @@ mod tests {
             .solve_stage_partitioned(MappingEngine::Tcme, &wafers(2), 1, |_| false)
             .unwrap_err();
         assert!(matches!(err, SolverError::NoFeasiblePlan(_)));
+    }
+
+    /// Every stage-step bound is admissible on a sampled candidate grid:
+    /// it never exceeds the exact step of a candidate that scores, and
+    /// `None` is only claimed when the exact path indeed returns
+    /// infinity.
+    #[test]
+    fn stage_bounds_are_admissible_on_a_sampled_grid() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashSet;
+
+        for model in [
+            ModelZoo::gpt3_6_7b(),
+            ModelZoo::gpt3_175b(),
+            ModelZoo::mixtral_8x7b(),
+            ModelZoo::deepseek_moe_16b(),
+        ] {
+            let name = model.name.clone();
+            let s = solver(model);
+            let ctx = s.context();
+            let mut rng = StdRng::seed_from_u64(0x57A6E);
+            let sampled: HashSet<HybridConfig> = ctx
+                .candidates()
+                .iter()
+                .filter(|_| rng.gen_bool(0.6))
+                .copied()
+                .collect();
+            let mut scored = 0;
+            for (wafer_count, m) in [(2, 1), (2, 2), (4, 1), (8, 1)] {
+                let sys = wafers(wafer_count);
+                let search = StageSearch::new(ctx, &sys, m, MappingEngine::Tcme, |c| {
+                    sampled.contains(&HybridConfig { pp: 1, ..*c })
+                })
+                .unwrap();
+                let lower = search.lower_bounds();
+                let costs = ctx.cost_candidates(&search.candidates, MappingEngine::Tcme);
+                for (i, (lb, cc)) in lower.iter().zip(&costs).enumerate() {
+                    let cfg = search.candidates[i];
+                    let Some(lb) = lb else {
+                        assert!(!cc.0.is_finite(), "{name} {cfg:?}: bound claims infeasible");
+                        continue;
+                    };
+                    if let Some(w) = search.score(i, cc) {
+                        scored += 1;
+                        assert!(
+                            *lb <= w.step * (1.0 + 1e-9),
+                            "{name} {wafer_count}x{m} {cfg:?}: bound {lb} above exact step {}",
+                            w.step
+                        );
+                    }
+                }
+            }
+            assert!(scored > 20, "{name}: only {scored} candidates scored");
+        }
+    }
+
+    #[test]
+    fn cold_two_wafer_stage_solve_prunes_dominated_candidates() {
+        let s = solver(ModelZoo::gpt3_6_7b());
+        s.solve_stage_partitioned(MappingEngine::Tcme, &wafers(2), 1, |_| true)
+            .unwrap();
+        let stats = s.search_stats();
+        assert!(stats.dominated_pruned > 0, "{stats:?}");
     }
 
     #[test]

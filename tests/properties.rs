@@ -595,32 +595,53 @@ fn memo_served_plans_equal_fresh_solves_zoo_wide() {
     }
 }
 
-/// Pruned and exhaustive two-wafer staged plans agree: the staged
-/// planner's pre-costing and pp=1 solves ride the bound-pruned chain
-/// path, so filling every pruned hole with exact costs must not change
-/// any stage assignment.
+/// Pruned and exhaustive staged plans agree over eval-sweep's axes: 2, 4
+/// and 8 wafers x 1 and 2 stages per wafer on the 8x4 array, for a
+/// dense model, a memory-bound one and two MoE chains, under TEMP's and
+/// an FSDP baseline's candidate filters. The stage solve bound-prunes
+/// its candidates, so filling every pruned hole with exact costs must
+/// change neither a plan nor an OOM verdict.
 #[test]
-fn bound_pruned_staged_plans_match_exhaustive_at_two_wafers() {
-    use temp_repro::core::baselines::BaselineSystem;
+fn bound_pruned_staged_plans_match_exhaustive_across_the_sweep() {
+    use temp_repro::core::baselines::{BaselineSystem, Partitioner};
     use temp_repro::core::framework::Temp;
-    use temp_repro::wsc::multiwafer::MultiWaferSystem;
 
-    for model in [ModelZoo::gpt3_6_7b(), ModelZoo::deepseek_moe_16b()] {
-        let name = model.name.clone();
-        let temp = Temp::hpca(model);
-        let system = BaselineSystem::temp();
-        let wafers = MultiWaferSystem::new(temp.wafer().clone(), 2).unwrap();
-        let pruned = temp.evaluate_multiwafer(&system, &wafers, 1);
-        let plan_hits = temp.search_stats().plan_hits;
-        temp.solver().context().set_pruning(false);
-        let exhaustive = temp.evaluate_multiwafer(&system, &wafers, 1);
-        assert_eq!(
-            temp.search_stats().plan_hits,
-            plan_hits,
-            "{name}: the exhaustive plan came from the memo"
-        );
-        assert_eq!(pruned, exhaustive, "{name}");
+    let fsdp = BaselineSystem::six_baselines()
+        .into_iter()
+        .find(|s| s.partitioner == Partitioner::Fsdp)
+        .expect("an FSDP baseline");
+    let mut dominated = 0;
+    for model in [
+        ModelZoo::gpt3_6_7b(),
+        ModelZoo::gpt3_175b(),
+        ModelZoo::mixtral_8x7b(),
+        ModelZoo::deepseek_moe_16b(),
+    ] {
+        for system in [BaselineSystem::temp(), fsdp] {
+            let name = format!("{} {}", model.name, system.label());
+            let temp = Temp::hpca(model.clone());
+            let pruned = temp.evaluate_multiwafer_sweep(&system, &[2, 4, 8], &[1, 2]);
+            let after_pruned = temp.search_stats();
+            dominated += after_pruned.dominated_pruned;
+            temp.solver().context().set_pruning(false);
+            let exhaustive = temp.evaluate_multiwafer_sweep(&system, &[2, 4, 8], &[1, 2]);
+            assert_eq!(
+                temp.search_stats().plan_hits,
+                after_pruned.plan_hits,
+                "{name}: an exhaustive plan came from the memo"
+            );
+            assert_eq!(pruned.len(), 6, "{name}");
+            for (p, e) in pruned.iter().zip(&exhaustive) {
+                let point = format!("{name} {}x{}", p.wafer_count, p.pp_multiplier);
+                assert_eq!(p.report.oom, e.report.oom, "{point}: OOM verdicts diverged");
+                assert_eq!(p.report.plan, e.report.plan, "{point}");
+            }
+        }
     }
+    assert!(
+        dominated > 0,
+        "the property is vacuous if no stage candidate was ever pruned"
+    );
 }
 
 /// On seeded degraded fabrics the pruned re-solve and the exhaustive
