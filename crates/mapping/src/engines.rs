@@ -19,7 +19,7 @@ use temp_sim::network::{ContentionSim, Flow, SimCache};
 use temp_wsc::config::WaferConfig;
 
 use crate::comm::{extract_comm_ops, layer_flows, CommOp, TaggedFlow};
-use crate::optimizer::TrafficOptimizer;
+use crate::optimizer::{multicast_link_loads, TrafficOptimizer};
 use crate::{MappingError, Result};
 
 /// Mapping engine choice.
@@ -57,14 +57,21 @@ pub struct MappingOutcome {
     /// Simulated time for one layer's communication under contention,
     /// scaled by per-layer op counts and ring rounds.
     pub comm_time_per_layer: f64,
-    /// Max per-link byte load of one layer's traffic.
-    pub max_link_load: f64,
     /// Contention-free (isolated) communication time for the same traffic —
     /// the gap to `comm_time_per_layer` is the congestion cost.
     pub isolated_comm_time: f64,
 }
 
 impl MappingOutcome {
+    /// Max per-link byte load of one layer's traffic (a multicast payload
+    /// counts once per link). Costing never reads it, so it is computed
+    /// on demand from `flows`.
+    pub fn max_link_load(&self) -> f64 {
+        multicast_link_loads(&self.flows)
+            .values()
+            .fold(0.0f64, |a, b| a.max(*b))
+    }
+
     /// Contention inflation factor (>= 1): simulated under load vs isolated.
     pub fn contention_factor(&self) -> f64 {
         if self.isolated_comm_time <= 0.0 {
@@ -89,40 +96,35 @@ pub fn map_hybrid(
     workload: &Workload,
     cfg: &HybridConfig,
 ) -> Result<MappingOutcome> {
-    let candidates: &[LayoutPolicy] = match engine {
+    let drafted = |policy| draft(engine, wafer, model, workload, cfg, policy);
+    match engine {
         // SMap's fixed strategy order pins it to the naive strip layout.
-        MappingEngine::SMap => &[LayoutPolicy::RowMajorStrips],
+        MappingEngine::SMap => Ok(drafted(LayoutPolicy::RowMajorStrips)?.simulate(wafer)),
         // GMap varies ordering/placement but judges candidates without
-        // contention awareness; TCME judges them with it and then runs the
-        // traffic optimizer on the winner.
-        MappingEngine::GMap | MappingEngine::Tcme => {
-            &[LayoutPolicy::TopologyAware, LayoutPolicy::RowMajorStrips]
+        // contention awareness: it ranks on isolated time alone, so only
+        // the winner (the first policy on a tie) is simulated.
+        MappingEngine::GMap => {
+            let first = drafted(LayoutPolicy::TopologyAware)?;
+            let second = drafted(LayoutPolicy::RowMajorStrips)?;
+            let winner = if second.isolated_comm_time < first.isolated_comm_time {
+                second
+            } else {
+                first
+            };
+            Ok(winner.simulate(wafer))
         }
-    };
-    let mut best: Option<MappingOutcome> = None;
-    for policy in candidates {
-        let outcome = map_with_policy(engine, wafer, model, workload, cfg, *policy)?;
-        let metric = match engine {
-            // Contention-agnostic ranking: isolated time only.
-            MappingEngine::GMap => outcome.isolated_comm_time,
-            // Contention-aware ranking.
-            _ => outcome.comm_time_per_layer,
-        };
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                let bm = match engine {
-                    MappingEngine::GMap => b.isolated_comm_time,
-                    _ => b.comm_time_per_layer,
-                };
-                metric < bm
-            }
-        };
-        if better {
-            best = Some(outcome);
+        // TCME judges candidates under contention, after running the
+        // traffic optimizer on each.
+        MappingEngine::Tcme => {
+            let first = drafted(LayoutPolicy::TopologyAware)?.simulate(wafer);
+            let second = drafted(LayoutPolicy::RowMajorStrips)?.simulate(wafer);
+            Ok(if second.comm_time_per_layer < first.comm_time_per_layer {
+                second
+            } else {
+                first
+            })
         }
     }
-    best.ok_or_else(|| MappingError::Layout("no candidate layout".into()))
 }
 
 thread_local! {
@@ -137,14 +139,28 @@ thread_local! {
 /// once it grows past this, keeping long campaigns memory-stable.
 const SIM_CACHE_CAP: usize = 8192;
 
-fn map_with_policy(
+/// One laid-out, routed candidate whose round has not been simulated
+/// under contention yet.
+struct Draft {
+    engine: MappingEngine,
+    layout: WaferLayout,
+    comm_ops: Vec<CommOp>,
+    flows: Vec<TaggedFlow>,
+    /// Round-count and per-layer multiplicity scale of the round.
+    scale: f64,
+    isolated_comm_time: f64,
+}
+
+/// Lays out `cfg` with `policy`, extracts and routes one layer's traffic
+/// (TCME also runs the traffic optimizer) and times it contention-free.
+fn draft(
     engine: MappingEngine,
     wafer: &WaferConfig,
     model: &ModelConfig,
     workload: &Workload,
     cfg: &HybridConfig,
     policy: LayoutPolicy,
-) -> Result<MappingOutcome> {
+) -> Result<Draft> {
     let mesh = wafer.mesh();
     let layout =
         WaferLayout::build(&mesh, cfg, policy).map_err(|e| MappingError::Layout(e.to_string()))?;
@@ -152,45 +168,56 @@ fn map_with_policy(
     let mut flows = layer_flows(&mesh, &comm_ops);
 
     if engine == MappingEngine::Tcme {
-        let optimizer = TrafficOptimizer::new(mesh.clone());
+        let optimizer = TrafficOptimizer::new(mesh);
         let outcome = optimizer.optimize(std::mem::take(&mut flows));
         flows = outcome.flows;
     }
 
-    // Time one representative round of all concurrent group traffic, then
-    // scale by each op's round count and per-layer multiplicity.
-    let sim = ContentionSim::new(wafer);
-    let raw: Vec<Flow> = flows.iter().map(|tf| tf.flow.clone()).collect();
-    let round_makespan = SIM_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if cache.len() > SIM_CACHE_CAP {
-            *cache = SimCache::new();
-        }
-        if raw.is_empty() {
-            0.0
-        } else {
-            sim.simulate_cached(&raw, &mut cache).makespan
-        }
-    });
     // Lone flows bypass the fluid event loop entirely: the scalar fast
     // path is bit-identical to simulating each flow on its own.
-    let isolated_round = raw
+    let sim = ContentionSim::new(wafer);
+    let isolated_round = flows
         .iter()
-        .map(|f| sim.isolated_makespan(f))
+        .map(|tf| sim.isolated_makespan(&tf.flow))
         .fold(0.0, f64::max);
     let scale = comm_rounds_scale(&comm_ops);
-    let loads = TrafficOptimizer::new(mesh).link_loads(&flows);
-    let max_link_load = loads.values().fold(0.0f64, |a, b| a.max(*b));
-
-    Ok(MappingOutcome {
+    Ok(Draft {
         engine,
         layout,
         comm_ops,
         flows,
-        comm_time_per_layer: round_makespan * scale,
-        max_link_load,
+        scale,
         isolated_comm_time: isolated_round * scale,
     })
+}
+
+impl Draft {
+    /// Times one representative round of all concurrent group traffic
+    /// under contention, then scales by each op's round count and
+    /// per-layer multiplicity.
+    fn simulate(self, wafer: &WaferConfig) -> MappingOutcome {
+        let sim = ContentionSim::new(wafer);
+        let raw: Vec<Flow> = self.flows.iter().map(|tf| tf.flow.clone()).collect();
+        let round_makespan = SIM_CACHE.with(|cache| {
+            let mut cache = cache.borrow_mut();
+            if cache.len() > SIM_CACHE_CAP {
+                *cache = SimCache::new();
+            }
+            if raw.is_empty() {
+                0.0
+            } else {
+                sim.makespan_cached(&raw, &mut cache)
+            }
+        });
+        MappingOutcome {
+            engine: self.engine,
+            layout: self.layout,
+            comm_ops: self.comm_ops,
+            flows: self.flows,
+            comm_time_per_layer: round_makespan * self.scale,
+            isolated_comm_time: self.isolated_comm_time,
+        }
+    }
 }
 
 /// Weighted ring-round count across ops: each op runs
@@ -234,24 +261,15 @@ mod tests {
     #[test]
     fn tcme_never_loses_to_gmap_on_link_load() {
         let (wafer, model, workload) = setup();
-        for cfg in [
-            HybridConfig::tuple(2, 2, 1, 8),
-            HybridConfig {
-                dp: 4,
-                fsdp: true,
-                tatp: 8,
-                ..Default::default()
-            },
-            HybridConfig::tuple(4, 2, 2, 2),
-        ] {
+        for cfg in test_configs() {
             let gmap = map_hybrid(MappingEngine::GMap, &wafer, &model, &workload, &cfg).unwrap();
             let tcme = map_hybrid(MappingEngine::Tcme, &wafer, &model, &workload, &cfg).unwrap();
             assert!(
-                tcme.max_link_load <= gmap.max_link_load * 1.001,
+                tcme.max_link_load() <= gmap.max_link_load() * 1.001,
                 "{}: tcme {} vs gmap {}",
                 cfg.label(),
-                tcme.max_link_load,
-                gmap.max_link_load
+                tcme.max_link_load(),
+                gmap.max_link_load()
             );
         }
     }
@@ -273,6 +291,95 @@ mod tests {
             tcme.comm_time_per_layer,
             smap.comm_time_per_layer
         );
+    }
+
+    /// The engine test configs of this module.
+    fn test_configs() -> [HybridConfig; 3] {
+        [
+            HybridConfig::tuple(2, 2, 1, 8),
+            HybridConfig {
+                dp: 4,
+                fsdp: true,
+                tatp: 8,
+                ..Default::default()
+            },
+            HybridConfig::tuple(4, 2, 2, 2),
+        ]
+    }
+
+    #[test]
+    fn gmap_simulating_only_its_winner_matches_simulating_both() {
+        let (wafer, model, workload) = setup();
+        for cfg in test_configs() {
+            // The former GMap path: simulate both policies, keep the first
+            // strictly better isolated time.
+            let mut expected: Option<MappingOutcome> = None;
+            for policy in [LayoutPolicy::TopologyAware, LayoutPolicy::RowMajorStrips] {
+                let outcome = draft(MappingEngine::GMap, &wafer, &model, &workload, &cfg, policy)
+                    .unwrap()
+                    .simulate(&wafer);
+                if expected
+                    .as_ref()
+                    .map_or(true, |b| outcome.isolated_comm_time < b.isolated_comm_time)
+                {
+                    expected = Some(outcome);
+                }
+            }
+            let gmap = map_hybrid(MappingEngine::GMap, &wafer, &model, &workload, &cfg).unwrap();
+            assert_eq!(Some(gmap), expected, "{}", cfg.label());
+        }
+    }
+
+    #[test]
+    fn tcme_mapping_is_deterministic() {
+        let model = ModelZoo::gpt3_6_7b();
+        let workload = Workload::for_model(&model);
+        for (w, h) in [(8u32, 4u32), (8, 8), (16, 8)] {
+            let wafer = WaferConfig::with_array(w, h).unwrap();
+            let mesh = wafer.mesh();
+            let dies = (w * h) as usize;
+            for cfg in [
+                HybridConfig::tuple(2, 2, 1, dies / 4),
+                HybridConfig::tuple(dies / 8, 2, 2, 2),
+                HybridConfig {
+                    dp: 4,
+                    fsdp: true,
+                    tatp: dies / 4,
+                    ..Default::default()
+                },
+            ] {
+                // Every `optimize` builds fresh load maps, each with its own
+                // hash seed: tied bottleneck loads must not follow them.
+                for policy in [LayoutPolicy::TopologyAware, LayoutPolicy::RowMajorStrips] {
+                    let layout = WaferLayout::build(&mesh, &cfg, policy).unwrap();
+                    let flows = layer_flows(&mesh, &extract_comm_ops(&layout, &model, &workload));
+                    let optimizer = TrafficOptimizer::new(mesh.clone());
+                    let first = optimizer.optimize(flows.clone());
+                    for _ in 0..4 {
+                        let again = optimizer.optimize(flows.clone());
+                        assert_eq!(
+                            again.flows,
+                            first.flows,
+                            "{} {policy:?} on {w}x{h}",
+                            cfg.label()
+                        );
+                    }
+                }
+                let first =
+                    map_hybrid(MappingEngine::Tcme, &wafer, &model, &workload, &cfg).unwrap();
+                for _ in 0..4 {
+                    let again =
+                        map_hybrid(MappingEngine::Tcme, &wafer, &model, &workload, &cfg).unwrap();
+                    assert_eq!(again.flows, first.flows, "{} on {w}x{h}", cfg.label());
+                    assert_eq!(
+                        again.contention_factor().to_bits(),
+                        first.contention_factor().to_bits(),
+                        "{} on {w}x{h}",
+                        cfg.label()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

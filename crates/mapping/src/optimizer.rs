@@ -76,27 +76,24 @@ impl TrafficOptimizer {
     /// Per-link loads with multicast dedup: a payload crossing a link in
     /// multiple flows is carried once.
     pub fn link_loads(&self, flows: &[TaggedFlow]) -> HashMap<LinkId, f64> {
-        let mut seen: std::collections::HashSet<(u64, LinkId)> = std::collections::HashSet::new();
-        let mut loads: HashMap<LinkId, f64> = HashMap::new();
-        for tf in flows {
-            for l in &tf.flow.route {
-                if seen.insert((tf.payload, *l)) {
-                    *loads.entry(*l).or_insert(0.0) += tf.flow.bytes;
-                }
-            }
-        }
-        loads
+        multicast_link_loads(flows)
     }
 
     fn max_load(&self, flows: &[TaggedFlow]) -> (Option<LinkId>, f64) {
         Self::max_of(&self.link_loads(flows))
     }
 
-    /// Most-loaded link of an already-built load map.
+    /// Most-loaded link of an already-built load map. Equal loads
+    /// resolve to the lowest [`LinkId`], so the bottleneck (and with it
+    /// every reroute) does not depend on map iteration order.
     fn max_of(loads: &HashMap<LinkId, f64>) -> (Option<LinkId>, f64) {
         loads
             .iter()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
+            .max_by(|a, b| {
+                a.1.partial_cmp(b.1)
+                    .expect("finite loads")
+                    .then_with(|| b.0.cmp(a.0))
+            })
             .map(|(l, v)| (Some(*l), *v))
             .unwrap_or((None, 0.0))
     }
@@ -260,6 +257,21 @@ impl TrafficOptimizer {
         path.reverse();
         Flow::with_path(&self.mesh, &path, bytes).ok()
     }
+}
+
+/// Per-link loads with multicast dedup: a payload crossing a link in
+/// multiple flows is carried once.
+pub(crate) fn multicast_link_loads(flows: &[TaggedFlow]) -> HashMap<LinkId, f64> {
+    let mut seen: std::collections::HashSet<(u64, LinkId)> = std::collections::HashSet::new();
+    let mut loads: HashMap<LinkId, f64> = HashMap::new();
+    for tf in flows {
+        for l in &tf.flow.route {
+            if seen.insert((tf.payload, *l)) {
+                *loads.entry(*l).or_insert(0.0) += tf.flow.bytes;
+            }
+        }
+    }
+    loads
 }
 
 /// Total-ordering wrapper for f64 heap keys (loads are always finite).

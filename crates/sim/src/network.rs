@@ -31,7 +31,7 @@ static WARM_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// `(hits, misses)` of every warm-start-capable simulation entry point
 /// ([`ContentionSim::simulate_warm`], [`ContentionSim::simulate_many`],
-/// [`ContentionSim::simulate_cached`]) since process start. Callers that
+/// [`ContentionSim::makespan_cached`]) since process start. Callers that
 /// want a per-phase rate snapshot the pair before and after.
 pub fn contention_warm_stats() -> (u64, u64) {
     (
@@ -141,6 +141,7 @@ pub struct ContentionReport {
     /// Bytes carried per link over the whole run.
     pub link_bytes: HashMap<LinkId, f64>,
     /// The most-loaded link and its byte count, if any traffic flowed.
+    /// Equal loads resolve to the lowest [`LinkId`].
     pub max_loaded_link: Option<(LinkId, f64)>,
 }
 
@@ -192,24 +193,260 @@ struct DenseScratch {
 }
 
 /// Reusable per-thread buffers for the fluid loop: remaining volumes,
-/// the active set and the dense water-filling scratch. The generation
-/// stamps inside [`DenseScratch`] make reuse across runs safe without
-/// clearing, so the steady-state simulation path performs no heap
-/// allocation beyond the returned report.
+/// the active set, the dense water-filling scratch and the component
+/// classes. The generation stamps inside [`DenseScratch`] and
+/// [`ClassScratch`] make reuse across runs safe without clearing, so the
+/// steady-state simulation path performs no heap allocation beyond the
+/// returned report.
 struct RunArena {
     scratch: DenseScratch,
+    classes: ClassScratch,
     remaining: Vec<f64>,
     active: Vec<usize>,
     next_active: Vec<usize>,
 }
 
+impl RunArena {
+    fn new() -> Self {
+        RunArena {
+            scratch: DenseScratch::new(0),
+            classes: ClassScratch::default(),
+            remaining: Vec::new(),
+            active: Vec::new(),
+            next_active: Vec::new(),
+        }
+    }
+
+    /// Loads the drain volumes of `flows` and makes every live flow
+    /// active. Local (zero-route) and zero-byte flows are not live: they
+    /// complete at t=0.
+    fn load(&mut self, flows: &[Flow]) {
+        self.remaining.clear();
+        self.remaining.extend(
+            flows
+                .iter()
+                .map(|f| f.bytes.max(0.0) * f.hops().max(1) as f64),
+        );
+        let remaining = &self.remaining;
+        self.active.clear();
+        self.active
+            .extend((0..flows.len()).filter(|&i| !flows[i].route.is_empty() && remaining[i] > 0.0));
+    }
+}
+
 thread_local! {
-    static RUN_ARENA: RefCell<RunArena> = RefCell::new(RunArena {
-        scratch: DenseScratch::new(0),
-        remaining: Vec::new(),
-        active: Vec::new(),
-        next_active: Vec::new(),
-    });
+    static RUN_ARENA: RefCell<RunArena> = RefCell::new(RunArena::new());
+}
+
+/// "No entry" marker of the `u32` index arrays in [`ClassScratch`].
+const NONE: u32 = u32::MAX;
+
+/// Splits the live flows of one run into link-disjoint components and
+/// groups the components into isomorphism classes, so the fluid loop runs
+/// on one representative per class.
+///
+/// Max–min water-filling never couples link-disjoint components: freezing
+/// a flow only touches the links of its own component, and the global
+/// bottleneck scan meets each component's links in the same relative
+/// order as a scan of that component alone. Two components with equal
+/// canonical forms (per flow, in order: payload bits, hop count, route
+/// with links relabelled in first-touch order) therefore hold identical
+/// remaining volumes and rates at every event, and add identical
+/// candidate event times. Dropping every copy leaves the event times, and
+/// so every float operation the representatives see, unchanged: each
+/// copy's completion is its representative's, bit for bit.
+#[derive(Default)]
+struct ClassScratch {
+    /// Per-link slot, valid where `stamp == generation`: during the split
+    /// the live position that first crossed the link, during keying the
+    /// link's first-touch label within the component.
+    slot: Vec<u32>,
+    stamp: Vec<u64>,
+    generation: u64,
+    /// Union-find parent per live position (roots are the smallest
+    /// position of their set).
+    parent: Vec<u32>,
+    /// Component of each live position.
+    comp: Vec<u32>,
+    /// Member flows (indices into the flow slice) grouped by component,
+    /// ascending within each; component `c` owns
+    /// `members[start[c]..start[c + 1]]`.
+    members: Vec<u32>,
+    start: Vec<u32>,
+    /// Canonical forms: component `c` owns the words from `key_start[c]`
+    /// up to the next component's start.
+    words: Vec<u64>,
+    key_start: Vec<u32>,
+    /// Representative component of each component (itself for a
+    /// representative). Empty when the last split found nothing to drop.
+    rep: Vec<u32>,
+    /// Canonical-form hash -> latest representative with that hash;
+    /// earlier representatives with a colliding hash chain through `next`.
+    by_hash: HashMap<u64, u32>,
+    next: Vec<u32>,
+}
+
+impl ClassScratch {
+    fn find(&mut self, mut p: u32) -> u32 {
+        while self.parent[p as usize] != p {
+            let grand = self.parent[self.parent[p as usize] as usize];
+            self.parent[p as usize] = grand;
+            p = grand;
+        }
+        p
+    }
+
+    fn union(&mut self, a: u32, b: u32) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra != rb {
+            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+            self.parent[hi as usize] = lo;
+        }
+    }
+
+    fn grow_to(&mut self, links: usize) {
+        if links > self.slot.len() {
+            self.slot.resize(links, 0);
+            self.stamp.resize(links, 0);
+        }
+    }
+
+    /// Keeps in `active` (the live flows, ascending) only the members of
+    /// each class's representative component, recording how to copy the
+    /// representatives' completion times back
+    /// ([`ClassScratch::copy_completions`]).
+    fn keep_representatives(&mut self, flows: &[Flow], active: &mut Vec<usize>) {
+        self.rep.clear();
+        let m = active.len();
+        if m < 2 {
+            return;
+        }
+        // Union-find over live positions: flows crossing a common link
+        // join one component.
+        self.generation += 1;
+        self.parent.clear();
+        self.parent.extend(0..m as u32);
+        for (p, &i) in active.iter().enumerate() {
+            for l in &flows[i].route {
+                let idx = l.index();
+                self.grow_to(idx + 1);
+                if self.stamp[idx] == self.generation {
+                    self.union(p as u32, self.slot[idx]);
+                } else {
+                    self.stamp[idx] = self.generation;
+                    self.slot[idx] = p as u32;
+                }
+            }
+        }
+        // Roots are their set's smallest position, so numbering roots in
+        // position order labels components by their first flow.
+        self.comp.clear();
+        let mut comps = 0u32;
+        for p in 0..m as u32 {
+            let r = self.find(p);
+            let c = if r == p { comps } else { self.comp[r as usize] };
+            comps += u32::from(r == p);
+            self.comp.push(c);
+        }
+        if comps < 2 {
+            return;
+        }
+        // Group members by component (counting sort, stable).
+        let comps = comps as usize;
+        self.start.clear();
+        self.start.resize(comps + 1, 0);
+        for &c in &self.comp {
+            self.start[c as usize + 1] += 1;
+        }
+        for c in 0..comps {
+            self.start[c + 1] += self.start[c];
+        }
+        self.members.clear();
+        self.members.resize(m, 0);
+        // `key_start` doubles as the fill cursor until keying resets it.
+        self.key_start.clear();
+        self.key_start.extend_from_slice(&self.start[..comps]);
+        for (p, &i) in active.iter().enumerate() {
+            let c = self.comp[p] as usize;
+            self.members[self.key_start[c] as usize] = i as u32;
+            self.key_start[c] += 1;
+        }
+        // Canonical form of each component, matched by hash plus a full
+        // comparison so two different components never merge.
+        self.words.clear();
+        self.key_start.clear();
+        self.by_hash.clear();
+        self.next.clear();
+        let mut dropped = false;
+        for c in 0..comps {
+            self.generation += 1;
+            let begin = self.words.len();
+            self.key_start.push(begin as u32);
+            let mut labels = 0u32;
+            for k in self.start[c]..self.start[c + 1] {
+                let f = &flows[self.members[k as usize] as usize];
+                self.words.push(f.bytes.to_bits());
+                self.words.push(f.route.len() as u64);
+                for l in &f.route {
+                    let idx = l.index();
+                    if self.stamp[idx] != self.generation {
+                        self.stamp[idx] = self.generation;
+                        self.slot[idx] = labels;
+                        labels += 1;
+                    }
+                    self.words.push(self.slot[idx] as u64);
+                }
+            }
+            let key = &self.words[begin..];
+            let hash = key.iter().fold(FNV_OFFSET, |h, &w| {
+                (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+            });
+            let head = self.by_hash.get(&hash).copied().unwrap_or(NONE);
+            let mut at = head;
+            while at != NONE {
+                let a = at as usize;
+                if &self.words[self.key_start[a] as usize..self.key_start[a + 1] as usize] == key {
+                    break;
+                }
+                at = self.next[a];
+            }
+            if at == NONE {
+                self.rep.push(c as u32);
+                self.next.push(head);
+                self.by_hash.insert(hash, c as u32);
+            } else {
+                self.rep.push(at);
+                self.next.push(NONE);
+                dropped = true;
+            }
+        }
+        if !dropped {
+            self.rep.clear();
+            return;
+        }
+        let (comp, rep) = (&self.comp, &self.rep);
+        let mut p = 0;
+        active.retain(|_| {
+            let c = comp[p];
+            p += 1;
+            rep[c as usize] == c
+        });
+    }
+
+    /// Gives every dropped copy its representative's completion times.
+    fn copy_completions(&self, completion: &mut [f64]) {
+        for (c, &r) in self.rep.iter().enumerate() {
+            let r = r as usize;
+            if r == c {
+                continue;
+            }
+            let copy = &self.members[self.start[c] as usize..self.start[c + 1] as usize];
+            let orig = &self.members[self.start[r] as usize..];
+            for (&to, &from) in copy.iter().zip(orig) {
+                completion[to as usize] = completion[from as usize];
+            }
+        }
+    }
 }
 
 impl DenseScratch {
@@ -346,35 +583,74 @@ impl ContentionSim {
     }
 
     /// As [`ContentionSim::simulate`] but computing fair rates with the
-    /// original `HashMap`-keyed water-filling. Retained as the reference
-    /// implementation the dense fast path is regression-tested against
-    /// (see `tests/two_tier.rs`); not intended for production use.
+    /// original `HashMap`-keyed water-filling over every live flow (no
+    /// component classes). Retained as the reference implementation the
+    /// dense fast path is regression-tested against (see
+    /// `tests/properties.rs`); not intended for production use.
     pub fn simulate_reference(&self, flows: &[Flow]) -> ContentionReport {
         self.run(flows, true)
     }
 
     fn run(&self, flows: &[Flow], reference: bool) -> ContentionReport {
-        RUN_ARENA.with(|arena| self.run_in(&mut arena.borrow_mut(), flows, reference))
+        let completion = self.completion_times(flows, reference);
+        let link_bytes = self.link_loads(flows);
+        let max_loaded_link = max_loaded(&link_bytes);
+        let makespan = completion.iter().fold(0.0f64, |a, b| a.max(*b));
+        ContentionReport {
+            completion,
+            makespan,
+            link_bytes,
+            max_loaded_link,
+        }
     }
 
-    fn run_in(&self, arena: &mut RunArena, flows: &[Flow], reference: bool) -> ContentionReport {
+    /// Per-flow completion times, per-hop latency included. The dense
+    /// path runs the fluid loop on one representative component per
+    /// isomorphism class (see [`ClassScratch`]); the reference path runs
+    /// it on every live flow.
+    fn completion_times(&self, flows: &[Flow], reference: bool) -> Vec<f64> {
+        RUN_ARENA.with(|arena| {
+            let arena = &mut *arena.borrow_mut();
+            arena.load(flows);
+            let mut completion = vec![0.0f64; flows.len()];
+            if reference {
+                self.fluid_loop(arena, flows, true, &mut completion);
+            } else {
+                arena.classes.keep_representatives(flows, &mut arena.active);
+                self.fluid_loop(arena, flows, false, &mut completion);
+                arena.classes.copy_completions(&mut completion);
+            }
+            self.add_hop_latency(flows, &mut completion);
+            completion
+        })
+    }
+
+    /// Charges per-hop pipeline latency on top of the fluid times.
+    fn add_hop_latency(&self, flows: &[Flow], completion: &mut [f64]) {
+        for (c, f) in completion.iter_mut().zip(flows) {
+            *c += f.hops() as f64 * self.hop_latency;
+        }
+    }
+
+    /// Progressive filling over the flows in `arena.active` (whose
+    /// drain volumes [`RunArena::load`] set): repeatedly compute each
+    /// active flow's max–min fair rate, advance time until the next flow
+    /// drains, repeat. Writes the fluid completion time of every flow it
+    /// drains into `completion`.
+    fn fluid_loop(
+        &self,
+        arena: &mut RunArena,
+        flows: &[Flow],
+        reference: bool,
+        completion: &mut [f64],
+    ) {
         let RunArena {
             scratch,
             remaining,
             active,
             next_active,
+            ..
         } = arena;
-        let n = flows.len();
-        remaining.clear();
-        remaining.extend(
-            flows
-                .iter()
-                .map(|f| f.bytes.max(0.0) * f.hops().max(1) as f64),
-        );
-        let mut completion = vec![0.0f64; n];
-        active.clear();
-        active.extend((0..n).filter(|i| !flows[*i].route.is_empty() && remaining[*i] > 0.0));
-        // Zero-route flows (local) and zero-byte flows complete immediately.
         let mut now = 0.0f64;
         let mut guard = 0usize;
         while !active.is_empty() {
@@ -415,22 +691,6 @@ impl ContentionSim {
                 }
             }
             std::mem::swap(active, next_active);
-        }
-        // Charge per-hop pipeline latency on top of the fluid time.
-        for (i, f) in flows.iter().enumerate() {
-            completion[i] += f.hops() as f64 * self.hop_latency;
-        }
-        let link_bytes = self.link_loads(flows);
-        let max_loaded_link = link_bytes
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
-            .map(|(l, b)| (*l, *b));
-        let makespan = completion.iter().fold(0.0f64, |a, b| a.max(*b));
-        ContentionReport {
-            completion,
-            makespan,
-            link_bytes,
-            max_loaded_link,
         }
     }
 
@@ -550,7 +810,7 @@ impl ContentionSim {
     }
 
     /// [`ContentionSim::route_signature`] extended with the payload bytes:
-    /// the exact-match key of [`ContentionSim::simulate_cached`].
+    /// the exact-match key of [`ContentionSim::makespan_cached`].
     fn flow_set_signature(&self, flows: &[Flow]) -> u64 {
         let mut h = self.route_signature(flows);
         for f in flows {
@@ -574,7 +834,7 @@ impl ContentionSim {
     /// fluid loop's absolute drain epsilon breaks exact homogeneity;
     /// regression-tested against [`ContentionSim::simulate_reference`]).
     /// Paths that must stay bit-identical to cold simulation use
-    /// [`ContentionSim::simulate_cached`] instead.
+    /// [`ContentionSim::makespan_cached`] instead.
     pub fn simulate_warm(&self, flows: &[Flow], warm: &mut WarmStart) -> ContentionReport {
         let sig = self.route_signature(flows);
         if warm.valid && warm.routes_sig == sig && warm.bytes.len() == flows.len() {
@@ -603,13 +863,14 @@ impl ContentionSim {
             .collect()
     }
 
-    /// Exact-match memoized simulation: a hit returns a clone of the
-    /// stored report, which is **bit-identical** to re-running the solve
-    /// (the simulation is a pure function of the flow set and the link
+    /// Exact-match memoized makespan: a hit returns the stored makespan,
+    /// which is **bit-identical** to `simulate(flows).makespan` (the
+    /// simulation is a pure function of the flow set and the link
     /// parameters — both are part of the match). This is the warm-start
     /// flavor the planning paths use, where plans must not depend on
-    /// simulation history or thread count.
-    pub fn simulate_cached(&self, flows: &[Flow], cache: &mut SimCache) -> ContentionReport {
+    /// simulation history or thread count. A miss runs the fluid loop
+    /// without building a [`ContentionReport`].
+    pub fn makespan_cached(&self, flows: &[Flow], cache: &mut SimCache) -> f64 {
         let sig = self.flow_set_signature(flows);
         let bandwidth_bits = self.link_bandwidth.to_bits();
         let latency_bits = self.hop_latency.to_bits();
@@ -620,20 +881,36 @@ impl ContentionSim {
                     && e.flows.as_slice() == flows
                 {
                     WARM_HITS.fetch_add(1, Ordering::Relaxed);
-                    return e.report.clone();
+                    return e.makespan;
                 }
             }
         }
         WARM_MISSES.fetch_add(1, Ordering::Relaxed);
-        let report = self.simulate(flows);
+        let makespan = self
+            .completion_times(flows, false)
+            .iter()
+            .fold(0.0f64, |a, b| a.max(*b));
         cache.entries.entry(sig).or_default().push(SimCacheEntry {
             bandwidth_bits,
             latency_bits,
             flows: flows.to_vec(),
-            report: report.clone(),
+            makespan,
         });
-        report
+        makespan
     }
+}
+
+/// The most-loaded link of a load map; equal loads resolve to the lowest
+/// [`LinkId`], so the choice does not depend on map iteration order.
+fn max_loaded(link_bytes: &HashMap<LinkId, f64>) -> Option<(LinkId, f64)> {
+    link_bytes
+        .iter()
+        .max_by(|a, b| {
+            a.1.partial_cmp(b.1)
+                .expect("finite loads")
+                .then_with(|| b.0.cmp(a.0))
+        })
+        .map(|(l, b)| (*l, *b))
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -709,10 +986,7 @@ impl WarmStart {
         let makespan = completion.iter().fold(0.0f64, |a, b| a.max(*b));
         let link_bytes: HashMap<LinkId, f64> =
             self.link_bytes.iter().map(|&(l, b)| (l, b * s)).collect();
-        let max_loaded_link = link_bytes
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
-            .map(|(l, b)| (*l, *b));
+        let max_loaded_link = max_loaded(&link_bytes);
         ContentionReport {
             completion,
             makespan,
@@ -742,8 +1016,8 @@ impl WarmStart {
     }
 }
 
-/// Exact-match memo of fully-solved flow sets (see
-/// [`ContentionSim::simulate_cached`]). Entries verify the full flow set
+/// Exact-match memo of solved flow-set makespans (see
+/// [`ContentionSim::makespan_cached`]). Entries verify the full flow set
 /// and link parameters on hit, so one cache may serve simulators with
 /// different wafer configurations.
 #[derive(Debug, Default)]
@@ -756,7 +1030,7 @@ struct SimCacheEntry {
     bandwidth_bits: u64,
     latency_bits: u64,
     flows: Vec<Flow>,
-    report: ContentionReport,
+    makespan: f64,
 }
 
 impl SimCache {
@@ -1016,18 +1290,238 @@ mod tests {
         let (mesh, sim) = setup();
         let mut cache = SimCache::new();
         let flows = contended_mix(&mesh, 1.0);
-        let first = sim.simulate_cached(&flows, &mut cache);
+        let fresh = sim.simulate(&flows).makespan;
+        let first = sim.makespan_cached(&flows, &mut cache);
         assert_eq!(cache.len(), 1);
-        let second = sim.simulate_cached(&flows, &mut cache);
+        let second = sim.makespan_cached(&flows, &mut cache);
         assert_eq!(cache.len(), 1);
-        assert_eq!(first.completion, second.completion);
-        assert_eq!(first.makespan.to_bits(), second.makespan.to_bits());
-        assert_eq!(first.link_bytes, second.link_bytes);
+        assert_eq!(first.to_bits(), fresh.to_bits());
+        assert_eq!(second.to_bits(), fresh.to_bits());
         // A different payload on the same routes is a distinct entry.
         let other = contended_mix(&mesh, 2.0);
-        let third = sim.simulate_cached(&other, &mut cache);
+        let third = sim.makespan_cached(&other, &mut cache);
         assert_eq!(cache.len(), 2);
-        assert_eq!(third.completion, sim.simulate(&other).completion);
+        assert_eq!(third.to_bits(), sim.simulate(&other).makespan.to_bits());
+    }
+
+    /// The fluid loop over every live flow, no component classes: the
+    /// baseline the deduplicated [`ContentionSim::simulate`] must match.
+    fn undeduplicated(sim: &ContentionSim, flows: &[Flow]) -> Vec<f64> {
+        let mut arena = RunArena::new();
+        arena.load(flows);
+        let mut completion = vec![0.0; flows.len()];
+        sim.fluid_loop(&mut arena, flows, false, &mut completion);
+        sim.add_hop_latency(flows, &mut completion);
+        completion
+    }
+
+    /// `(live flows, flows the deduplicated loop runs)` of a flow set.
+    fn dedup_counts(flows: &[Flow]) -> (usize, usize) {
+        let mut arena = RunArena::new();
+        arena.load(flows);
+        let live = arena.active.len();
+        arena.classes.keep_representatives(flows, &mut arena.active);
+        (live, arena.active.len())
+    }
+
+    fn assert_dedup_bit_identical(sim: &ContentionSim, flows: &[Flow], what: &str) {
+        let full = undeduplicated(sim, flows);
+        let report = sim.simulate(flows);
+        for (i, (d, f)) in report.completion.iter().zip(&full).enumerate() {
+            assert_eq!(d.to_bits(), f.to_bits(), "{what}, flow {i}: {d} vs {f}");
+        }
+        let makespan = full.iter().fold(0.0f64, |a, b| a.max(*b));
+        assert_eq!(report.makespan.to_bits(), makespan.to_bits(), "{what}");
+    }
+
+    fn die(mesh: &Mesh, x: u32, y: u32) -> DieId {
+        mesh.die_at(Coord::new(x, y)).unwrap()
+    }
+
+    /// One ring round over `group` (every member ships to its successor).
+    fn ring(mesh: &Mesh, group: &[DieId], bytes: f64) -> Vec<Flow> {
+        (0..group.len())
+            .map(|i| Flow::xy(mesh, group[i], group[(i + 1) % group.len()], bytes))
+            .collect()
+    }
+
+    #[test]
+    fn deduplicated_loop_is_bit_identical_on_tiled_groups() {
+        let sim = setup().1;
+        let mut rng = StdRng::seed_from_u64(0x18);
+        for (w, h) in [(8u32, 4u32), (8, 8), (16, 8)] {
+            let mesh = Mesh::new(w, h).unwrap();
+            // 2x2 rings tiling the mesh plus row rings of 4 over the even
+            // rows: translated copies of two component shapes, with the
+            // row rings contending with the blocks they overlap.
+            let (block, row) = (rng.gen_range(1.0..64.0) * MB, rng.gen_range(1.0..64.0) * MB);
+            let mut flows = Vec::new();
+            for y in (0..h).step_by(2) {
+                for x in (0..w).step_by(2) {
+                    let g = [
+                        die(&mesh, x, y),
+                        die(&mesh, x + 1, y),
+                        die(&mesh, x + 1, y + 1),
+                        die(&mesh, x, y + 1),
+                    ];
+                    flows.extend(ring(&mesh, &g, block));
+                }
+            }
+            for y in (0..h).step_by(2) {
+                for x in (0..w).step_by(4) {
+                    let g: Vec<DieId> = (x..x + 4).map(|x| die(&mesh, x, y)).collect();
+                    flows.extend(ring(&mesh, &g, row));
+                }
+            }
+            let (live, kept) = dedup_counts(&flows);
+            assert!(kept < live, "{w}x{h}: translated copies must be dropped");
+            assert_dedup_bit_identical(&sim, &flows, &format!("tiled {w}x{h}"));
+        }
+    }
+
+    #[test]
+    fn deduplicated_loop_is_bit_identical_on_mirrored_and_near_copies() {
+        let (_, sim) = setup();
+        let mesh = Mesh::new(8, 8).unwrap();
+        // A contended chain on the left and its mirror image on the right:
+        // equal canonical forms, opposite link directions.
+        let chain = |flip: bool, y: u32, bytes: f64| -> Vec<Flow> {
+            let x = |x: u32| if flip { 7 - x } else { x };
+            vec![
+                Flow::xy(&mesh, die(&mesh, x(0), y), die(&mesh, x(2), y), bytes),
+                Flow::xy(&mesh, die(&mesh, x(1), y), die(&mesh, x(3), y), 2.0 * bytes),
+                Flow::xy(&mesh, die(&mesh, x(1), y), die(&mesh, x(2), y + 1), bytes),
+            ]
+        };
+        let mut flows = chain(false, 0, 16.0 * MB);
+        flows.extend(chain(true, 0, 16.0 * MB));
+        let (live, kept) = dedup_counts(&flows);
+        assert_eq!(kept * 2, live, "the mirror is a copy");
+        assert_dedup_bit_identical(&sim, &flows, "mirrored");
+
+        // Of three translated chains, the two with equal payloads are one
+        // class; the one whose payload differs in the last mantissa bit of
+        // one flow is another.
+        let mut near = chain(false, 0, 16.0 * MB);
+        near.extend(chain(false, 2, 16.0 * MB));
+        let mut other = chain(false, 5, 16.0 * MB);
+        other[1].bytes = f64::from_bits(other[1].bytes.to_bits() ^ 1);
+        near.extend(other);
+        let (live, kept) = dedup_counts(&near);
+        assert_eq!(kept, live - 3, "only the exact copy is dropped");
+        assert_dedup_bit_identical(&sim, &near, "one payload bit apart");
+    }
+
+    #[test]
+    fn deduplicated_loop_is_bit_identical_on_lone_local_and_empty_flows() {
+        let (_, sim) = setup();
+        let mesh = Mesh::new(8, 8).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x1d);
+        let n = mesh.die_count() as u32;
+        let mut flows = Vec::new();
+        // Single-flow components: one-hop neighbor shifts with a few
+        // payload sizes, interleaved with local and zero-byte flows.
+        for x in 0..7 {
+            for y in 0..8 {
+                let bytes = [8.0, 16.0, 24.0][rng.gen_range(0..3usize)] * MB;
+                flows.push(Flow::xy(
+                    &mesh,
+                    die(&mesh, x, y),
+                    die(&mesh, x + 1, y),
+                    bytes,
+                ));
+                if rng.gen_range(0..4u32) == 0 {
+                    let d = DieId(rng.gen_range(0..n));
+                    flows.push(Flow::xy(&mesh, d, d, 4.0 * MB));
+                }
+                if rng.gen_range(0..4u32) == 0 {
+                    let (a, b) = (DieId(rng.gen_range(0..n)), DieId(rng.gen_range(0..n)));
+                    flows.push(Flow::xy(&mesh, a, b, 0.0));
+                }
+            }
+        }
+        let (live, kept) = dedup_counts(&flows);
+        assert!(kept <= 3 && live == 56, "{kept} of {live}");
+        assert_dedup_bit_identical(&sim, &flows, "lone flows");
+        // Degenerate sets: nothing live, one live flow.
+        let local = Flow::xy(&mesh, DieId(3), DieId(3), MB);
+        let empty = Flow::xy(&mesh, DieId(0), DieId(9), 0.0);
+        assert_dedup_bit_identical(&sim, &[local.clone(), empty.clone()], "no live flow");
+        let lone = Flow::xy(&mesh, DieId(0), DieId(9), MB);
+        assert_dedup_bit_identical(&sim, &[local, lone, empty], "one live flow");
+    }
+
+    #[test]
+    fn deduplicated_loop_is_bit_identical_on_seeded_random_traffic() {
+        let (_, sim) = setup();
+        let mut rng = StdRng::seed_from_u64(0xd1ff);
+        for case in 0..48 {
+            let (w, h) = (rng.gen_range(2u32..12), rng.gen_range(1u32..10));
+            let mesh = Mesh::new(w, h).unwrap();
+            let n = mesh.die_count() as u32;
+            // Short flows keep several components apart; a shared payload
+            // menu makes isomorphic ones likely.
+            let flows: Vec<Flow> = (0..rng.gen_range(2usize..40))
+                .map(|_| {
+                    let a = DieId(rng.gen_range(0..n));
+                    let c = mesh.coord(a).unwrap();
+                    let (x, y) = (
+                        (c.x + rng.gen_range(0..2u32)).min(w - 1),
+                        (c.y + rng.gen_range(0..2u32)).min(h - 1),
+                    );
+                    let bytes = [0.0, 1.0, 2.0, 3.0][rng.gen_range(0..4usize)] * MB;
+                    Flow::xy(&mesh, a, die(&mesh, x, y), bytes)
+                })
+                .collect();
+            assert_dedup_bit_identical(&sim, &flows, &format!("case {case} ({w}x{h})"));
+        }
+    }
+
+    #[test]
+    fn deduplicated_loop_is_bit_identical_on_tcme_rerouted_rounds() {
+        use temp_graph::models::ModelZoo;
+        use temp_graph::workload::Workload;
+        use temp_mapping::engines::{map_hybrid, MappingEngine};
+        use temp_parallel::strategy::HybridConfig;
+
+        let model = ModelZoo::gpt3_6_7b();
+        let workload = Workload::for_model(&model);
+        let mut deduplicated = 0;
+        for (w, h) in [(8u32, 4u32), (8, 8), (16, 8)] {
+            let wafer = WaferConfig::with_array(w, h).unwrap();
+            let sim = ContentionSim::new(&wafer);
+            let dies = (w * h) as usize;
+            for cfg in [
+                HybridConfig::tuple(2, 2, 1, dies / 4),
+                HybridConfig::tuple(dies / 4, 4, 1, 1),
+                HybridConfig::tuple(dies / 8, 2, 2, 2),
+                HybridConfig {
+                    dp: 4,
+                    fsdp: true,
+                    tatp: dies / 4,
+                    ..Default::default()
+                },
+            ] {
+                let out = map_hybrid(MappingEngine::Tcme, &wafer, &model, &workload, &cfg)
+                    .unwrap_or_else(|e| panic!("{} on {w}x{h}: {e}", cfg.label()));
+                // The mapping crate links its own build of this crate:
+                // rebuild the flows field by field.
+                let flows: Vec<Flow> = out
+                    .flows
+                    .iter()
+                    .map(|tf| Flow {
+                        src: tf.flow.src,
+                        dst: tf.flow.dst,
+                        bytes: tf.flow.bytes,
+                        route: tf.flow.route.clone(),
+                    })
+                    .collect();
+                let (live, kept) = dedup_counts(&flows);
+                deduplicated += usize::from(kept < live);
+                assert_dedup_bit_identical(&sim, &flows, &format!("{} on {w}x{h}", cfg.label()));
+            }
+        }
+        assert!(deduplicated > 0, "some TCME round must carry copies");
     }
 
     #[test]

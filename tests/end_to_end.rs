@@ -72,7 +72,7 @@ fn mapping_engines_order_is_preserved_end_to_end() {
     let smap = map_hybrid(MappingEngine::SMap, &wafer, &model, &workload, &cfg).unwrap();
     let tcme = map_hybrid(MappingEngine::Tcme, &wafer, &model, &workload, &cfg).unwrap();
     assert!(tcme.comm_time_per_layer <= smap.comm_time_per_layer * 1.01);
-    assert!(tcme.max_link_load <= smap.max_link_load * 1.01);
+    assert!(tcme.max_link_load() <= smap.max_link_load() * 1.01);
 }
 
 #[test]
