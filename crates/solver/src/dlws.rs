@@ -425,14 +425,7 @@ impl Dlws {
         let block_row = chain
             .position(SegmentKind::Block)
             .ok_or_else(|| SolverError::Internal("chain has no block segment".into()))?;
-        let seg_cands: Vec<&[HybridConfig]> = chain
-            .segments()
-            .iter()
-            .map(|seg| match seg.kind {
-                SegmentKind::MoeBlock => all_candidates,
-                _ => &candidates[..],
-            })
-            .collect();
+        let seg_cands = crate::search::chain_lists(chain, &candidates, all_candidates);
         let seg_costs: Vec<Vec<f64>> = chain
             .segments()
             .iter()
@@ -459,7 +452,7 @@ impl Dlws {
         // Every boundary follows one law (an equal config is free, any
         // other costs `micro x full_reshard`), so the keyed DP solves the
         // chain in `O(S x C log C)` with `solve_chain`'s exact answer.
-        let dp = solve_keyed_chain(&seg_costs, &seg_cands, micro * self.ctx.full_reshard_cost())
+        let dp = solve_keyed_chain(&seg_costs, &seg_cands, self.ctx.chain_switch_cost())
             .map_err(|e| SolverError::Internal(format!("chain DP: {e}")))?;
         debug_assert!(
             crate::dp::solve_chain(&seg_costs, reshard).is_ok_and(|reference| {

@@ -15,6 +15,10 @@
 //! resharding charge — and [`solve_keyed_chain`] exploits it to solve
 //! them in `O(segments x candidates x log candidates)`, bit-identical to
 //! [`solve_chain`] (which stays the generic reference).
+//! [`keyed_chain_through`] prices, under the same law, the cheapest rest
+//! of the chain through each candidate of one segment — what the
+//! bound-pruned search adds to each block candidate's bound and exact
+//! block time.
 
 use std::hash::Hash;
 
@@ -251,6 +255,114 @@ pub fn solve_keyed_chain<K: Eq + Hash>(
         back.push(bk);
     }
     Ok(backtrack(&best, &back))
+}
+
+/// The cheapest rest of a keyed chain through each candidate of segment
+/// `row`, under [`solve_keyed_chain`]'s transition law (equal keys move
+/// free, any other move costs `switch`): entry `i` is the best prefix
+/// arriving at candidate `i` plus the best suffix leaving it — every
+/// segment cost and boundary of the chain except `row`'s own costs,
+/// which are not read (`segment_costs[row]` may be empty). So
+/// `through[i] + segment_costs[row][i]` is the best chain that assigns
+/// candidate `i`, and its minimum over the row is the chain optimum (up
+/// to float association). Infinite when no finite chain passes through
+/// `i`; as in [`solve_chain`], `NaN` entries never win.
+///
+/// One forward and one backward sweep, `O(segments x candidates)` hash
+/// operations: each boundary keeps its per-key minimum (the free
+/// arrivals) and its overall minimum (the paid arrival).
+///
+/// # Panics
+///
+/// When `keys` does not give one key per candidate of every segment
+/// other than `row`, `row` is out of range, or `switch` is negative (a
+/// paid move would then undercut a free one).
+pub fn keyed_chain_through<K: Eq + Hash>(
+    segment_costs: &[Vec<f64>],
+    keys: &[&[K]],
+    switch: f64,
+    row: usize,
+) -> Vec<f64> {
+    assert!(switch.is_nan() || switch >= 0.0, "negative switch charge");
+    assert!(
+        row < keys.len()
+            && keys.len() == segment_costs.len()
+            && keys
+                .iter()
+                .zip(segment_costs)
+                .enumerate()
+                .all(|(s, (k, c))| s == row || k.len() == c.len()),
+        "one key per candidate"
+    );
+    let into = sweep(segment_costs, keys, switch, 0..row);
+    let out = sweep(segment_costs, keys, switch, (row + 1..keys.len()).rev());
+    keys[row]
+        .iter()
+        .map(|key| arrival(&into, key, switch) + arrival(&out, key, switch))
+        .collect()
+}
+
+/// The best values the segments visited in `order` offer across the
+/// boundary after the last of them (`None` for an empty order).
+fn sweep<'a, K: Eq + Hash>(
+    segment_costs: &[Vec<f64>],
+    keys: &[&'a [K]],
+    switch: f64,
+    order: impl Iterator<Item = usize>,
+) -> Option<Arrivals<'a, K>> {
+    let mut side = None;
+    for s in order {
+        let values: Vec<f64> = segment_costs[s]
+            .iter()
+            .zip(keys[s])
+            .map(|(&cost, key)| arrival(&side, key, switch) + cost)
+            .collect();
+        side = Some(Arrivals::new(&values, keys[s]));
+    }
+    side
+}
+
+/// The cheapest arrival across a boundary; nothing to pay at a chain end.
+fn arrival<K: Eq + Hash>(side: &Option<Arrivals<'_, K>>, key: &K, switch: f64) -> f64 {
+    side.as_ref().map_or(0.0, |side| side.best(key, switch))
+}
+
+/// The best values one side of a keyed boundary offers the other side.
+struct Arrivals<'a, K> {
+    /// Smallest value per key: what a candidate of that key gets free.
+    per_key: WordHashMap<&'a K, f64>,
+    /// Smallest value overall: the paid move's source for any key (an
+    /// equal-key source is never cheaper paid than free).
+    least: f64,
+}
+
+impl<'a, K: Eq + Hash> Arrivals<'a, K> {
+    fn new(values: &[f64], keys: &'a [K]) -> Self {
+        let mut per_key: WordHashMap<&K, f64> = WordHashMap::default();
+        let mut least = f64::INFINITY;
+        for (&v, key) in values.iter().zip(keys) {
+            let slot = per_key.entry(key).or_insert(f64::INFINITY);
+            if v < *slot {
+                *slot = v;
+            }
+            if v < least {
+                least = v;
+            }
+        }
+        Arrivals { per_key, least }
+    }
+
+    /// The cheapest arrival at a candidate keyed `key`: the free move
+    /// from an equal key, or the paid move from the cheapest source.
+    fn best(&self, key: &K, switch: f64) -> f64 {
+        let free = self.per_key.get(key).copied().unwrap_or(f64::INFINITY);
+        let paid = self.least + switch;
+        if paid < free {
+            paid
+        } else {
+            free
+        }
+    }
 }
 
 /// Result of a stage-cut solve: how many block instances each pipeline
@@ -1005,6 +1117,86 @@ mod tests {
             let keyed = solve_keyed_chain(&costs, &keys, switch).unwrap();
             assert_eq!(keyed.choices, reference.choices, "switch {switch}");
             assert_eq!(keyed.cost.to_bits(), reference.cost.to_bits());
+        }
+    }
+
+    #[test]
+    fn chain_through_prices_the_best_chain_per_candidate() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let close = |a: f64, b: f64| a == b || (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+        let mut rng = StdRng::seed_from_u64(43);
+        let alphabet = [0.0, 0.1, 0.2, 1.0, 3.0, f64::INFINITY];
+        for case in 0..600 {
+            let segs = rng.gen_range(1..6usize);
+            let sizes: Vec<usize> = (0..segs).map(|_| rng.gen_range(1..12usize)).collect();
+            let costs: Vec<Vec<f64>> = sizes
+                .iter()
+                .map(|&k| match rng.gen_range(0..10) {
+                    // Some rows are infeasible throughout.
+                    0 => vec![f64::INFINITY; k],
+                    _ => (0..k)
+                        .map(|_| match rng.gen_range(0..3) {
+                            0 => alphabet[rng.gen_range(0..alphabet.len())],
+                            _ => rng.gen_range(0.0..4.0),
+                        })
+                        .collect(),
+                })
+                .collect();
+            let pool = rng.gen_range(1..8u32);
+            let keys: Vec<Vec<u32>> = sizes
+                .iter()
+                .map(|&k| (0..k).map(|_| rng.gen_range(0..pool)).collect())
+                .collect();
+            let key_rows: Vec<&[u32]> = keys.iter().map(Vec::as_slice).collect();
+            let switch = match case % 4 {
+                0 => 0.0,
+                1 => alphabet[rng.gen_range(0..alphabet.len())],
+                _ => rng.gen_range(0.0..2.0),
+            };
+            let row = rng.gen_range(0..segs);
+            let dp = solve_keyed_chain(&costs, &key_rows, switch).unwrap();
+            // The priced row's own costs are not read.
+            let mut blanked = costs.clone();
+            blanked[row].clear();
+            let through = keyed_chain_through(&blanked, &key_rows, switch, row);
+            let chains: Vec<f64> = through
+                .iter()
+                .zip(&costs[row])
+                .map(|(t, c)| t + c)
+                .collect();
+            let best = chains.iter().copied().fold(f64::INFINITY, f64::min);
+            let case =
+                format!("case {case}: costs {costs:?} keys {keys:?} switch {switch} row {row}");
+            assert!(
+                close(best, dp.cost),
+                "{case}: best {best} vs DP {}",
+                dp.cost
+            );
+            assert!(
+                close(chains[dp.choices[row]], best),
+                "{case}: DP choice misses the minimum"
+            );
+            // Never above the uniform chain: every other segment on the
+            // candidate's own key, every boundary free.
+            for (i, key) in keys[row].iter().enumerate() {
+                let uniform: f64 = (0..segs)
+                    .filter(|&s| s != row)
+                    .map(|s| {
+                        keys[s]
+                            .iter()
+                            .zip(&costs[s])
+                            .filter(|(k, _)| *k == key)
+                            .map(|(_, &c)| c)
+                            .fold(f64::INFINITY, f64::min)
+                    })
+                    .sum();
+                assert!(
+                    through[i] <= uniform || close(through[i], uniform),
+                    "{case}: candidate {i} prices {} above its uniform chain {uniform}",
+                    through[i]
+                );
+            }
         }
     }
 

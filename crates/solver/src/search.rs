@@ -1405,65 +1405,49 @@ impl SearchContext {
     /// MoeBlock row (if any) is priced over — a superset of `candidates`
     /// for MoE models, ignored for dense chains.
     ///
-    /// A candidate's lower bound is its [`WaferCostModel::chain_bounds`]
-    /// block row plus the per-row minima of the end segments; its exact
-    /// value is the uniform chain value (its own end rows plus its exact
-    /// block row), which the chain DP can always achieve. See
-    /// [`SearchContext::cost_candidates_bounded`] for the skip rules.
-    /// [`SearchContext::set_pruning`]`(false)` costs the whole batch
-    /// instead — the exhaustive reference tests compare against; plans
-    /// are bit-identical either way.
+    /// Each candidate is priced by the best chain through it:
+    /// [`crate::dp::keyed_chain_through`] gives, from the non-block rows
+    /// and the DP's transition law, the cheapest rest of the chain around
+    /// each block choice. The lower bound adds the candidate's
+    /// [`WaferCostModel::chain_bounds`] block row to it, the exact value
+    /// its exact block row; the minimum of the exact values is the chain
+    /// DP's optimum. See [`SearchContext::cost_candidates_bounded`] for
+    /// the skip rules. [`SearchContext::set_pruning`]`(false)` costs the
+    /// whole batch instead — the exhaustive reference tests compare
+    /// against; plans are bit-identical either way.
     pub fn cost_candidates_chain(
         &self,
         candidates: &[HybridConfig],
         moe_candidates: &[HybridConfig],
         engine: MappingEngine,
     ) -> Vec<CandidateCost> {
-        if !self.pruning() {
-            return self.cost_candidates(candidates, engine);
-        }
+        let chain = self.cost.chain();
+        let block_row = match chain.position(SegmentKind::Block) {
+            Some(row) if self.pruning() => row,
+            _ => return self.cost_candidates(candidates, engine),
+        };
 
         let bound_started = std::time::Instant::now();
         let base_mode = self.cost.workload().recompute;
         let bounds = self.cost.chain_bounds(candidates);
-        let n = candidates.len();
-
-        // End-segment rows, priced over exactly the lists the chain DP
-        // will consume (memoized — the solve re-reads them for free):
-        // their per-row minima floor every chain's end cost, and their
-        // per-candidate values reconstruct the uniform-genome chain value
-        // that serves as the incumbent upper bound.
-        let mut end_floor = 0.0;
-        let mut end_sum = vec![0.0f64; n];
-        for segment in self.cost.chain().segments() {
-            let row: Vec<f64> = match segment.kind {
-                SegmentKind::Block => continue,
-                SegmentKind::MoeBlock => {
-                    let full =
-                        self.segment_step_costs(segment.kind, moe_candidates, engine, base_mode);
-                    end_floor += finite_min(&full);
-                    let mut pos: HashMap<HybridConfig, usize> = HashMap::new();
-                    for (i, c) in moe_candidates.iter().enumerate() {
-                        pos.entry(*c).or_insert(i);
-                    }
-                    candidates
-                        .iter()
-                        .map(|c| pos.get(c).map(|&i| full[i]).unwrap_or(f64::INFINITY))
-                        .collect()
-                }
-                kind => {
-                    let row = self.segment_step_costs(kind, candidates, engine, base_mode);
-                    end_floor += finite_min(&row);
-                    row
-                }
-            };
-            for (s, v) in end_sum.iter_mut().zip(&row) {
-                *s += v;
-            }
-        }
+        // The non-block rows, priced over exactly the lists the chain DP
+        // will consume (memoized — the solve re-reads them for free).
+        let lists = chain_lists(chain, candidates, moe_candidates);
+        let rows: Vec<Vec<f64>> = chain
+            .segments()
+            .iter()
+            .zip(&lists)
+            .map(|(segment, list)| match segment.kind {
+                SegmentKind::Block => Vec::new(),
+                kind => self.segment_step_costs(kind, list, engine, base_mode),
+            })
+            .collect();
+        let through =
+            crate::dp::keyed_chain_through(&rows, &lists, self.chain_switch_cost(), block_row);
         let lower: Vec<Option<f64>> = bounds
             .iter()
-            .map(|b| b.feasible.then_some(end_floor + b.lb_block))
+            .zip(&through)
+            .map(|(b, rest)| b.feasible.then_some(rest + b.lb_block))
             .collect();
         self.add_bound_time(bound_started.elapsed());
 
@@ -1472,10 +1456,17 @@ impl SearchContext {
             engine,
             &lower,
             |i, (t, payload)| match payload {
-                Some((_, report)) if t.is_finite() => end_sum[i] + report.block_time(),
+                Some((_, report)) if t.is_finite() => through[i] + report.block_time(),
                 _ => f64::INFINITY,
             },
         )
+    }
+
+    /// What the chain DP charges for crossing a boundary between two
+    /// distinct strategies: [`SearchContext::full_reshard_cost`] once per
+    /// micro-batch.
+    pub(crate) fn chain_switch_cost(&self) -> f64 {
+        self.cost.workload().micro_batches.max(1) as f64 * self.full_reshard
     }
 
     /// Charges bound-phase wall time to [`SearchStats::bound_ns`].
@@ -1622,6 +1613,24 @@ impl SearchContext {
             .map(|r| r.expect("every candidate resolved"))
             .collect()
     }
+}
+
+/// The candidate list each segment of a chain solve chooses from: the
+/// MoE run takes `moe_candidates` (the full space, expert-parallel tuples
+/// included), every other segment the dense body row `candidates`.
+pub(crate) fn chain_lists<'a>(
+    chain: &SegmentChain,
+    candidates: &'a [HybridConfig],
+    moe_candidates: &'a [HybridConfig],
+) -> Vec<&'a [HybridConfig]> {
+    chain
+        .segments()
+        .iter()
+        .map(|segment| match segment.kind {
+            SegmentKind::MoeBlock => moe_candidates,
+            _ => candidates,
+        })
+        .collect()
 }
 
 /// The smallest finite entry of a cost row, or `0.0` when it has none —

@@ -552,6 +552,47 @@ fn bound_pruned_search_is_bit_identical_to_exhaustive_zoo_wide() {
     );
 }
 
+/// The MoE half of the pruned == exhaustive property on larger wafers
+/// and every engine: each MoE chain solve prices its block candidates
+/// by their best chain (expert-parallel MoE run included), so every
+/// cold solve dominates some candidates, and filling the pruned holes
+/// with exact costs on the same context changes no plan.
+#[test]
+fn bound_pruned_moe_solves_dominate_and_match_exhaustive_on_every_engine() {
+    for model in ModelZoo::moe_zoo() {
+        for (w, h) in [(8, 8), (16, 8)] {
+            for engine in [
+                MappingEngine::Tcme,
+                MappingEngine::SMap,
+                MappingEngine::GMap,
+            ] {
+                let name = format!("{} {w}x{h} {engine:?}", model.name);
+                let workload = Workload::for_model(&model);
+                let wafer = WaferConfig::with_array(w, h).expect("wafer");
+                let solver = Dlws::new(wafer, model.clone(), workload);
+                let pruned = solver.solve_with_engine(engine, |_| true);
+                let stats = solver.context().stats();
+                assert!(
+                    stats.dominated_pruned > 0,
+                    "{name}: the MoE solve dominated nothing"
+                );
+                solver.context().set_pruning(false);
+                let exhaustive = solver.solve_with_engine(engine, |_| true);
+                assert_eq!(
+                    solver.context().stats().plan_hits,
+                    0,
+                    "{name}: the exhaustive solve was served the pruned plan"
+                );
+                match (pruned, exhaustive) {
+                    (Ok(pruned), Ok(exhaustive)) => assert_eq!(pruned, exhaustive, "{name}"),
+                    (Err(_), Err(_)) => {}
+                    _ => panic!("{name}: feasibility diverged"),
+                }
+            }
+        }
+    }
+}
+
 /// A plan served from the memo is the plan a fresh solve returns, on
 /// every zoo model (dense and MoE) under every mapping engine. The fresh
 /// solve runs on the same context, so the comparison is bit-exact: a
