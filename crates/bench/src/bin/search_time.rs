@@ -133,6 +133,28 @@ fn solve_zoo(pool: &ContextPool) -> (Vec<String>, u64, Vec<ZooModelStats>) {
     solve_zoo_with(pool, true)
 }
 
+/// Mapping drafts built by a cold fig13-zoo solve under all three engines
+/// on one pool: the engines share each context's draft memo, so a layout
+/// is drafted once per policy whichever engine reaches it first.
+fn zoo_map_drafts() -> u64 {
+    let pool = ContextPool::new(WaferConfig::hpca());
+    ModelZoo::table2()
+        .iter()
+        .map(|model| {
+            let solver = pool.solver(model, &Workload::for_model(model));
+            for engine in [
+                MappingEngine::Tcme,
+                MappingEngine::SMap,
+                MappingEngine::GMap,
+            ] {
+                // Infeasible engine/model pairs still count their drafts.
+                let _ = solver.solve_with_engine(engine, |_| true);
+            }
+            solver.cost_model().draft_memo_stats().1
+        })
+        .sum()
+}
+
 /// Strips the bit-exact step time off a zoo fingerprint, leaving
 /// `model label`. Fingerprints from *independent* contexts agree only up
 /// to float association (HashMap-ordered sums), so cross-pool winner
@@ -271,6 +293,8 @@ fn main() {
                 .unwrap_or_else(|| panic!("no moe_exact_evals field in {path}"));
             let large_evals = json_u64_field(&record, "large_wafer_exact_evals")
                 .unwrap_or_else(|| panic!("no large_wafer_exact_evals field in {path}"));
+            let map_drafts = json_u64_field(&record, "map_drafts")
+                .unwrap_or_else(|| panic!("no map_drafts field in {path}"));
             let pruned_candidates = json_u64_field(&record, "pruned_candidates")
                 .unwrap_or_else(|| panic!("no pruned_candidates field in {path}"));
             let campaign_s = json_f64_field(&record, "campaign_s")
@@ -281,6 +305,7 @@ fn main() {
                 mw_evals,
                 moe_evals,
                 large_evals,
+                map_drafts,
                 pruned_candidates,
                 campaign_s,
             )
@@ -578,6 +603,14 @@ fn main() {
         "{{\"bench\":\"search_time\",\"metric\":\"bound_pruning\",\"exhaustive_s\":{exhaustive_zoo_s:.6},\"pruned_s\":{pruned_zoo_s:.6},\"prune_speedup\":{prune_speedup:.4},\"exhaustive_evals\":{exhaustive_evals},\"pruned_evals\":{pruned_evals},\"pruned_candidates\":{pruned_candidates},\"bound_s\":{zoo_bound_s:.6},\"coll_hit_rate\":{coll_hit_rate:.4},\"winners_match\":{pruned_winners_match}}}"
     );
 
+    header("shared mapping drafts: cold fig13 zoo under TCME, SMap and GMap");
+    let map_drafts = zoo_map_drafts();
+    println!(
+        "{map_drafts} drafts built over {} models",
+        ModelZoo::table2().len()
+    );
+    println!("{{\"bench\":\"search_time\",\"metric\":\"map_drafts\",\"map_drafts\":{map_drafts}}}");
+
     header("flat-batched fault campaigns: one (model x kind x rate x seed) grid");
     // A compact fig20-shaped campaign: every lane is one seed's full rate
     // sweep, flat-batched on the work-stealing runtime, with each rate
@@ -668,7 +701,7 @@ fn main() {
                 "\"prune_speedup\":{:.4},\"exhaustive_evals\":{},\"pruned_evals\":{},",
                 "\"pruned_candidates\":{},\"bound_time_s\":{:.6},",
                 "\"coll_hit_rate\":{:.4},\"pruned_winners_match\":{},",
-                "\"campaign_s\":{:.6},\"campaign_lanes\":{},",
+                "\"campaign_s\":{:.6},\"campaign_lanes\":{},\"map_drafts\":{},",
                 "\"coalesced_evals\":{},\"shard_waits\":{},\"unique_eval_keys\":{},",
                 "\"pruned_zoo_baseline_s\":{:.6},\"zoo_models\":[{}]}}\n"
             ),
@@ -700,6 +733,7 @@ fn main() {
             pruned_winners_match,
             campaign_s,
             campaign_lanes,
+            map_drafts,
             coalesced_evals,
             shard_waits,
             unique_eval_keys,
@@ -723,13 +757,15 @@ fn main() {
         baseline_mw_evals,
         baseline_moe_evals,
         baseline_large_evals,
+        baseline_map_drafts,
         baseline_pruned_candidates,
         baseline_campaign_s,
     )) = check_baseline
     {
         // Bench-regression gate: fail when a cold bound-pruned search —
         // single wafer, the multi-wafer sweep, the MoE chain, or the 16x16
-        // wafer — needs >20% more exact evaluations than the committed
+        // wafer — needs >20% more exact evaluations, or the cold
+        // three-engine zoo >20% more mapping drafts, than the committed
         // baseline record. (`large_wafer_solve_s` is recorded, not gated:
         // wall time varies across runners.)
         let mut failed = false;
@@ -742,6 +778,7 @@ fn main() {
                 large_wafer_exact_evals,
                 baseline_large_evals,
             ),
+            ("map_drafts", map_drafts, baseline_map_drafts),
         ] {
             let limit = (baseline as f64 * 1.2).ceil() as u64;
             println!(

@@ -8,6 +8,21 @@
 //!   optimization".
 //! * **Tcme** — TEMP's engine: topology-aware layout *plus* the
 //!   traffic-conscious optimizer.
+//!
+//! Mapping runs in two steps. A [`Draft`] is the engine-independent part
+//! of one `(configuration, layout policy)` pair: the layout's comm ops,
+//! the round scale, and the contention-free and contention-simulated times
+//! of its XY-routed round (the latter simulated on first use). [`select`]
+//! is the per-engine part on top of the drafts: SMap and GMap read the
+//! drafts only, TCME runs the traffic optimizer on each draft's flows and
+//! re-times only the rounds it actually rerouted — an untouched round has
+//! the draft's flows, so the draft's times are exact for it. A draft keeps
+//! no layout and no flows: flows are rebuilt from the comm ops with
+//! [`layer_flows`] when an engine needs them, which lets a caller (the
+//! solver's mapping memo) keep one draft per key and share it across all
+//! three engines. [`map_hybrid`] runs the same two steps on fresh drafts.
+
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -74,11 +89,15 @@ impl MappingOutcome {
 
     /// Contention inflation factor (>= 1): simulated under load vs isolated.
     pub fn contention_factor(&self) -> f64 {
-        if self.isolated_comm_time <= 0.0 {
-            1.0
-        } else {
-            (self.comm_time_per_layer / self.isolated_comm_time).max(1.0)
-        }
+        contention_factor(self.comm_time_per_layer, self.isolated_comm_time)
+    }
+}
+
+fn contention_factor(comm_time: f64, isolated_time: f64) -> f64 {
+    if isolated_time <= 0.0 {
+        1.0
+    } else {
+        (comm_time / isolated_time).max(1.0)
     }
 }
 
@@ -96,35 +115,32 @@ pub fn map_hybrid(
     workload: &Workload,
     cfg: &HybridConfig,
 ) -> Result<MappingOutcome> {
-    let drafted = |policy| draft(engine, wafer, model, workload, cfg, policy);
-    match engine {
-        // SMap's fixed strategy order pins it to the naive strip layout.
-        MappingEngine::SMap => Ok(drafted(LayoutPolicy::RowMajorStrips)?.simulate(wafer)),
-        // GMap varies ordering/placement but judges candidates without
-        // contention awareness: it ranks on isolated time alone, so only
-        // the winner (the first policy on a tie) is simulated.
-        MappingEngine::GMap => {
-            let first = drafted(LayoutPolicy::TopologyAware)?;
-            let second = drafted(LayoutPolicy::RowMajorStrips)?;
-            let winner = if second.isolated_comm_time < first.isolated_comm_time {
-                second
-            } else {
-                first
-            };
-            Ok(winner.simulate(wafer))
-        }
-        // TCME judges candidates under contention, after running the
-        // traffic optimizer on each.
-        MappingEngine::Tcme => {
-            let first = drafted(LayoutPolicy::TopologyAware)?.simulate(wafer);
-            let second = drafted(LayoutPolicy::RowMajorStrips)?.simulate(wafer);
-            Ok(if second.comm_time_per_layer < first.comm_time_per_layer {
-                second
-            } else {
-                first
-            })
-        }
-    }
+    let mut layouts = Vec::with_capacity(2);
+    let selection = select(engine, wafer, |policy| {
+        let (layout, flows, draft) = Draft::build(wafer, model, workload, cfg, policy)?;
+        layouts.push((policy, layout));
+        Ok((Arc::new(draft), Some(flows)))
+    })?;
+    let layout = layouts
+        .into_iter()
+        .find(|(policy, _)| *policy == selection.policy)
+        .map(|(_, layout)| layout)
+        .expect("the selected policy was drafted");
+    let Selection {
+        draft,
+        flows,
+        comm_time_per_layer,
+        isolated_comm_time,
+        ..
+    } = selection;
+    Ok(MappingOutcome {
+        engine,
+        layout,
+        flows: flows.unwrap_or_else(|| draft.flows(wafer)),
+        comm_ops: draft.comm_ops.clone(),
+        comm_time_per_layer,
+        isolated_comm_time,
+    })
 }
 
 thread_local! {
@@ -139,85 +155,204 @@ thread_local! {
 /// once it grows past this, keeping long campaigns memory-stable.
 const SIM_CACHE_CAP: usize = 8192;
 
-/// One laid-out, routed candidate whose round has not been simulated
-/// under contention yet.
-struct Draft {
-    engine: MappingEngine,
-    layout: WaferLayout,
-    comm_ops: Vec<CommOp>,
-    flows: Vec<TaggedFlow>,
+/// The engine-independent part of mapping one configuration with one
+/// layout policy: the laid-out traffic's comm ops and the times of its
+/// XY-routed round. Holds no layout and no flows (see the module docs).
+#[derive(Debug)]
+pub struct Draft {
+    /// The communication ops of one layer.
+    pub comm_ops: Vec<CommOp>,
     /// Round-count and per-layer multiplicity scale of the round.
     scale: f64,
+    /// Contention-free time of the XY-routed round, scaled.
     isolated_comm_time: f64,
-}
-
-/// Lays out `cfg` with `policy`, extracts and routes one layer's traffic
-/// (TCME also runs the traffic optimizer) and times it contention-free.
-fn draft(
-    engine: MappingEngine,
-    wafer: &WaferConfig,
-    model: &ModelConfig,
-    workload: &Workload,
-    cfg: &HybridConfig,
-    policy: LayoutPolicy,
-) -> Result<Draft> {
-    let mesh = wafer.mesh();
-    let layout =
-        WaferLayout::build(&mesh, cfg, policy).map_err(|e| MappingError::Layout(e.to_string()))?;
-    let comm_ops = extract_comm_ops(&layout, model, workload);
-    let mut flows = layer_flows(&mesh, &comm_ops);
-
-    if engine == MappingEngine::Tcme {
-        let optimizer = TrafficOptimizer::new(mesh);
-        let outcome = optimizer.optimize(std::mem::take(&mut flows));
-        flows = outcome.flows;
-    }
-
-    // Lone flows bypass the fluid event loop entirely: the scalar fast
-    // path is bit-identical to simulating each flow on its own.
-    let sim = ContentionSim::new(wafer);
-    let isolated_round = flows
-        .iter()
-        .map(|tf| sim.isolated_makespan(&tf.flow))
-        .fold(0.0, f64::max);
-    let scale = comm_rounds_scale(&comm_ops);
-    Ok(Draft {
-        engine,
-        layout,
-        comm_ops,
-        flows,
-        scale,
-        isolated_comm_time: isolated_round * scale,
-    })
+    /// Contention-simulated makespan of the XY-routed round, unscaled;
+    /// simulated on first use.
+    round_makespan: OnceLock<f64>,
 }
 
 impl Draft {
-    /// Times one representative round of all concurrent group traffic
-    /// under contention, then scales by each op's round count and
-    /// per-layer multiplicity.
-    fn simulate(self, wafer: &WaferConfig) -> MappingOutcome {
-        let sim = ContentionSim::new(wafer);
-        let raw: Vec<Flow> = self.flows.iter().map(|tf| tf.flow.clone()).collect();
-        let round_makespan = SIM_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if cache.len() > SIM_CACHE_CAP {
-                *cache = SimCache::new();
-            }
-            if raw.is_empty() {
-                0.0
-            } else {
-                sim.makespan_cached(&raw, &mut cache)
-            }
+    /// Lays out `cfg` with `policy`, extracts one layer's traffic, routes
+    /// it XY and times it contention-free. Returns the layout and the XY
+    /// flows alongside.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MappingError::Layout`] when `cfg` cannot be laid out with
+    /// `policy`.
+    pub fn build(
+        wafer: &WaferConfig,
+        model: &ModelConfig,
+        workload: &Workload,
+        cfg: &HybridConfig,
+        policy: LayoutPolicy,
+    ) -> Result<(WaferLayout, Vec<TaggedFlow>, Draft)> {
+        let mesh = wafer.mesh();
+        let layout = WaferLayout::build(&mesh, cfg, policy)
+            .map_err(|e| MappingError::Layout(e.to_string()))?;
+        let comm_ops = extract_comm_ops(&layout, model, workload);
+        let flows = layer_flows(&mesh, &comm_ops);
+        let scale = comm_rounds_scale(&comm_ops);
+        let draft = Draft {
+            isolated_comm_time: isolated_round(wafer, &flows) * scale,
+            comm_ops,
+            scale,
+            round_makespan: OnceLock::new(),
+        };
+        Ok((layout, flows, draft))
+    }
+
+    /// The draft's XY-routed flows of one layer.
+    fn flows(&self, wafer: &WaferConfig) -> Vec<TaggedFlow> {
+        layer_flows(&wafer.mesh(), &self.comm_ops)
+    }
+
+    /// Contention-simulated time of the XY-routed round, scaled. `flows`,
+    /// when given, must be this draft's [`Draft::flows`]; it saves
+    /// rebuilding them on the first call.
+    fn comm_time(&self, wafer: &WaferConfig, flows: Option<&[TaggedFlow]>) -> f64 {
+        let round = *self.round_makespan.get_or_init(|| match flows {
+            Some(flows) => round_makespan(wafer, flows),
+            None => round_makespan(wafer, &self.flows(wafer)),
         });
-        MappingOutcome {
-            engine: self.engine,
-            layout: self.layout,
-            comm_ops: self.comm_ops,
-            flows: self.flows,
-            comm_time_per_layer: round_makespan * self.scale,
-            isolated_comm_time: self.isolated_comm_time,
+        round * self.scale
+    }
+}
+
+/// One engine's pick among the drafts of a configuration.
+#[derive(Debug)]
+pub struct Selection {
+    /// The picked draft.
+    pub draft: Arc<Draft>,
+    /// Layout policy of the picked draft.
+    policy: LayoutPolicy,
+    /// The picked traffic's flows (TCME's optimized ones), when they were
+    /// at hand; `None` stands for the draft's XY flows.
+    flows: Option<Vec<TaggedFlow>>,
+    /// Simulated time for one layer's communication under contention.
+    comm_time_per_layer: f64,
+    /// Contention-free time of the same traffic.
+    isolated_comm_time: f64,
+}
+
+impl Selection {
+    /// Contention inflation factor (>= 1): simulated under load vs
+    /// isolated, as [`MappingOutcome::contention_factor`].
+    pub fn contention_factor(&self) -> f64 {
+        contention_factor(self.comm_time_per_layer, self.isolated_comm_time)
+    }
+}
+
+/// The per-engine step of mapping: picks a layout policy from the drafts
+/// `draft` supplies and times its traffic. `draft` returns each policy's
+/// draft with its XY flows when it has them at hand (a freshly built
+/// draft), which saves rebuilding them. Drafts are requested in a fixed
+/// order (topology-aware first), so the first failing draft's error is the
+/// one returned.
+///
+/// # Errors
+///
+/// Returns the first error `draft` returns.
+pub fn select(
+    engine: MappingEngine,
+    wafer: &WaferConfig,
+    mut draft: impl FnMut(LayoutPolicy) -> Result<(Arc<Draft>, Option<Vec<TaggedFlow>>)>,
+) -> Result<Selection> {
+    let plain = |policy, (draft, flows): (Arc<Draft>, Option<Vec<TaggedFlow>>)| {
+        let comm_time_per_layer = draft.comm_time(wafer, flows.as_deref());
+        let isolated_comm_time = draft.isolated_comm_time;
+        Selection {
+            policy,
+            draft,
+            flows,
+            comm_time_per_layer,
+            isolated_comm_time,
+        }
+    };
+    match engine {
+        // SMap's fixed strategy order pins it to the naive strip layout.
+        MappingEngine::SMap => {
+            let policy = LayoutPolicy::RowMajorStrips;
+            Ok(plain(policy, draft(policy)?))
+        }
+        // GMap varies ordering/placement but judges candidates without
+        // contention awareness: it ranks on isolated time alone, so only
+        // the winner (the first policy on a tie) is simulated.
+        MappingEngine::GMap => {
+            let first = draft(LayoutPolicy::TopologyAware)?;
+            let second = draft(LayoutPolicy::RowMajorStrips)?;
+            Ok(
+                if second.0.isolated_comm_time < first.0.isolated_comm_time {
+                    plain(LayoutPolicy::RowMajorStrips, second)
+                } else {
+                    plain(LayoutPolicy::TopologyAware, first)
+                },
+            )
+        }
+        // TCME judges candidates under contention, after running the
+        // traffic optimizer on each.
+        MappingEngine::Tcme => {
+            let optimizer = TrafficOptimizer::new(wafer.mesh());
+            let mut best: Option<Selection> = None;
+            for policy in [LayoutPolicy::TopologyAware, LayoutPolicy::RowMajorStrips] {
+                let (drafted, flows) = draft(policy)?;
+                let outcome = optimizer.optimize(flows.unwrap_or_else(|| drafted.flows(wafer)));
+                let (comm_time_per_layer, isolated_comm_time) = if outcome.rerouted == 0 {
+                    // The optimizer moved nothing: these are the draft's
+                    // flows, so the draft's times are exact.
+                    (
+                        drafted.comm_time(wafer, Some(&outcome.flows)),
+                        drafted.isolated_comm_time,
+                    )
+                } else {
+                    (
+                        round_makespan(wafer, &outcome.flows) * drafted.scale,
+                        isolated_round(wafer, &outcome.flows) * drafted.scale,
+                    )
+                };
+                let candidate = Selection {
+                    policy,
+                    draft: drafted,
+                    flows: Some(outcome.flows),
+                    comm_time_per_layer,
+                    isolated_comm_time,
+                };
+                if best.as_ref().map_or(true, |b| {
+                    candidate.comm_time_per_layer < b.comm_time_per_layer
+                }) {
+                    best = Some(candidate);
+                }
+            }
+            Ok(best.expect("two policies were drafted"))
         }
     }
+}
+
+/// Contention-free makespan of one round: the slowest flow alone. Lone
+/// flows bypass the fluid event loop entirely; the scalar fast path is
+/// bit-identical to simulating each flow on its own.
+fn isolated_round(wafer: &WaferConfig, flows: &[TaggedFlow]) -> f64 {
+    let sim = ContentionSim::new(wafer);
+    flows
+        .iter()
+        .map(|tf| sim.isolated_makespan(&tf.flow))
+        .fold(0.0, f64::max)
+}
+
+/// Times one representative round of all concurrent group traffic under
+/// contention (unscaled).
+fn round_makespan(wafer: &WaferConfig, flows: &[TaggedFlow]) -> f64 {
+    if flows.is_empty() {
+        return 0.0;
+    }
+    let raw: Vec<Flow> = flows.iter().map(|tf| tf.flow.clone()).collect();
+    SIM_CACHE.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        if cache.len() > SIM_CACHE_CAP {
+            *cache = SimCache::new();
+        }
+        ContentionSim::new(wafer).makespan_cached(&raw, &mut cache)
+    })
 }
 
 /// Weighted ring-round count across ops: each op runs
@@ -315,9 +450,16 @@ mod tests {
             // strictly better isolated time.
             let mut expected: Option<MappingOutcome> = None;
             for policy in [LayoutPolicy::TopologyAware, LayoutPolicy::RowMajorStrips] {
-                let outcome = draft(MappingEngine::GMap, &wafer, &model, &workload, &cfg, policy)
-                    .unwrap()
-                    .simulate(&wafer);
+                let (layout, flows, draft) =
+                    Draft::build(&wafer, &model, &workload, &cfg, policy).unwrap();
+                let outcome = MappingOutcome {
+                    engine: MappingEngine::GMap,
+                    layout,
+                    comm_time_per_layer: round_makespan(&wafer, &flows) * draft.scale,
+                    isolated_comm_time: draft.isolated_comm_time,
+                    comm_ops: draft.comm_ops,
+                    flows,
+                };
                 if expected
                     .as_ref()
                     .map_or(true, |b| outcome.isolated_comm_time < b.isolated_comm_time)
@@ -328,6 +470,125 @@ mod tests {
             let gmap = map_hybrid(MappingEngine::GMap, &wafer, &model, &workload, &cfg).unwrap();
             assert_eq!(Some(gmap), expected, "{}", cfg.label());
         }
+    }
+
+    /// The mapping path before drafts were shared: every engine drafts
+    /// its own policies, TCME optimizes and simulates both, GMap ranks on
+    /// isolated time and simulates its winner.
+    fn map_reference(
+        engine: MappingEngine,
+        wafer: &WaferConfig,
+        model: &ModelConfig,
+        workload: &Workload,
+        cfg: &HybridConfig,
+    ) -> Result<MappingOutcome> {
+        let drafted = |policy| -> Result<MappingOutcome> {
+            let mesh = wafer.mesh();
+            let layout = WaferLayout::build(&mesh, cfg, policy)
+                .map_err(|e| MappingError::Layout(e.to_string()))?;
+            let comm_ops = extract_comm_ops(&layout, model, workload);
+            let mut flows = layer_flows(&mesh, &comm_ops);
+            if engine == MappingEngine::Tcme {
+                flows = TrafficOptimizer::new(mesh).optimize(flows).flows;
+            }
+            let scale = comm_rounds_scale(&comm_ops);
+            Ok(MappingOutcome {
+                engine,
+                layout,
+                isolated_comm_time: isolated_round(wafer, &flows) * scale,
+                comm_time_per_layer: f64::NAN,
+                comm_ops,
+                flows,
+            })
+        };
+        let simulate = |mut outcome: MappingOutcome| {
+            outcome.comm_time_per_layer =
+                round_makespan(wafer, &outcome.flows) * comm_rounds_scale(&outcome.comm_ops);
+            outcome
+        };
+        match engine {
+            MappingEngine::SMap => Ok(simulate(drafted(LayoutPolicy::RowMajorStrips)?)),
+            MappingEngine::GMap => {
+                let first = drafted(LayoutPolicy::TopologyAware)?;
+                let second = drafted(LayoutPolicy::RowMajorStrips)?;
+                Ok(simulate(
+                    if second.isolated_comm_time < first.isolated_comm_time {
+                        second
+                    } else {
+                        first
+                    },
+                ))
+            }
+            MappingEngine::Tcme => {
+                let first = simulate(drafted(LayoutPolicy::TopologyAware)?);
+                let second = simulate(drafted(LayoutPolicy::RowMajorStrips)?);
+                Ok(if second.comm_time_per_layer < first.comm_time_per_layer {
+                    second
+                } else {
+                    first
+                })
+            }
+        }
+    }
+
+    #[test]
+    fn shared_drafts_map_like_per_engine_drafts() {
+        let model = ModelZoo::gpt3_6_7b();
+        let workload = Workload::for_model(&model);
+        let mut tcme_rerouted = [false, false];
+        for (w, h) in [(8u32, 4u32), (8, 8), (16, 8)] {
+            let wafer = WaferConfig::with_array(w, h).unwrap();
+            let dies = (w * h) as usize;
+            let mut cfgs = test_configs().to_vec();
+            cfgs.extend([
+                HybridConfig::tuple(dies, 1, 1, 1),
+                HybridConfig::tuple(2, 2, 1, dies / 4),
+                HybridConfig::tuple(dies / 8, 2, 2, 2),
+                HybridConfig::tuple(dies / 4, 4, 1, 1),
+                // TCME reroutes the topology-aware draft of these: the
+                // first wins with it, the second loses with it on 8x8.
+                HybridConfig::tuple(dies / 2, 2, 1, 1),
+                HybridConfig::tuple(2, 1, 4, dies / 8),
+            ]);
+            for cfg in cfgs {
+                for engine in [
+                    MappingEngine::SMap,
+                    MappingEngine::GMap,
+                    MappingEngine::Tcme,
+                ] {
+                    let got = map_hybrid(engine, &wafer, &model, &workload, &cfg);
+                    let expected = map_reference(engine, &wafer, &model, &workload, &cfg);
+                    let label = format!("{engine} {} on {w}x{h}", cfg.label());
+                    match (got, expected) {
+                        (Ok(got), Ok(expected)) => {
+                            assert_eq!(got.layout, expected.layout, "{label}");
+                            assert_eq!(got.comm_ops, expected.comm_ops, "{label}");
+                            assert_eq!(got.flows, expected.flows, "{label}");
+                            assert_eq!(
+                                got.comm_time_per_layer.to_bits(),
+                                expected.comm_time_per_layer.to_bits(),
+                                "{label}"
+                            );
+                            assert_eq!(
+                                got.isolated_comm_time.to_bits(),
+                                expected.isolated_comm_time.to_bits(),
+                                "{label}"
+                            );
+                            if engine == MappingEngine::Tcme {
+                                let xy = layer_flows(&wafer.mesh(), &got.comm_ops);
+                                tcme_rerouted[usize::from(got.flows != xy)] = true;
+                            }
+                        }
+                        (got, expected) => {
+                            assert_eq!(got.err(), expected.err(), "{label}");
+                        }
+                    }
+                }
+            }
+        }
+        // Both TCME branches ran: a pick the optimizer left alone (the
+        // draft's times reused) and one it rerouted (re-simulated).
+        assert_eq!(tcme_rerouted, [true, true]);
     }
 
     #[test]
@@ -348,8 +609,8 @@ mod tests {
                     ..Default::default()
                 },
             ] {
-                // Every `optimize` builds fresh load maps, each with its own
-                // hash seed: tied bottleneck loads must not follow them.
+                // Tied bottleneck loads must resolve the same way on every
+                // run (the lowest link wins).
                 for policy in [LayoutPolicy::TopologyAware, LayoutPolicy::RowMajorStrips] {
                     let layout = WaferLayout::build(&mesh, &cfg, policy).unwrap();
                     let flows = layer_flows(&mesh, &extract_comm_ops(&layout, &model, &workload));

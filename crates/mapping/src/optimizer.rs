@@ -79,30 +79,15 @@ impl TrafficOptimizer {
         multicast_link_loads(flows)
     }
 
-    fn max_load(&self, flows: &[TaggedFlow]) -> (Option<LinkId>, f64) {
-        Self::max_of(&self.link_loads(flows))
-    }
-
-    /// Most-loaded link of an already-built load map. Equal loads
-    /// resolve to the lowest [`LinkId`], so the bottleneck (and with it
-    /// every reroute) does not depend on map iteration order.
-    fn max_of(loads: &HashMap<LinkId, f64>) -> (Option<LinkId>, f64) {
-        loads
-            .iter()
-            .max_by(|a, b| {
-                a.1.partial_cmp(b.1)
-                    .expect("finite loads")
-                    .then_with(|| b.0.cmp(a.0))
-            })
-            .map(|(l, v)| (Some(*l), *v))
-            .unwrap_or((None, 0.0))
-    }
-
     /// Runs the five-phase optimization loop.
     pub fn optimize(&self, mut flows: Vec<TaggedFlow>) -> OptimizationOutcome {
         // Phase 1 happened upstream (XY-initialized routes).
-        // Phase 2: bottleneck identification.
-        let (mut mcl, initial) = self.max_load(&flows);
+        // Phase 2: bottleneck identification. The load map lives across
+        // iterations: it only changes when a reroute is accepted, so it is
+        // rebuilt then and nowhere else.
+        let mut loads = LinkLoads::new(&self.mesh, &flows);
+        let mut scratch = RouteScratch::default();
+        let (mut mcl, initial) = loads.max();
         let mut cur = initial;
         let mut prev = 2.0 * cur;
         let mut iterations = 0;
@@ -123,23 +108,20 @@ impl TrafficOptimizer {
                 .map(|(i, _)| i)
                 .collect();
             // Phase 4: reroute hot flows over load-aware detours.
-            // (Duplicate merging is implicit in `link_loads`' multicast
+            // (Duplicate merging is implicit in the loads' multicast
             // dedup; rerouting must therefore beat the deduped load.)
-            // The load map only changes when a reroute is accepted, so it
-            // is rebuilt on acceptance instead of once per hot flow — the
-            // values every candidate is judged against are identical.
-            let mut loads = self.link_loads(&flows);
             for i in hot {
-                let candidate = self.best_alternative(&flows, &loads, i, bottleneck);
+                let candidate =
+                    self.best_alternative(&flows[i].flow, &loads, &mut scratch, bottleneck);
                 if let Some(new_flow) = candidate {
                     flows[i].flow = new_flow;
                     rerouted += 1;
-                    loads = self.link_loads(&flows);
+                    loads.rebuild(&flows);
                 }
             }
             // Phase 5: global update & termination check. `loads` is
             // rebuilt after every accepted reroute, so it is current here.
-            let (new_mcl, new_cur) = Self::max_of(&loads);
+            let (new_mcl, new_cur) = loads.max();
             mcl = new_mcl;
             cur = new_cur;
         }
@@ -154,42 +136,41 @@ impl TrafficOptimizer {
         }
     }
 
-    /// Best alternative route for flow `i` avoiding `bottleneck`: tries the
+    /// Best alternative route for `flow` avoiding `bottleneck`: tries the
     /// transposed dimension order and a load-aware Dijkstra detour; returns
     /// the route that lowers the flow's own bottleneck load, if any.
-    /// `loads` must be the current flow set's [`TrafficOptimizer::link_loads`].
+    /// `loads` must be the current flow set's loads.
     fn best_alternative(
         &self,
-        flows: &[TaggedFlow],
-        loads: &HashMap<LinkId, f64>,
-        i: usize,
+        flow: &Flow,
+        loads: &LinkLoads,
+        scratch: &mut RouteScratch,
         bottleneck: LinkId,
     ) -> Option<Flow> {
-        let tf = &flows[i];
-        let current_worst = self.route_worst_load(loads, &tf.flow.route, 0.0);
+        let current_worst = loads.route_worst(&flow.route, 0.0);
         let mut best: Option<(f64, Flow)> = None;
         // Candidate 1: transposed dimension order.
         let yx = Flow::routed(
             &self.mesh,
-            tf.flow.src,
-            tf.flow.dst,
-            tf.flow.bytes,
+            flow.src,
+            flow.dst,
+            flow.bytes,
             RouteOrder::YThenX,
         );
         // Candidate 2: load-aware shortest path.
-        let dijkstra = self.load_aware_route(loads, tf.flow.src, tf.flow.dst, tf.flow.bytes);
+        let dijkstra = self.load_aware_route(loads, scratch, flow.src, flow.dst, flow.bytes);
         for cand in std::iter::once(yx).chain(dijkstra) {
-            if cand.route == tf.flow.route || cand.route.contains(&bottleneck) {
+            if cand.route == flow.route || cand.route.contains(&bottleneck) {
                 continue;
             }
             // Detours pay store-and-forward per extra hop; cap the stretch
             // so the reroute cannot trade congestion for raw path length.
-            if cand.route.len() > tf.flow.route.len() + 2 {
+            if cand.route.len() > flow.route.len() + 2 {
                 continue;
             }
             // Load as seen by this flow after moving: subtract itself from
             // its old links, add to new.
-            let worst = self.route_worst_load(loads, &cand.route, tf.flow.bytes);
+            let worst = loads.route_worst(&cand.route, flow.bytes);
             if worst < current_worst && best.as_ref().map(|(w, _)| worst < *w).unwrap_or(true) {
                 best = Some((worst, cand));
             }
@@ -197,18 +178,14 @@ impl TrafficOptimizer {
         best.map(|(_, f)| f)
     }
 
-    fn route_worst_load(&self, loads: &HashMap<LinkId, f64>, route: &[LinkId], add: f64) -> f64 {
-        route
-            .iter()
-            .map(|l| loads.get(l).copied().unwrap_or(0.0) + add)
-            .fold(0.0f64, f64::max)
-    }
-
     /// Dijkstra over dies with link weight `1 + load/bytes` (hop count plus
-    /// normalized congestion), producing a detour candidate.
+    /// normalized congestion), producing a detour candidate. Edges are
+    /// relaxed in [`Mesh::neighbors`] order; `scratch` carries the
+    /// distance, predecessor and heap buffers across calls.
     fn load_aware_route(
         &self,
-        loads: &HashMap<LinkId, f64>,
+        loads: &LinkLoads,
+        scratch: &mut RouteScratch,
         src: DieId,
         dst: DieId,
         bytes: f64,
@@ -217,9 +194,12 @@ impl TrafficOptimizer {
             return None;
         }
         let n = self.mesh.die_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<DieId>> = vec![None; n];
-        let mut heap = std::collections::BinaryHeap::new();
+        let RouteScratch { dist, prev, heap } = scratch;
+        dist.clear();
+        dist.resize(n, f64::INFINITY);
+        prev.clear();
+        prev.resize(n, None);
+        heap.clear();
         dist[src.index()] = 0.0;
         heap.push(std::cmp::Reverse((ordered_float(0.0), src)));
         while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
@@ -230,10 +210,8 @@ impl TrafficOptimizer {
             if u == dst {
                 break;
             }
-            for v in self.mesh.neighbors(u) {
-                let link = self.mesh.link_between(u, v).expect("neighbors have links");
-                let load = loads.get(&link).copied().unwrap_or(0.0);
-                let w = 1.0 + load / bytes.max(1.0);
+            for (v, link) in self.mesh.neighbor_links(u) {
+                let w = 1.0 + loads.get(link) / bytes.max(1.0);
                 let nd = d + w;
                 if nd < dist[v.index()] {
                     dist[v.index()] = nd;
@@ -256,6 +234,127 @@ impl TrafficOptimizer {
         }
         path.reverse();
         Flow::with_path(&self.mesh, &path, bytes).ok()
+    }
+}
+
+/// Reusable buffers of [`TrafficOptimizer::load_aware_route`].
+#[derive(Default)]
+struct RouteScratch {
+    dist: Vec<f64>,
+    prev: Vec<Option<DieId>>,
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<(OrderedF64, DieId)>>,
+}
+
+/// Dense multicast link-load map, indexed by [`LinkId`]. Bit-identical to
+/// [`multicast_link_loads`]: each link sums its bytes in flow order, a
+/// `(payload, link)` pair counts only at its first occurrence, and a link
+/// is present exactly when some flow crosses it.
+struct LinkLoads {
+    load: Vec<f64>,
+    present: Vec<bool>,
+    /// Flow indices stably sorted by payload: one payload's flows sit
+    /// together, in flow order.
+    by_payload: Vec<usize>,
+    /// Per link, the stamp of the last payload that crossed it.
+    stamp: Vec<u32>,
+    next_stamp: u32,
+    /// Per route hop (at `offsets[flow] + hop`): whether the hop is its
+    /// payload's first crossing of that link.
+    first: Vec<bool>,
+    offsets: Vec<usize>,
+}
+
+impl LinkLoads {
+    /// Builds the loads of `flows`. Payloads never change under
+    /// rerouting, so the payload order is fixed here once.
+    fn new(mesh: &Mesh, flows: &[TaggedFlow]) -> Self {
+        let links = flows
+            .iter()
+            .flat_map(|tf| &tf.flow.route)
+            .map(|l| l.index() + 1)
+            .fold(mesh.link_count(), usize::max);
+        let mut by_payload: Vec<usize> = (0..flows.len()).collect();
+        by_payload.sort_by_key(|&i| flows[i].payload);
+        let mut loads = LinkLoads {
+            load: vec![0.0; links],
+            present: vec![false; links],
+            by_payload,
+            stamp: vec![0; links],
+            next_stamp: 0,
+            first: Vec::new(),
+            offsets: Vec::with_capacity(flows.len()),
+        };
+        loads.rebuild(flows);
+        loads
+    }
+
+    /// Recomputes every load from `flows` (same payloads, new routes).
+    fn rebuild(&mut self, flows: &[TaggedFlow]) {
+        self.offsets.clear();
+        let mut total = 0;
+        for tf in flows {
+            self.offsets.push(total);
+            total += tf.flow.route.len();
+        }
+        self.first.clear();
+        self.first.resize(total, false);
+        // Pass 1, payload by payload: mark each payload's first crossing
+        // of every link.
+        let mut last_payload = None;
+        for &i in &self.by_payload {
+            if last_payload != Some(flows[i].payload) {
+                last_payload = Some(flows[i].payload);
+                self.next_stamp = self.next_stamp.wrapping_add(1);
+                if self.next_stamp == 0 {
+                    self.stamp.fill(0);
+                    self.next_stamp = 1;
+                }
+            }
+            for (hop, l) in flows[i].flow.route.iter().enumerate() {
+                let slot = &mut self.stamp[l.index()];
+                if *slot != self.next_stamp {
+                    *slot = self.next_stamp;
+                    self.first[self.offsets[i] + hop] = true;
+                }
+            }
+        }
+        // Pass 2, in flow order: sum the first crossings, so every link
+        // adds its bytes in the same order as the hash-map reference.
+        self.load.fill(0.0);
+        self.present.fill(false);
+        for (tf, &offset) in flows.iter().zip(&self.offsets) {
+            for (hop, l) in tf.flow.route.iter().enumerate() {
+                if self.first[offset + hop] {
+                    self.load[l.index()] += tf.flow.bytes;
+                    self.present[l.index()] = true;
+                }
+            }
+        }
+    }
+
+    /// Load of `link` (zero when no flow crosses it).
+    fn get(&self, link: LinkId) -> f64 {
+        self.load.get(link.index()).copied().unwrap_or(0.0)
+    }
+
+    /// Worst per-link load along `route`, each link's load raised by `add`.
+    fn route_worst(&self, route: &[LinkId], add: f64) -> f64 {
+        route
+            .iter()
+            .map(|&l| self.get(l) + add)
+            .fold(0.0f64, f64::max)
+    }
+
+    /// Most-loaded link. Equal loads resolve to the lowest [`LinkId`], so
+    /// the bottleneck (and with it every reroute) is deterministic.
+    fn max(&self) -> (Option<LinkId>, f64) {
+        let mut best: (Option<LinkId>, f64) = (None, 0.0);
+        for (i, (&load, &present)) in self.load.iter().zip(&self.present).enumerate() {
+            if present && (best.0.is_none() || load > best.1) {
+                best = (Some(LinkId(i as u32)), load);
+            }
+        }
+        best
     }
 }
 
@@ -402,6 +501,258 @@ mod tests {
             .collect();
         let out = opt.optimize(flows);
         assert!(out.iterations <= 1);
+    }
+
+    /// The hash-map loop the dense optimizer replaced, kept verbatim as
+    /// the bit-identity reference: a SipHash load map rebuilt at the top of
+    /// every iteration and after every accepted reroute, and a Dijkstra
+    /// that allocates its neighbor lists and buffers.
+    fn optimize_reference(
+        mesh: &Mesh,
+        max_iter: usize,
+        mut flows: Vec<TaggedFlow>,
+    ) -> OptimizationOutcome {
+        fn max_of(loads: &HashMap<LinkId, f64>) -> (Option<LinkId>, f64) {
+            loads
+                .iter()
+                .max_by(|a, b| {
+                    a.1.partial_cmp(b.1)
+                        .expect("finite loads")
+                        .then_with(|| b.0.cmp(a.0))
+                })
+                .map(|(l, v)| (Some(*l), *v))
+                .unwrap_or((None, 0.0))
+        }
+        fn worst(loads: &HashMap<LinkId, f64>, route: &[LinkId], add: f64) -> f64 {
+            route
+                .iter()
+                .map(|l| loads.get(l).copied().unwrap_or(0.0) + add)
+                .fold(0.0f64, f64::max)
+        }
+        fn dijkstra(
+            mesh: &Mesh,
+            loads: &HashMap<LinkId, f64>,
+            src: DieId,
+            dst: DieId,
+            bytes: f64,
+        ) -> Option<Flow> {
+            if src == dst {
+                return None;
+            }
+            let n = mesh.die_count();
+            let mut dist = vec![f64::INFINITY; n];
+            let mut prev: Vec<Option<DieId>> = vec![None; n];
+            let mut heap = std::collections::BinaryHeap::new();
+            dist[src.index()] = 0.0;
+            heap.push(std::cmp::Reverse((ordered_float(0.0), src)));
+            while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+                let d = d.0;
+                if d > dist[u.index()] {
+                    continue;
+                }
+                if u == dst {
+                    break;
+                }
+                for v in mesh.neighbors(u) {
+                    let link = mesh.link_between(u, v).expect("neighbors have links");
+                    let load = loads.get(&link).copied().unwrap_or(0.0);
+                    let w = 1.0 + load / bytes.max(1.0);
+                    let nd = d + w;
+                    if nd < dist[v.index()] {
+                        dist[v.index()] = nd;
+                        prev[v.index()] = Some(u);
+                        heap.push(std::cmp::Reverse((ordered_float(nd), v)));
+                    }
+                }
+            }
+            if dist[dst.index()].is_infinite() {
+                return None;
+            }
+            let mut path = vec![dst];
+            let mut at = dst;
+            while let Some(p) = prev[at.index()] {
+                path.push(p);
+                at = p;
+                if at == src {
+                    break;
+                }
+            }
+            path.reverse();
+            Flow::with_path(mesh, &path, bytes).ok()
+        }
+
+        let (mut mcl, initial) = max_of(&multicast_link_loads(&flows));
+        let mut cur = initial;
+        let mut prev = 2.0 * cur;
+        let mut iterations = 0;
+        let mut rerouted = 0;
+        while cur < prev && cur > 0.0 {
+            if iterations >= max_iter {
+                break;
+            }
+            prev = cur;
+            iterations += 1;
+            let Some(bottleneck) = mcl else { break };
+            let hot: Vec<usize> = flows
+                .iter()
+                .enumerate()
+                .filter(|(_, tf)| tf.flow.route.contains(&bottleneck))
+                .map(|(i, _)| i)
+                .collect();
+            let mut loads = multicast_link_loads(&flows);
+            for i in hot {
+                let tf = &flows[i];
+                let current_worst = worst(&loads, &tf.flow.route, 0.0);
+                let mut best: Option<(f64, Flow)> = None;
+                let yx = Flow::routed(
+                    mesh,
+                    tf.flow.src,
+                    tf.flow.dst,
+                    tf.flow.bytes,
+                    RouteOrder::YThenX,
+                );
+                let detour = dijkstra(mesh, &loads, tf.flow.src, tf.flow.dst, tf.flow.bytes);
+                for cand in std::iter::once(yx).chain(detour) {
+                    if cand.route == tf.flow.route || cand.route.contains(&bottleneck) {
+                        continue;
+                    }
+                    if cand.route.len() > tf.flow.route.len() + 2 {
+                        continue;
+                    }
+                    let w = worst(&loads, &cand.route, tf.flow.bytes);
+                    if w < current_worst && best.as_ref().map(|(b, _)| w < *b).unwrap_or(true) {
+                        best = Some((w, cand));
+                    }
+                }
+                if let Some((_, new_flow)) = best {
+                    flows[i].flow = new_flow;
+                    rerouted += 1;
+                    loads = multicast_link_loads(&flows);
+                }
+            }
+            let (new_mcl, new_cur) = max_of(&loads);
+            mcl = new_mcl;
+            cur = new_cur;
+        }
+        OptimizationOutcome {
+            flows,
+            initial_max_load: initial,
+            final_max_load: cur,
+            iterations,
+            rerouted,
+        }
+    }
+
+    /// SplitMix64: a seeded generator for the randomized properties.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n.max(1)
+        }
+    }
+
+    /// A random flow set: XY or YX routes, payloads drawn from a small
+    /// pool so multicast sharing is common, and byte counts either drawn
+    /// from a few values (tied loads) or arbitrary (order-sensitive sums).
+    fn random_flows(mesh: &Mesh, rng: &mut SplitMix) -> Vec<TaggedFlow> {
+        let dies = mesh.die_count() as u64;
+        let count = 1 + rng.below(48);
+        let payloads = 1 + rng.below(count);
+        let tied = rng.below(2) == 0;
+        (0..count)
+            .map(|_| {
+                let src = DieId(rng.below(dies) as u32);
+                let dst = DieId(rng.below(dies) as u32);
+                let bytes = if tied {
+                    (1 + rng.below(4)) as f64 * MB
+                } else {
+                    1.0 + rng.below(1 << 30) as f64 / 7.0
+                };
+                let order = if rng.below(4) == 0 {
+                    RouteOrder::YThenX
+                } else {
+                    RouteOrder::XThenY
+                };
+                TaggedFlow {
+                    flow: Flow::routed(mesh, src, dst, bytes, order),
+                    payload: rng.below(payloads),
+                }
+            })
+            .collect()
+    }
+
+    fn dense_map(loads: &LinkLoads) -> HashMap<LinkId, u64> {
+        (0..loads.load.len())
+            .filter(|&i| loads.present[i])
+            .map(|i| (LinkId(i as u32), loads.load[i].to_bits()))
+            .collect()
+    }
+
+    fn reference_map(flows: &[TaggedFlow]) -> HashMap<LinkId, u64> {
+        multicast_link_loads(flows)
+            .into_iter()
+            .map(|(l, v)| (l, v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn dense_optimizer_matches_hash_map_reference() {
+        for (w, h) in [(8u32, 4u32), (16, 8)] {
+            let mesh = Mesh::new(w, h).unwrap();
+            let opt = TrafficOptimizer::new(mesh.clone());
+            let mut rng = SplitMix(0x7E4D_0000 + u64::from(w));
+            for case in 0..300 {
+                let flows = random_flows(&mesh, &mut rng);
+                let mut loads = LinkLoads::new(&mesh, &flows);
+                assert_eq!(
+                    dense_map(&loads),
+                    reference_map(&flows),
+                    "{w}x{h} case {case}: loads"
+                );
+                assert_eq!(
+                    loads.max(),
+                    {
+                        let reference = multicast_link_loads(&flows);
+                        let best = reference.iter().max_by(|a, b| {
+                            a.1.partial_cmp(b.1).unwrap().then_with(|| b.0.cmp(a.0))
+                        });
+                        best.map_or((None, 0.0), |(l, v)| (Some(*l), *v))
+                    },
+                    "{w}x{h} case {case}: bottleneck"
+                );
+                let expected = optimize_reference(&mesh, MAX_ITER, flows.clone());
+                let got = opt.optimize(flows);
+                assert_eq!(got.flows, expected.flows, "{w}x{h} case {case}: flows");
+                assert_eq!(got.iterations, expected.iterations, "{w}x{h} case {case}");
+                assert_eq!(got.rerouted, expected.rerouted, "{w}x{h} case {case}");
+                assert_eq!(
+                    got.initial_max_load.to_bits(),
+                    expected.initial_max_load.to_bits(),
+                    "{w}x{h} case {case}: initial"
+                );
+                assert_eq!(
+                    got.final_max_load.to_bits(),
+                    expected.final_max_load.to_bits(),
+                    "{w}x{h} case {case}: final"
+                );
+                // A rebuild over rerouted flows is as exact as a fresh map.
+                loads.rebuild(&got.flows);
+                assert_eq!(
+                    dense_map(&loads),
+                    reference_map(&got.flows),
+                    "{w}x{h} case {case}: rebuilt loads"
+                );
+            }
+        }
     }
 
     #[test]

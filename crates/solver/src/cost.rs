@@ -25,7 +25,9 @@ use temp_graph::segment::{Segment, SegmentChain, SegmentKind};
 use temp_graph::tensor::LinearDims;
 use temp_graph::transformer::TransformerBuilder;
 use temp_graph::workload::Workload;
-use temp_mapping::engines::{map_hybrid, MappingEngine};
+use temp_mapping::engines::{select, Draft, MappingEngine};
+use temp_mapping::MappingError;
+use temp_parallel::groups::LayoutPolicy;
 use temp_parallel::memory::{per_die_footprint, FootprintBreakdown};
 use temp_parallel::selective::choose_stream;
 use temp_parallel::strategy::HybridConfig;
@@ -211,32 +213,51 @@ thread_local! {
 /// Bound on thread-local collective entries; the cache resets past it.
 const COLL_TLS_CAP: usize = 1 << 16;
 
-/// The communication-relevant slice of one [`map_hybrid`] outcome — all an
-/// evaluation reads from a mapping. Layouts, flows and link loads stay in
-/// the mapping crate; the costing hot path needs only the op table, the
-/// simulated contention factor, and the pre-reduced D2D volume.
+/// The communication-relevant slice of one engine's mapping — all an
+/// evaluation reads from it. Layouts, flows and link loads stay in the
+/// mapping crate; the costing hot path needs only the op table (read from
+/// the shared [`Draft`]), the simulated contention factor, and the
+/// pre-reduced D2D volume.
 #[derive(Debug)]
 struct MappedComm {
-    comm_ops: Vec<temp_mapping::comm::CommOp>,
+    /// The selected draft; its comm ops are the layer's op table.
+    draft: std::sync::Arc<Draft>,
     contention_factor: f64,
     /// Per-layer D2D byte volume (`Σ bytes · per_layer_count · group`),
     /// pre-reduced for the energy ledger.
     comm_bytes_layer: f64,
 }
 
+/// The only workload fields `extract_comm_ops` reads: batch geometry
+/// (global batch, sequence length, micro-batches) and dtype width.
+type Geometry = (u64, u64, u64, u8);
+
 /// Key of one memoized mapping: the engine, the EP-folded layout config,
-/// and the only workload fields `extract_comm_ops` reads (batch geometry
-/// and dtype width). Recompute mode and fault state are deliberately
+/// and the batch geometry. Recompute mode and fault state are deliberately
 /// absent — mappings are identical across recompute escalation and across
 /// degraded siblings (faults derate timing factors, not the layout), which
 /// is exactly where the sharing pays.
-type MappingKey = (u8, HybridConfig, u64, u64, u64, u8);
+type MappingKey = (u8, HybridConfig, Geometry);
+
+/// Key of one memoized [`Draft`]: as [`MappingKey`] with the layout policy
+/// in place of the engine, so the three engines share drafts.
+type DraftKey = (LayoutPolicy, HybridConfig, Geometry);
+
+/// A memoized draft and, when it was built just now, its XY flows.
+type DraftWithFlows = (
+    std::sync::Arc<Draft>,
+    Option<Vec<temp_mapping::comm::TaggedFlow>>,
+);
 
 /// Memoized communication mappings, shared across clones and degraded
-/// siblings like the collective memo. `map_hybrid` (layout + routing +
-/// contention simulation) dominates a cold evaluation's wall time; the
-/// memo collapses it to once per distinct layout key. Failures are stored
-/// as their exact error strings so a memoized miss reproduces the same
+/// siblings like the collective memo. Mapping (layout, routing, traffic
+/// optimization and contention simulation) dominates a cold evaluation's
+/// wall time; the memo runs it in two levels. `drafts` keeps one
+/// engine-independent [`Draft`] per `(policy, layout, geometry)` — comm
+/// ops and scalars, no layouts or flows — and every engine's selection
+/// reads from it, so each layout is drafted once. `table` keeps each
+/// engine's selection per `(engine, layout, geometry)`. Failures are
+/// stored as their exact errors so a memoized miss reproduces the same
 /// [`SolverError::Internal`] a fresh mapping would.
 struct MappingMemo {
     #[allow(clippy::type_complexity)]
@@ -244,16 +265,25 @@ struct MappingMemo {
         MappingKey,
         std::result::Result<std::sync::Arc<MappedComm>, String>,
     >,
+    drafts: crate::shard::ShardedMap<
+        DraftKey,
+        std::result::Result<std::sync::Arc<Draft>, MappingError>,
+    >,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
+    draft_hits: std::sync::atomic::AtomicU64,
+    draft_misses: std::sync::atomic::AtomicU64,
 }
 
 impl Default for MappingMemo {
     fn default() -> Self {
         MappingMemo {
             table: crate::shard::ShardedMap::new(),
+            drafts: crate::shard::ShardedMap::new(),
             hits: std::sync::atomic::AtomicU64::new(0),
             misses: std::sync::atomic::AtomicU64::new(0),
+            draft_hits: std::sync::atomic::AtomicU64::new(0),
+            draft_misses: std::sync::atomic::AtomicU64::new(0),
         }
     }
 }
@@ -511,9 +541,10 @@ impl WaferCostModel {
     }
 
     /// The memoized communication mapping of `(engine, layout_cfg)` under
-    /// `workload`'s batch geometry. A serve is bit-identical to remapping:
-    /// for a fixed wafer/model, `map_hybrid` is a pure function of the key
-    /// (recompute mode and fault state never reach it), and failures are
+    /// `workload`'s batch geometry: the engine's [`select`] over the
+    /// memoized drafts. A serve is bit-identical to remapping: for a fixed
+    /// wafer/model, drafts and selections are pure functions of their keys
+    /// (recompute mode and fault state never reach them), and failures are
     /// replayed with their exact error strings.
     fn mapped_comm(
         &self,
@@ -522,33 +553,34 @@ impl WaferCostModel {
         layout_cfg: &HybridConfig,
     ) -> Result<std::sync::Arc<MappedComm>> {
         use std::sync::atomic::Ordering;
-        let key = (
-            crate::persist::engine_code(engine),
-            *layout_cfg,
+        let geometry = (
             workload.global_batch,
             workload.seq_len,
             workload.micro_batches,
             workload.compute_dtype.bytes() as u8,
         );
+        let key = (crate::persist::engine_code(engine), *layout_cfg, geometry);
         if let Some(cached) = self.map_memo.table.get(&key) {
             self.map_memo.hits.fetch_add(1, Ordering::Relaxed);
             return cached.map_err(SolverError::Internal);
         }
-        let computed = match map_hybrid(engine, &self.wafer, &self.model, workload, layout_cfg) {
-            Ok(mapping) => {
-                let comm_bytes_layer = mapping
-                    .comm_ops
-                    .iter()
-                    .map(|op| op.bytes * op.per_layer_count * op.group.len().max(1) as f64)
-                    .sum();
-                Ok(std::sync::Arc::new(MappedComm {
-                    contention_factor: mapping.contention_factor(),
-                    comm_bytes_layer,
-                    comm_ops: mapping.comm_ops,
-                }))
-            }
-            Err(e) => Err(e.to_string()),
-        };
+        let computed = select(engine, &self.wafer, |policy| {
+            self.draft(policy, workload, layout_cfg, geometry)
+        })
+        .map(|selection| {
+            let comm_bytes_layer = selection
+                .draft
+                .comm_ops
+                .iter()
+                .map(|op| op.bytes * op.per_layer_count * op.group.len().max(1) as f64)
+                .sum();
+            std::sync::Arc::new(MappedComm {
+                contention_factor: selection.contention_factor(),
+                comm_bytes_layer,
+                draft: selection.draft,
+            })
+        })
+        .map_err(|e| e.to_string());
         self.map_memo.misses.fetch_add(1, Ordering::Relaxed);
         // Stored entries win races, so every observer of a key sees one
         // consistent mapping.
@@ -558,13 +590,51 @@ impl WaferCostModel {
             .map_err(SolverError::Internal)
     }
 
-    /// `(hits, misses)` of the mapping memo since it was created (shared
-    /// across clones and degraded siblings).
+    /// The memoized [`Draft`] of `layout_cfg` laid out with `policy`, with
+    /// its XY flows when it was built just now (as [`select`] takes it).
+    fn draft(
+        &self,
+        policy: LayoutPolicy,
+        workload: &Workload,
+        layout_cfg: &HybridConfig,
+        geometry: Geometry,
+    ) -> std::result::Result<DraftWithFlows, MappingError> {
+        use std::sync::atomic::Ordering;
+        let key = (policy, *layout_cfg, geometry);
+        if let Some(cached) = self.map_memo.drafts.get(&key) {
+            self.map_memo.draft_hits.fetch_add(1, Ordering::Relaxed);
+            return cached.map(|draft| (draft, None));
+        }
+        let built = Draft::build(&self.wafer, &self.model, workload, layout_cfg, policy);
+        self.map_memo.draft_misses.fetch_add(1, Ordering::Relaxed);
+        let (stored, flows) = match built {
+            Ok((_, flows, draft)) => (Ok(std::sync::Arc::new(draft)), Some(flows)),
+            Err(e) => (Err(e), None),
+        };
+        // A racing build of the same key stored an identical draft, so the
+        // flows built here are its flows too.
+        let stored = self.map_memo.drafts.insert_if_absent(key, stored)?;
+        Ok((stored, flows))
+    }
+
+    /// `(hits, misses)` of the mapping memo's `(engine, layout)` lookups
+    /// since it was created (shared across clones and degraded siblings).
     pub fn mapping_memo_stats(&self) -> (u64, u64) {
         use std::sync::atomic::Ordering;
         (
             self.map_memo.hits.load(Ordering::Relaxed),
             self.map_memo.misses.load(Ordering::Relaxed),
+        )
+    }
+
+    /// `(hits, misses)` of the draft memo's `(policy, layout)` lookups
+    /// since it was created; a miss is one draft built. Shared like
+    /// [`WaferCostModel::mapping_memo_stats`].
+    pub fn draft_memo_stats(&self) -> (u64, u64) {
+        use std::sync::atomic::Ordering;
+        (
+            self.map_memo.draft_hits.load(Ordering::Relaxed),
+            self.map_memo.draft_misses.load(Ordering::Relaxed),
         )
     }
 
@@ -773,8 +843,8 @@ impl WaferCostModel {
     /// Batched exact costing: evaluates a whole candidate group sharing
     /// `(engine, workload)` — and hence the recompute mode — in one pass.
     /// The op-graph walk and the shared scalars are hoisted once per
-    /// group; distinct layout keys reach `map_hybrid` once through the
-    /// mapping memo and every duplicate (recompute escalations, `dp·ep`
+    /// group; distinct layout keys are mapped once through the mapping
+    /// memo and every duplicate (recompute escalations, `dp·ep`
     /// foldings, degraded siblings) is served from it. Results are
     /// positionally aligned with `cfgs` and **bit-identical** to calling
     /// [`WaferCostModel::evaluate_with`] per candidate: both paths run the
@@ -861,7 +931,7 @@ impl WaferCostModel {
         // loop touches no heap.
         let mut coll_by_class = [0.0f64; temp_mapping::comm::CommOp::CLASS_COUNT];
         let mut stream_layer: f64 = 0.0;
-        for op in &mapping.comm_ops {
+        for op in &mapping.draft.comm_ops {
             match op.pattern {
                 temp_mapping::comm::CommPattern::P2pStream => {
                     // Per-round pricing: the stream runs `tatp` rounds per

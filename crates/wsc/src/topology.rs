@@ -347,6 +347,19 @@ impl Mesh {
         out
     }
 
+    /// Mesh neighbors of a die with the link to each, in
+    /// [`Mesh::neighbors`] order, read off the link-index table without
+    /// allocating.
+    pub fn neighbor_links(&self, die: DieId) -> impl Iterator<Item = (DieId, LinkId)> + '_ {
+        let base = die.index() * 4;
+        self.link_table
+            .get(base..base + 4)
+            .unwrap_or(&[])
+            .iter()
+            .filter(|&&slot| slot != NO_LINK)
+            .map(|&slot| (self.links[slot as usize].dst, LinkId(slot)))
+    }
+
     /// Whether two dies are directly connected.
     pub fn adjacent(&self, a: DieId, b: DieId) -> bool {
         self.neighbors(a).contains(&b)
@@ -484,6 +497,35 @@ mod tests {
             Err(WscError::CoordOutOfBounds { .. })
         ));
         assert!(matches!(m.coord(DieId(32)), Err(WscError::UnknownDie(32))));
+    }
+
+    #[test]
+    fn neighbor_links_follow_neighbors_order() {
+        for (w, h, torus) in [
+            (8, 4, false),
+            (16, 8, false),
+            (1, 5, false),
+            (2, 2, true),
+            (3, 3, true),
+            (5, 2, true),
+            (6, 4, true),
+        ] {
+            let m = if torus {
+                Mesh::torus(w, h)
+            } else {
+                Mesh::new(w, h)
+            }
+            .unwrap();
+            for die in m.dies() {
+                let expected: Vec<(DieId, LinkId)> = m
+                    .neighbors(die)
+                    .into_iter()
+                    .map(|v| (v, m.link_between(die, v).unwrap()))
+                    .collect();
+                let got: Vec<(DieId, LinkId)> = m.neighbor_links(die).collect();
+                assert_eq!(got, expected, "{w}x{h} torus={torus} die {die}");
+            }
+        }
     }
 
     #[test]

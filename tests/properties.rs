@@ -10,11 +10,13 @@ use rand::{Rng, SeedableRng};
 use temp_repro::graph::models::ModelZoo;
 use temp_repro::graph::segment::SegmentKind;
 use temp_repro::graph::workload::Workload;
-use temp_repro::mapping::engines::MappingEngine;
+use temp_repro::mapping::comm::layer_flows;
+use temp_repro::mapping::engines::{map_hybrid, MappingEngine};
 use temp_repro::parallel::strategy::HybridConfig;
 use temp_repro::parallel::tatp::TatpOrchestration;
 use temp_repro::parallel::tspp::TsppOrchestration;
 use temp_repro::sim::network::{ContentionSim, Flow};
+use temp_repro::solver::cost::WaferCostModel;
 use temp_repro::solver::dlws::Dlws;
 use temp_repro::wsc::config::WaferConfig;
 use temp_repro::wsc::fault::FaultMap;
@@ -634,6 +636,68 @@ fn memo_served_plans_equal_fresh_solves_zoo_wide() {
             }
         }
     }
+}
+
+/// The mapping memo shares one draft per `(policy, layout)` across the
+/// three engines, so a candidate's mapping must not depend on which engine
+/// drafted its layouts first. Over the zoo on three wafers, candidates
+/// are costed through a shared model once TCME-first and once
+/// SMap/GMap-first: every report must equal a fresh model's bit for bit,
+/// and the memo's contention factor must equal a standalone
+/// `map_hybrid`'s. The candidates include a TCME pick the traffic
+/// optimizer leaves alone (the draft's times are reused) and one it
+/// reroutes (re-simulated).
+#[test]
+fn shared_drafts_cost_alike_in_every_engine_order() {
+    use MappingEngine::{GMap, SMap, Tcme};
+    let mut tcme_rerouted = [false, false];
+    for model in ModelZoo::table2().into_iter().chain(ModelZoo::moe_zoo()) {
+        let workload = Workload::for_model(&model);
+        for (w, h) in [(8u32, 4u32), (8, 8), (16, 8)] {
+            let wafer = WaferConfig::with_array(w, h).unwrap();
+            let dies = (w * h) as usize;
+            let cfgs = [
+                HybridConfig::tuple(dies, 1, 1, 1),
+                HybridConfig::tuple(dies / 2, 2, 1, 1),
+                HybridConfig::tuple(2, 1, 4, dies / 8),
+                HybridConfig::tuple(dies / 8, 2, 2, 2),
+            ];
+            let fresh_model =
+                || WaferCostModel::new(wafer.clone(), model.clone(), workload.clone());
+            let mut expected = std::collections::HashMap::new();
+            for engine in [Tcme, SMap, GMap] {
+                for cfg in &cfgs {
+                    let report = fresh_model().evaluate(cfg, engine);
+                    let factor = map_hybrid(engine, &wafer, &model, &workload, cfg).map(|m| {
+                        if engine == Tcme {
+                            let xy = layer_flows(&wafer.mesh(), &m.comm_ops);
+                            tcme_rerouted[usize::from(m.flows != xy)] = true;
+                        }
+                        m.contention_factor().to_bits()
+                    });
+                    expected.insert((engine, *cfg), (format!("{report:?}"), factor));
+                }
+            }
+            for order in [[Tcme, SMap, GMap], [SMap, GMap, Tcme]] {
+                let shared = fresh_model();
+                for engine in order {
+                    for cfg in &cfgs {
+                        let label = format!("{} {engine} {} on {w}x{h}", model.name, cfg.label());
+                        let report = shared.evaluate(cfg, engine);
+                        let (fresh, factor) = &expected[&(engine, *cfg)];
+                        assert_eq!(&format!("{report:?}"), fresh, "{label} after {order:?}");
+                        if let (Ok(report), Ok(factor)) = (&report, factor) {
+                            assert_eq!(report.contention_factor.to_bits(), *factor, "{label}");
+                        }
+                    }
+                }
+                // Each layout was drafted once per policy, whatever the order.
+                let (_, built) = shared.draft_memo_stats();
+                assert!(built <= 2 * cfgs.len() as u64, "{} on {w}x{h}", model.name);
+            }
+        }
+    }
+    assert_eq!(tcme_rerouted, [true, true], "both TCME branches ran");
 }
 
 /// Pruned and exhaustive staged plans agree over eval-sweep's axes: 2, 4
