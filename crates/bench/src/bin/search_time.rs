@@ -1,9 +1,9 @@
 //! §VIII-H: DLS search time vs the exact (ILP-style) baseline, plus the
 //! search-pipeline regression benchmark: serial vs work-stealing-pool
 //! candidate costing, the bound-pruned evaluation counts of a cold
-//! single-model solve, the multi-wafer sweep, the MoE chain and a 16x16
-//! wafer, the candidate-cache hit rate of the seven-system sweep, and the
-//! persisted-cache warm start over the fig13 zoo.
+//! single-model solve, the multi-wafer sweep, the MoE chain and 16x16 and
+//! 32x32 wafers, the candidate-cache hit rate of the seven-system sweep,
+//! and the persisted-cache warm start over the fig13 zoo.
 //!
 //! Machine-readable results are emitted as single-line JSON records
 //! (prefix `{"bench":"search_time",...}`) for the bench trajectory.
@@ -70,14 +70,12 @@ fn json_f64_field(record: &str, field: &str) -> Option<f64> {
     digits.parse().ok()
 }
 
-/// Per-model instrumentation captured during a zoo solve: wall time,
-/// mean exact-evaluation latency, and the contention warm/cached-serve
-/// hit rate observed while that model solved.
+/// Per-model instrumentation captured during a zoo solve: wall time and
+/// mean exact-evaluation latency.
 struct ZooModelStats {
     name: String,
     solve_wall_s: f64,
     eval_ns_mean: f64,
-    contention_warm_hit_rate: f64,
 }
 
 /// Solves the fig13 zoo on one pool with the bound pruner toggled,
@@ -92,29 +90,20 @@ fn solve_zoo_with(pool: &ContextPool, pruning: bool) -> (Vec<String>, u64, Vec<Z
         let ctx = pool.context(&model, &workload);
         ctx.set_pruning(pruning);
         let before = ctx.stats();
-        let (warm_h0, warm_m0) = temp_sim::network::contention_warm_stats();
         let t0 = Instant::now();
         let plan = pool
             .solver(&model, &workload)
             .solve()
             .expect("zoo model must solve");
         let solve_wall_s = t0.elapsed().as_secs_f64();
-        let (warm_h1, warm_m1) = temp_sim::network::contention_warm_stats();
         let after = ctx.stats();
         evals += after.misses;
         let d_misses = after.misses.saturating_sub(before.misses);
         let d_exact_ns = after.exact_ns.saturating_sub(before.exact_ns);
-        let warm_hits = warm_h1.saturating_sub(warm_h0);
-        let warm_total = warm_hits + warm_m1.saturating_sub(warm_m0);
         per_model.push(ZooModelStats {
             name: model.name.clone(),
             solve_wall_s,
             eval_ns_mean: d_exact_ns as f64 / d_misses.max(1) as f64,
-            contention_warm_hit_rate: if warm_total == 0 {
-                0.0
-            } else {
-                warm_hits as f64 / warm_total as f64
-            },
         });
         // `{:?}` renders the step time bit-exactly, so matching
         // fingerprints mean matching plans, not just matching labels.
@@ -293,6 +282,8 @@ fn main() {
                 .unwrap_or_else(|| panic!("no moe_exact_evals field in {path}"));
             let large_evals = json_u64_field(&record, "large_wafer_exact_evals")
                 .unwrap_or_else(|| panic!("no large_wafer_exact_evals field in {path}"));
+            let wafer32_evals = json_u64_field(&record, "wafer32_exact_evals")
+                .unwrap_or_else(|| panic!("no wafer32_exact_evals field in {path}"));
             let map_drafts = json_u64_field(&record, "map_drafts")
                 .unwrap_or_else(|| panic!("no map_drafts field in {path}"));
             let pruned_candidates = json_u64_field(&record, "pruned_candidates")
@@ -305,6 +296,7 @@ fn main() {
                 mw_evals,
                 moe_evals,
                 large_evals,
+                wafer32_evals,
                 map_drafts,
                 pruned_candidates,
                 campaign_s,
@@ -454,6 +446,26 @@ fn main() {
         "{{\"bench\":\"search_time\",\"metric\":\"large_wafer_solve\",\"solve_s\":{large_wafer_solve_s:.6},\"exact_evals\":{large_wafer_exact_evals}}}"
     );
 
+    header("32x32 wafer: cold bound-pruned solve of GPT-3 6.7B on 1024 dies (TCME)");
+    // Strip layouts at this size carry thousands of flows per contention
+    // round: the row that tracks the largest wafer a cold solve serves.
+    let wafer32_solver = Dlws::new(
+        WaferConfig::with_array(32, 32).expect("32x32 wafer"),
+        model.clone(),
+        Workload::for_model(&model),
+    );
+    let t0 = Instant::now();
+    let wafer32_plan = wafer32_solver.solve().expect("32x32 plan");
+    let wafer32_solve_s = t0.elapsed().as_secs_f64();
+    let wafer32_exact_evals = wafer32_solver.search_stats().misses;
+    println!(
+        "cold solve {wafer32_solve_s:.3} s ({wafer32_exact_evals} evals) -> plan {}",
+        wafer32_plan.config.label()
+    );
+    println!(
+        "{{\"bench\":\"search_time\",\"metric\":\"wafer32_solve\",\"solve_s\":{wafer32_solve_s:.6},\"exact_evals\":{wafer32_exact_evals}}}"
+    );
+
     header("candidate cache: the seven-system compare_all sweep");
     let temp = Temp::hpca(ModelZoo::gpt3_6_7b());
     let t0 = Instant::now();
@@ -591,12 +603,8 @@ fn main() {
     );
     for m in &zoo_model_stats {
         println!(
-            "  {}: solve {:.4} s, mean exact eval {:.0} ns, contention warm/cached \
-             hit rate {:.1}%",
-            m.name,
-            m.solve_wall_s,
-            m.eval_ns_mean,
-            100.0 * m.contention_warm_hit_rate
+            "  {}: solve {:.4} s, mean exact eval {:.0} ns",
+            m.name, m.solve_wall_s, m.eval_ns_mean
         );
     }
     println!(
@@ -695,6 +703,7 @@ fn main() {
                 "\"exact_cold_s\":{:.6},\"exact_evals\":{},",
                 "\"multiwafer_exact_evals\":{},\"moe_exact_evals\":{},\"moe_ep\":{},",
                 "\"large_wafer_exact_evals\":{},\"large_wafer_solve_s\":{:.6},",
+                "\"wafer32_exact_evals\":{},\"wafer32_solve_s\":{:.6},",
                 "\"sweep_cache_hit_rate\":{:.4},\"sweep_seg_hits\":{},",
                 "\"cold_evals\":{},\"warm_evals\":{},\"warm_plans_match\":{},",
                 "\"exhaustive_zoo_s\":{:.6},\"pruned_zoo_s\":{:.6},",
@@ -717,6 +726,8 @@ fn main() {
             moe_ep,
             large_wafer_exact_evals,
             large_wafer_solve_s,
+            wafer32_exact_evals,
+            wafer32_solve_s,
             after_first.hit_rate(),
             after_second.seg_hits,
             cold_evals,
@@ -741,8 +752,8 @@ fn main() {
             zoo_model_stats
                 .iter()
                 .map(|m| format!(
-                    "{{\"name\":\"{}\",\"solve_wall_s\":{:.6},\"eval_ns_mean\":{:.1},\"contention_warm_hit_rate\":{:.4}}}",
-                    m.name, m.solve_wall_s, m.eval_ns_mean, m.contention_warm_hit_rate
+                    "{{\"name\":\"{}\",\"solve_wall_s\":{:.6},\"eval_ns_mean\":{:.1}}}",
+                    m.name, m.solve_wall_s, m.eval_ns_mean
                 ))
                 .collect::<Vec<_>>()
                 .join(","),
@@ -757,6 +768,7 @@ fn main() {
         baseline_mw_evals,
         baseline_moe_evals,
         baseline_large_evals,
+        baseline_wafer32_evals,
         baseline_map_drafts,
         baseline_pruned_candidates,
         baseline_campaign_s,
@@ -764,10 +776,11 @@ fn main() {
     {
         // Bench-regression gate: fail when a cold bound-pruned search —
         // single wafer, the multi-wafer sweep, the MoE chain, or the 16x16
-        // wafer — needs >20% more exact evaluations, or the cold
-        // three-engine zoo >20% more mapping drafts, than the committed
-        // baseline record. (`large_wafer_solve_s` is recorded, not gated:
-        // wall time varies across runners.)
+        // and 32x32 wafers — needs >20% more exact evaluations, or the
+        // cold three-engine zoo >20% more mapping drafts, than the
+        // committed baseline record. (`large_wafer_solve_s` and
+        // `wafer32_solve_s` are recorded, not gated: wall time varies
+        // across runners.)
         let mut failed = false;
         for (what, fresh, baseline) in [
             ("exact_evals", exact_evals, baseline_evals),
@@ -777,6 +790,11 @@ fn main() {
                 "large_wafer_exact_evals",
                 large_wafer_exact_evals,
                 baseline_large_evals,
+            ),
+            (
+                "wafer32_exact_evals",
+                wafer32_exact_evals,
+                baseline_wafer32_evals,
             ),
             ("map_drafts", map_drafts, baseline_map_drafts),
         ] {

@@ -107,6 +107,12 @@ pub struct TaggedFlow {
     pub payload: u64,
 }
 
+impl AsRef<Flow> for TaggedFlow {
+    fn as_ref(&self) -> &Flow {
+        &self.flow
+    }
+}
+
 /// Extracts every communication op of one training step, per layer, for a
 /// laid-out hybrid configuration.
 pub fn extract_comm_ops(

@@ -21,6 +21,12 @@
 //! [`layer_flows`] when an engine needs them, which lets a caller (the
 //! solver's mapping memo) keep one draft per key and share it across all
 //! three engines. [`map_hybrid`] runs the same two steps on fresh drafts.
+//!
+//! Rounds are simulated with [`ContentionSim::makespan_of`] directly over
+//! the tagged flows. The drafts (and the solver's memo of them) are where
+//! a repeated round is caught; a simulation is a pure function of its
+//! flows, so a mapping does not depend on what this thread simulated
+//! before.
 
 use std::sync::{Arc, OnceLock};
 
@@ -30,7 +36,7 @@ use temp_graph::models::ModelConfig;
 use temp_graph::workload::Workload;
 use temp_parallel::groups::{LayoutPolicy, WaferLayout};
 use temp_parallel::strategy::HybridConfig;
-use temp_sim::network::{ContentionSim, Flow, SimCache};
+use temp_sim::network::ContentionSim;
 use temp_wsc::config::WaferConfig;
 
 use crate::comm::{extract_comm_ops, layer_flows, CommOp, TaggedFlow};
@@ -142,18 +148,6 @@ pub fn map_hybrid(
         isolated_comm_time,
     })
 }
-
-thread_local! {
-    /// Exact-match memo of contention solves shared by every mapping this
-    /// thread performs. Serves are bit-identical to cold solves (the cache
-    /// verifies the full flow set and link parameters on hit), so plans do
-    /// not depend on cache history or thread count.
-    static SIM_CACHE: std::cell::RefCell<SimCache> = std::cell::RefCell::new(SimCache::new());
-}
-
-/// Soft bound on memoized contention solves per thread; the cache resets
-/// once it grows past this, keeping long campaigns memory-stable.
-const SIM_CACHE_CAP: usize = 8192;
 
 /// The engine-independent part of mapping one configuration with one
 /// layout policy: the laid-out traffic's comm ops and the times of its
@@ -340,19 +334,9 @@ fn isolated_round(wafer: &WaferConfig, flows: &[TaggedFlow]) -> f64 {
 }
 
 /// Times one representative round of all concurrent group traffic under
-/// contention (unscaled).
+/// contention (unscaled), simulating the tagged flows in place.
 fn round_makespan(wafer: &WaferConfig, flows: &[TaggedFlow]) -> f64 {
-    if flows.is_empty() {
-        return 0.0;
-    }
-    let raw: Vec<Flow> = flows.iter().map(|tf| tf.flow.clone()).collect();
-    SIM_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if cache.len() > SIM_CACHE_CAP {
-            *cache = SimCache::new();
-        }
-        ContentionSim::new(wafer).makespan_cached(&raw, &mut cache)
-    })
+    ContentionSim::new(wafer).makespan_of(flows)
 }
 
 /// Weighted ring-round count across ops: each op runs

@@ -21,18 +21,19 @@ use temp_wsc::topology::{DieId, LinkId, Mesh, RouteOrder};
 
 use crate::{Result, SimError};
 
-/// Process-wide warm-start hit counter (exact-match cache serves and
-/// proportional rescales both count — each one replaced a full fluid
-/// solve).
+/// Process-wide warm-start hit counter (each proportional rescale
+/// replaced a full fluid solve).
 static WARM_HITS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide warm-start miss counter (cold fluid solves performed on
 /// behalf of a warm-capable entry point).
 static WARM_MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// `(hits, misses)` of every warm-start-capable simulation entry point
-/// ([`ContentionSim::simulate_warm`], [`ContentionSim::simulate_many`],
-/// [`ContentionSim::makespan_cached`]) since process start. Callers that
-/// want a per-phase rate snapshot the pair before and after.
+/// `(hits, misses)` of the warm-start simulation entry points
+/// ([`ContentionSim::simulate_warm`], [`ContentionSim::simulate_many`])
+/// since process start. Callers that want a per-phase rate snapshot the
+/// pair before and after. Planning never warm-starts
+/// ([`ContentionSim::makespan_of`] always solves cold), so a planning
+/// phase reads no hits and no misses here.
 pub fn contention_warm_stats() -> (u64, u64) {
     (
         WARM_HITS.load(Ordering::Relaxed),
@@ -103,6 +104,14 @@ impl Flow {
     /// Whether this flow's route crosses any link the fault map marks dead.
     pub fn crosses_dead_link(&self, faults: &FaultMap) -> bool {
         self.route.iter().any(|l| faults.link_dead(*l))
+    }
+}
+
+/// Lets the simulator run in place over any slice of flow wrappers (the
+/// mapping engines' tagged flows) without copying them out.
+impl AsRef<Flow> for Flow {
+    fn as_ref(&self) -> &Flow {
+        self
     }
 }
 
@@ -184,8 +193,13 @@ struct DenseScratch {
     stamp: Vec<u64>,
     /// Current generation.
     generation: u64,
+    /// Position of each link in `used` (valid where `stamp == generation`).
+    slot: Vec<u32>,
     /// Links touched this generation.
     used: Vec<usize>,
+    /// Fair share `cap / count` of each link in `used` order, `+∞` once
+    /// the link carries no unassigned flow.
+    share: Vec<f64>,
     /// Per-active-flow assigned rates (output of the water-filling).
     rate: Vec<f64>,
     /// Per-active-flow frozen markers.
@@ -220,17 +234,17 @@ impl RunArena {
     /// Loads the drain volumes of `flows` and makes every live flow
     /// active. Local (zero-route) and zero-byte flows are not live: they
     /// complete at t=0.
-    fn load(&mut self, flows: &[Flow]) {
+    fn load<F: AsRef<Flow>>(&mut self, flows: &[F]) {
         self.remaining.clear();
-        self.remaining.extend(
-            flows
-                .iter()
-                .map(|f| f.bytes.max(0.0) * f.hops().max(1) as f64),
-        );
+        self.remaining.extend(flows.iter().map(|f| {
+            let f = f.as_ref();
+            f.bytes.max(0.0) * f.hops().max(1) as f64
+        }));
         let remaining = &self.remaining;
         self.active.clear();
-        self.active
-            .extend((0..flows.len()).filter(|&i| !flows[i].route.is_empty() && remaining[i] > 0.0));
+        self.active.extend(
+            (0..flows.len()).filter(|&i| !flows[i].as_ref().route.is_empty() && remaining[i] > 0.0),
+        );
     }
 }
 
@@ -315,7 +329,7 @@ impl ClassScratch {
     /// each class's representative component, recording how to copy the
     /// representatives' completion times back
     /// ([`ClassScratch::copy_completions`]).
-    fn keep_representatives(&mut self, flows: &[Flow], active: &mut Vec<usize>) {
+    fn keep_representatives<F: AsRef<Flow>>(&mut self, flows: &[F], active: &mut Vec<usize>) {
         self.rep.clear();
         let m = active.len();
         if m < 2 {
@@ -327,7 +341,7 @@ impl ClassScratch {
         self.parent.clear();
         self.parent.extend(0..m as u32);
         for (p, &i) in active.iter().enumerate() {
-            for l in &flows[i].route {
+            for l in &flows[i].as_ref().route {
                 let idx = l.index();
                 self.grow_to(idx + 1);
                 if self.stamp[idx] == self.generation {
@@ -384,7 +398,7 @@ impl ClassScratch {
             self.key_start.push(begin as u32);
             let mut labels = 0u32;
             for k in self.start[c]..self.start[c + 1] {
-                let f = &flows[self.members[k as usize] as usize];
+                let f = flows[self.members[k as usize] as usize].as_ref();
                 self.words.push(f.bytes.to_bits());
                 self.words.push(f.route.len() as u64);
                 for l in &f.route {
@@ -457,7 +471,9 @@ impl DenseScratch {
             flows_at: (0..link_count).map(|_| Vec::new()).collect(),
             stamp: vec![0; link_count],
             generation: 0,
+            slot: vec![0; link_count],
             used: Vec::with_capacity(link_count),
+            share: Vec::with_capacity(link_count),
             rate: Vec::new(),
             assigned: Vec::new(),
         }
@@ -469,6 +485,7 @@ impl DenseScratch {
             self.count.resize(links, 0);
             self.flows_at.resize_with(links, Vec::new);
             self.stamp.resize(links, 0);
+            self.slot.resize(links, 0);
         }
     }
 
@@ -476,15 +493,23 @@ impl DenseScratch {
     /// The rates land in `self.rate` (indexed by active-set position) so
     /// the fluid loop's per-iteration buffers come from the arena instead
     /// of fresh allocations.
-    fn fair_rates(&mut self, bandwidth: f64, flows: &[Flow], active: &[usize]) {
+    ///
+    /// Each link's share is stored and recomputed only when its capacity
+    /// or count changes, so a bottleneck pick is a scan of `share` with no
+    /// division. The stored quotient has the bits a fresh `cap / count`
+    /// would have, and the scan keeps the first minimum in `used` order,
+    /// so the picks match recomputing every share on every pick. A finite
+    /// `bandwidth` keeps every live share finite, below the drained `+∞`.
+    fn fair_rates<F: AsRef<Flow>>(&mut self, bandwidth: f64, flows: &[F], active: &[usize]) {
         self.generation += 1;
         self.used.clear();
         for (pos, &i) in active.iter().enumerate() {
-            for l in &flows[i].route {
+            for l in &flows[i].as_ref().route {
                 let idx = l.index();
                 self.grow_to(idx + 1);
                 if self.stamp[idx] != self.generation {
                     self.stamp[idx] = self.generation;
+                    self.slot[idx] = self.used.len() as u32;
                     self.cap[idx] = bandwidth;
                     self.count[idx] = 0;
                     self.flows_at[idx].clear();
@@ -494,6 +519,12 @@ impl DenseScratch {
                 self.flows_at[idx].push(pos as u32);
             }
         }
+        self.share.clear();
+        self.share.extend(
+            self.used
+                .iter()
+                .map(|&idx| self.cap[idx] / self.count[idx] as f64),
+        );
         self.rate.clear();
         self.rate.resize(active.len(), 0.0);
         self.assigned.clear();
@@ -502,19 +533,18 @@ impl DenseScratch {
         while unassigned > 0 {
             // Bottleneck link: smallest fair share among links that still
             // carry unassigned flows.
-            let mut best: Option<(usize, f64)> = None;
-            for &idx in &self.used {
-                if self.count[idx] == 0 {
-                    continue;
-                }
-                let share = self.cap[idx] / self.count[idx] as f64;
-                if best.map(|(_, s)| share < s).unwrap_or(true) {
-                    best = Some((idx, share));
+            let mut best = f64::INFINITY;
+            let mut at = usize::MAX;
+            for (p, &share) in self.share.iter().enumerate() {
+                if share < best {
+                    best = share;
+                    at = p;
                 }
             }
-            let Some((bottleneck, share)) = best else {
+            if at == usize::MAX {
                 break;
-            };
+            }
+            let (bottleneck, share) = (self.used[at], best);
             // Freeze every unassigned flow crossing the bottleneck at the
             // bottleneck share; subtract it along their routes.
             for fp in 0..self.flows_at[bottleneck].len() {
@@ -525,10 +555,14 @@ impl DenseScratch {
                 self.rate[p] = share;
                 self.assigned[p] = true;
                 unassigned -= 1;
-                for l in &flows[active[p]].route {
+                for l in &flows[active[p]].as_ref().route {
                     let idx = l.index();
                     self.cap[idx] = (self.cap[idx] - share).max(0.0);
                     self.count[idx] -= 1;
+                    self.share[self.slot[idx] as usize] = match self.count[idx] {
+                        0 => f64::INFINITY,
+                        n => self.cap[idx] / n as f64,
+                    };
                 }
             }
         }
@@ -608,7 +642,7 @@ impl ContentionSim {
     /// path runs the fluid loop on one representative component per
     /// isomorphism class (see [`ClassScratch`]); the reference path runs
     /// it on every live flow.
-    fn completion_times(&self, flows: &[Flow], reference: bool) -> Vec<f64> {
+    fn completion_times<F: AsRef<Flow>>(&self, flows: &[F], reference: bool) -> Vec<f64> {
         RUN_ARENA.with(|arena| {
             let arena = &mut *arena.borrow_mut();
             arena.load(flows);
@@ -626,9 +660,9 @@ impl ContentionSim {
     }
 
     /// Charges per-hop pipeline latency on top of the fluid times.
-    fn add_hop_latency(&self, flows: &[Flow], completion: &mut [f64]) {
+    fn add_hop_latency<F: AsRef<Flow>>(&self, flows: &[F], completion: &mut [f64]) {
         for (c, f) in completion.iter_mut().zip(flows) {
-            *c += f.hops() as f64 * self.hop_latency;
+            *c += f.as_ref().hops() as f64 * self.hop_latency;
         }
     }
 
@@ -637,10 +671,10 @@ impl ContentionSim {
     /// active flow's max–min fair rate, advance time until the next flow
     /// drains, repeat. Writes the fluid completion time of every flow it
     /// drains into `completion`.
-    fn fluid_loop(
+    fn fluid_loop<F: AsRef<Flow>>(
         &self,
         arena: &mut RunArena,
-        flows: &[Flow],
+        flows: &[F],
         reference: bool,
         completion: &mut [f64],
     ) {
@@ -701,14 +735,14 @@ impl ContentionSim {
     /// Water-filling: repeatedly find the link whose fair share
     /// (remaining capacity / unassigned flows crossing it) is smallest,
     /// freeze those flows at that rate, subtract, continue.
-    fn fair_rates_reference(&self, flows: &[Flow], active: &[usize]) -> Vec<f64> {
+    fn fair_rates_reference<F: AsRef<Flow>>(&self, flows: &[F], active: &[usize]) -> Vec<f64> {
         let mut rate = vec![0.0f64; active.len()];
         let mut assigned = vec![false; active.len()];
         // Link -> (capacity left, unassigned flow positions crossing it).
         let mut link_cap: HashMap<LinkId, f64> = HashMap::new();
         let mut link_flows: HashMap<LinkId, Vec<usize>> = HashMap::new();
         for (pos, &i) in active.iter().enumerate() {
-            for l in &flows[i].route {
+            for l in &flows[i].as_ref().route {
                 link_cap.entry(*l).or_insert(self.link_bandwidth);
                 link_flows.entry(*l).or_default().push(pos);
             }
@@ -741,7 +775,7 @@ impl ContentionSim {
                 assigned[p] = true;
                 unassigned -= 1;
                 // Subtract this flow's rate from every link it crosses.
-                for l in &flows[active[p]].route {
+                for l in &flows[active[p]].as_ref().route {
                     if let Some(c) = link_cap.get_mut(l) {
                         *c = (*c - share).max(0.0);
                     }
@@ -809,16 +843,6 @@ impl ContentionSim {
         h
     }
 
-    /// [`ContentionSim::route_signature`] extended with the payload bytes:
-    /// the exact-match key of [`ContentionSim::makespan_cached`].
-    fn flow_set_signature(&self, flows: &[Flow]) -> u64 {
-        let mut h = self.route_signature(flows);
-        for f in flows {
-            h = fnv1a_extend(h, &f.bytes.to_bits().to_le_bytes());
-        }
-        h
-    }
-
     /// [`ContentionSim::simulate`] seeded from the previous equilibrium.
     ///
     /// The fluid phase of the max–min model is positively homogeneous in
@@ -834,7 +858,7 @@ impl ContentionSim {
     /// fluid loop's absolute drain epsilon breaks exact homogeneity;
     /// regression-tested against [`ContentionSim::simulate_reference`]).
     /// Paths that must stay bit-identical to cold simulation use
-    /// [`ContentionSim::makespan_cached`] instead.
+    /// [`ContentionSim::makespan_of`] instead.
     pub fn simulate_warm(&self, flows: &[Flow], warm: &mut WarmStart) -> ContentionReport {
         let sig = self.route_signature(flows);
         if warm.valid && warm.routes_sig == sig && warm.bytes.len() == flows.len() {
@@ -863,40 +887,17 @@ impl ContentionSim {
             .collect()
     }
 
-    /// Exact-match memoized makespan: a hit returns the stored makespan,
-    /// which is **bit-identical** to `simulate(flows).makespan` (the
-    /// simulation is a pure function of the flow set and the link
-    /// parameters — both are part of the match). This is the warm-start
-    /// flavor the planning paths use, where plans must not depend on
-    /// simulation history or thread count. A miss runs the fluid loop
-    /// without building a [`ContentionReport`].
-    pub fn makespan_cached(&self, flows: &[Flow], cache: &mut SimCache) -> f64 {
-        let sig = self.flow_set_signature(flows);
-        let bandwidth_bits = self.link_bandwidth.to_bits();
-        let latency_bits = self.hop_latency.to_bits();
-        if let Some(bucket) = cache.entries.get(&sig) {
-            for e in bucket {
-                if e.bandwidth_bits == bandwidth_bits
-                    && e.latency_bits == latency_bits
-                    && e.flows.as_slice() == flows
-                {
-                    WARM_HITS.fetch_add(1, Ordering::Relaxed);
-                    return e.makespan;
-                }
-            }
-        }
-        WARM_MISSES.fetch_add(1, Ordering::Relaxed);
-        let makespan = self
-            .completion_times(flows, false)
+    /// Makespan of a flow set, **bit-identical** to
+    /// `simulate(flows).makespan`, run in place over any flow wrapper
+    /// (the mapping engines pass their tagged flows without copying them)
+    /// and without building a [`ContentionReport`]. This is the
+    /// planning paths' simulation: a pure function of the flow set and
+    /// the link parameters, so plans do not depend on simulation history
+    /// or thread count.
+    pub fn makespan_of<F: AsRef<Flow>>(&self, flows: &[F]) -> f64 {
+        self.completion_times(flows, false)
             .iter()
-            .fold(0.0f64, |a, b| a.max(*b));
-        cache.entries.entry(sig).or_default().push(SimCacheEntry {
-            bandwidth_bits,
-            latency_bits,
-            flows: flows.to_vec(),
-            makespan,
-        });
-        makespan
+            .fold(0.0f64, |a, b| a.max(*b))
     }
 }
 
@@ -1013,40 +1014,6 @@ impl WarmStart {
         self.link_bytes.clear();
         self.link_bytes
             .extend(report.link_bytes.iter().map(|(&l, &b)| (l, b)));
-    }
-}
-
-/// Exact-match memo of solved flow-set makespans (see
-/// [`ContentionSim::makespan_cached`]). Entries verify the full flow set
-/// and link parameters on hit, so one cache may serve simulators with
-/// different wafer configurations.
-#[derive(Debug, Default)]
-pub struct SimCache {
-    entries: HashMap<u64, Vec<SimCacheEntry>>,
-}
-
-#[derive(Debug)]
-struct SimCacheEntry {
-    bandwidth_bits: u64,
-    latency_bits: u64,
-    flows: Vec<Flow>,
-    makespan: f64,
-}
-
-impl SimCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        SimCache::default()
-    }
-
-    /// Number of stored solves.
-    pub fn len(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
-    }
-
-    /// Whether the cache holds no solves.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -1285,23 +1252,193 @@ mod tests {
         }
     }
 
+    /// A flow wrapper like the mapping engines' tagged flows.
+    struct Tagged {
+        flow: Flow,
+        _payload: u64,
+    }
+
+    impl AsRef<Flow> for Tagged {
+        fn as_ref(&self) -> &Flow {
+            &self.flow
+        }
+    }
+
+    fn tag(flows: &[Flow]) -> Vec<Tagged> {
+        flows
+            .iter()
+            .enumerate()
+            .map(|(i, f)| Tagged {
+                flow: f.clone(),
+                _payload: i as u64,
+            })
+            .collect()
+    }
+
     #[test]
-    fn cached_simulation_serves_are_bit_identical() {
+    fn makespan_of_simulates_wrapped_flows_in_place_bit_identically() {
         let (mesh, sim) = setup();
-        let mut cache = SimCache::new();
         let flows = contended_mix(&mesh, 1.0);
         let fresh = sim.simulate(&flows).makespan;
-        let first = sim.makespan_cached(&flows, &mut cache);
-        assert_eq!(cache.len(), 1);
-        let second = sim.makespan_cached(&flows, &mut cache);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(first.to_bits(), fresh.to_bits());
-        assert_eq!(second.to_bits(), fresh.to_bits());
-        // A different payload on the same routes is a distinct entry.
+        let tagged = tag(&flows);
+        assert_eq!(sim.makespan_of(&flows).to_bits(), fresh.to_bits());
+        assert_eq!(sim.makespan_of(&tagged).to_bits(), fresh.to_bits());
+        // No history: a repeat, and a run after a different set, solve
+        // the same set to the same bits.
+        assert_eq!(sim.makespan_of(&tagged).to_bits(), fresh.to_bits());
         let other = contended_mix(&mesh, 2.0);
-        let third = sim.makespan_cached(&other, &mut cache);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(third.to_bits(), sim.simulate(&other).makespan.to_bits());
+        let other_makespan = sim.makespan_of(&tag(&other));
+        assert_eq!(
+            other_makespan.to_bits(),
+            sim.simulate(&other).makespan.to_bits()
+        );
+        assert_ne!(other_makespan.to_bits(), fresh.to_bits());
+        assert_eq!(sim.makespan_of(&tagged).to_bits(), fresh.to_bits());
+        // Planning solves are cold: they touch no warm-start counter.
+        let before = contention_warm_stats();
+        let _ = sim.makespan_of(&tagged);
+        let _ = sim.makespan_of::<Flow>(&[]);
+        assert_eq!(contention_warm_stats(), before);
+    }
+
+    /// Random flows over `mesh`: random endpoints, XY or YX routes, and
+    /// payloads from a short menu (so equal shares are common).
+    fn random_flows(mesh: &Mesh, rng: &mut StdRng, n: usize) -> Vec<Flow> {
+        let dies = mesh.die_count() as u32;
+        (0..n)
+            .map(|_| {
+                let (a, b) = (DieId(rng.gen_range(0..dies)), DieId(rng.gen_range(0..dies)));
+                let order = if rng.gen_range(0..2u32) == 0 {
+                    RouteOrder::XThenY
+                } else {
+                    RouteOrder::YThenX
+                };
+                let bytes = [0.0, 8.0, 16.0, 16.0, 32.0][rng.gen_range(0..5usize)] * MB;
+                Flow::routed(mesh, a, b, bytes, order)
+            })
+            .collect()
+    }
+
+    /// Tie-heavy flows: rings of equal payloads over rows, columns and
+    /// blocks, plus single-hop shifts, so many links carry equal fair
+    /// shares and sit at different positions in first-touch order. The
+    /// component order is shuffled so ties meet the bottleneck scan in
+    /// varying orders.
+    fn tie_heavy_flows(mesh: &Mesh, rng: &mut StdRng) -> Vec<Flow> {
+        let (w, h) = (mesh.width(), mesh.height());
+        let bytes = [8.0, 16.0][rng.gen_range(0..2usize)] * MB;
+        let mut groups: Vec<Vec<Flow>> = Vec::new();
+        for y in 0..h {
+            let len = [2u32, 4][rng.gen_range(0..2usize)];
+            for x in (0..w).step_by(len as usize) {
+                let g: Vec<DieId> = (x..(x + len).min(w)).map(|x| die(mesh, x, y)).collect();
+                groups.push(ring(mesh, &g, bytes));
+            }
+        }
+        for x in (0..w).step_by(3) {
+            let g: Vec<DieId> = (0..h).map(|y| die(mesh, x, y)).collect();
+            groups.push(ring(mesh, &g, bytes));
+        }
+        for _ in 0..rng.gen_range(4..16usize) {
+            let (x, y) = (rng.gen_range(0..w - 1), rng.gen_range(0..h));
+            groups.push(vec![Flow::xy(
+                mesh,
+                die(mesh, x, y),
+                die(mesh, x + 1, y),
+                bytes,
+            )]);
+        }
+        for i in (1..groups.len()).rev() {
+            groups.swap(i, rng.gen_range(0..i + 1));
+        }
+        groups.concat()
+    }
+
+    /// Water-filling that recomputes every live link's `cap / count` on
+    /// every bottleneck pick, keeping the first minimum in first-touch
+    /// link order: the scan [`DenseScratch::fair_rates`] replaces with
+    /// stored shares.
+    fn rescanned_rates(bandwidth: f64, flows: &[Flow], active: &[usize]) -> Vec<f64> {
+        let mut used: Vec<LinkId> = Vec::new();
+        let mut cap: HashMap<LinkId, f64> = HashMap::new();
+        let mut at: HashMap<LinkId, Vec<usize>> = HashMap::new();
+        for (p, &i) in active.iter().enumerate() {
+            for l in &flows[i].route {
+                if !cap.contains_key(l) {
+                    used.push(*l);
+                    cap.insert(*l, bandwidth);
+                }
+                at.entry(*l).or_default().push(p);
+            }
+        }
+        let mut count: HashMap<LinkId, u32> =
+            at.iter().map(|(l, ps)| (*l, ps.len() as u32)).collect();
+        let mut rate = vec![0.0; active.len()];
+        let mut assigned = vec![false; active.len()];
+        loop {
+            let mut best: Option<(LinkId, f64)> = None;
+            for l in &used {
+                if count[l] == 0 {
+                    continue;
+                }
+                let share = cap[l] / count[l] as f64;
+                if best.map_or(true, |(_, s)| share < s) {
+                    best = Some((*l, share));
+                }
+            }
+            let Some((bottleneck, share)) = best else {
+                return rate;
+            };
+            for &p in &at[&bottleneck] {
+                if assigned[p] {
+                    continue;
+                }
+                rate[p] = share;
+                assigned[p] = true;
+                for l in &flows[active[p]].route {
+                    let c = cap.get_mut(l).unwrap();
+                    *c = (*c - share).max(0.0);
+                    *count.get_mut(l).unwrap() -= 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn makespan_of_and_stored_shares_match_rescanning_on_seeded_and_tie_heavy_sets() {
+        let (_, sim) = setup();
+        let mut rng = StdRng::seed_from_u64(0x5ba2e);
+        let mut scratch = DenseScratch::new(0);
+        for (w, h) in [(8u32, 4u32), (16, 8)] {
+            let mesh = Mesh::new(w, h).unwrap();
+            for case in 0..32 {
+                let flows = if case % 2 == 0 {
+                    let n = rng.gen_range(2usize..(w * h) as usize * 2);
+                    random_flows(&mesh, &mut rng, n)
+                } else {
+                    tie_heavy_flows(&mesh, &mut rng)
+                };
+                let what = format!("{w}x{h} case {case}");
+                // Stored shares pick exactly what rescanning picks.
+                let mut arena = RunArena::new();
+                arena.load(&flows);
+                scratch.fair_rates(sim.link_bandwidth, &flows, &arena.active);
+                let rescanned = rescanned_rates(sim.link_bandwidth, &flows, &arena.active);
+                for (p, (a, b)) in scratch.rate.iter().zip(&rescanned).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}, flow {p}: {a} vs {b}");
+                }
+                let of = sim.makespan_of(&tag(&flows));
+                let dense = sim.simulate(&flows).makespan;
+                assert_eq!(of.to_bits(), dense.to_bits(), "{what}: {of} vs {dense}");
+                // The reference breaks exact ties in HashMap order, which
+                // can move a share by an ulp: it agrees to 1e-9, not bits.
+                let reference = sim.simulate_reference(&flows).makespan;
+                assert!(
+                    (of - reference).abs() <= 1e-9 * reference,
+                    "{what}: {of} vs reference {reference}"
+                );
+            }
+        }
     }
 
     /// The fluid loop over every live flow, no component classes: the

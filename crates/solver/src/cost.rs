@@ -302,7 +302,7 @@ impl std::fmt::Debug for MappingMemo {
 /// [`WaferCostModel::chain_bounds`]; the single-candidate path routes
 /// through the same hoist, which is what makes batched and per-candidate
 /// evaluation bit-identical by construction.
-struct EvalHoist {
+pub(crate) struct EvalHoist {
     /// One Transformer block's operator graph.
     block: temp_graph::graph::ComputeGraph,
     /// `4/3` under full recompute, else `1`.
@@ -861,7 +861,7 @@ impl WaferCostModel {
             .collect()
     }
 
-    fn eval_hoist(&self, workload: &Workload) -> EvalHoist {
+    pub(crate) fn eval_hoist(&self, workload: &Workload) -> EvalHoist {
         let recompute_factor = match workload.recompute {
             temp_graph::workload::RecomputeMode::Full => 4.0 / 3.0,
             _ => 1.0,
@@ -883,7 +883,7 @@ impl WaferCostModel {
         }
     }
 
-    fn evaluate_hoisted(
+    pub(crate) fn evaluate_hoisted(
         &self,
         hoist: &EvalHoist,
         cfg: &HybridConfig,

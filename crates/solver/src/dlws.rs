@@ -393,10 +393,11 @@ impl Dlws {
             ));
         }
         // Cost the body candidates through the bound-pruned chain path:
-        // cache misses batch into the SoA costing engine (chunked across
-        // workers), hits (from earlier solves over overlapping spaces)
-        // are free, and candidates the admissible bounds prove
-        // non-optimal skip the cost model entirely.
+        // cache misses share one hoist per recompute wave and are costed
+        // one candidate per task (idle workers steal the next one), hits
+        // (from earlier solves over overlapping spaces) are free, and
+        // candidates the admissible bounds prove non-optimal skip the
+        // cost model entirely.
         let costed: Vec<CandidateCost> =
             self.ctx
                 .cost_candidates_chain(&candidates, all_candidates, engine);
@@ -770,6 +771,31 @@ mod tests {
             .unwrap();
         assert!(!timed_out);
         assert_eq!(plan, s.solve().unwrap());
+    }
+
+    #[test]
+    fn never_firing_deadline_costs_exactly_like_the_undeadlined_solve() {
+        let bounded = solver(ModelZoo::gpt3_6_7b());
+        let (plan, timed_out) = bounded
+            .solve_with_deadline(std::time::Duration::from_secs(3600))
+            .unwrap();
+        assert!(!timed_out);
+        let free = solver(ModelZoo::gpt3_6_7b());
+        let want = free.solve().unwrap();
+        // The same exact evaluations as a fresh undeadlined solve...
+        assert_eq!(
+            bounded.search_stats().misses,
+            free.search_stats().misses,
+            "a live token changed what was costed"
+        );
+        // ...and the same plan: bit for bit against an undeadlined solve
+        // over the same cost table (nothing new is costed), and up to
+        // float association against the fresh context.
+        let misses = bounded.search_stats().misses;
+        assert_eq!(bounded.solve().unwrap(), plan);
+        assert_eq!(bounded.search_stats().misses, misses);
+        assert_eq!(plan.config, want.config);
+        assert!((plan.chain_cost - want.chain_cost).abs() <= 1e-9 * want.chain_cost);
     }
 
     #[test]

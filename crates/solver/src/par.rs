@@ -7,7 +7,10 @@
 //! class keeps an EWMA of its observed per-item cost ([`ParClass`]); when
 //! `items × estimate` falls below the dispatch threshold the map runs
 //! inline, so tiny batches (a handful of DP transitions) never pay queue
-//! traffic, while real costing batches fan out in ~100 µs chunks.
+//! traffic, while real batches fan out in chunks of about 100 µs of work
+//! each — one item per task when an item costs more than that, as an
+//! exact candidate evaluation does, so idle workers steal single
+//! candidates.
 //!
 //! `TEMP_THREADS` (clamped to the machine's `available_parallelism`)
 //! controls the worker count and the size of the global pool.
@@ -156,34 +159,6 @@ where
     out
 }
 
-/// As [`par_map`], but cooperatively cancellable: the per-item loop
-/// (whether it runs inline or inside the work-stealing pool's chunk
-/// executor) polls `token` before every item, and once the token reports
-/// cancelled the remaining items get `on_cancel(item)` instead of
-/// `f(item)`. The batch always completes — every queued chunk drains, so
-/// the shared pool stays clean for subsequent jobs — it just stops paying
-/// for real work the moment the deadline passes.
-pub fn par_map_cancellable<T, R, F, G>(
-    token: &runtime::CancelToken,
-    items: &[T],
-    on_cancel: G,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    G: Fn(&T) -> R + Sync,
-{
-    par_map_class(&COSTING_CLASS, items, |item| {
-        if token.is_cancelled() {
-            on_cancel(item)
-        } else {
-            f(item)
-        }
-    })
-}
-
 /// As [`par_map`] with an explicit worker count. `workers <= 1` runs
 /// serial; otherwise the global pool executes the batch (an explicit
 /// count larger than the pool merely saturates it — benchmarks use
@@ -227,21 +202,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(par_map(&empty, |x| *x).is_empty());
         assert_eq!(par_map(&[7u32], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn cancellable_map_switches_to_the_fallback_after_cancellation() {
-        let items: Vec<u64> = (0..64).collect();
-        // A live token behaves exactly like par_map.
-        let token = runtime::CancelToken::new();
-        let out = par_map_cancellable(&token, &items, |_| u64::MAX, |x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        // A cancelled token yields the fallback for every item: the batch
-        // still completes (order, length), it just stops doing work.
-        token.cancel();
-        let out = par_map_cancellable(&token, &items, |_| u64::MAX, |x| x * 2);
-        assert!(out.iter().all(|&v| v == u64::MAX));
-        assert_eq!(out.len(), items.len());
     }
 
     #[test]

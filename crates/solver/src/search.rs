@@ -90,6 +90,12 @@ enum StageCutKey {
 /// (recompute may have escalated) plus the full report.
 pub type CandidateCost = (f64, Option<(Workload, CostReport)>);
 
+/// One key's outcome in a costing wave: `None` when the cancellation
+/// token skipped it (nothing was cached), else the cached-or-computed
+/// report (`Some(None)` records that the cost model could not evaluate
+/// the key).
+type WaveVerdict = Option<Option<CostReport>>;
+
 /// Cache counters for one context.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -1095,30 +1101,33 @@ impl SearchContext {
     }
 
     /// Resolves one `(candidate, mode)` wave of a batched costing pass:
-    /// for every index in `need`, the cached-or-computed report under
-    /// `mode`, aligned with `need`. Distinct misses this wave *leads*
-    /// (first single-flight claimant) run through
-    /// [`WaferCostModel::evaluate_batch`] (hoisted once per runtime-sized
-    /// chunk); misses another solve is already costing are **coalesced**
-    /// — this wave computes its own leaders first, then parks on the
-    /// foreign flights (helping the runtime, so it may well execute the
-    /// leader's chunks) and serves their stored reports. Counter
-    /// semantics match [`SearchContext::evaluate`] exactly: one hit per
-    /// cache serve (including duplicate occurrences beyond a key's
-    /// first and coalesced serves), one miss per report this call
-    /// computed.
+    /// for every index in `need`, the key's [`WaveVerdict`] under `mode`,
+    /// aligned with `need`. Distinct misses this wave *leads* (first
+    /// single-flight claimant) share one [`WaferCostModel::eval_hoist`]
+    /// and are costed one candidate per task through [`par::par_map`], so
+    /// idle workers steal the next candidate instead of waiting on a
+    /// fixed share. Each task polls `token` first: a leader it skips
+    /// drops its lease without publishing and comes back `None`. Misses
+    /// another solve is already costing are **coalesced** — this wave
+    /// computes its own leaders first, then parks on the foreign flights
+    /// (helping the runtime, so it may well execute the leader's tasks)
+    /// and serves their stored reports. Counter semantics match
+    /// [`SearchContext::evaluate`] exactly: one hit per cache serve
+    /// (including duplicate occurrences beyond a key's first and
+    /// coalesced serves), one miss per report this call computed.
     fn resolve_mode_batched(
         &self,
         candidates: &[HybridConfig],
         need: &[usize],
         engine: MappingEngine,
         mode: RecomputeMode,
-    ) -> Vec<Option<CostReport>> {
-        let mut out: Vec<Option<Option<CostReport>>> = vec![None; need.len()];
+        token: Option<&CancelToken>,
+    ) -> Vec<WaveVerdict> {
+        let mut out: Vec<Option<WaveVerdict>> = vec![None; need.len()];
         let mut missing: Vec<usize> = Vec::new();
         for (slot, &ci) in need.iter().enumerate() {
             match self.cache.get(&(candidates[ci], engine, mode)) {
-                Some(cached) => out[slot] = Some(cached),
+                Some(cached) => out[slot] = Some(Some(cached)),
                 None => missing.push(slot),
             }
         }
@@ -1151,7 +1160,7 @@ impl SearchContext {
         let mut leader_uis: Vec<usize> = Vec::with_capacity(uniques.len());
         let mut leases: Vec<crate::shard::FlightLease<'_, EvalKey>> = Vec::new();
         let mut followed: Vec<(usize, std::sync::Arc<crate::shard::Flight>)> = Vec::new();
-        let mut resolved: Vec<Option<Option<CostReport>>> = vec![None; uniques.len()];
+        let mut resolved: Vec<WaveVerdict> = vec![None; uniques.len()];
         for (ui, cfg) in uniques.iter().enumerate() {
             let key = (*cfg, engine, mode);
             match self.flights.claim(key) {
@@ -1174,38 +1183,34 @@ impl SearchContext {
         }
         if !leaders.is_empty() {
             let workload = self.cost.workload().clone().with_recompute(mode);
-            let computed: Vec<Option<CostReport>> = if self.parallel() && leaders.len() > 1 {
-                let chunk = leaders
-                    .len()
-                    .div_ceil(par::available_workers().max(1))
-                    .max(1);
-                let chunks: Vec<&[HybridConfig]> = leaders.chunks(chunk).collect();
-                par::par_map(&chunks, |c| {
+            let hoist = self.cost.eval_hoist(&workload);
+            let cost = |cfg: &HybridConfig| -> WaveVerdict {
+                if token.is_some_and(CancelToken::is_cancelled) {
+                    return None;
+                }
+                Some(
                     self.cost
-                        .evaluate_batch(c, engine, &workload)
-                        .into_iter()
-                        .map(|r| r.ok())
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                self.cost
-                    .evaluate_batch(&leaders, engine, &workload)
-                    .into_iter()
-                    .map(|r| r.ok())
-                    .collect()
+                        .evaluate_hoisted(&hoist, cfg, engine, &workload)
+                        .ok(),
+                )
             };
-            self.misses
-                .fetch_add(leaders.len() as u64, Ordering::Relaxed);
+            let computed: Vec<WaveVerdict> = if self.parallel() {
+                par::par_map(&leaders, cost)
+            } else {
+                leaders.iter().map(cost).collect()
+            };
             // Publish every report before retiring any lease (stored
             // entries win races, so every observer of a key sees one
-            // consistent report), then wake the followers.
+            // consistent report), then wake the followers. A skipped
+            // leader publishes nothing: a skip is not a verdict.
+            let mut costed = 0u64;
             for ((cfg, report), &ui) in leaders.iter().zip(computed).zip(&leader_uis) {
-                let stored = self.cache.insert_if_absent((*cfg, engine, mode), report);
-                resolved[ui] = Some(stored);
+                if let Some(report) = report {
+                    costed += 1;
+                    resolved[ui] = Some(self.cache.insert_if_absent((*cfg, engine, mode), report));
+                }
             }
+            self.misses.fetch_add(costed, Ordering::Relaxed);
         }
         drop(leases);
         // Park on foreign flights only now, with no leases held; helping
@@ -1215,75 +1220,20 @@ impl SearchContext {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             flight.wait(|| pool.help_one());
             // The leader published before retiring its flight; a leader
-            // that died without publishing falls through to `evaluate`,
-            // which re-claims and computes (counting its own hit/miss).
+            // that died or skipped without publishing falls through to
+            // `evaluate`, which re-claims and computes (counting its own
+            // hit/miss).
             resolved[ui] = Some(self.evaluate(&uniques[ui], engine, mode));
         }
         let dup = (missing.len() - uniques.len()) as u64;
         if dup > 0 {
             self.hits.fetch_add(dup, Ordering::Relaxed);
         }
-        let stored: Vec<Option<CostReport>> = resolved
-            .into_iter()
-            .map(|r| r.expect("every unique resolved"))
-            .collect();
         for &slot in &missing {
             let cfg = candidates[need[slot]];
-            out[slot] = Some(stored[first_pos[&cfg]].clone());
+            out[slot] = Some(resolved[first_pos[&cfg]].clone());
         }
         out.into_iter().map(|o| o.expect("resolved")).collect()
-    }
-
-    /// The batched body of [`SearchContext::cost_candidates`]: the
-    /// whole batch resolves its base recompute mode in one wave, only the
-    /// candidates that erred or overflowed HBM escalate to a second
-    /// [`RecomputeMode::Full`] wave — the same `[base, Full]` ladder as
-    /// [`SearchContext::cost_of`], candidate by candidate, and
-    /// bit-identical to it (both run the hoisted evaluation core).
-    fn cost_candidates_batched(
-        &self,
-        candidates: &[HybridConfig],
-        engine: MappingEngine,
-    ) -> Vec<CandidateCost> {
-        let base_mode = self.cost.workload().recompute;
-        let all: Vec<usize> = (0..candidates.len()).collect();
-        let base = self.resolve_mode_batched(candidates, &all, engine, base_mode);
-        let needs_full: Vec<usize> = if base_mode == RecomputeMode::Full {
-            Vec::new()
-        } else {
-            base.iter()
-                .enumerate()
-                .filter(|(_, r)| !matches!(r, Some(rep) if rep.fits_memory))
-                .map(|(i, _)| i)
-                .collect()
-        };
-        let full = if needs_full.is_empty() {
-            Vec::new()
-        } else {
-            self.resolve_mode_batched(candidates, &needs_full, engine, RecomputeMode::Full)
-        };
-        let mut full_results: HashMap<usize, Option<CostReport>> =
-            needs_full.into_iter().zip(full).collect();
-        base.into_iter()
-            .enumerate()
-            .map(|(i, base_report)| {
-                if let Some(report) = base_report.filter(|r| r.fits_memory) {
-                    let workload = self.cost.workload().clone().with_recompute(base_mode);
-                    return (report.step_time, Some((workload, report)));
-                }
-                if let Some(Some(report)) = full_results.remove(&i) {
-                    if report.fits_memory {
-                        let workload = self
-                            .cost
-                            .workload()
-                            .clone()
-                            .with_recompute(RecomputeMode::Full);
-                        return (report.step_time, Some((workload, report)));
-                    }
-                }
-                (f64::INFINITY, None)
-            })
-            .collect()
     }
 
     /// Memoized [`crate::dp::balance_stage_cuts`]. The parametric
@@ -1358,15 +1308,19 @@ impl SearchContext {
     }
 
     /// Costs a batch of candidates exactly, aligned with `candidates`.
-    /// Without a cancellation token the batch routes through the batched
-    /// SoA engine ([`SearchContext::cost_candidates_batched`]): one cache
-    /// wave per recompute mode, distinct misses costed by
-    /// [`WaferCostModel::evaluate_batch`] in runtime-sized chunks, in
-    /// parallel when enabled. When a cancellation token is installed
-    /// (deadline-bounded solves), the per-candidate loop polls it between
-    /// candidates: once it fires, the remaining candidates come back
-    /// `(INFINITY, None)` **without** being written to the cache — a skip
-    /// is not a verdict, so later unbounded solves re-cost them.
+    /// The whole batch resolves its base recompute mode in one wave
+    /// ([`SearchContext::resolve_mode_batched`]: one cache pass, distinct
+    /// misses costed one candidate per task on the work-stealing runtime
+    /// when parallel costing is on); only the candidates that erred or
+    /// overflowed HBM escalate to a second [`RecomputeMode::Full`] wave —
+    /// the same `[base, Full]` ladder as [`SearchContext::cost_of`],
+    /// candidate by candidate, and bit-identical to it (both run the
+    /// hoisted evaluation core). Each costing task polls the installed
+    /// cancellation token (deadline-bounded solves) before it evaluates:
+    /// once the token fires, the candidates not yet costed come back
+    /// `(INFINITY, None)` **without** being written to the cache or
+    /// escalated — a skip is not a verdict, so later unbounded solves
+    /// re-cost them.
     pub fn cost_candidates(
         &self,
         candidates: &[HybridConfig],
@@ -1374,25 +1328,47 @@ impl SearchContext {
     ) -> Vec<CandidateCost> {
         let started = std::time::Instant::now();
         let token = self.cancel_token();
-        let out = match &token {
-            None => self.cost_candidates_batched(candidates, engine),
-            Some(token) if self.parallel() => par::par_map_cancellable(
-                token,
-                candidates,
-                |_| (f64::INFINITY, None),
-                |c| self.cost_of(c, engine),
-            ),
-            Some(token) => candidates
-                .iter()
-                .map(|c| {
-                    if token.is_cancelled() {
-                        (f64::INFINITY, None)
-                    } else {
-                        self.cost_of(c, engine)
-                    }
+        let token = token.as_ref();
+        let base_mode = self.cost.workload().recompute;
+        let all: Vec<usize> = (0..candidates.len()).collect();
+        let base = self.resolve_mode_batched(candidates, &all, engine, base_mode, token);
+        let needs_full: Vec<usize> = if base_mode == RecomputeMode::Full {
+            Vec::new()
+        } else {
+            base.iter()
+                .enumerate()
+                .filter(|(_, r)| match r {
+                    Some(Some(report)) => !report.fits_memory,
+                    Some(None) => true,
+                    // Skipped: not a verdict, so nothing to escalate.
+                    None => false,
                 })
-                .collect(),
+                .map(|(i, _)| i)
+                .collect()
         };
+        let full = if needs_full.is_empty() {
+            Vec::new()
+        } else {
+            self.resolve_mode_batched(candidates, &needs_full, engine, RecomputeMode::Full, token)
+        };
+        let mut full_results: HashMap<usize, WaveVerdict> =
+            needs_full.into_iter().zip(full).collect();
+        let out = base
+            .into_iter()
+            .enumerate()
+            .map(|(i, base_report)| {
+                let (mode, report) = match base_report {
+                    Some(Some(report)) if report.fits_memory => (base_mode, report),
+                    Some(_) => match full_results.remove(&i).flatten().flatten() {
+                        Some(report) if report.fits_memory => (RecomputeMode::Full, report),
+                        _ => return (f64::INFINITY, None),
+                    },
+                    None => return (f64::INFINITY, None),
+                };
+                let workload = self.cost.workload().clone().with_recompute(mode);
+                (report.step_time, Some((workload, report)))
+            })
+            .collect();
         self.exact_ns
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         out
@@ -1736,6 +1712,38 @@ mod tests {
         // One full pass: misses == one evaluation per candidate plus any
         // full-recompute escalations, all distinct keys.
         assert!(serial.stats().misses >= cands.len() as u64);
+    }
+
+    #[test]
+    fn a_fired_token_skips_uncached_candidates_without_caching_or_escalating() {
+        let ctx = context();
+        let cands: Vec<HybridConfig> = ctx.candidates().iter().copied().take(12).collect();
+        // Cache one candidate's verdict before the token fires.
+        let cached = ctx.cost_candidates(&cands[..1], MappingEngine::Tcme);
+        let (misses, entries) = (ctx.stats().misses, ctx.eval_cache_len());
+        assert!(misses >= 1);
+        let token = CancelToken::new();
+        token.cancel();
+        ctx.set_cancel_token(Some(token));
+        let skipped = ctx.cost_candidates(&cands, MappingEngine::Tcme);
+        ctx.set_cancel_token(None);
+        // The cached verdict is still served; every other candidate comes
+        // back infinite without a cost-model run, a cache entry or a
+        // Full-recompute escalation.
+        assert_eq!(skipped[0], cached[0]);
+        assert!(skipped[1..].iter().all(|c| c == &(f64::INFINITY, None)));
+        assert_eq!(ctx.stats().misses, misses);
+        assert_eq!(ctx.eval_cache_len(), entries);
+        // Unbounded costing afterwards re-costs the skipped candidates
+        // exactly as a fresh context does.
+        let recosted = ctx.cost_candidates(&cands, MappingEngine::Tcme);
+        let fresh = context();
+        let want = fresh.cost_candidates(&cands, MappingEngine::Tcme);
+        assert_eq!(ctx.stats().misses, fresh.stats().misses);
+        for (i, (a, b)) in recosted.iter().zip(&want).enumerate() {
+            assert_eq!(a.0.is_finite(), b.0.is_finite(), "candidate {i}");
+        }
+        assert!(recosted.iter().any(|c| c.0.is_finite()));
     }
 
     #[test]

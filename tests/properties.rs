@@ -920,6 +920,74 @@ fn evaluate_batch_matches_sequential_evaluation_zoo_wide() {
     }
 }
 
+/// The per-candidate pool path — `SearchContext::cost_candidates`, which
+/// costs each distinct miss as its own stolen task over one shared hoist
+/// and the shared draft memo — gives every candidate the report that
+/// sequential `evaluate_with` gives it, bit for bit (escalation to full
+/// recompute included): zoo models x {8x4, 16x8} x all engines.
+#[test]
+fn pool_costing_matches_sequential_evaluation_bitwise_zoo_wide() {
+    use temp_repro::graph::workload::RecomputeMode;
+    use temp_repro::solver::search::SearchContext;
+
+    for (w, h) in [(8u32, 4u32), (16, 8)] {
+        let wafer = WaferConfig::with_array(w, h).expect("valid array");
+        for model in ModelZoo::table2() {
+            let name = format!("{} on {w}x{h}", model.name);
+            let workload = Workload::for_model(&model);
+            let ctx = SearchContext::new(WaferCostModel::new(wafer.clone(), model, workload));
+            let dense: Vec<HybridConfig> = ctx
+                .candidates()
+                .iter()
+                .copied()
+                .filter(|c| c.ep == 1)
+                .collect();
+            let mut rng = StdRng::seed_from_u64(0x9001);
+            let keep = 10.0 / dense.len() as f64;
+            let sampled: Vec<HybridConfig> = dense
+                .into_iter()
+                .filter(|_| rng.gen_bool(keep.min(1.0)))
+                .collect();
+            assert!(sampled.len() > 2, "{name}: sample too small to mean much");
+            let cost = ctx.cost_model();
+            let base = cost.workload().recompute;
+            for engine in [
+                MappingEngine::Tcme,
+                MappingEngine::SMap,
+                MappingEngine::GMap,
+            ] {
+                let pooled = ctx.cost_candidates(&sampled, engine);
+                for (cfg, (t, got)) in sampled.iter().zip(&pooled) {
+                    let want = [base, RecomputeMode::Full].into_iter().find_map(|mode| {
+                        let w = cost.workload().clone().with_recompute(mode);
+                        let report = cost.evaluate_with(cfg, engine, &w).ok()?;
+                        report.fits_memory.then_some((mode, report))
+                    });
+                    match (got, want) {
+                        (Some((w, a)), Some((mode, b))) => {
+                            assert_eq!(w.recompute, mode, "{name} {engine} {cfg:?}");
+                            assert_eq!(t.to_bits(), b.step_time.to_bits(), "{name} {engine}");
+                            // `{:?}` renders every float bit-exactly.
+                            assert_eq!(
+                                format!("{a:?}"),
+                                format!("{b:?}"),
+                                "{name} {engine} {cfg:?}"
+                            );
+                        }
+                        (None, None) => assert!(t.is_infinite(), "{name} {engine} {cfg:?}"),
+                        (a, b) => panic!(
+                            "{name} {engine} {cfg:?}: outcomes diverged \
+                             (pool feasible={}, sequential feasible={})",
+                            a.is_some(),
+                            b.is_some()
+                        ),
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The batch path is also bit-identical on staged (pp=2) candidate
 /// grids — the shapes the two-wafer staged planner costs — for a dense
 /// and an MoE model.
