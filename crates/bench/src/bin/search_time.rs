@@ -12,7 +12,8 @@
 //! across PRs. With `--check <path>` the fresh exact eval counts are
 //! diffed against a committed baseline record (>20% regression fails),
 //! the warm start from the saved cost tables alone must replay with ≤10%
-//! of the cold evaluations, and on
+//! of the cold evaluations, serial and pooled cold zoo solves must commit
+//! identical evaluations and plans, and on
 //! a ≥4-core runner the pool must beat serial costing by >1.5x — the CI
 //! bench-regression gates. With `--warm-smoke --cache-dir <dir>` the
 //! binary instead runs one leg of the cross-process warm-start smoke:
@@ -611,6 +612,41 @@ fn main() {
         "{{\"bench\":\"search_time\",\"metric\":\"bound_pruning\",\"exhaustive_s\":{exhaustive_zoo_s:.6},\"pruned_s\":{pruned_zoo_s:.6},\"prune_speedup\":{prune_speedup:.4},\"exhaustive_evals\":{exhaustive_evals},\"pruned_evals\":{pruned_evals},\"pruned_candidates\":{pruned_candidates},\"bound_s\":{zoo_bound_s:.6},\"coll_hit_rate\":{coll_hit_rate:.4},\"winners_match\":{pruned_winners_match}}}"
     );
 
+    header("best-first streaming: serial vs pooled cold zoo solve");
+    // The pruned stream commits verdicts strictly in bound order, so a
+    // pool whose contexts cost serially must commit exactly the pooled
+    // leg's evaluations and prune exactly its candidates, with the same
+    // plans. Only the speculative verdicts the pooled workers computed
+    // past the commit frontier and then discarded differ (recorded, not
+    // gated: they depend on scheduling).
+    let serial_pool = ContextPool::new(WaferConfig::hpca());
+    for model in ModelZoo::table2() {
+        serial_pool
+            .context(&model, &Workload::for_model(&model))
+            .set_parallel(false);
+    }
+    let (serial_fps, serial_evals, _) = solve_zoo_with(&serial_pool, true);
+    let (serial_stats, _) = serial_pool.aggregate_stats();
+    let discarded = pool_stats.discarded;
+    let streams_agree = serial_fps == pruned_fps
+        && (
+            serial_evals,
+            serial_stats.bound_pruned,
+            serial_stats.dominated_pruned,
+        ) == (
+            pruned_evals,
+            pool_stats.bound_pruned,
+            pool_stats.dominated_pruned,
+        );
+    println!(
+        "serial {serial_evals} evals, {} dominated; pooled {pruned_evals} evals, {} dominated, \
+         {discarded} speculative verdicts discarded; plans and counts agree: {streams_agree}",
+        serial_stats.dominated_pruned, pool_stats.dominated_pruned
+    );
+    println!(
+        "{{\"bench\":\"search_time\",\"metric\":\"streaming\",\"serial_evals\":{serial_evals},\"pooled_evals\":{pruned_evals},\"discarded\":{discarded},\"agree\":{streams_agree}}}"
+    );
+
     header("shared mapping drafts: cold fig13 zoo under TCME, SMap and GMap");
     let map_drafts = zoo_map_drafts();
     println!(
@@ -712,6 +748,7 @@ fn main() {
                 "\"coll_hit_rate\":{:.4},\"pruned_winners_match\":{},",
                 "\"campaign_s\":{:.6},\"campaign_lanes\":{},\"map_drafts\":{},",
                 "\"coalesced_evals\":{},\"shard_waits\":{},\"unique_eval_keys\":{},",
+                "\"serial_zoo_evals\":{},\"discarded\":{},\"streams_agree\":{},",
                 "\"pruned_zoo_baseline_s\":{:.6},\"zoo_models\":[{}]}}\n"
             ),
             threads,
@@ -748,6 +785,9 @@ fn main() {
             coalesced_evals,
             shard_waits,
             unique_eval_keys,
+            serial_evals,
+            discarded,
+            streams_agree,
             carried_pruned_zoo_baseline_s.unwrap_or(pruned_zoo_s),
             zoo_model_stats
                 .iter()
@@ -817,6 +857,20 @@ fn main() {
         );
         if warm_evals * 10 > cold_evals || !warm_plans_match {
             eprintln!("FAIL: warm start must replay identical plans with ≤10% of the cold evals");
+            failed = true;
+        }
+
+        // Streaming gate: serial and pooled best-first streams commit the
+        // same evaluations and plans at any worker count.
+        println!(
+            "streaming check: serial {serial_evals} vs pooled {pruned_evals} committed evals, \
+             plans and pruned counts agree: {streams_agree}"
+        );
+        if !streams_agree {
+            eprintln!(
+                "FAIL: serial and pooled cold zoo solves must commit identical evaluations, \
+                 pruned counts and plans"
+            );
             failed = true;
         }
 

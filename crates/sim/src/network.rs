@@ -734,16 +734,24 @@ impl ContentionSim {
     ///
     /// Water-filling: repeatedly find the link whose fair share
     /// (remaining capacity / unassigned flows crossing it) is smallest,
-    /// freeze those flows at that rate, subtract, continue.
+    /// freeze those flows at that rate, subtract, continue. Exact ties go
+    /// to the first link in first-touch order (active flows in order,
+    /// each route in order), the dense path's rule, so both formulations
+    /// pick the same bottleneck sequence.
     fn fair_rates_reference<F: AsRef<Flow>>(&self, flows: &[F], active: &[usize]) -> Vec<f64> {
         let mut rate = vec![0.0f64; active.len()];
         let mut assigned = vec![false; active.len()];
-        // Link -> (capacity left, unassigned flow positions crossing it).
+        // Link -> (capacity left, unassigned flow positions crossing it),
+        // scanned in first-touch order.
         let mut link_cap: HashMap<LinkId, f64> = HashMap::new();
         let mut link_flows: HashMap<LinkId, Vec<usize>> = HashMap::new();
+        let mut touched: Vec<LinkId> = Vec::new();
         for (pos, &i) in active.iter().enumerate() {
             for l in &flows[i].as_ref().route {
-                link_cap.entry(*l).or_insert(self.link_bandwidth);
+                link_cap.entry(*l).or_insert_with(|| {
+                    touched.push(*l);
+                    self.link_bandwidth
+                });
                 link_flows.entry(*l).or_default().push(pos);
             }
         }
@@ -751,12 +759,12 @@ impl ContentionSim {
         while unassigned > 0 {
             // Find the bottleneck link.
             let mut best: Option<(LinkId, f64)> = None;
-            for (l, cap) in &link_cap {
+            for l in &touched {
                 let count = link_flows[l].iter().filter(|p| !assigned[**p]).count();
                 if count == 0 {
                     continue;
                 }
-                let share = *cap / count as f64;
+                let share = link_cap[l] / count as f64;
                 if best.map(|(_, s)| share < s).unwrap_or(true) {
                     best = Some((*l, share));
                 }
@@ -1135,9 +1143,9 @@ mod tests {
         flows.push(Flow::xy(&mesh, DieId(0), DieId(31), 128.0 * MB));
         let dense = sim.simulate(&flows);
         let reference = sim.simulate_reference(&flows);
-        assert!((dense.makespan - reference.makespan).abs() <= 1e-9 * reference.makespan);
+        assert_eq!(dense.makespan.to_bits(), reference.makespan.to_bits());
         for (d, r) in dense.completion.iter().zip(&reference.completion) {
-            assert!((d - r).abs() <= 1e-9 * r.abs().max(1e-12), "{d} vs {r}");
+            assert_eq!(d.to_bits(), r.to_bits(), "{d} vs {r}");
         }
         assert_eq!(dense.link_bytes, reference.link_bytes);
     }
@@ -1354,56 +1362,6 @@ mod tests {
         groups.concat()
     }
 
-    /// Water-filling that recomputes every live link's `cap / count` on
-    /// every bottleneck pick, keeping the first minimum in first-touch
-    /// link order: the scan [`DenseScratch::fair_rates`] replaces with
-    /// stored shares.
-    fn rescanned_rates(bandwidth: f64, flows: &[Flow], active: &[usize]) -> Vec<f64> {
-        let mut used: Vec<LinkId> = Vec::new();
-        let mut cap: HashMap<LinkId, f64> = HashMap::new();
-        let mut at: HashMap<LinkId, Vec<usize>> = HashMap::new();
-        for (p, &i) in active.iter().enumerate() {
-            for l in &flows[i].route {
-                if !cap.contains_key(l) {
-                    used.push(*l);
-                    cap.insert(*l, bandwidth);
-                }
-                at.entry(*l).or_default().push(p);
-            }
-        }
-        let mut count: HashMap<LinkId, u32> =
-            at.iter().map(|(l, ps)| (*l, ps.len() as u32)).collect();
-        let mut rate = vec![0.0; active.len()];
-        let mut assigned = vec![false; active.len()];
-        loop {
-            let mut best: Option<(LinkId, f64)> = None;
-            for l in &used {
-                if count[l] == 0 {
-                    continue;
-                }
-                let share = cap[l] / count[l] as f64;
-                if best.map_or(true, |(_, s)| share < s) {
-                    best = Some((*l, share));
-                }
-            }
-            let Some((bottleneck, share)) = best else {
-                return rate;
-            };
-            for &p in &at[&bottleneck] {
-                if assigned[p] {
-                    continue;
-                }
-                rate[p] = share;
-                assigned[p] = true;
-                for l in &flows[active[p]].route {
-                    let c = cap.get_mut(l).unwrap();
-                    *c = (*c - share).max(0.0);
-                    *count.get_mut(l).unwrap() -= 1;
-                }
-            }
-        }
-    }
-
     #[test]
     fn makespan_of_and_stored_shares_match_rescanning_on_seeded_and_tie_heavy_sets() {
         let (_, sim) = setup();
@@ -1419,22 +1377,22 @@ mod tests {
                     tie_heavy_flows(&mesh, &mut rng)
                 };
                 let what = format!("{w}x{h} case {case}");
-                // Stored shares pick exactly what rescanning picks.
+                // Stored shares pick exactly what the reference's
+                // rescanning of every share picks.
                 let mut arena = RunArena::new();
                 arena.load(&flows);
                 scratch.fair_rates(sim.link_bandwidth, &flows, &arena.active);
-                let rescanned = rescanned_rates(sim.link_bandwidth, &flows, &arena.active);
+                let rescanned = sim.fair_rates_reference(&flows, &arena.active);
                 for (p, (a, b)) in scratch.rate.iter().zip(&rescanned).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "{what}, flow {p}: {a} vs {b}");
                 }
                 let of = sim.makespan_of(&tag(&flows));
                 let dense = sim.simulate(&flows).makespan;
                 assert_eq!(of.to_bits(), dense.to_bits(), "{what}: {of} vs {dense}");
-                // The reference breaks exact ties in HashMap order, which
-                // can move a share by an ulp: it agrees to 1e-9, not bits.
                 let reference = sim.simulate_reference(&flows).makespan;
-                assert!(
-                    (of - reference).abs() <= 1e-9 * reference,
+                assert_eq!(
+                    of.to_bits(),
+                    reference.to_bits(),
                     "{what}: {of} vs reference {reference}"
                 );
             }

@@ -258,7 +258,9 @@ type DraftWithFlows = (
 /// reads from it, so each layout is drafted once. `table` keeps each
 /// engine's selection per `(engine, layout, geometry)`. Failures are
 /// stored as their exact errors so a memoized miss reproduces the same
-/// [`SolverError::Internal`] a fresh mapping would.
+/// [`SolverError::Internal`] a fresh mapping would. Both levels are
+/// single-flighted: concurrent requests for one key build it once, the
+/// others wait for the stored entry.
 struct MappingMemo {
     #[allow(clippy::type_complexity)]
     table: crate::shard::ShardedMap<
@@ -269,6 +271,8 @@ struct MappingMemo {
         DraftKey,
         std::result::Result<std::sync::Arc<Draft>, MappingError>,
     >,
+    table_flights: crate::shard::FlightTable<MappingKey>,
+    draft_flights: crate::shard::FlightTable<DraftKey>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
     draft_hits: std::sync::atomic::AtomicU64,
@@ -280,6 +284,8 @@ impl Default for MappingMemo {
         MappingMemo {
             table: crate::shard::ShardedMap::new(),
             drafts: crate::shard::ShardedMap::new(),
+            table_flights: crate::shard::FlightTable::new(),
+            draft_flights: crate::shard::FlightTable::new(),
             hits: std::sync::atomic::AtomicU64::new(0),
             misses: std::sync::atomic::AtomicU64::new(0),
             draft_hits: std::sync::atomic::AtomicU64::new(0),
@@ -292,6 +298,15 @@ impl std::fmt::Debug for MappingMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MappingMemo").finish_non_exhaustive()
     }
+}
+
+/// The wait strategy of the mapping memo's single-flight followers: they
+/// run inside costing tasks, so they park without executing pool tasks.
+/// A foreign task run on top of a waiting frame could block on work the
+/// frames below it hold (a streamed solve's commit frontier), and the
+/// leader they wait for never waits on anything itself.
+fn no_help() -> bool {
+    false
 }
 
 /// Candidate-independent inputs of one exact evaluation, hoisted once per
@@ -560,34 +575,34 @@ impl WaferCostModel {
             workload.compute_dtype.bytes() as u8,
         );
         let key = (crate::persist::engine_code(engine), *layout_cfg, geometry);
-        if let Some(cached) = self.map_memo.table.get(&key) {
-            self.map_memo.hits.fetch_add(1, Ordering::Relaxed);
-            return cached.map_err(SolverError::Internal);
-        }
-        let computed = select(engine, &self.wafer, |policy| {
-            self.draft(policy, workload, layout_cfg, geometry)
-        })
-        .map(|selection| {
-            let comm_bytes_layer = selection
-                .draft
-                .comm_ops
-                .iter()
-                .map(|op| op.bytes * op.per_layer_count * op.group.len().max(1) as f64)
-                .sum();
-            std::sync::Arc::new(MappedComm {
-                contention_factor: selection.contention_factor(),
-                comm_bytes_layer,
-                draft: selection.draft,
-            })
-        })
-        .map_err(|e| e.to_string());
-        self.map_memo.misses.fetch_add(1, Ordering::Relaxed);
-        // Stored entries win races, so every observer of a key sees one
-        // consistent mapping.
-        self.map_memo
+        let memo = &self.map_memo;
+        let (stored, built) = memo
             .table
-            .insert_if_absent(key, computed)
-            .map_err(SolverError::Internal)
+            .get_or_build(&memo.table_flights, key, no_help, || {
+                let computed = select(engine, &self.wafer, |policy| {
+                    self.draft(policy, workload, layout_cfg, geometry)
+                })
+                .map(|selection| {
+                    let comm_bytes_layer = selection
+                        .draft
+                        .comm_ops
+                        .iter()
+                        .map(|op| op.bytes * op.per_layer_count * op.group.len().max(1) as f64)
+                        .sum();
+                    std::sync::Arc::new(MappedComm {
+                        contention_factor: selection.contention_factor(),
+                        comm_bytes_layer,
+                        draft: selection.draft,
+                    })
+                })
+                .map_err(|e| e.to_string());
+                (computed, ())
+            });
+        match built {
+            Some(()) => memo.misses.fetch_add(1, Ordering::Relaxed),
+            None => memo.hits.fetch_add(1, Ordering::Relaxed),
+        };
+        stored.map_err(SolverError::Internal)
     }
 
     /// The memoized [`Draft`] of `layout_cfg` laid out with `policy`, with
@@ -601,20 +616,20 @@ impl WaferCostModel {
     ) -> std::result::Result<DraftWithFlows, MappingError> {
         use std::sync::atomic::Ordering;
         let key = (policy, *layout_cfg, geometry);
-        if let Some(cached) = self.map_memo.drafts.get(&key) {
-            self.map_memo.draft_hits.fetch_add(1, Ordering::Relaxed);
-            return cached.map(|draft| (draft, None));
-        }
-        let built = Draft::build(&self.wafer, &self.model, workload, layout_cfg, policy);
-        self.map_memo.draft_misses.fetch_add(1, Ordering::Relaxed);
-        let (stored, flows) = match built {
-            Ok((_, flows, draft)) => (Ok(std::sync::Arc::new(draft)), Some(flows)),
-            Err(e) => (Err(e), None),
+        let memo = &self.map_memo;
+        let (stored, built) = memo
+            .drafts
+            .get_or_build(&memo.draft_flights, key, no_help, || {
+                match Draft::build(&self.wafer, &self.model, workload, layout_cfg, policy) {
+                    Ok((_, flows, draft)) => (Ok(std::sync::Arc::new(draft)), Some(flows)),
+                    Err(e) => (Err(e), None),
+                }
+            });
+        match built {
+            Some(_) => memo.draft_misses.fetch_add(1, Ordering::Relaxed),
+            None => memo.draft_hits.fetch_add(1, Ordering::Relaxed),
         };
-        // A racing build of the same key stored an identical draft, so the
-        // flows built here are its flows too.
-        let stored = self.map_memo.drafts.insert_if_absent(key, stored)?;
-        Ok((stored, flows))
+        Ok((stored?, built.flatten()))
     }
 
     /// `(hits, misses)` of the mapping memo's `(engine, layout)` lookups
@@ -1900,6 +1915,42 @@ mod tests {
             .unwrap()
             .0;
         assert!((4..=16).contains(&best), "sweet spot at {best}: {times:?}");
+    }
+
+    #[test]
+    fn concurrent_requests_build_one_draft_and_one_mapping() {
+        const THREADS: usize = 4;
+        let m = model_6_7b();
+        let workload = m.workload().clone();
+        let cfg = HybridConfig::tuple(2, 2, 1, 8);
+        let geometry = (
+            workload.global_batch,
+            workload.seq_len,
+            workload.micro_batches,
+            workload.compute_dtype.bytes() as u8,
+        );
+        let gate = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    gate.wait();
+                    m.draft(LayoutPolicy::RowMajorStrips, &workload, &cfg, geometry)
+                        .expect("draft");
+                });
+            }
+        });
+        assert_eq!(m.draft_memo_stats(), (THREADS as u64 - 1, 1));
+
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    gate.wait();
+                    m.mapped_comm(MappingEngine::Tcme, &workload, &cfg)
+                        .expect("mapping");
+                });
+            }
+        });
+        assert_eq!(m.mapping_memo_stats(), (THREADS as u64 - 1, 1));
     }
 
     #[test]

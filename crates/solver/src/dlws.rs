@@ -7,7 +7,7 @@
 //! 2. **Cost** each with the wafer-centric model under the TCME engine,
 //!    escalating to full recomputation when a configuration OOMs — cache
 //!    misses are costed through the batched SoA engine (one hoisted
-//!    op-graph walk per recompute wave), hits are free;
+//!    op-graph walk per recompute rung and pass), hits are free;
 //! 3. **Graph-partition + DP** — the heterogeneous segment chain
 //!    (embedding -> blocks -> LM head, [`temp_graph::segment`]) picks a
 //!    candidate **per segment** under resharding transition costs: the
@@ -393,11 +393,11 @@ impl Dlws {
             ));
         }
         // Cost the body candidates through the bound-pruned chain path:
-        // cache misses share one hoist per recompute wave and are costed
-        // one candidate per task (idle workers steal the next one), hits
-        // (from earlier solves over overlapping spaces) are free, and
-        // candidates the admissible bounds prove non-optimal skip the
-        // cost model entirely.
+        // cache misses share one hoist per recompute rung and are costed
+        // best bound first, one candidate per task, hits (from earlier
+        // solves over overlapping spaces) are free, and candidates the
+        // admissible bounds prove non-optimal skip the cost model
+        // entirely.
         let costed: Vec<CandidateCost> =
             self.ctx
                 .cost_candidates_chain(&candidates, all_candidates, engine);

@@ -33,7 +33,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 
 use temp_graph::segment::{SegmentChain, SegmentKind};
 use temp_graph::workload::{RecomputeMode, Workload};
@@ -41,12 +41,12 @@ use temp_mapping::engines::MappingEngine;
 use temp_parallel::strategy::HybridConfig;
 use temp_wsc::fault::FaultMap;
 
-use crate::cost::{CostReport, SegmentCost, WaferCostModel};
+use crate::cost::{CostReport, EvalHoist, SegmentCost, WaferCostModel};
 use crate::dlws::{ExecutionPlan, PlanKey};
 use crate::dp::{DpError, StageCuts};
 use crate::par;
 use crate::runtime::CancelToken;
-use crate::shard::{Claim, FlightTable, ShardedMap, WordHashMap};
+use crate::shard::{Claim, Flight, FlightLease, FlightTable, ShardedMap, WordHashMap};
 
 /// Memoization key: one cost-model evaluation is fully determined by the
 /// configuration, the mapping engine and the recompute mode (the wafer,
@@ -90,12 +90,6 @@ enum StageCutKey {
 /// (recompute may have escalated) plus the full report.
 pub type CandidateCost = (f64, Option<(Workload, CostReport)>);
 
-/// One key's outcome in a costing wave: `None` when the cancellation
-/// token skipped it (nothing was cached), else the cached-or-computed
-/// report (`Some(None)` records that the cost model could not evaluate
-/// the key).
-type WaveVerdict = Option<Option<CostReport>>;
-
 /// Cache counters for one context.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -128,9 +122,15 @@ pub struct SearchStats {
     /// reported infinite, skipped without evaluation.
     pub bound_pruned: u64,
     /// Candidates whose admissible lower bound exceeded the incumbent
-    /// chain value, skipped without evaluation (see
-    /// [`SearchContext::cost_candidates_chain`]).
+    /// committed before them, skipped without evaluation (see
+    /// [`SearchContext::cost_candidates_bounded`]).
     pub dominated_pruned: u64,
+    /// Speculative verdicts the best-first stream computed past its
+    /// commit frontier and then discarded (their bound turned out
+    /// dominated, or a paused frontier dropped them): the wasted work of
+    /// costing ahead. Never cached, never counted as misses; depends on
+    /// scheduling, unlike every other count here.
+    pub discarded: u64,
     /// Wall time (ns) spent enumerating the candidate space.
     pub enumerate_ns: u64,
     /// Wall time (ns) spent in the batched bound prefilter (bounds,
@@ -204,6 +204,7 @@ impl std::ops::AddAssign for SearchStats {
             seg_misses,
             bound_pruned,
             dominated_pruned,
+            discarded,
             enumerate_ns,
             bound_ns,
             exact_ns,
@@ -218,6 +219,7 @@ impl std::ops::AddAssign for SearchStats {
         self.seg_misses += seg_misses;
         self.bound_pruned += bound_pruned;
         self.dominated_pruned += dominated_pruned;
+        self.discarded += discarded;
         self.enumerate_ns += enumerate_ns;
         self.bound_ns += bound_ns;
         self.exact_ns += exact_ns;
@@ -287,12 +289,13 @@ pub struct SearchContext {
     /// admissible prefilter + incumbent dominance (default on; turned off
     /// for exhaustive reference runs).
     pruning: AtomicBool,
-    /// Configurations the chain path must evaluate in its seed chunk even
-    /// when uncached — fault campaigns put the previous rate point's
-    /// winner here so an incumbent exists immediately.
+    /// Configurations the bounded paths cost first, ahead of the bound
+    /// order — fault campaigns put the previous rate point's winner here
+    /// so a strong incumbent exists immediately.
     bound_seeds: RwLock<Vec<HybridConfig>>,
     bound_pruned: AtomicU64,
     dominated_pruned: AtomicU64,
+    discarded: AtomicU64,
     enumerate_ns: AtomicU64,
     bound_ns: AtomicU64,
     exact_ns: AtomicU64,
@@ -410,6 +413,7 @@ impl SearchContext {
             bound_seeds: RwLock::new(Vec::new()),
             bound_pruned: AtomicU64::new(0),
             dominated_pruned: AtomicU64::new(0),
+            discarded: AtomicU64::new(0),
             enumerate_ns: AtomicU64::new(enumerate_ns),
             bound_ns: AtomicU64::new(0),
             exact_ns: AtomicU64::new(0),
@@ -545,10 +549,11 @@ impl SearchContext {
         self.pruning.load(Ordering::Relaxed)
     }
 
-    /// Seeds the chain path's incumbent: these configurations are
-    /// force-included in the first exact chunk even on a cold cache.
-    /// Fault campaigns pass the previous rate point's winner so dominance
-    /// pruning engages immediately.
+    /// Seeds the bounded paths' incumbent: uncached candidates among
+    /// these configurations head the best-first stream, ahead of the
+    /// bound order (see [`SearchContext::cost_candidates_bounded`]).
+    /// Fault campaigns pass the previous rate point's winner, a strong
+    /// incumbent from the first commit, so dominance engages at once.
     pub fn set_bound_seeds(&self, seeds: Vec<HybridConfig>) {
         *self.bound_seeds.write().expect("bound seeds lock") = seeds;
     }
@@ -987,6 +992,7 @@ impl SearchContext {
             seg_misses: self.seg_misses.load(Ordering::Relaxed),
             bound_pruned: self.bound_pruned.load(Ordering::Relaxed),
             dominated_pruned: self.dominated_pruned.load(Ordering::Relaxed),
+            discarded: self.discarded.load(Ordering::Relaxed),
             enumerate_ns: self.enumerate_ns.load(Ordering::Relaxed),
             bound_ns: self.bound_ns.load(Ordering::Relaxed),
             exact_ns: self.exact_ns.load(Ordering::Relaxed),
@@ -1047,35 +1053,39 @@ impl SearchContext {
         }
     }
 
-    /// As [`SearchContext::cost_of`] but answered purely from the cache:
-    /// returns `None` when the cached entries cannot determine the
-    /// outcome (some mode on the escalation path is not cached yet).
-    /// Never evaluates and never touches the hit/miss counters — the
-    /// pruned chain path uses this to draw its incumbent from verdicts a
-    /// warm context already owns.
-    pub(crate) fn cost_of_cached(
+    /// The recompute modes a candidate escalates through: the workload's
+    /// own, then [`RecomputeMode::Full`] when that overflows HBM or fails.
+    fn recompute_ladder(&self) -> impl Iterator<Item = RecomputeMode> {
+        let base = self.cost.workload().recompute;
+        std::iter::once(base).chain((base != RecomputeMode::Full).then_some(RecomputeMode::Full))
+    }
+
+    /// As [`SearchContext::cost_of`] but answered purely from the cache,
+    /// with the number of cache entries read: `None` when the cached
+    /// entries cannot determine the outcome (some mode on the escalation
+    /// path is not cached yet). Never evaluates and never touches the
+    /// hit/miss counters — the batch paths use this to serve verdicts a
+    /// warm context already owns, the pruned paths to draw their
+    /// incumbent from them.
+    fn cost_of_cached(
         &self,
         cfg: &HybridConfig,
         engine: MappingEngine,
-    ) -> Option<CandidateCost> {
-        let base_mode = self.cost.workload().recompute;
-        let mut tried_base = false;
-        for mode in [base_mode, RecomputeMode::Full] {
-            if tried_base && mode == base_mode {
-                continue;
-            }
-            tried_base = true;
+    ) -> Option<(CandidateCost, u64)> {
+        let mut reads = 0;
+        for mode in self.recompute_ladder() {
+            reads += 1;
             match self.cache.get(&(*cfg, engine, mode))? {
                 Some(report) if report.fits_memory => {
                     let workload = self.cost.workload().clone().with_recompute(mode);
-                    return Some((report.step_time, Some((workload, report))));
+                    return Some(((report.step_time, Some((workload, report))), reads));
                 }
                 // Cached OOM or layout failure: try the next mode, exactly
                 // like `cost_of`'s escalation.
                 _ => {}
             }
         }
-        Some((f64::INFINITY, None))
+        Some(((f64::INFINITY, None), reads))
     }
 
     /// Costs a candidate, escalating recompute on OOM; infeasible
@@ -1083,13 +1093,17 @@ impl SearchContext {
     /// returned payload is a clone, so the context stays valid across
     /// arbitrarily many solves.
     pub fn cost_of(&self, cfg: &HybridConfig, engine: MappingEngine) -> CandidateCost {
-        let base_mode = self.cost.workload().recompute;
-        let mut tried_base = false;
-        for mode in [base_mode, RecomputeMode::Full] {
-            if tried_base && mode == base_mode {
-                continue;
-            }
-            tried_base = true;
+        self.cost_from(cfg, engine, self.cost.workload().recompute)
+    }
+
+    /// [`SearchContext::cost_of`]'s escalation, entered at `first`.
+    fn cost_from(
+        &self,
+        cfg: &HybridConfig,
+        engine: MappingEngine,
+        first: RecomputeMode,
+    ) -> CandidateCost {
+        for mode in self.recompute_ladder().skip_while(|&m| m != first) {
             if let Some(report) = self.evaluate(cfg, engine, mode) {
                 if report.fits_memory {
                     let workload = self.cost.workload().clone().with_recompute(mode);
@@ -1098,142 +1112,6 @@ impl SearchContext {
             }
         }
         (f64::INFINITY, None)
-    }
-
-    /// Resolves one `(candidate, mode)` wave of a batched costing pass:
-    /// for every index in `need`, the key's [`WaveVerdict`] under `mode`,
-    /// aligned with `need`. Distinct misses this wave *leads* (first
-    /// single-flight claimant) share one [`WaferCostModel::eval_hoist`]
-    /// and are costed one candidate per task through [`par::par_map`], so
-    /// idle workers steal the next candidate instead of waiting on a
-    /// fixed share. Each task polls `token` first: a leader it skips
-    /// drops its lease without publishing and comes back `None`. Misses
-    /// another solve is already costing are **coalesced** — this wave
-    /// computes its own leaders first, then parks on the foreign flights
-    /// (helping the runtime, so it may well execute the leader's tasks)
-    /// and serves their stored reports. Counter semantics match
-    /// [`SearchContext::evaluate`] exactly: one hit per cache serve
-    /// (including duplicate occurrences beyond a key's first and
-    /// coalesced serves), one miss per report this call computed.
-    fn resolve_mode_batched(
-        &self,
-        candidates: &[HybridConfig],
-        need: &[usize],
-        engine: MappingEngine,
-        mode: RecomputeMode,
-        token: Option<&CancelToken>,
-    ) -> Vec<WaveVerdict> {
-        let mut out: Vec<Option<WaveVerdict>> = vec![None; need.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        for (slot, &ci) in need.iter().enumerate() {
-            match self.cache.get(&(candidates[ci], engine, mode)) {
-                Some(cached) => out[slot] = Some(Some(cached)),
-                None => missing.push(slot),
-            }
-        }
-        let hits = (need.len() - missing.len()) as u64;
-        if hits > 0 {
-            self.hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if missing.is_empty() {
-            return out.into_iter().map(|o| o.expect("resolved")).collect();
-        }
-        // Distinct missing keys, first occurrence first — groups may
-        // repeat a configuration; it is computed once and every later
-        // occurrence is a cache serve, exactly as sequential costing
-        // would count it.
-        let mut first_pos: HashMap<HybridConfig, usize> = HashMap::new();
-        let mut uniques: Vec<HybridConfig> = Vec::new();
-        for &slot in &missing {
-            let cfg = candidates[need[slot]];
-            first_pos.entry(cfg).or_insert_with(|| {
-                uniques.push(cfg);
-                uniques.len() - 1
-            });
-        }
-        // Claim every unique: keys we lead are ours to compute; keys a
-        // concurrent solve is already costing are followed after our own
-        // batch lands (never before — leaders must not block on foreign
-        // flights while holding leases, or two waves leading each
-        // other's followers would deadlock).
-        let mut leaders: Vec<HybridConfig> = Vec::with_capacity(uniques.len());
-        let mut leader_uis: Vec<usize> = Vec::with_capacity(uniques.len());
-        let mut leases: Vec<crate::shard::FlightLease<'_, EvalKey>> = Vec::new();
-        let mut followed: Vec<(usize, std::sync::Arc<crate::shard::Flight>)> = Vec::new();
-        let mut resolved: Vec<WaveVerdict> = vec![None; uniques.len()];
-        for (ui, cfg) in uniques.iter().enumerate() {
-            let key = (*cfg, engine, mode);
-            match self.flights.claim(key) {
-                Claim::Leader(lease) => match self.cache.get(&key) {
-                    // Lost race: a previous leader published between the
-                    // peek wave and our claim.
-                    Some(cached) => {
-                        drop(lease);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        resolved[ui] = Some(cached);
-                    }
-                    None => {
-                        leaders.push(*cfg);
-                        leader_uis.push(ui);
-                        leases.push(lease);
-                    }
-                },
-                Claim::Follower(flight) => followed.push((ui, flight)),
-            }
-        }
-        if !leaders.is_empty() {
-            let workload = self.cost.workload().clone().with_recompute(mode);
-            let hoist = self.cost.eval_hoist(&workload);
-            let cost = |cfg: &HybridConfig| -> WaveVerdict {
-                if token.is_some_and(CancelToken::is_cancelled) {
-                    return None;
-                }
-                Some(
-                    self.cost
-                        .evaluate_hoisted(&hoist, cfg, engine, &workload)
-                        .ok(),
-                )
-            };
-            let computed: Vec<WaveVerdict> = if self.parallel() {
-                par::par_map(&leaders, cost)
-            } else {
-                leaders.iter().map(cost).collect()
-            };
-            // Publish every report before retiring any lease (stored
-            // entries win races, so every observer of a key sees one
-            // consistent report), then wake the followers. A skipped
-            // leader publishes nothing: a skip is not a verdict.
-            let mut costed = 0u64;
-            for ((cfg, report), &ui) in leaders.iter().zip(computed).zip(&leader_uis) {
-                if let Some(report) = report {
-                    costed += 1;
-                    resolved[ui] = Some(self.cache.insert_if_absent((*cfg, engine, mode), report));
-                }
-            }
-            self.misses.fetch_add(costed, Ordering::Relaxed);
-        }
-        drop(leases);
-        // Park on foreign flights only now, with no leases held; helping
-        // the runtime while waiting keeps this wave productive.
-        let pool = crate::runtime::global();
-        for (ui, flight) in followed {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-            flight.wait(|| pool.help_one());
-            // The leader published before retiring its flight; a leader
-            // that died or skipped without publishing falls through to
-            // `evaluate`, which re-claims and computes (counting its own
-            // hit/miss).
-            resolved[ui] = Some(self.evaluate(&uniques[ui], engine, mode));
-        }
-        let dup = (missing.len() - uniques.len()) as u64;
-        if dup > 0 {
-            self.hits.fetch_add(dup, Ordering::Relaxed);
-        }
-        for &slot in &missing {
-            let cfg = candidates[need[slot]];
-            out[slot] = Some(resolved[first_pos[&cfg]].clone());
-        }
-        out.into_iter().map(|o| o.expect("resolved")).collect()
     }
 
     /// Memoized [`crate::dp::balance_stage_cuts`]. The parametric
@@ -1308,67 +1186,89 @@ impl SearchContext {
     }
 
     /// Costs a batch of candidates exactly, aligned with `candidates`.
-    /// The whole batch resolves its base recompute mode in one wave
-    /// ([`SearchContext::resolve_mode_batched`]: one cache pass, distinct
-    /// misses costed one candidate per task on the work-stealing runtime
-    /// when parallel costing is on); only the candidates that erred or
-    /// overflowed HBM escalate to a second [`RecomputeMode::Full`] wave —
-    /// the same `[base, Full]` ladder as [`SearchContext::cost_of`],
-    /// candidate by candidate, and bit-identical to it (both run the
-    /// hoisted evaluation core). Each costing task polls the installed
-    /// cancellation token (deadline-bounded solves) before it evaluates:
-    /// once the token fires, the candidates not yet costed come back
+    /// Verdicts the cache holds are served inline; every other distinct
+    /// configuration climbs the `[base, Full]` recompute ladder of
+    /// [`SearchContext::cost_of`] as one task on the work-stealing
+    /// runtime when parallel costing is on (idle workers steal the next
+    /// candidate), through one [`WaferCostModel::eval_hoist`] per rung —
+    /// bit-identical to `cost_of`. A repeated configuration is
+    /// costed once and served from the cache after, exactly as sequential
+    /// costing counts it. Each task polls the installed cancellation
+    /// token (deadline-bounded solves) before it evaluates: once the
+    /// token fires, the candidates not yet costed come back
     /// `(INFINITY, None)` **without** being written to the cache or
     /// escalated — a skip is not a verdict, so later unbounded solves
-    /// re-cost them.
+    /// re-cost them. Misses another solve is already costing are
+    /// **coalesced**: the batch publishes its own reports first, then
+    /// waits for the foreign flights and serves their stored reports.
     pub fn cost_candidates(
         &self,
         candidates: &[HybridConfig],
         engine: MappingEngine,
     ) -> Vec<CandidateCost> {
         let started = std::time::Instant::now();
-        let token = self.cancel_token();
-        let token = token.as_ref();
-        let base_mode = self.cost.workload().recompute;
-        let all: Vec<usize> = (0..candidates.len()).collect();
-        let base = self.resolve_mode_batched(candidates, &all, engine, base_mode, token);
-        let needs_full: Vec<usize> = if base_mode == RecomputeMode::Full {
-            Vec::new()
-        } else {
-            base.iter()
-                .enumerate()
-                .filter(|(_, r)| match r {
-                    Some(Some(report)) => !report.fits_memory,
-                    Some(None) => true,
-                    // Skipped: not a verdict, so nothing to escalate.
-                    None => false,
+        let ladder = Ladder::new(self, engine);
+        let mut unique_of: HashMap<HybridConfig, usize> = HashMap::new();
+        let mut uniques: Vec<HybridConfig> = Vec::new();
+        let slots: Vec<usize> = candidates
+            .iter()
+            .map(|cfg| {
+                *unique_of.entry(*cfg).or_insert_with(|| {
+                    uniques.push(*cfg);
+                    uniques.len() - 1
                 })
-                .map(|(i, _)| i)
-                .collect()
-        };
-        let full = if needs_full.is_empty() {
-            Vec::new()
-        } else {
-            self.resolve_mode_batched(candidates, &needs_full, engine, RecomputeMode::Full, token)
-        };
-        let mut full_results: HashMap<usize, WaveVerdict> =
-            needs_full.into_iter().zip(full).collect();
-        let out = base
-            .into_iter()
-            .enumerate()
-            .map(|(i, base_report)| {
-                let (mode, report) = match base_report {
-                    Some(Some(report)) if report.fits_memory => (base_mode, report),
-                    Some(_) => match full_results.remove(&i).flatten().flatten() {
-                        Some(report) if report.fits_memory => (RecomputeMode::Full, report),
-                        _ => return (f64::INFINITY, None),
-                    },
-                    None => return (f64::INFINITY, None),
-                };
-                let workload = self.cost.workload().clone().with_recompute(mode);
-                (report.step_time, Some((workload, report)))
             })
             .collect();
+        // Verdicts the cache already holds are served inline; only the
+        // rest are dispatched, one climb per task.
+        let mut costs: Vec<Option<CandidateCost>> = Vec::with_capacity(uniques.len());
+        let mut climbs: Vec<usize> = Vec::new();
+        let mut reads = 0;
+        for (u, cfg) in uniques.iter().enumerate() {
+            let cached = self.cost_of_cached(cfg, engine);
+            if cached.is_none() {
+                climbs.push(u);
+            }
+            costs.push(cached.map(|(cc, hits)| {
+                reads += hits;
+                cc
+            }));
+        }
+        self.hits.fetch_add(reads, Ordering::Relaxed);
+        let cost = |&u: &usize| ladder.cost(&uniques[u]);
+        let verdicts: Vec<Verdict<'_>> = if self.parallel() {
+            par::par_map(&climbs, cost)
+        } else {
+            climbs.iter().map(cost).collect()
+        };
+        // Publish every report before waiting on any foreign flight, so
+        // no lease is held while parked: two batches leading each other's
+        // keys would otherwise wait on each other.
+        let outcomes: Vec<Outcome> = verdicts.into_iter().map(|v| ladder.publish(v)).collect();
+        for (outcome, &u) in outcomes.into_iter().zip(&climbs) {
+            costs[u] = Some(match outcome {
+                Outcome::Costed(cc) => cc,
+                Outcome::Follow(mode, flight) => ladder.follow(&uniques[u], mode, flight),
+            });
+        }
+        let costs: Vec<CandidateCost> = costs
+            .into_iter()
+            .map(|cc| cc.expect("every configuration costed"))
+            .collect();
+        // Every occurrence past a configuration's first reads the rungs
+        // its first occurrence climbed, as cache hits.
+        let mut seen = vec![false; uniques.len()];
+        let mut repeat_hits = 0;
+        let out = slots
+            .into_iter()
+            .map(|u| {
+                if std::mem::replace(&mut seen[u], true) {
+                    repeat_hits += ladder.rungs(&costs[u]);
+                }
+                costs[u].clone()
+            })
+            .collect();
+        self.hits.fetch_add(repeat_hits, Ordering::Relaxed);
         self.exact_ns
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         out
@@ -1464,130 +1364,554 @@ impl SearchContext {
     ///    without touching the cost model (counted in `bound_pruned`).
     /// 2. **Incumbent** — the best `exact` value among candidates whose
     ///    verdict the cache already knows (warm contexts, campaign rate
-    ///    points, earlier solves). On a cold cache a fixed seed chunk —
-    ///    any forced campaign seeds plus the lowest-bounded candidates —
-    ///    is costed first to establish it.
-    /// 3. **Dominance** — an uncached candidate whose bound exceeds the
-    ///    incumbent (up to a relative float margin) cannot win, so it
-    ///    comes back `(INFINITY, None)` (counted in `dominated_pruned`).
+    ///    points, earlier solves), served as hits exactly like the
+    ///    exhaustive path.
+    /// 3. **Best-first dominance** — the uncached candidates are costed
+    ///    in stream order (forced [`SearchContext::set_bound_seeds`]
+    ///    first, then by `(lower bound, index)`), each lowering the
+    ///    incumbent as it commits. A candidate whose bound exceeds the
+    ///    incumbent committed before it (up to a relative float margin)
+    ///    cannot win, so it comes back `(INFINITY, None)` (counted in
+    ///    `dominated_pruned`); past the seeds it also ends the stream,
+    ///    since every later bound is at least as large.
     ///
-    /// Skipped candidates are **not** cached (a skip is not a verdict);
-    /// a warm rerun prunes a superset of the cold run's skips, so replays
-    /// stay zero-miss. Everything else — cached verdicts (counted as
-    /// hits, exactly like the exhaustive path) and surviving unknowns —
-    /// pays [`SearchContext::cost_candidates`].
+    /// Workers cost a few candidates past the commit frontier
+    /// speculatively, but verdicts commit strictly in stream order under
+    /// the sequential rule, so the committed set, the counters and the
+    /// plans are those of a serial best-first pass at any worker count. A
+    /// speculative verdict the rule discards is not cached and counts in
+    /// [`SearchStats::discarded`]. Skipped candidates are **not** cached
+    /// (a skip is not a verdict); a warm rerun prunes a superset of the
+    /// cold run's skips, so replays stay zero-miss.
     pub(crate) fn cost_candidates_bounded(
         &self,
         candidates: &[HybridConfig],
         engine: MappingEngine,
         lower: &[Option<f64>],
-        exact: impl Fn(usize, &CandidateCost) -> f64,
+        exact: impl Fn(usize, &CandidateCost) -> f64 + Sync,
     ) -> Vec<CandidateCost> {
-        /// How many of the best-bounded uncached candidates seed the
-        /// incumbent on a cold cache. A fixed constant (never derived
-        /// from the worker count) so the pruned-candidate counts are
-        /// identical across `TEMP_THREADS` legs.
-        const SEED_CHUNK: usize = 16;
-        /// Relative slack on the dominance threshold, covering the float
-        /// association differences between the bound's fixed-order sums
-        /// and the exact evaluation's fold order.
-        const REL_MARGIN: f64 = 1e-9;
-
         let bound_started = std::time::Instant::now();
         let n = candidates.len();
-        // Prefilter. Not cached — a skip is not a verdict.
+        // Prefilter, then the incumbent from the verdicts the cache
+        // already holds. Prefiltered candidates are not cached — a skip
+        // is not a verdict.
         let mut results: Vec<Option<CandidateCost>> = vec![None; n];
         let mut prefiltered = 0u64;
+        let mut reads = 0u64;
+        let mut incumbent = f64::INFINITY;
+        let mut uncached: Vec<usize> = Vec::new();
         for (i, lb) in lower.iter().enumerate() {
             if lb.is_none() {
                 results[i] = Some((f64::INFINITY, None));
                 prefiltered += 1;
-            }
-        }
-        self.bound_pruned.fetch_add(prefiltered, Ordering::Relaxed);
-
-        // Incumbent from the verdicts the cache already holds.
-        let mut incumbent = f64::INFINITY;
-        let mut cached_idx: Vec<usize> = Vec::new();
-        let mut uncached: Vec<usize> = Vec::new();
-        for i in 0..n {
-            if results[i].is_some() {
                 continue;
             }
             match self.cost_of_cached(&candidates[i], engine) {
-                Some(cc) => {
+                Some((cc, hits)) => {
                     incumbent = incumbent.min(exact(i, &cc));
-                    cached_idx.push(i);
+                    reads += hits;
+                    results[i] = Some(cc);
                 }
                 None => uncached.push(i),
             }
         }
-        let lb = |i: usize| lower[i].expect("prefiltered candidates are resolved");
+        self.bound_pruned.fetch_add(prefiltered, Ordering::Relaxed);
+        self.hits.fetch_add(reads, Ordering::Relaxed);
         self.add_bound_time(bound_started.elapsed());
 
-        // Cold cache: cost the deterministic seed chunk first.
-        if !incumbent.is_finite() && !uncached.is_empty() {
-            let forced = self.bound_seeds.read().expect("bound seeds lock").clone();
-            let mut order = uncached.clone();
-            order.sort_by(|&a, &b| {
-                lb(a)
-                    .partial_cmp(&lb(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            let mut seed: Vec<usize> = order
-                .iter()
-                .copied()
-                .filter(|&i| forced.contains(&candidates[i]))
-                .collect();
-            for &i in &order {
-                if seed.len() >= SEED_CHUNK {
-                    break;
-                }
-                if !seed.contains(&i) {
-                    seed.push(i);
-                }
-            }
-            let seed_cfgs: Vec<HybridConfig> = seed.iter().map(|&i| candidates[i]).collect();
-            let seed_costs = self.cost_candidates(&seed_cfgs, engine);
-            for (&i, cc) in seed.iter().zip(seed_costs) {
-                incumbent = incumbent.min(exact(i, &cc));
+        if !uncached.is_empty() {
+            let started = std::time::Instant::now();
+            let stream =
+                BestFirst::new(self, candidates, engine, lower, &exact, uncached, incumbent);
+            for (i, cc) in stream.run() {
                 results[i] = Some(cc);
             }
-            uncached.retain(|i| !seed.contains(i));
-        }
-
-        // Dominance.
-        let prune_started = std::time::Instant::now();
-        let mut survivors: Vec<usize> = Vec::new();
-        if incumbent.is_finite() {
-            let threshold = incumbent * (1.0 + REL_MARGIN);
-            let mut dominated = 0u64;
-            for &i in &uncached {
-                if lb(i) > threshold {
-                    results[i] = Some((f64::INFINITY, None));
-                    dominated += 1;
-                } else {
-                    survivors.push(i);
-                }
-            }
-            self.dominated_pruned
-                .fetch_add(dominated, Ordering::Relaxed);
-        } else {
-            survivors = uncached;
-        }
-        self.add_bound_time(prune_started.elapsed());
-
-        let rest: Vec<usize> = cached_idx.into_iter().chain(survivors).collect();
-        let rest_cfgs: Vec<HybridConfig> = rest.iter().map(|&i| candidates[i]).collect();
-        let rest_costs = self.cost_candidates(&rest_cfgs, engine);
-        for (&i, cc) in rest.iter().zip(rest_costs) {
-            results[i] = Some(cc);
+            self.exact_ns
+                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         results
             .into_iter()
             .map(|r| r.expect("every candidate resolved"))
             .collect()
+    }
+}
+
+/// How many stream positions past the commit frontier workers may pull
+/// while the frontier itself is still in flight. A fixed constant, never
+/// derived from the worker count, so the speculative work per solve stays
+/// small whatever `TEMP_THREADS` says; the committed set does not depend
+/// on it.
+const STREAM_LOOKAHEAD: usize = 2;
+
+/// Relative slack on the dominance threshold, covering the float
+/// association differences between the bound's fixed-order sums and the
+/// exact evaluation's fold order.
+const REL_MARGIN: f64 = 1e-9;
+
+/// The `[base, Full]` recompute ladder of one costing pass, shared by the
+/// exhaustive batch ([`SearchContext::cost_candidates`]) and the
+/// best-first stream: the workload of each rung and its evaluation
+/// hoist, derived once per pass on first use, and the single-flight
+/// protocol around each key.
+struct Ladder<'t> {
+    ctx: &'t SearchContext,
+    engine: MappingEngine,
+    base: Rung,
+    full: Rung,
+    token: Option<CancelToken>,
+}
+
+/// A recompute mode's workload and its lazily derived hoist.
+type Rung = (Workload, OnceLock<EvalHoist>);
+
+/// One candidate's climb of the ladder, as a task computed it.
+struct Verdict<'t> {
+    /// Reports this task computed as the key's single-flight leader,
+    /// with their leases: published at commit, dropped unpublished on
+    /// discard.
+    led: Vec<(EvalKey, Option<CostReport>, FlightLease<'t, EvalKey>)>,
+    /// Cache serves along the way.
+    hits: u64,
+    outcome: Outcome,
+}
+
+// Lives inside a `Verdict`, which the stream boxes.
+#[allow(clippy::large_enum_variant)]
+enum Outcome {
+    /// The candidate's cost (`(INFINITY, None)` when nothing fits or
+    /// the cancellation token skipped it).
+    Costed(CandidateCost),
+    /// Another solve is costing the key of this recompute mode.
+    Follow(RecomputeMode, Arc<Flight>),
+}
+
+impl<'t> Ladder<'t> {
+    fn new(ctx: &'t SearchContext, engine: MappingEngine) -> Self {
+        let workload = ctx.cost.workload();
+        Ladder {
+            ctx,
+            engine,
+            base: (workload.clone(), OnceLock::new()),
+            full: (
+                workload.clone().with_recompute(RecomputeMode::Full),
+                OnceLock::new(),
+            ),
+            token: ctx.cancel_token(),
+        }
+    }
+
+    /// The rung of recompute mode `mode`.
+    fn rung(&self, mode: RecomputeMode) -> &Rung {
+        if mode == self.base.0.recompute {
+            &self.base
+        } else {
+            &self.full
+        }
+    }
+
+    /// The cache reads a repeat of a candidate costed `cc` makes: one per
+    /// rung its climb reached.
+    fn rungs(&self, cc: &CandidateCost) -> u64 {
+        let base = self.base.0.recompute;
+        let stopped_at_base = matches!(&cc.1, Some((w, _)) if w.recompute == base);
+        if base == RecomputeMode::Full || stopped_at_base {
+            1
+        } else {
+            2
+        }
+    }
+
+    /// Climbs the ladder for `cfg`: the base mode's report, then the
+    /// escalation mode's when the base overflows HBM or fails. Keys this
+    /// task leads keep their leases in the verdict; a key another solve
+    /// is costing ends the climb as [`Outcome::Follow`] — tasks never
+    /// park on foreign flights.
+    fn cost(&self, cfg: &HybridConfig) -> Verdict<'t> {
+        let ctx = self.ctx;
+        let mut verdict = Verdict {
+            led: Vec::new(),
+            hits: 0,
+            outcome: Outcome::Costed((f64::INFINITY, None)),
+        };
+        for mode in ctx.recompute_ladder() {
+            let key = (*cfg, self.engine, mode);
+            let report = match ctx.cache.get(&key) {
+                Some(cached) => {
+                    verdict.hits += 1;
+                    cached
+                }
+                None => match ctx.flights.claim(key) {
+                    Claim::Leader(lease) => match ctx.cache.get(&key) {
+                        // Lost race: a previous leader published between
+                        // the peek and the claim.
+                        Some(cached) => {
+                            verdict.hits += 1;
+                            cached
+                        }
+                        None => {
+                            // A skip is not a verdict: nothing published,
+                            // nothing escalated.
+                            if self.token.as_ref().is_some_and(CancelToken::is_cancelled) {
+                                break;
+                            }
+                            let (workload, hoist) = self.rung(mode);
+                            let hoist = hoist.get_or_init(|| ctx.cost.eval_hoist(workload));
+                            let report = ctx
+                                .cost
+                                .evaluate_hoisted(hoist, cfg, self.engine, workload)
+                                .ok();
+                            verdict.led.push((key, report.clone(), lease));
+                            report
+                        }
+                    },
+                    Claim::Follower(flight) => {
+                        verdict.outcome = Outcome::Follow(mode, flight);
+                        break;
+                    }
+                },
+            };
+            if let Some(report) = report.filter(|r| r.fits_memory) {
+                let cc = (report.step_time, Some((self.rung(mode).0.clone(), report)));
+                verdict.outcome = Outcome::Costed(cc);
+                break;
+            }
+        }
+        verdict
+    }
+
+    /// Publishes the reports `verdict` led (stored entries win races, so
+    /// every observer of a key sees one report), retires their flights
+    /// and counts the climb's hits and misses; returns its outcome.
+    fn publish(&self, verdict: Verdict<'t>) -> Outcome {
+        let ctx = self.ctx;
+        let led = verdict.led.len() as u64;
+        for (key, report, lease) in verdict.led {
+            ctx.cache.insert_if_absent(key, report);
+            drop(lease);
+        }
+        ctx.misses.fetch_add(led, Ordering::Relaxed);
+        ctx.hits.fetch_add(verdict.hits, Ordering::Relaxed);
+        verdict.outcome
+    }
+
+    /// Finishes a climb that met another solve's flight at `mode`: waits
+    /// for it, then climbs on from `mode` through the cache. Callers hold
+    /// no lease here. The wait runs no pool tasks: a task run on top of
+    /// this frame could bury the frame that must publish or drop the
+    /// awaited lease.
+    fn follow(
+        &self,
+        cfg: &HybridConfig,
+        mode: RecomputeMode,
+        flight: Arc<Flight>,
+    ) -> CandidateCost {
+        self.ctx.coalesced.fetch_add(1, Ordering::Relaxed);
+        flight.wait(|| false);
+        // The leader published before retiring its flight; one that died
+        // or skipped without publishing leaves the key to `evaluate`,
+        // which re-claims and computes.
+        self.ctx.cost_from(cfg, self.engine, mode)
+    }
+}
+
+/// One best-first costing stream of
+/// [`SearchContext::cost_candidates_bounded`]: a shared cursor over the
+/// stream order, a commit frontier, and the verdicts workers computed
+/// past it.
+struct BestFirst<'t, E> {
+    ladder: Ladder<'t>,
+    candidates: &'t [HybridConfig],
+    lower: &'t [Option<f64>],
+    exact: &'t E,
+    /// Candidate indices in stream order.
+    order: Vec<usize>,
+    /// The first `seeds` positions are forced seeds, outside the bound
+    /// order: a dominated seed does not end the stream.
+    seeds: usize,
+    state: Mutex<StreamState<'t>>,
+    /// Signalled whenever the frontier, the end or the pause flag moves.
+    turn: Condvar,
+}
+
+/// The mutable part of a [`BestFirst`] stream.
+struct StreamState<'t> {
+    /// The next position to pull.
+    next: usize,
+    /// The commit frontier: every position below it is settled.
+    committed: usize,
+    /// Positions at or past `end` are dominated and never committed.
+    end: usize,
+    /// The best objective value committed so far.
+    incumbent: f64,
+    slots: Vec<Slot<'t>>,
+    /// The committed costs, by position; `None` for dominated positions.
+    costs: Vec<Option<CandidateCost>>,
+    discarded: u64,
+    /// The frontier's verdict waits on another solve's flight: workers
+    /// stop pulling, so the wait happens with no lease held.
+    paused: bool,
+    /// A worker panicked: everyone stops.
+    aborted: bool,
+}
+
+impl StreamState<'_> {
+    /// Reopens the positions in `range`, discarding the verdicts filed
+    /// there (dropping their leases unpublished).
+    fn discard(&mut self, range: std::ops::Range<usize>) {
+        for slot in &mut self.slots[range] {
+            if let Slot::Ready(..) = std::mem::replace(slot, Slot::Open) {
+                self.discarded += 1;
+            }
+        }
+    }
+}
+
+/// A stream position between pull and commit.
+enum Slot<'t> {
+    /// Not pulled yet, in flight, or settled.
+    Open,
+    /// A seed found dominated when pulled, never costed.
+    Pruned,
+    /// A worker's verdict and the objective value it gives, awaiting
+    /// its turn.
+    Ready(Box<Verdict<'t>>, f64),
+}
+
+impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
+    fn new(
+        ctx: &'t SearchContext,
+        candidates: &'t [HybridConfig],
+        engine: MappingEngine,
+        lower: &'t [Option<f64>],
+        exact: &'t E,
+        mut uncached: Vec<usize>,
+        incumbent: f64,
+    ) -> Self {
+        // Stream order: forced seeds first, then by `(bound, index)`.
+        let lb = |i: usize| lower[i].expect("streamed candidates have bounds");
+        uncached.sort_by(|&a, &b| {
+            lb(a)
+                .partial_cmp(&lb(b))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        let forced = ctx.bound_seeds.read().expect("bound seeds lock").clone();
+        let (mut order, rest): (Vec<usize>, Vec<usize>) = uncached
+            .into_iter()
+            .partition(|&i| forced.contains(&candidates[i]));
+        let seeds = order.len();
+        order.extend(rest);
+        let len = order.len();
+        BestFirst {
+            ladder: Ladder::new(ctx, engine),
+            candidates,
+            lower,
+            exact,
+            order,
+            seeds,
+            state: Mutex::new(StreamState {
+                next: 0,
+                committed: 0,
+                end: len,
+                incumbent,
+                slots: (0..len).map(|_| Slot::Open).collect(),
+                costs: vec![None; len],
+                discarded: 0,
+                paused: false,
+                aborted: false,
+            }),
+            turn: Condvar::new(),
+        }
+    }
+
+    /// Runs the stream to its end and returns every streamed candidate's
+    /// `(index, cost)` — `(INFINITY, None)` for the dominated ones —
+    /// counting the dominated and discarded positions into the context.
+    fn run(self) -> Vec<(usize, CandidateCost)> {
+        let ctx = self.ladder.ctx;
+        let pool = crate::runtime::global();
+        let workers = if ctx.parallel() {
+            pool.workers().min(STREAM_LOOKAHEAD + 1)
+        } else {
+            1
+        };
+        loop {
+            if workers > 1 {
+                let lanes: Vec<usize> = (0..workers).collect();
+                pool.map(&lanes, &|_| self.work(), 1);
+            } else {
+                self.work();
+            }
+            if !self.resume() {
+                break;
+            }
+        }
+        let state = self.state.into_inner().expect("stream lock");
+        let dominated = state.costs.iter().filter(|cc| cc.is_none()).count();
+        ctx.dominated_pruned
+            .fetch_add(dominated as u64, Ordering::Relaxed);
+        ctx.discarded.fetch_add(state.discarded, Ordering::Relaxed);
+        self.order
+            .into_iter()
+            .zip(state.costs)
+            .map(|(i, cc)| (i, cc.unwrap_or((f64::INFINITY, None))))
+            .collect()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, StreamState<'t>> {
+        self.state.lock().expect("stream lock")
+    }
+
+    /// Whether position `pos` cannot beat `incumbent`.
+    fn dominated(&self, pos: usize, incumbent: f64) -> bool {
+        let lb = self.lower[self.order[pos]].expect("streamed candidates have bounds");
+        lb > incumbent * (1.0 + REL_MARGIN)
+    }
+
+    /// One worker: pull, cost, deposit, until the stream ends or pauses.
+    fn work(&self) {
+        /// Stops the stream when its worker unwinds, so no peer waits on
+        /// a position that will never be deposited.
+        struct Abort<'s, 't, E>(&'s BestFirst<'t, E>);
+        impl<E> Drop for Abort<'_, '_, E> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    if let Ok(mut state) = self.0.state.lock() {
+                        state.aborted = true;
+                    }
+                    self.0.turn.notify_all();
+                }
+            }
+        }
+        let _abort = Abort(self);
+        while let Some(pos) = self.pull() {
+            let i = self.order[pos];
+            let verdict = self.ladder.cost(&self.candidates[i]);
+            let value = match &verdict.outcome {
+                Outcome::Costed(cc) => (self.exact)(i, cc),
+                Outcome::Follow(..) => f64::INFINITY,
+            };
+            self.deposit(pos, verdict, value);
+        }
+    }
+
+    /// The next position to cost, waiting while it lies more than
+    /// [`STREAM_LOOKAHEAD`] past the frontier; `None` once the stream
+    /// ends, pauses or aborts.
+    fn pull(&self) -> Option<usize> {
+        let mut state = self.lock();
+        loop {
+            if state.paused || state.aborted || state.next >= state.end {
+                return None;
+            }
+            if state.next > state.committed + STREAM_LOOKAHEAD {
+                state = self.turn.wait(state).expect("stream lock");
+                continue;
+            }
+            let pos = state.next;
+            state.next += 1;
+            if !self.dominated(pos, state.incumbent) {
+                return Some(pos);
+            }
+            // The committed incumbent only falls, so this position is
+            // dominated at its turn too.
+            if pos < self.seeds {
+                state.slots[pos] = Slot::Pruned;
+                self.advance(&mut state);
+            } else {
+                self.end_at(&mut state, pos);
+            }
+            self.turn.notify_all();
+        }
+    }
+
+    /// Files a worker's verdict and commits what it unblocks.
+    fn deposit(&self, pos: usize, verdict: Verdict<'t>, value: f64) {
+        let mut state = self.lock();
+        if pos >= state.end || state.aborted {
+            state.discarded += 1;
+        } else {
+            state.slots[pos] = Slot::Ready(Box::new(verdict), value);
+            self.advance(&mut state);
+        }
+        drop(state);
+        self.turn.notify_all();
+    }
+
+    /// Commits ready verdicts from the frontier on, in stream order,
+    /// under the sequential rule.
+    fn advance(&self, state: &mut StreamState<'t>) {
+        while !state.paused && state.committed < state.end {
+            let pos = state.committed;
+            match std::mem::replace(&mut state.slots[pos], Slot::Open) {
+                Slot::Open => return,
+                Slot::Pruned => state.committed += 1,
+                Slot::Ready(verdict, value) => {
+                    if self.dominated(pos, state.incumbent) {
+                        state.discarded += 1;
+                        if pos >= self.seeds {
+                            self.end_at(state, pos);
+                            return;
+                        }
+                        state.committed += 1;
+                        continue;
+                    }
+                    if let Outcome::Follow(..) = verdict.outcome {
+                        state.slots[pos] = Slot::Ready(verdict, value);
+                        state.paused = true;
+                        return;
+                    }
+                    let Outcome::Costed(cc) = self.ladder.publish(*verdict) else {
+                        unreachable!("followed verdicts pause the stream");
+                    };
+                    Self::settle(state, cc, value);
+                }
+            }
+        }
+    }
+
+    /// Commits the frontier position with its cost and objective value.
+    fn settle(state: &mut StreamState<'t>, cc: CandidateCost, value: f64) {
+        state.incumbent = state.incumbent.min(value);
+        state.costs[state.committed] = Some(cc);
+        state.committed += 1;
+    }
+
+    /// Ends the stream at `pos`: it and every later position are
+    /// dominated, so the verdicts already filed past it are discarded.
+    fn end_at(&self, state: &mut StreamState<'t>, pos: usize) {
+        state.end = pos;
+        state.discard(pos..state.slots.len());
+    }
+
+    /// After every worker returned: settles a paused frontier and reports
+    /// whether the stream goes on. The speculative verdicts past the
+    /// frontier are discarded first, so the wait on the foreign flight
+    /// happens with no lease held — two solves committing keys in
+    /// different orders can never wait on each other.
+    fn resume(&self) -> bool {
+        let mut state = self.lock();
+        if state.aborted || !state.paused {
+            return false;
+        }
+        let pos = state.committed;
+        let Slot::Ready(verdict, _) = std::mem::replace(&mut state.slots[pos], Slot::Open) else {
+            unreachable!("a paused frontier holds its verdict");
+        };
+        let next = std::mem::replace(&mut state.next, pos + 1);
+        state.discard(pos + 1..next);
+        drop(state);
+        let Outcome::Follow(mode, flight) = self.ladder.publish(*verdict) else {
+            unreachable!("only followed verdicts pause the stream");
+        };
+        let i = self.order[pos];
+        let cc = self.ladder.follow(&self.candidates[i], mode, flight);
+        let value = (self.exact)(i, &cc);
+        let mut state = self.lock();
+        state.paused = false;
+        Self::settle(&mut state, cc, value);
+        self.advance(&mut state);
+        true
     }
 }
 

@@ -197,6 +197,43 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     pub fn waits(&self) -> u64 {
         self.waits.load(Ordering::Relaxed)
     }
+
+    /// The value under `key`, built at most once across concurrent
+    /// callers: the first claimant of `key` in `flights` runs `build`,
+    /// publishes its value and retires the flight; concurrent claimants
+    /// wait on the flight (calling `help` meanwhile, see [`Flight::wait`])
+    /// and read the stored value. Returns the value and, when this call
+    /// built it, `build`'s by-product.
+    pub fn get_or_build<T>(
+        &self,
+        flights: &FlightTable<K>,
+        key: K,
+        mut help: impl FnMut() -> bool,
+        build: impl FnOnce() -> (V, T),
+    ) -> (V, Option<T>) {
+        let mut build = Some(build);
+        loop {
+            if let Some(stored) = self.get(&key) {
+                return (stored, None);
+            }
+            match flights.claim(key.clone()) {
+                Claim::Leader(lease) => {
+                    // A previous leader may have published between the
+                    // miss and the claim.
+                    if let Some(stored) = self.get(&key) {
+                        return (stored, None);
+                    }
+                    let (value, extra) = (build.take().expect("one build per call"))();
+                    let stored = self.insert_if_absent(key, value);
+                    drop(lease);
+                    return (stored, Some(extra));
+                }
+                // Loop: the leader published (next peek hits), or died
+                // without publishing (we claim leadership).
+                Claim::Follower(flight) => flight.wait(&mut help),
+            }
+        }
+    }
 }
 
 /// One in-flight computation: followers park on it until the leader's

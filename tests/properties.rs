@@ -1168,8 +1168,9 @@ fn warm_started_fixed_points_match_cold_solves_on_random_meshes() {
 
 /// Fig. 5(b)-style contended flow sets: neighbor chains forced through
 /// shared links, row/column crossings, plus seeded random traffic. The
-/// dense water-filling must agree with the HashMap reference to 1e-9
-/// relative on every completion time.
+/// dense water-filling must agree with the HashMap reference bit for bit
+/// on every completion time (both break exact bottleneck ties by
+/// first-touch link order).
 #[test]
 fn dense_contention_sim_matches_reference_on_fig05_flow_sets() {
     let cfg = WaferConfig::hpca();
@@ -1212,9 +1213,9 @@ fn dense_contention_sim_matches_reference_on_fig05_flow_sets() {
     for (case, flows) in flow_sets.iter().enumerate() {
         let dense = sim.simulate(flows);
         let reference = sim.simulate_reference(flows);
-        let tol = |r: f64| 1e-9 * r.abs().max(1e-12);
-        assert!(
-            (dense.makespan - reference.makespan).abs() <= tol(reference.makespan),
+        assert_eq!(
+            dense.makespan.to_bits(),
+            reference.makespan.to_bits(),
             "case {case}: makespan {} vs {}",
             dense.makespan,
             reference.makespan
@@ -1225,8 +1226,9 @@ fn dense_contention_sim_matches_reference_on_fig05_flow_sets() {
             .zip(&reference.completion)
             .enumerate()
         {
-            assert!(
-                (d - r).abs() <= tol(*r),
+            assert_eq!(
+                d.to_bits(),
+                r.to_bits(),
                 "case {case}, flow {i}: {d} vs {r}"
             );
         }
