@@ -65,8 +65,7 @@ fn main() {
 
     // The whole figure — every (model x fault kind x rate x seed) — is
     // one flat-batched grid on the work-stealing runtime: lanes are
-    // (spec, seed) rate sweeps, each seeding the next rate point's
-    // incumbent with the previous winner.
+    // (spec, seed) rate sweeps.
     let specs: Vec<CampaignSpec> = models
         .iter()
         .map(|m| CampaignSpec {

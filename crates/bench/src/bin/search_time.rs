@@ -361,14 +361,14 @@ fn main() {
     serial_ctx.set_parallel(false);
     let candidates = serial_ctx.candidates().to_vec();
     let t0 = Instant::now();
-    let _ = serial_ctx.cost_candidates(&candidates, MappingEngine::Tcme);
+    let _ = serial_ctx.cost_candidates(&candidates, MappingEngine::Tcme, None);
     let serial_s = t0.elapsed().as_secs_f64();
 
     // Pool path: what `cost_candidates` actually runs in production —
     // the persistent work-stealing runtime behind `par_map`.
     let pool_ctx = context();
     let t0 = Instant::now();
-    let _ = pool_ctx.cost_candidates(&candidates, MappingEngine::Tcme);
+    let _ = pool_ctx.cost_candidates(&candidates, MappingEngine::Tcme, None);
     let pool_s = t0.elapsed().as_secs_f64();
 
     let pool_speedup = serial_s / pool_s.max(1e-9);
@@ -657,8 +657,7 @@ fn main() {
 
     header("flat-batched fault campaigns: one (model x kind x rate x seed) grid");
     // A compact fig20-shaped campaign: every lane is one seed's full rate
-    // sweep, flat-batched on the work-stealing runtime, with each rate
-    // point's incumbent seeded from the previous rate's winner.
+    // sweep, flat-batched on the work-stealing runtime.
     use temp_solver::faultcamp::{run_campaigns, CampaignSpec, FaultKind};
     let campaign_specs = [
         CampaignSpec {

@@ -5,10 +5,11 @@
 //! **mapping queries** — model + wafer config + objective — over a
 //! line-delimited text protocol (stdin or a TCP socket, see the
 //! `temp-serve` binary). Every solve multiplexes onto the shared
-//! [`temp_solver::runtime::global`] work-stealing pool; per-query
-//! deadlines install a per-solve
-//! [`temp_solver::runtime::CancelToken`] so a slow query degrades to a
-//! best-effort plan instead of stalling the server.
+//! [`temp_solver::runtime::global`] work-stealing pool; a per-query
+//! deadline travels with its own solve as a
+//! [`temp_solver::runtime::CancelToken`], so a slow query degrades to a
+//! best-effort plan instead of stalling the server, and the queries
+//! sharing its context never see the deadline.
 //!
 //! Concurrency is the point: simultaneous queries for the same model
 //! share one [`temp_solver::search::SearchContext`], whose single-flight

@@ -132,11 +132,6 @@ impl MemoryLedger {
     pub fn peak_utilization(&self) -> f64 {
         self.max_peak() / self.capacity
     }
-
-    /// Whether a hypothetical per-die footprint fits without allocation.
-    pub fn would_fit(&self, bytes: f64) -> bool {
-        bytes <= self.capacity
-    }
 }
 
 #[cfg(test)]

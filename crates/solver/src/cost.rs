@@ -29,7 +29,6 @@ use temp_mapping::engines::{select, Draft, MappingEngine};
 use temp_mapping::MappingError;
 use temp_parallel::groups::LayoutPolicy;
 use temp_parallel::memory::{per_die_footprint, FootprintBreakdown};
-use temp_parallel::selective::choose_stream;
 use temp_parallel::strategy::HybridConfig;
 use temp_sim::collectives::{Collective, CollectiveKind};
 use temp_sim::compute::ComputeModel;
@@ -450,12 +449,6 @@ impl WaferCostModel {
             coll_memo: std::sync::Arc::new(CollectiveMemo::default()),
             map_memo: std::sync::Arc::new(MappingMemo::default()),
         }
-    }
-
-    /// The degraded-fabric factors this model prices under (identity when
-    /// healthy).
-    pub fn fault_view(&self) -> &DegradedView {
-        &self.fault
     }
 
     /// Whether this model derates for faults at all.
@@ -1611,18 +1604,6 @@ fn scale_elementwise(kind: &OpKind, divisor: f64) -> OpKind {
         },
         other => *other,
     }
-}
-
-/// Convenience: the streamed sub-tensor bytes of the dominant linear layer
-/// (used by Fig. 9's sweet-spot analysis).
-pub fn dominant_stream_chunk(model: &ModelConfig, workload: &Workload, cfg: &HybridConfig) -> f64 {
-    let dims = LinearDims::new(
-        workload.micro_batch_size() / cfg.dp.max(1) as u64,
-        workload.seq_len / (cfg.sp * cfg.cp).max(1) as u64,
-        model.hidden,
-        model.ffn_hidden / cfg.tp.max(1) as u64,
-    );
-    choose_stream(&dims, workload.compute_dtype, cfg.tatp.max(1)).sub_tensor_bytes
 }
 
 #[cfg(test)]

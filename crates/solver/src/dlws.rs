@@ -232,17 +232,16 @@ impl Dlws {
     }
 
     /// Runs the full search under a wall-clock budget. A memoized plan
-    /// is returned at once, never timed out. Otherwise a
-    /// [`CancelToken`] with the deadline is installed on the shared
-    /// context; the exact costing loops poll it between candidates and
-    /// skip the remainder once it fires, so the solve returns the best
-    /// plan among the candidates it managed to cost — and when *nothing*
-    /// was costed in time (or everything costed was infeasible), a
-    /// bounded serial fallback scan ignores the expired deadline and
-    /// produces a usable plan anyway. The token is always cleared before
-    /// returning, so the context (and the global worker pool under it)
-    /// keeps serving unbounded solves afterwards. A plan solved under a
-    /// deadline is never memoized, whether or not the deadline fired.
+    /// is returned at once, never timed out. Otherwise the solve carries
+    /// its own [`CancelToken`] with the deadline; the exact costing loops
+    /// poll it between candidates and skip the remainder once it fires,
+    /// so the solve returns the best plan among the candidates it
+    /// managed to cost — and when *nothing* was costed in time (or
+    /// everything costed was infeasible), a bounded serial fallback scan
+    /// ignores the expired deadline and produces a usable plan anyway.
+    /// The token belongs to this call alone: solves running beside it on
+    /// the shared context never see it. A plan solved under a deadline
+    /// is never memoized, whether or not the deadline fired.
     ///
     /// Returns the plan and whether the deadline fired. A `true` flag
     /// means the plan is best-effort: some candidates were never costed.
@@ -257,19 +256,7 @@ impl Dlws {
         budget: std::time::Duration,
     ) -> Result<(ExecutionPlan, bool)> {
         let key = PlanKey::new(&self.ctx, MappingEngine::Tcme, 1, |_| true);
-        if let Some(plan) = self.ctx.memoized_plan(&key) {
-            return Ok((plan, false));
-        }
-        let token = CancelToken::with_deadline(budget);
-        self.ctx.set_cancel_token(Some(token.clone()));
-        let result = self.solve_candidates(key.engine, &key.candidates);
-        self.ctx.set_cancel_token(None);
-        let timed_out = token.is_cancelled();
-        match result {
-            Ok(plan) => Ok((plan, timed_out)),
-            Err(_) if timed_out => self.fallback_plan().map(|plan| (plan, true)),
-            Err(e) => Err(e),
-        }
+        self.solve_key(key, Some(budget))
     }
 
     /// The deadline-fallback path: serially cost a small prefix of the
@@ -314,7 +301,7 @@ impl Dlws {
         // the returned plan carries well-formed segments and chain cost.
         // Past the memo: a fallback is never stored.
         let key = PlanKey::new(&self.ctx, engine, 1, |c| *c == winner || c.ep > 1);
-        self.solve_candidates(engine, &key.candidates)
+        self.solve_candidates(engine, &key.candidates, None)
     }
 
     /// Full search restricted to an engine and a configuration filter —
@@ -339,9 +326,8 @@ impl Dlws {
     /// A repeat of an earlier solve on the same context (same engine,
     /// degree and admitted candidates, no setting changed since, or a
     /// plan restored by a cache import) is answered from the context's
-    /// plan memo without costing or DP. A plan is stored only when no
-    /// cancellation token was installed on the context at any point
-    /// during its solve.
+    /// plan memo without costing or DP. A fresh solve stores its plan
+    /// there unless a setting changed while it ran.
     ///
     /// # Errors
     ///
@@ -354,21 +340,45 @@ impl Dlws {
         filter: impl Fn(&HybridConfig) -> bool,
     ) -> Result<ExecutionPlan> {
         let key = PlanKey::new(&self.ctx, engine, pp, filter);
+        self.solve_key(key, None).map(|(plan, _)| plan)
+    }
+
+    /// The plan of `key`: the memoized one, or a fresh solve, bounded by
+    /// `budget` when one is given. An unbounded solve memoizes its plan;
+    /// a bounded one never does, and falls back to
+    /// [`Dlws::fallback_plan`] when its deadline left no feasible
+    /// candidate costed. Returns the plan and whether the deadline fired.
+    fn solve_key(
+        &self,
+        key: PlanKey,
+        budget: Option<std::time::Duration>,
+    ) -> Result<(ExecutionPlan, bool)> {
         if let Some(plan) = self.ctx.memoized_plan(&key) {
-            return Ok(plan);
+            return Ok((plan, false));
         }
-        let ticket = self.ctx.plan_ticket();
-        let plan = self.solve_candidates(engine, &key.candidates)?;
-        self.ctx.memoize_plan(ticket, key, &plan);
-        Ok(plan)
+        let Some(budget) = budget else {
+            let ticket = self.ctx.plan_ticket();
+            let plan = self.solve_candidates(key.engine, &key.candidates, None)?;
+            self.ctx.memoize_plan(ticket, key, &plan);
+            return Ok((plan, false));
+        };
+        let token = CancelToken::with_deadline(budget);
+        let result = self.solve_candidates(key.engine, &key.candidates, Some(&token));
+        let timed_out = token.is_cancelled();
+        match result {
+            Ok(plan) => Ok((plan, timed_out)),
+            Err(_) if timed_out => self.fallback_plan().map(|plan| (plan, true)),
+            Err(e) => Err(e),
+        }
     }
 
     /// The dual-level search proper over an admitted candidate list,
-    /// bypassing the plan memo.
+    /// bypassing the plan memo; `token`, when given, bounds its costing.
     fn solve_candidates(
         &self,
         engine: MappingEngine,
         all_candidates: &[HybridConfig],
+        token: Option<&CancelToken>,
     ) -> Result<ExecutionPlan> {
         if all_candidates.is_empty() {
             return Err(SolverError::NoFeasiblePlan(
@@ -400,7 +410,7 @@ impl Dlws {
         // entirely.
         let costed: Vec<CandidateCost> =
             self.ctx
-                .cost_candidates_chain(&candidates, all_candidates, engine);
+                .cost_candidates_chain(&candidates, all_candidates, engine, token);
         if costed.iter().all(|(t, _)| !t.is_finite()) {
             return Err(SolverError::NoFeasiblePlan(
                 "every candidate OOMs even with full recomputation".into(),
@@ -663,32 +673,50 @@ mod tests {
     }
 
     #[test]
-    fn a_token_installed_during_a_solve_keeps_its_plan_out_of_the_memo() {
-        let s = solver(ModelZoo::gpt3_6_7b());
-        let ctx = s.context();
-        let key = PlanKey::new(ctx, MappingEngine::Tcme, 1, |_| true);
-
-        // Another query installs and clears its deadline while this
-        // solve is running: the solve's ticket goes stale.
-        let ticket = ctx.plan_ticket();
-        assert!(ticket.is_some());
-        let plan = s.solve_candidates(key.engine, &key.candidates).unwrap();
-        ctx.set_cancel_token(Some(CancelToken::new()));
-        ctx.set_cancel_token(None);
-        ctx.memoize_plan(ticket, key.clone(), &plan);
-        assert_eq!(ctx.plan_memo_len(), 0);
-
-        // A solve that starts under an installed token draws no ticket.
-        ctx.set_cancel_token(Some(CancelToken::new()));
-        assert_eq!(ctx.plan_ticket(), None);
-        ctx.set_cancel_token(None);
-
-        // An undisturbed ticket stores.
-        let ticket = ctx.plan_ticket();
-        ctx.memoize_plan(ticket, key, &plan);
-        assert_eq!(ctx.plan_memo_len(), 1);
-        assert_eq!(s.solve().unwrap(), plan);
-        assert_eq!(s.search_stats().plan_hits, 1);
+    fn a_deadline_never_cuts_short_a_concurrent_solve_on_the_same_context() {
+        let model = ModelZoo::gpt3_6_7b();
+        let shape = |plan: &ExecutionPlan| {
+            let segments: Vec<_> = plan
+                .segments
+                .iter()
+                .map(|a| (a.kind, a.count, a.config))
+                .collect();
+            (plan.config, segments)
+        };
+        let want = solver(model.clone())
+            .solve_with_engine(MappingEngine::SMap, |_| true)
+            .unwrap();
+        // Each round races on a fresh context, so the undeadlined solve
+        // costs cold while deadline'd solves run back to back beside it.
+        for round in 0..8 {
+            let s = solver(model.clone());
+            let barrier = std::sync::Barrier::new(2);
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let plan = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    for _ in 0..100 {
+                        if done.load(std::sync::atomic::Ordering::Relaxed) {
+                            break;
+                        }
+                        s.solve_with_deadline(std::time::Duration::ZERO)
+                            .expect("deadline fallback must produce a plan");
+                    }
+                });
+                barrier.wait();
+                let plan = s.solve_with_engine(MappingEngine::SMap, |_| true);
+                done.store(true, std::sync::atomic::Ordering::Relaxed);
+                plan
+            });
+            let plan = plan.unwrap_or_else(|e| panic!("round {round}: undeadlined solve: {e:?}"));
+            assert_eq!(shape(&plan), shape(&want), "round {round}");
+            assert!(
+                (plan.chain_cost - want.chain_cost).abs() <= 1e-9 * want.chain_cost,
+                "round {round}: {} vs {}",
+                plan.chain_cost,
+                want.chain_cost
+            );
+        }
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub struct CampaignSpec {
     pub model: ModelConfig,
     /// Fault class injected.
     pub kind: FaultKind,
-    /// Rates swept, in order (incumbent seeding walks this order).
+    /// Rates swept, in order.
     pub rates: Vec<f64>,
 }
 
@@ -146,12 +146,9 @@ static CAMPAIGN_LANES: crate::par::ParClass = crate::par::ParClass::new();
 /// Flat-batched fault campaigns: the full `(spec x seed)` grid is
 /// scheduled as one batch on the work-stealing runtime
 /// ([`crate::runtime::global`]), so campaign wall time scales with the
-/// worker count instead of the grid size. Each lane walks its rate grid
-/// **in order**, deriving every fault map's degraded view exactly once
-/// and seeding each rate point's incumbent with the previous rate's
-/// winning configuration — the bound-pruned chain path
-/// ([`crate::search::SearchContext::cost_candidates_chain`]) then skips
-/// most of the candidate space immediately, without changing any winner.
+/// worker count instead of the grid size. Each lane re-solves every
+/// rate of its grid ([`Dlws::resolve_degraded`]), deriving each fault
+/// map's degraded view exactly once.
 ///
 /// Scores are aggregated in seed order, so curves are independent of the
 /// runtime's scheduling.
@@ -192,27 +189,16 @@ pub fn run_campaigns(
         .flat_map(|i| (0..seeds).map(move |s| (i, s)))
         .collect();
 
-    // One lane = one (spec, seed): every rate of that seed's sweep, in
-    // order, carrying the previous rate's winner as the incumbent seed.
+    // One lane = one (spec, seed): every rate of that seed's sweep.
     let lane_scores: Vec<Vec<Option<f64>>> =
         crate::par::par_map_class(&CAMPAIGN_LANES, &lanes, |&(i, s)| {
             let spec = &specs[i];
             let (solver, _) = solver_of(&spec.model.name);
-            let mut prev_winner: Option<temp_parallel::strategy::HybridConfig> = None;
             spec.rates
                 .iter()
                 .map(|&rate| {
                     let faults = spec.kind.inject(&mesh, rate, spec.kind.seed_base() + s);
-                    let solved = if faults.is_healthy() {
-                        solver.solve()
-                    } else {
-                        let degraded = solver.degraded(&faults);
-                        if let Some(winner) = prev_winner {
-                            degraded.context().set_bound_seeds(vec![winner]);
-                        }
-                        degraded.solve()
-                    };
-                    match solved {
+                    match solver.resolve_degraded(&faults) {
                         Ok(plan) => {
                             assert!(
                                 plan.report.fits_memory,
@@ -220,7 +206,6 @@ pub fn run_campaigns(
                                  violates the derated memory verdict",
                                 spec.model.name, spec.kind
                             );
-                            prev_winner = Some(plan.config);
                             Some(plan.chain_cost)
                         }
                         // Disconnected fabric or nothing fits the derated

@@ -4,7 +4,7 @@
 //! this hand-rolled equivalent of `par_iter().map().collect()`:
 //! [`par_map`] dispatches onto the persistent [`crate::runtime`]
 //! work-stealing pool, with an **adaptive serial cutoff**. Each call site
-//! class keeps an EWMA of its observed per-item cost ([`ParClass`]); when
+//! class keeps an EWMA of its observed per-item cost (`ParClass`); when
 //! `items × estimate` falls below the dispatch threshold the map runs
 //! inline, so tiny batches (a handful of DP transitions) never pay queue
 //! traffic, while real batches fan out in chunks of about 100 µs of work
@@ -56,22 +56,22 @@ const TARGET_CHUNK_NS: u64 = 100_000;
 /// declares one `static CLASS: ParClass = ParClass::new();` so cheap maps
 /// do not pollute the estimate of expensive ones. A fresh class starts
 /// with no estimate and dispatches its first non-trivial batch to the
-/// pool to learn one.
-pub struct ParClass {
+/// pool to learn one. Crate-private: every class is a solver call site.
+pub(crate) struct ParClass {
     /// EWMA of per-item nanos; 0 = no observation yet.
     ewma_ns: AtomicU64,
 }
 
 impl ParClass {
     /// Const-constructible so classes can live in statics.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         ParClass {
             ewma_ns: AtomicU64::new(0),
         }
     }
 
     /// Current per-item estimate, if any batch has been observed.
-    pub fn estimate_ns(&self) -> Option<u64> {
+    pub(crate) fn estimate_ns(&self) -> Option<u64> {
         match self.ewma_ns.load(Ordering::Relaxed) {
             0 => None,
             ns => Some(ns),
@@ -115,12 +115,6 @@ impl ParClass {
     }
 }
 
-impl Default for ParClass {
-    fn default() -> Self {
-        ParClass::new()
-    }
-}
-
 /// The default cost class used by [`par_map`] — candidate costing, the
 /// dominant batch shape in the solver.
 static COSTING_CLASS: ParClass = ParClass::new();
@@ -139,7 +133,7 @@ where
 
 /// As [`par_map`] with an explicit [`ParClass`], so call sites with very
 /// different per-item costs keep separate serial-cutoff estimates.
-pub fn par_map_class<T, R, F>(class: &ParClass, items: &[T], f: F) -> Vec<R>
+pub(crate) fn par_map_class<T, R, F>(class: &ParClass, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -159,25 +153,6 @@ where
     out
 }
 
-/// As [`par_map`] with an explicit worker count. `workers <= 1` runs
-/// serial; otherwise the global pool executes the batch (an explicit
-/// count larger than the pool merely saturates it — benchmarks use
-/// `TEMP_THREADS` to actually size the pool).
-pub fn par_map_with<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    if workers <= 1 || n <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let pool = runtime::global();
-    let chunk = (n / (pool.workers().max(1) * 4)).max(1);
-    pool.map(items, &f, chunk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,24 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn explicit_worker_counts_agree() {
-        let items: Vec<u64> = (0..100).collect();
-        let serial = par_map_with(1, &items, |x| x * x);
-        let parallel = par_map_with(8, &items, |x| x * x);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<u32> = vec![];
         assert!(par_map(&empty, |x| *x).is_empty());
         assert_eq!(par_map(&[7u32], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn more_workers_than_items_is_fine() {
-        let items = [1u32, 2, 3];
-        assert_eq!(par_map_with(64, &items, |x| x + 1), vec![2, 3, 4]);
     }
 
     #[test]

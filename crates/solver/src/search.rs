@@ -258,12 +258,6 @@ pub struct SearchContext {
     full_reshard: f64,
     /// Whether batch costing may fan out over threads.
     parallel: AtomicBool,
-    /// Cooperative cancellation of batch costing: when set, the exact
-    /// costing loops poll the token between candidates and report the
-    /// remainder infeasible-without-evaluation once it fires. Skipped
-    /// candidates are **not** written to the cache (a skip is not a
-    /// verdict), so a later solve re-costs them.
-    cancel: RwLock<Option<CancelToken>>,
     /// Whole-chain evaluation cache, sharded so concurrent solvers on
     /// different keys do not serialize on one lock.
     cache: ShardedMap<EvalKey, Option<CostReport>>,
@@ -289,10 +283,6 @@ pub struct SearchContext {
     /// admissible prefilter + incumbent dominance (default on; turned off
     /// for exhaustive reference runs).
     pruning: AtomicBool,
-    /// Configurations the bounded paths cost first, ahead of the bound
-    /// order — fault campaigns put the previous rate point's winner here
-    /// so a strong incumbent exists immediately.
-    bound_seeds: RwLock<Vec<HybridConfig>>,
     bound_pruned: AtomicU64,
     dominated_pruned: AtomicU64,
     discarded: AtomicU64,
@@ -301,12 +291,11 @@ pub struct SearchContext {
     exact_ns: AtomicU64,
     derate_ns: AtomicU64,
     /// Solved plans. Every entry was computed under the current settings
-    /// with no cancellation token installed at any point of its solve.
+    /// by a solve with no deadline.
     plans: RwLock<WordHashMap<PlanKey, ExecutionPlan>>,
     /// Bumped after every settings change that can move a winner (which
-    /// also clears `plans`) and after every cancellation-token install.
-    /// A solve stores its plan only if the epoch it drew at start is
-    /// still current at the end.
+    /// also clears `plans`). A solve stores its plan only if the epoch it
+    /// drew at start is still current at the end.
     plan_epoch: AtomicU64,
     plan_hits: AtomicU64,
 }
@@ -399,7 +388,6 @@ impl SearchContext {
             base_candidates,
             full_reshard,
             parallel: AtomicBool::new(true),
-            cancel: RwLock::new(None),
             cache: ShardedMap::new(),
             flights: FlightTable::new(),
             seg_cache: ShardedMap::new(),
@@ -410,7 +398,6 @@ impl SearchContext {
             seg_hits: AtomicU64::new(0),
             seg_misses: AtomicU64::new(0),
             pruning: AtomicBool::new(true),
-            bound_seeds: RwLock::new(Vec::new()),
             bound_pruned: AtomicU64::new(0),
             dominated_pruned: AtomicU64::new(0),
             discarded: AtomicU64::new(0),
@@ -493,28 +480,6 @@ impl SearchContext {
         self.parallel.load(Ordering::Relaxed)
     }
 
-    /// Installs (or clears) the cooperative cancellation token the exact
-    /// costing loops poll. Deadline-bounded solves set a
-    /// [`CancelToken::with_deadline`] token, run, then clear it so the
-    /// shared context keeps serving unbounded solves afterwards.
-    ///
-    /// An install also bars every solve in flight from memoizing its
-    /// plan: the token may have cut that solve's costing short.
-    pub fn set_cancel_token(&self, token: Option<CancelToken>) {
-        let installs = token.is_some();
-        *self.cancel.write().expect("cancel lock") = token;
-        if installs {
-            // After the install: a solve whose ticket missed this token
-            // drew its epoch before this bump (see `plan_ticket`).
-            self.plan_epoch.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// The currently installed cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<CancelToken> {
-        self.cancel.read().expect("cancel lock").clone()
-    }
-
     /// A sibling context planning on the degraded fabric `faults`
     /// describes: same `(model, workload)`, fault-derated cost model (see
     /// [`WaferCostModel::with_fault_map`]), and the **shared** candidate
@@ -547,15 +512,6 @@ impl SearchContext {
     /// Whether the chain costing path may prune.
     pub fn pruning(&self) -> bool {
         self.pruning.load(Ordering::Relaxed)
-    }
-
-    /// Seeds the bounded paths' incumbent: uncached candidates among
-    /// these configurations head the best-first stream, ahead of the
-    /// bound order (see [`SearchContext::cost_candidates_bounded`]).
-    /// Fault campaigns pass the previous rate point's winner, a strong
-    /// incumbent from the first commit, so dominance engages at once.
-    pub fn set_bound_seeds(&self, seeds: Vec<HybridConfig>) {
-        *self.bound_seeds.write().expect("bound seeds lock") = seeds;
     }
 
     /// Serializes the full warm state of this context — the whole-chain
@@ -942,28 +898,19 @@ impl SearchContext {
         Some(plan)
     }
 
-    /// The ticket a solve draws before it starts: the current epoch, or
-    /// `None` while a cancellation token is installed (its plan may be a
-    /// deadline's best effort and must never be memoized).
-    pub(crate) fn plan_ticket(&self) -> Option<u64> {
-        // Epoch first: installs set the token before bumping, so a token
-        // this check misses bumps the epoch after the load.
-        let epoch = self.plan_epoch.load(Ordering::SeqCst);
-        self.cancel
-            .read()
-            .expect("cancel lock")
-            .is_none()
-            .then_some(epoch)
+    /// The ticket an undeadlined solve draws before it starts: the
+    /// current settings epoch.
+    pub(crate) fn plan_ticket(&self) -> u64 {
+        self.plan_epoch.load(Ordering::SeqCst)
     }
 
     /// Stores a solved plan when its `ticket` is still current: no
-    /// token was installed and no setting changed since the solve drew
-    /// it. Checked under the memo lock, so an invalidation racing the
-    /// store either fails the check or clears the entry after it.
-    pub(crate) fn memoize_plan(&self, ticket: Option<u64>, key: PlanKey, plan: &ExecutionPlan) {
-        let Some(epoch) = ticket else { return };
+    /// setting changed since the solve drew it. Checked under the memo
+    /// lock, so an invalidation racing the store either fails the check
+    /// or clears the entry after it.
+    pub(crate) fn memoize_plan(&self, ticket: u64, key: PlanKey, plan: &ExecutionPlan) {
         let mut plans = self.plans.write().expect("plan memo lock");
-        if self.plan_epoch.load(Ordering::SeqCst) == epoch {
+        if self.plan_epoch.load(Ordering::SeqCst) == ticket {
             plans.entry(key).or_insert_with(|| plan.clone());
         }
     }
@@ -1193,21 +1140,22 @@ impl SearchContext {
     /// candidate), through one [`WaferCostModel::eval_hoist`] per rung —
     /// bit-identical to `cost_of`. A repeated configuration is
     /// costed once and served from the cache after, exactly as sequential
-    /// costing counts it. Each task polls the installed cancellation
-    /// token (deadline-bounded solves) before it evaluates: once the
-    /// token fires, the candidates not yet costed come back
-    /// `(INFINITY, None)` **without** being written to the cache or
-    /// escalated — a skip is not a verdict, so later unbounded solves
-    /// re-cost them. Misses another solve is already costing are
+    /// costing counts it. Each task polls `token` (the deadline of a
+    /// deadline-bounded solve; `None` costs everything) before it
+    /// evaluates: once the token fires, the candidates not yet costed
+    /// come back `(INFINITY, None)` **without** being written to the
+    /// cache or escalated — a skip is not a verdict, so later unbounded
+    /// solves re-cost them. Misses another solve is already costing are
     /// **coalesced**: the batch publishes its own reports first, then
     /// waits for the foreign flights and serves their stored reports.
     pub fn cost_candidates(
         &self,
         candidates: &[HybridConfig],
         engine: MappingEngine,
+        token: Option<&CancelToken>,
     ) -> Vec<CandidateCost> {
         let started = std::time::Instant::now();
-        let ladder = Ladder::new(self, engine);
+        let ladder = Ladder::new(self, engine, token);
         let mut unique_of: HashMap<HybridConfig, usize> = HashMap::new();
         let mut uniques: Vec<HybridConfig> = Vec::new();
         let slots: Vec<usize> = candidates
@@ -1290,17 +1238,19 @@ impl SearchContext {
     /// DP's optimum. See [`SearchContext::cost_candidates_bounded`] for
     /// the skip rules. [`SearchContext::set_pruning`]`(false)` costs the
     /// whole batch instead — the exhaustive reference tests compare
-    /// against; plans are bit-identical either way.
+    /// against; plans are bit-identical either way. `token` bounds the
+    /// costing as in [`SearchContext::cost_candidates`].
     pub fn cost_candidates_chain(
         &self,
         candidates: &[HybridConfig],
         moe_candidates: &[HybridConfig],
         engine: MappingEngine,
+        token: Option<&CancelToken>,
     ) -> Vec<CandidateCost> {
         let chain = self.cost.chain();
         let block_row = match chain.position(SegmentKind::Block) {
             Some(row) if self.pruning() => row,
-            _ => return self.cost_candidates(candidates, engine),
+            _ => return self.cost_candidates(candidates, engine, token),
         };
 
         let bound_started = std::time::Instant::now();
@@ -1327,15 +1277,12 @@ impl SearchContext {
             .collect();
         self.add_bound_time(bound_started.elapsed());
 
-        self.cost_candidates_bounded(
-            candidates,
-            engine,
-            &lower,
-            |i, (t, payload)| match payload {
+        self.cost_candidates_bounded(candidates, engine, token, &lower, |i, (t, payload)| {
+            match payload {
                 Some((_, report)) if t.is_finite() => through[i] + report.block_time(),
                 _ => f64::INFINITY,
-            },
-        )
+            }
+        })
     }
 
     /// What the chain DP charges for crossing a boundary between two
@@ -1367,13 +1314,12 @@ impl SearchContext {
     ///    points, earlier solves), served as hits exactly like the
     ///    exhaustive path.
     /// 3. **Best-first dominance** — the uncached candidates are costed
-    ///    in stream order (forced [`SearchContext::set_bound_seeds`]
-    ///    first, then by `(lower bound, index)`), each lowering the
-    ///    incumbent as it commits. A candidate whose bound exceeds the
+    ///    in `(lower bound, index)` order, each lowering the incumbent as
+    ///    it commits. The first candidate whose bound exceeds the
     ///    incumbent committed before it (up to a relative float margin)
-    ///    cannot win, so it comes back `(INFINITY, None)` (counted in
-    ///    `dominated_pruned`); past the seeds it also ends the stream,
-    ///    since every later bound is at least as large.
+    ///    cannot win, and neither can any later one, whose bound is at
+    ///    least as large: the stream ends there, and those candidates
+    ///    come back `(INFINITY, None)` (counted in `dominated_pruned`).
     ///
     /// Workers cost a few candidates past the commit frontier
     /// speculatively, but verdicts commit strictly in stream order under
@@ -1382,11 +1328,13 @@ impl SearchContext {
     /// speculative verdict the rule discards is not cached and counts in
     /// [`SearchStats::discarded`]. Skipped candidates are **not** cached
     /// (a skip is not a verdict); a warm rerun prunes a superset of the
-    /// cold run's skips, so replays stay zero-miss.
+    /// cold run's skips, so replays stay zero-miss. `token` bounds the
+    /// costing as in [`SearchContext::cost_candidates`].
     pub(crate) fn cost_candidates_bounded(
         &self,
         candidates: &[HybridConfig],
         engine: MappingEngine,
+        token: Option<&CancelToken>,
         lower: &[Option<f64>],
         exact: impl Fn(usize, &CandidateCost) -> f64 + Sync,
     ) -> Vec<CandidateCost> {
@@ -1421,8 +1369,8 @@ impl SearchContext {
 
         if !uncached.is_empty() {
             let started = std::time::Instant::now();
-            let stream =
-                BestFirst::new(self, candidates, engine, lower, &exact, uncached, incumbent);
+            let ladder = Ladder::new(self, engine, token);
+            let stream = BestFirst::new(ladder, candidates, lower, &exact, uncached, incumbent);
             for (i, cc) in stream.run() {
                 results[i] = Some(cc);
             }
@@ -1458,7 +1406,7 @@ struct Ladder<'t> {
     engine: MappingEngine,
     base: Rung,
     full: Rung,
-    token: Option<CancelToken>,
+    token: Option<&'t CancelToken>,
 }
 
 /// A recompute mode's workload and its lazily derived hoist.
@@ -1486,7 +1434,7 @@ enum Outcome {
 }
 
 impl<'t> Ladder<'t> {
-    fn new(ctx: &'t SearchContext, engine: MappingEngine) -> Self {
+    fn new(ctx: &'t SearchContext, engine: MappingEngine, token: Option<&'t CancelToken>) -> Self {
         let workload = ctx.cost.workload();
         Ladder {
             ctx,
@@ -1496,7 +1444,7 @@ impl<'t> Ladder<'t> {
                 workload.clone().with_recompute(RecomputeMode::Full),
                 OnceLock::new(),
             ),
-            token: ctx.cancel_token(),
+            token,
         }
     }
 
@@ -1551,7 +1499,7 @@ impl<'t> Ladder<'t> {
                         None => {
                             // A skip is not a verdict: nothing published,
                             // nothing escalated.
-                            if self.token.as_ref().is_some_and(CancelToken::is_cancelled) {
+                            if self.token.is_some_and(CancelToken::is_cancelled) {
                                 break;
                             }
                             let (workload, hoist) = self.rung(mode);
@@ -1625,9 +1573,6 @@ struct BestFirst<'t, E> {
     exact: &'t E,
     /// Candidate indices in stream order.
     order: Vec<usize>,
-    /// The first `seeds` positions are forced seeds, outside the bound
-    /// order: a dominated seed does not end the stream.
-    seeds: usize,
     state: Mutex<StreamState<'t>>,
     /// Signalled whenever the frontier, the end or the pause flag moves.
     turn: Condvar,
@@ -1643,7 +1588,9 @@ struct StreamState<'t> {
     end: usize,
     /// The best objective value committed so far.
     incumbent: f64,
-    slots: Vec<Slot<'t>>,
+    /// Per position, a worker's verdict and the objective value it gives,
+    /// awaiting its turn; `None` before the deposit and after the commit.
+    slots: Vec<Option<(Box<Verdict<'t>>, f64)>>,
     /// The committed costs, by position; `None` for dominated positions.
     costs: Vec<Option<CandidateCost>>,
     discarded: u64,
@@ -1659,62 +1606,43 @@ impl StreamState<'_> {
     /// there (dropping their leases unpublished).
     fn discard(&mut self, range: std::ops::Range<usize>) {
         for slot in &mut self.slots[range] {
-            if let Slot::Ready(..) = std::mem::replace(slot, Slot::Open) {
+            if slot.take().is_some() {
                 self.discarded += 1;
             }
         }
     }
 }
 
-/// A stream position between pull and commit.
-enum Slot<'t> {
-    /// Not pulled yet, in flight, or settled.
-    Open,
-    /// A seed found dominated when pulled, never costed.
-    Pruned,
-    /// A worker's verdict and the objective value it gives, awaiting
-    /// its turn.
-    Ready(Box<Verdict<'t>>, f64),
-}
-
 impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
     fn new(
-        ctx: &'t SearchContext,
+        ladder: Ladder<'t>,
         candidates: &'t [HybridConfig],
-        engine: MappingEngine,
         lower: &'t [Option<f64>],
         exact: &'t E,
-        mut uncached: Vec<usize>,
+        mut order: Vec<usize>,
         incumbent: f64,
     ) -> Self {
-        // Stream order: forced seeds first, then by `(bound, index)`.
+        // Stream order: by `(bound, index)`.
         let lb = |i: usize| lower[i].expect("streamed candidates have bounds");
-        uncached.sort_by(|&a, &b| {
+        order.sort_by(|&a, &b| {
             lb(a)
                 .partial_cmp(&lb(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        let forced = ctx.bound_seeds.read().expect("bound seeds lock").clone();
-        let (mut order, rest): (Vec<usize>, Vec<usize>) = uncached
-            .into_iter()
-            .partition(|&i| forced.contains(&candidates[i]));
-        let seeds = order.len();
-        order.extend(rest);
         let len = order.len();
         BestFirst {
-            ladder: Ladder::new(ctx, engine),
+            ladder,
             candidates,
             lower,
             exact,
             order,
-            seeds,
             state: Mutex::new(StreamState {
                 next: 0,
                 committed: 0,
                 end: len,
                 incumbent,
-                slots: (0..len).map(|_| Slot::Open).collect(),
+                slots: (0..len).map(|_| None).collect(),
                 costs: vec![None; len],
                 discarded: 0,
                 paused: false,
@@ -1804,25 +1732,21 @@ impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
             if state.paused || state.aborted || state.next >= state.end {
                 return None;
             }
-            if state.next > state.committed + STREAM_LOOKAHEAD {
-                state = self.turn.wait(state).expect("stream lock");
-                continue;
+            if state.next <= state.committed + STREAM_LOOKAHEAD {
+                break;
             }
-            let pos = state.next;
-            state.next += 1;
-            if !self.dominated(pos, state.incumbent) {
-                return Some(pos);
-            }
-            // The committed incumbent only falls, so this position is
-            // dominated at its turn too.
-            if pos < self.seeds {
-                state.slots[pos] = Slot::Pruned;
-                self.advance(&mut state);
-            } else {
-                self.end_at(&mut state, pos);
-            }
-            self.turn.notify_all();
+            state = self.turn.wait(state).expect("stream lock");
         }
+        let pos = state.next;
+        state.next += 1;
+        if self.dominated(pos, state.incumbent) {
+            // The committed incumbent only falls, so this position is
+            // dominated at its turn too, and so is every later one.
+            self.end_at(&mut state, pos);
+            self.turn.notify_all();
+            return None;
+        }
+        Some(pos)
     }
 
     /// Files a worker's verdict and commits what it unblocks.
@@ -1831,7 +1755,7 @@ impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
         if pos >= state.end || state.aborted {
             state.discarded += 1;
         } else {
-            state.slots[pos] = Slot::Ready(Box::new(verdict), value);
+            state.slots[pos] = Some((Box::new(verdict), value));
             self.advance(&mut state);
         }
         drop(state);
@@ -1843,30 +1767,23 @@ impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
     fn advance(&self, state: &mut StreamState<'t>) {
         while !state.paused && state.committed < state.end {
             let pos = state.committed;
-            match std::mem::replace(&mut state.slots[pos], Slot::Open) {
-                Slot::Open => return,
-                Slot::Pruned => state.committed += 1,
-                Slot::Ready(verdict, value) => {
-                    if self.dominated(pos, state.incumbent) {
-                        state.discarded += 1;
-                        if pos >= self.seeds {
-                            self.end_at(state, pos);
-                            return;
-                        }
-                        state.committed += 1;
-                        continue;
-                    }
-                    if let Outcome::Follow(..) = verdict.outcome {
-                        state.slots[pos] = Slot::Ready(verdict, value);
-                        state.paused = true;
-                        return;
-                    }
-                    let Outcome::Costed(cc) = self.ladder.publish(*verdict) else {
-                        unreachable!("followed verdicts pause the stream");
-                    };
-                    Self::settle(state, cc, value);
-                }
+            let Some((verdict, value)) = state.slots[pos].take() else {
+                return;
+            };
+            if self.dominated(pos, state.incumbent) {
+                state.discarded += 1;
+                self.end_at(state, pos);
+                return;
             }
+            if let Outcome::Follow(..) = verdict.outcome {
+                state.slots[pos] = Some((verdict, value));
+                state.paused = true;
+                return;
+            }
+            let Outcome::Costed(cc) = self.ladder.publish(*verdict) else {
+                unreachable!("followed verdicts pause the stream");
+            };
+            Self::settle(state, cc, value);
         }
     }
 
@@ -1895,7 +1812,7 @@ impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
             return false;
         }
         let pos = state.committed;
-        let Slot::Ready(verdict, _) = std::mem::replace(&mut state.slots[pos], Slot::Open) else {
+        let Some((verdict, _)) = state.slots[pos].take() else {
             unreachable!("a paused frontier holds its verdict");
         };
         let next = std::mem::replace(&mut state.next, pos + 1);
@@ -2017,8 +1934,8 @@ mod tests {
         serial.set_parallel(false);
         let parallel = context();
         let cands: Vec<HybridConfig> = serial.candidates().to_vec();
-        let a = serial.cost_candidates(&cands, MappingEngine::SMap);
-        let b = parallel.cost_candidates(&cands, MappingEngine::SMap);
+        let a = serial.cost_candidates(&cands, MappingEngine::SMap, None);
+        let b = parallel.cost_candidates(&cands, MappingEngine::SMap, None);
         // The cost model folds HashMap-ordered sums, so two evaluations
         // of the same key agree only up to float association: compare
         // with a relative tolerance, not bitwise.
@@ -2043,14 +1960,12 @@ mod tests {
         let ctx = context();
         let cands: Vec<HybridConfig> = ctx.candidates().iter().copied().take(12).collect();
         // Cache one candidate's verdict before the token fires.
-        let cached = ctx.cost_candidates(&cands[..1], MappingEngine::Tcme);
+        let cached = ctx.cost_candidates(&cands[..1], MappingEngine::Tcme, None);
         let (misses, entries) = (ctx.stats().misses, ctx.eval_cache_len());
         assert!(misses >= 1);
         let token = CancelToken::new();
         token.cancel();
-        ctx.set_cancel_token(Some(token));
-        let skipped = ctx.cost_candidates(&cands, MappingEngine::Tcme);
-        ctx.set_cancel_token(None);
+        let skipped = ctx.cost_candidates(&cands, MappingEngine::Tcme, Some(&token));
         // The cached verdict is still served; every other candidate comes
         // back infinite without a cost-model run, a cache entry or a
         // Full-recompute escalation.
@@ -2060,9 +1975,9 @@ mod tests {
         assert_eq!(ctx.eval_cache_len(), entries);
         // Unbounded costing afterwards re-costs the skipped candidates
         // exactly as a fresh context does.
-        let recosted = ctx.cost_candidates(&cands, MappingEngine::Tcme);
+        let recosted = ctx.cost_candidates(&cands, MappingEngine::Tcme, None);
         let fresh = context();
-        let want = fresh.cost_candidates(&cands, MappingEngine::Tcme);
+        let want = fresh.cost_candidates(&cands, MappingEngine::Tcme, None);
         assert_eq!(ctx.stats().misses, fresh.stats().misses);
         for (i, (a, b)) in recosted.iter().zip(&want).enumerate() {
             assert_eq!(a.0.is_finite(), b.0.is_finite(), "candidate {i}");

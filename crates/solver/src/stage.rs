@@ -342,11 +342,13 @@ impl<'a> StageSearch<'a> {
     /// the exhaustive batch.
     fn cost(&self) -> Vec<CandidateCost> {
         if !self.ctx.pruning() {
-            return self.ctx.cost_candidates(&self.candidates, self.engine);
+            return self
+                .ctx
+                .cost_candidates(&self.candidates, self.engine, None);
         }
         let lower = self.lower_bounds();
         self.ctx
-            .cost_candidates_bounded(&self.candidates, self.engine, &lower, |i, cc| {
+            .cost_candidates_bounded(&self.candidates, self.engine, None, &lower, |i, cc| {
                 self.score(i, cc).map_or(f64::INFINITY, |w| w.step)
             })
     }
@@ -925,7 +927,7 @@ mod tests {
                 })
                 .unwrap();
                 let lower = search.lower_bounds();
-                let costs = ctx.cost_candidates(&search.candidates, MappingEngine::Tcme);
+                let costs = ctx.cost_candidates(&search.candidates, MappingEngine::Tcme, None);
                 for (i, (lb, cc)) in lower.iter().zip(&costs).enumerate() {
                     let cfg = search.candidates[i];
                     let Some(lb) = lb else {
@@ -969,7 +971,7 @@ mod tests {
         // Uniform-multiplier reference: best pp=2 candidate + handoff.
         let ctx = s.context();
         let candidates = ctx.candidates_with_pp(2);
-        let costed = ctx.cost_candidates(&candidates, MappingEngine::Tcme);
+        let costed = ctx.cost_candidates(&candidates, MappingEngine::Tcme, None);
         let uniform_best = costed
             .iter()
             .map(|(t, _)| *t)

@@ -4,6 +4,7 @@
 //! sequential run, without duplicating exact-evaluation work (the
 //! single-flight gate: total evals ≤ 1.2x the distinct keys costed).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use temp_repro::graph::models::{ModelConfig, ModelZoo};
@@ -149,4 +150,42 @@ fn mixed_wafer_queries_stay_isolated_per_pool() {
     let stable = |r: &str| r.split(",\"wall_ms\"").next().unwrap_or("").to_string();
     assert_eq!(stable(&replies[0]), stable(&replies[2]));
     assert_eq!(stable(&replies[1]), stable(&replies[3]));
+}
+
+#[test]
+fn a_deadline_query_never_fails_an_undeadlined_query_beside_it() {
+    let label = |reply: &str| {
+        let start = reply.find("\"plan\":\"").expect("plan field") + "\"plan\":\"".len();
+        reply[start..].split('"').next().unwrap_or("").to_string()
+    };
+    let lone = PlanServer::new(None).expect("cold server");
+    let want = label(lone.handle_line("solve gpt3_6_7b engine=smap").text());
+
+    // A failed solve is not memoized, so every round re-costs until one
+    // succeeds; the deadline client keeps querying while it runs.
+    let server = PlanServer::new(None).expect("cold server");
+    for round in 0..20 {
+        let barrier = Barrier::new(2);
+        let done = AtomicBool::new(false);
+        let reply = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                barrier.wait();
+                for _ in 0..100 {
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    server.handle_line("solve gpt3_6_7b deadline_ms=0");
+                }
+            });
+            barrier.wait();
+            let reply = server
+                .handle_line("solve gpt3_6_7b engine=smap")
+                .text()
+                .to_string();
+            done.store(true, Ordering::Relaxed);
+            reply
+        });
+        assert!(reply.starts_with("{\"ok\":true"), "round {round}: {reply}");
+        assert_eq!(label(&reply), want, "round {round}");
+    }
 }
