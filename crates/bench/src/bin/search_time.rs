@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use temp_bench::header;
 use temp_core::framework::Temp;
-use temp_graph::models::ModelZoo;
+use temp_graph::models::{ModelConfig, ModelZoo};
 use temp_graph::workload::Workload;
 use temp_mapping::engines::MappingEngine;
 use temp_solver::cost::WaferCostModel;
@@ -123,15 +123,42 @@ fn solve_zoo(pool: &ContextPool) -> (Vec<String>, u64, Vec<ZooModelStats>) {
     solve_zoo_with(pool, true)
 }
 
+/// Cold bound-pruned solve of `model` on a `side x side` wafer: prints
+/// the plan and a `metric` JSON line, and returns
+/// `(solve seconds, exact evaluations)`.
+fn cold_wafer_solve(model: &ModelConfig, side: u32, metric: &str) -> (f64, u64) {
+    let solver = Dlws::new(
+        WaferConfig::with_array(side, side).expect("square wafer"),
+        model.clone(),
+        Workload::for_model(model),
+    );
+    let t0 = Instant::now();
+    let plan = solver.solve().expect("cold wafer plan");
+    let solve_s = t0.elapsed().as_secs_f64();
+    let evals = solver.search_stats().misses;
+    println!(
+        "cold solve {solve_s:.3} s ({evals} evals) -> plan {}",
+        plan.config.label()
+    );
+    println!(
+        "{{\"bench\":\"search_time\",\"metric\":\"{metric}\",\"solve_s\":{solve_s:.6},\"exact_evals\":{evals}}}"
+    );
+    (solve_s, evals)
+}
+
 /// Mapping drafts built by a cold fig13-zoo solve under all three engines
 /// on one pool: the engines share each context's draft memo, so a layout
-/// is drafted once per policy whichever engine reaches it first.
+/// is drafted once per policy whichever engine reaches it first. The
+/// contexts cost serially, so the count does not depend on the worker
+/// count: pooled best-first streams also draft for speculative verdicts
+/// they later discard.
 fn zoo_map_drafts() -> u64 {
     let pool = ContextPool::new(WaferConfig::hpca());
     ModelZoo::table2()
         .iter()
         .map(|model| {
             let solver = pool.solver(model, &Workload::for_model(model));
+            solver.context().set_parallel(false);
             for engine in [
                 MappingEngine::Tcme,
                 MappingEngine::SMap,
@@ -285,6 +312,8 @@ fn main() {
                 .unwrap_or_else(|| panic!("no large_wafer_exact_evals field in {path}"));
             let wafer32_evals = json_u64_field(&record, "wafer32_exact_evals")
                 .unwrap_or_else(|| panic!("no wafer32_exact_evals field in {path}"));
+            let wafer64_evals = json_u64_field(&record, "wafer64_exact_evals")
+                .unwrap_or_else(|| panic!("no wafer64_exact_evals field in {path}"));
             let map_drafts = json_u64_field(&record, "map_drafts")
                 .unwrap_or_else(|| panic!("no map_drafts field in {path}"));
             let pruned_candidates = json_u64_field(&record, "pruned_candidates")
@@ -298,6 +327,7 @@ fn main() {
                 moe_evals,
                 large_evals,
                 wafer32_evals,
+                wafer64_evals,
                 map_drafts,
                 pruned_candidates,
                 campaign_s,
@@ -430,42 +460,18 @@ fn main() {
     header("large wafer: cold bound-pruned solve of GPT-3 6.7B on 16x16 (256 dies)");
     // Mapping cost grows with the die count: a 16x16 layer carries ~1k
     // flows per contention round, so this row tracks the large-wafer path.
-    let large_solver = Dlws::new(
-        WaferConfig::with_array(16, 16).expect("16x16 wafer"),
-        model.clone(),
-        Workload::for_model(&model),
-    );
-    let t0 = Instant::now();
-    let large_plan = large_solver.solve().expect("16x16 plan");
-    let large_wafer_solve_s = t0.elapsed().as_secs_f64();
-    let large_wafer_exact_evals = large_solver.search_stats().misses;
-    println!(
-        "cold solve {large_wafer_solve_s:.3} s ({large_wafer_exact_evals} evals) -> plan {}",
-        large_plan.config.label()
-    );
-    println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"large_wafer_solve\",\"solve_s\":{large_wafer_solve_s:.6},\"exact_evals\":{large_wafer_exact_evals}}}"
-    );
+    let (large_wafer_solve_s, large_wafer_exact_evals) =
+        cold_wafer_solve(&model, 16, "large_wafer_solve");
 
     header("32x32 wafer: cold bound-pruned solve of GPT-3 6.7B on 1024 dies (TCME)");
     // Strip layouts at this size carry thousands of flows per contention
     // round: the row that tracks the largest wafer a cold solve serves.
-    let wafer32_solver = Dlws::new(
-        WaferConfig::with_array(32, 32).expect("32x32 wafer"),
-        model.clone(),
-        Workload::for_model(&model),
-    );
-    let t0 = Instant::now();
-    let wafer32_plan = wafer32_solver.solve().expect("32x32 plan");
-    let wafer32_solve_s = t0.elapsed().as_secs_f64();
-    let wafer32_exact_evals = wafer32_solver.search_stats().misses;
-    println!(
-        "cold solve {wafer32_solve_s:.3} s ({wafer32_exact_evals} evals) -> plan {}",
-        wafer32_plan.config.label()
-    );
-    println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"wafer32_solve\",\"solve_s\":{wafer32_solve_s:.6},\"exact_evals\":{wafer32_exact_evals}}}"
-    );
+    let (wafer32_solve_s, wafer32_exact_evals) = cold_wafer_solve(&model, 32, "wafer32_solve");
+
+    header("64x64 wafer: cold bound-pruned solve of GPT-3 6.7B on 4096 dies (TCME)");
+    // Four times the 32x32 row's dies: tracks how the contention
+    // simulation and draft traffic scale toward wafer-scale die counts.
+    let (wafer64_solve_s, wafer64_exact_evals) = cold_wafer_solve(&model, 64, "wafer64_solve");
 
     header("candidate cache: the seven-system compare_all sweep");
     let temp = Temp::hpca(ModelZoo::gpt3_6_7b());
@@ -739,6 +745,7 @@ fn main() {
                 "\"multiwafer_exact_evals\":{},\"moe_exact_evals\":{},\"moe_ep\":{},",
                 "\"large_wafer_exact_evals\":{},\"large_wafer_solve_s\":{:.6},",
                 "\"wafer32_exact_evals\":{},\"wafer32_solve_s\":{:.6},",
+                "\"wafer64_exact_evals\":{},\"wafer64_solve_s\":{:.6},",
                 "\"sweep_cache_hit_rate\":{:.4},\"sweep_seg_hits\":{},",
                 "\"cold_evals\":{},\"warm_evals\":{},\"warm_plans_match\":{},",
                 "\"exhaustive_zoo_s\":{:.6},\"pruned_zoo_s\":{:.6},",
@@ -764,6 +771,8 @@ fn main() {
             large_wafer_solve_s,
             wafer32_exact_evals,
             wafer32_solve_s,
+            wafer64_exact_evals,
+            wafer64_solve_s,
             after_first.hit_rate(),
             after_second.seg_hits,
             cold_evals,
@@ -808,18 +817,19 @@ fn main() {
         baseline_moe_evals,
         baseline_large_evals,
         baseline_wafer32_evals,
+        baseline_wafer64_evals,
         baseline_map_drafts,
         baseline_pruned_candidates,
         baseline_campaign_s,
     )) = check_baseline
     {
         // Bench-regression gate: fail when a cold bound-pruned search —
-        // single wafer, the multi-wafer sweep, the MoE chain, or the 16x16
-        // and 32x32 wafers — needs >20% more exact evaluations, or the
-        // cold three-engine zoo >20% more mapping drafts, than the
-        // committed baseline record. (`large_wafer_solve_s` and
-        // `wafer32_solve_s` are recorded, not gated: wall time varies
-        // across runners.)
+        // single wafer, the multi-wafer sweep, the MoE chain, or the
+        // 16x16, 32x32 and 64x64 wafers — needs >20% more exact
+        // evaluations, or the cold three-engine zoo >20% more mapping
+        // drafts, than the committed baseline record.
+        // (`large_wafer_solve_s`, `wafer32_solve_s` and `wafer64_solve_s`
+        // are recorded, not gated: wall time varies across runners.)
         let mut failed = false;
         for (what, fresh, baseline) in [
             ("exact_evals", exact_evals, baseline_evals),
@@ -834,6 +844,11 @@ fn main() {
                 "wafer32_exact_evals",
                 wafer32_exact_evals,
                 baseline_wafer32_evals,
+            ),
+            (
+                "wafer64_exact_evals",
+                wafer64_exact_evals,
+                baseline_wafer64_evals,
             ),
             ("map_drafts", map_drafts, baseline_map_drafts),
         ] {

@@ -16,9 +16,12 @@ use std::cell::Cell;
 use temp_graph::models::ModelZoo;
 use temp_graph::workload::Workload;
 use temp_mapping::engines::MappingEngine;
+use temp_sim::network::{ContentionSim, Flow};
 use temp_solver::cost::WaferCostModel;
 use temp_solver::search::SearchContext;
 use temp_wsc::config::WaferConfig;
+use temp_wsc::topology::{Coord, DieId};
+use temp_wsc::units::MB;
 
 struct CountingAlloc;
 
@@ -97,5 +100,53 @@ fn warm_cache_costing_is_allocation_free() {
         allocs, 0,
         "warm-cache costing loop made {allocs} heap allocations \
          (expected zero after warm-up)"
+    );
+}
+
+/// After one warm-up solve, repeated `makespan_of` on a round of tiled
+/// rings — many link-disjoint components, some of them copies, with row
+/// rings joining some blocks — performs zero heap allocations: the
+/// completions, component lists and water-filling scratch all live in the
+/// thread's simulation arena.
+#[test]
+fn contention_makespan_is_allocation_free() {
+    let wafer = WaferConfig::with_array(16, 8).expect("16x8 wafer");
+    let (mesh, sim) = (wafer.mesh(), ContentionSim::new(&wafer));
+    let die = |x: u32, y: u32| -> DieId { mesh.die_at(Coord::new(x, y)).expect("die in mesh") };
+    let ring = |group: &[DieId], bytes: f64| -> Vec<Flow> {
+        (0..group.len())
+            .map(|i| Flow::xy(&mesh, group[i], group[(i + 1) % group.len()], bytes))
+            .collect()
+    };
+    let mut flows = Vec::new();
+    for y in (0..8).step_by(2) {
+        for x in (0..16).step_by(2) {
+            let bytes = if x % 4 == 0 { 16.0 } else { 24.0 } * MB;
+            flows.extend(ring(
+                &[die(x, y), die(x + 1, y), die(x + 1, y + 1), die(x, y + 1)],
+                bytes,
+            ));
+        }
+    }
+    for x in (0..16).step_by(8) {
+        let row: Vec<DieId> = (x..x + 4).map(|x| die(x, 0)).collect();
+        flows.extend(ring(&row, 40.0 * MB));
+    }
+    let warm = sim.makespan_of(&flows);
+    assert!(warm > 0.0);
+
+    start_counting();
+    let mut acc = 0.0f64;
+    for _ in 0..64 {
+        acc += sim.makespan_of(&flows);
+    }
+    let allocs = stop_counting();
+    assert_eq!(
+        acc.to_bits(),
+        (0..64).fold(0.0f64, |a, _| a + warm).to_bits()
+    );
+    assert_eq!(
+        allocs, 0,
+        "repeated makespan_of made {allocs} heap allocations (expected zero after warm-up)"
     );
 }

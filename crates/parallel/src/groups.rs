@@ -198,29 +198,30 @@ impl WaferLayout {
 
     /// All groups of one strategy. Each group lists member dies ordered by
     /// their index within the group (the logical stream/ring order).
+    ///
+    /// Groups come in lexicographic order of the members' other strategy
+    /// coordinates (TATP first): each die lands in the group numbered by
+    /// those coordinates read as one mixed-radix number, TATP most
+    /// significant, with the strategies' degrees as radices.
     pub fn groups_of(&self, kind: ParallelKind) -> Vec<Vec<DieId>> {
         let degree = self.config.degree(kind);
         if degree <= 1 {
             return Vec::new();
         }
-        use std::collections::BTreeMap;
-        let mut buckets: BTreeMap<Vec<usize>, Vec<(usize, DieId)>> = BTreeMap::new();
-        for die in &self.dies {
-            let sc = self.coord_of(*die);
-            let key: Vec<usize> = NESTING_ORDER
-                .iter()
-                .filter(|k| **k != kind)
-                .map(|k| sc.get(*k))
-                .collect();
-            buckets.entry(key).or_default().push((sc.get(kind), *die));
+        let others = || NESTING_ORDER.iter().filter(move |k| **k != kind);
+        let count: usize = others().map(|k| self.config.degree(*k)).product();
+        let mut groups: Vec<Vec<DieId>> = (0..count)
+            .map(|_| Vec::with_capacity(self.dies.len() / count))
+            .collect();
+        for &die in &self.dies {
+            let sc = self.coord_of(die);
+            let group = others().fold(0, |g, k| g * self.config.degree(*k) + sc.get(*k));
+            groups[group].push(die);
         }
-        buckets
-            .into_values()
-            .map(|mut members| {
-                members.sort_by_key(|(idx, _)| *idx);
-                members.into_iter().map(|(_, d)| d).collect()
-            })
-            .collect()
+        for members in &mut groups {
+            members.sort_unstable_by_key(|d| (self.coord_of(*d).get(kind), *d));
+        }
+        groups
     }
 
     /// Fraction of `kind`'s groups whose consecutive logical members are all
@@ -288,6 +289,81 @@ mod tests {
 
     fn mesh() -> Mesh {
         WaferConfig::hpca().mesh() // 8x4
+    }
+
+    /// Groups bucketed by the full key of other strategy coordinates in a
+    /// `BTreeMap`, each sorted stably by index within the group: the
+    /// oracle of [`WaferLayout::groups_of`]'s mixed-radix placement.
+    fn keyed_groups(layout: &WaferLayout, kind: ParallelKind) -> Vec<Vec<DieId>> {
+        use std::collections::BTreeMap;
+        if layout.config.degree(kind) <= 1 {
+            return Vec::new();
+        }
+        let mut buckets: BTreeMap<Vec<usize>, Vec<(usize, DieId)>> = BTreeMap::new();
+        for die in &layout.dies {
+            let sc = layout.coord_of(*die);
+            let key: Vec<usize> = NESTING_ORDER
+                .iter()
+                .filter(|k| **k != kind)
+                .map(|k| sc.get(*k))
+                .collect();
+            buckets.entry(key).or_default().push((sc.get(kind), *die));
+        }
+        buckets
+            .into_values()
+            .map(|mut members| {
+                members.sort_by_key(|(idx, _)| *idx);
+                members.into_iter().map(|(_, d)| d).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn mixed_radix_groups_match_keyed_buckets_on_every_enumerated_config() {
+        let kinds = [
+            ParallelKind::Dp,
+            ParallelKind::Fsdp,
+            ParallelKind::Tp,
+            ParallelKind::Sp,
+            ParallelKind::Cp,
+            ParallelKind::Ep,
+            ParallelKind::Pp,
+            ParallelKind::Tatp,
+        ];
+        let mut layouts = 0;
+        for (w, h) in [(8u32, 4u32), (8, 8), (16, 8)] {
+            let m = Mesh::new(w, h).unwrap();
+            let dies = m.die_count();
+            let configs = [
+                HybridConfig::enumerate_tuples(dies, false),
+                HybridConfig::enumerate_tuples(dies, true),
+                HybridConfig::enumerate_tuples_ep(dies, false, 4),
+                vec![HybridConfig {
+                    cp: 2,
+                    tatp: 2,
+                    dp: dies / 4,
+                    ..Default::default()
+                }],
+            ]
+            .concat();
+            for cfg in &configs {
+                for policy in [LayoutPolicy::TopologyAware, LayoutPolicy::RowMajorStrips] {
+                    let Ok(layout) = WaferLayout::build(&m, cfg, policy) else {
+                        continue;
+                    };
+                    layouts += 1;
+                    for kind in kinds {
+                        assert_eq!(
+                            layout.groups_of(kind),
+                            keyed_groups(&layout, kind),
+                            "{} {kind} {policy:?} on {w}x{h}",
+                            cfg.label()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(layouts > 100, "{layouts} layouts");
     }
 
     #[test]

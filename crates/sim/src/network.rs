@@ -62,10 +62,8 @@ impl Flow {
 
     /// Creates a flow routed with the given dimension order.
     pub fn routed(mesh: &Mesh, src: DieId, dst: DieId, bytes: f64, order: RouteOrder) -> Self {
-        let path = mesh.route(src, dst, order);
-        let route = mesh
-            .path_links(&path)
-            .expect("dimension-ordered routes are valid");
+        let mut route = Vec::with_capacity(mesh.hops(src, dst) as usize);
+        route.extend(mesh.route_links(src, dst, order));
         Flow {
             src,
             dst,
@@ -200,24 +198,40 @@ struct DenseScratch {
     /// Fair share `cap / count` of each link in `used` order, `+∞` once
     /// the link carries no unassigned flow.
     share: Vec<f64>,
-    /// Per-active-flow assigned rates (output of the water-filling).
-    rate: Vec<f64>,
-    /// Per-active-flow frozen markers.
+    /// Per-position frozen markers of the flows being filled.
     assigned: Vec<bool>,
 }
 
-/// Reusable per-thread buffers for the fluid loop: remaining volumes,
-/// the active set, the dense water-filling scratch and the component
-/// classes. The generation stamps inside [`DenseScratch`] and
-/// [`ClassScratch`] make reuse across runs safe without clearing, so the
-/// steady-state simulation path performs no heap allocation beyond the
-/// returned report.
+/// One link-disjoint component of the fluid loop: its active flows are
+/// `RunArena::active[start..end]`, ascending.
+struct Component {
+    start: u32,
+    end: u32,
+    /// A member drained at the last event (or the run just started), so
+    /// the members' rates must be re-filled.
+    stale: bool,
+}
+
+/// Reusable per-thread buffers for the fluid loop: per-flow remaining
+/// volumes, rates and completions, the active flows grouped by
+/// link-disjoint component, the dense water-filling scratch and the
+/// component classes. The generation stamps inside [`DenseScratch`] and
+/// [`ClassScratch`] make reuse across runs safe without clearing, so
+/// after warm-up [`ContentionSim::makespan_of`] performs no heap
+/// allocation (the report-building entry points copy the completions
+/// out).
 struct RunArena {
     scratch: DenseScratch,
     classes: ClassScratch,
+    /// Drain volume left, per flow.
     remaining: Vec<f64>,
-    active: Vec<usize>,
-    next_active: Vec<usize>,
+    /// Max–min rate, per flow (valid for active flows).
+    rate: Vec<f64>,
+    /// Completion time, per flow.
+    completion: Vec<f64>,
+    /// Active flows (indices into the flow slice), grouped by component.
+    active: Vec<u32>,
+    comps: Vec<Component>,
 }
 
 impl RunArena {
@@ -226,25 +240,39 @@ impl RunArena {
             scratch: DenseScratch::new(0),
             classes: ClassScratch::default(),
             remaining: Vec::new(),
+            rate: Vec::new(),
+            completion: Vec::new(),
             active: Vec::new(),
-            next_active: Vec::new(),
+            comps: Vec::new(),
         }
     }
 
     /// Loads the drain volumes of `flows` and makes every live flow
-    /// active. Local (zero-route) and zero-byte flows are not live: they
-    /// complete at t=0.
+    /// active, all in one stale component. Local (zero-route) and
+    /// zero-byte flows are not live: they complete at t=0.
     fn load<F: AsRef<Flow>>(&mut self, flows: &[F]) {
         self.remaining.clear();
         self.remaining.extend(flows.iter().map(|f| {
             let f = f.as_ref();
             f.bytes.max(0.0) * f.hops().max(1) as f64
         }));
+        self.rate.clear();
+        self.rate.resize(flows.len(), 0.0);
+        self.completion.clear();
+        self.completion.resize(flows.len(), 0.0);
         let remaining = &self.remaining;
         self.active.clear();
-        self.active.extend(
-            (0..flows.len()).filter(|&i| !flows[i].as_ref().route.is_empty() && remaining[i] > 0.0),
-        );
+        self.active.extend((0..flows.len() as u32).filter(|&i| {
+            !flows[i as usize].as_ref().route.is_empty() && remaining[i as usize] > 0.0
+        }));
+        self.comps.clear();
+        if !self.active.is_empty() {
+            self.comps.push(Component {
+                start: 0,
+                end: self.active.len() as u32,
+                stale: true,
+            });
+        }
     }
 }
 
@@ -257,18 +285,22 @@ const NONE: u32 = u32::MAX;
 
 /// Splits the live flows of one run into link-disjoint components and
 /// groups the components into isomorphism classes, so the fluid loop runs
-/// on one representative per class.
+/// on one representative per class, one component at a time.
 ///
 /// Max–min water-filling never couples link-disjoint components: freezing
-/// a flow only touches the links of its own component, and the global
+/// a flow only touches the links of its own component, and a global
 /// bottleneck scan meets each component's links in the same relative
-/// order as a scan of that component alone. Two components with equal
-/// canonical forms (per flow, in order: payload bits, hop count, route
-/// with links relabelled in first-touch order) therefore hold identical
-/// remaining volumes and rates at every event, and add identical
-/// candidate event times. Dropping every copy leaves the event times, and
-/// so every float operation the representatives see, unchanged: each
-/// copy's completion is its representative's, bit for bit.
+/// order as a scan of that component alone. So each component's rates
+/// are a function of its own active flows, and filling it alone gives
+/// the bits a fill of the whole round would; the fluid loop re-fills a
+/// component only when one of its flows drains. Two components with
+/// equal canonical forms (per flow, in order: payload bits, hop count,
+/// route with links relabelled in first-touch order) therefore hold
+/// identical remaining volumes and rates at every event, and add
+/// identical candidate event times. Dropping every copy leaves the event
+/// times, and so every float operation the representatives see,
+/// unchanged: each copy's completion is its representative's, bit for
+/// bit.
 #[derive(Default)]
 struct ClassScratch {
     /// Per-link slot, valid where `stamp == generation`: during the split
@@ -325,11 +357,18 @@ impl ClassScratch {
         }
     }
 
-    /// Keeps in `active` (the live flows, ascending) only the members of
-    /// each class's representative component, recording how to copy the
-    /// representatives' completion times back
-    /// ([`ClassScratch::copy_completions`]).
-    fn keep_representatives<F: AsRef<Flow>>(&mut self, flows: &[F], active: &mut Vec<usize>) {
+    /// Regroups `active` (the live flows, ascending, loaded as one
+    /// component in `comps`) by link-disjoint component, keeping only the
+    /// members of each class's representative component, and records how
+    /// to copy the representatives' completion times back
+    /// ([`ClassScratch::copy_completions`]). Fewer than two live flows or
+    /// a single component leave the loaded component as it is.
+    fn keep_representatives<F: AsRef<Flow>>(
+        &mut self,
+        flows: &[F],
+        active: &mut Vec<u32>,
+        comps: &mut Vec<Component>,
+    ) {
         self.rep.clear();
         let m = active.len();
         if m < 2 {
@@ -341,7 +380,7 @@ impl ClassScratch {
         self.parent.clear();
         self.parent.extend(0..m as u32);
         for (p, &i) in active.iter().enumerate() {
-            for l in &flows[i].as_ref().route {
+            for l in &flows[i as usize].as_ref().route {
                 let idx = l.index();
                 self.grow_to(idx + 1);
                 if self.stamp[idx] == self.generation {
@@ -355,34 +394,34 @@ impl ClassScratch {
         // Roots are their set's smallest position, so numbering roots in
         // position order labels components by their first flow.
         self.comp.clear();
-        let mut comps = 0u32;
+        let mut n = 0u32;
         for p in 0..m as u32 {
             let r = self.find(p);
-            let c = if r == p { comps } else { self.comp[r as usize] };
-            comps += u32::from(r == p);
+            let c = if r == p { n } else { self.comp[r as usize] };
+            n += u32::from(r == p);
             self.comp.push(c);
         }
-        if comps < 2 {
+        if n < 2 {
             return;
         }
         // Group members by component (counting sort, stable).
-        let comps = comps as usize;
+        let n = n as usize;
         self.start.clear();
-        self.start.resize(comps + 1, 0);
+        self.start.resize(n + 1, 0);
         for &c in &self.comp {
             self.start[c as usize + 1] += 1;
         }
-        for c in 0..comps {
+        for c in 0..n {
             self.start[c + 1] += self.start[c];
         }
         self.members.clear();
         self.members.resize(m, 0);
         // `key_start` doubles as the fill cursor until keying resets it.
         self.key_start.clear();
-        self.key_start.extend_from_slice(&self.start[..comps]);
+        self.key_start.extend_from_slice(&self.start[..n]);
         for (p, &i) in active.iter().enumerate() {
             let c = self.comp[p] as usize;
-            self.members[self.key_start[c] as usize] = i as u32;
+            self.members[self.key_start[c] as usize] = i;
             self.key_start[c] += 1;
         }
         // Canonical form of each component, matched by hash plus a full
@@ -392,7 +431,7 @@ impl ClassScratch {
         self.by_hash.clear();
         self.next.clear();
         let mut dropped = false;
-        for c in 0..comps {
+        for c in 0..n {
             self.generation += 1;
             let begin = self.words.len();
             self.key_start.push(begin as u32);
@@ -434,17 +473,25 @@ impl ClassScratch {
                 dropped = true;
             }
         }
+        active.clear();
+        comps.clear();
+        for c in 0..n {
+            if self.rep[c] as usize != c {
+                continue;
+            }
+            let start = active.len() as u32;
+            active.extend_from_slice(
+                &self.members[self.start[c] as usize..self.start[c + 1] as usize],
+            );
+            comps.push(Component {
+                start,
+                end: active.len() as u32,
+                stale: true,
+            });
+        }
         if !dropped {
             self.rep.clear();
-            return;
         }
-        let (comp, rep) = (&self.comp, &self.rep);
-        let mut p = 0;
-        active.retain(|_| {
-            let c = comp[p];
-            p += 1;
-            rep[c as usize] == c
-        });
     }
 
     /// Gives every dropped copy its representative's completion times.
@@ -474,7 +521,6 @@ impl DenseScratch {
             slot: vec![0; link_count],
             used: Vec::with_capacity(link_count),
             share: Vec::with_capacity(link_count),
-            rate: Vec::new(),
             assigned: Vec::new(),
         }
     }
@@ -489,10 +535,10 @@ impl DenseScratch {
         }
     }
 
-    /// Max–min fair rates for the active flows, dense-array water-filling.
-    /// The rates land in `self.rate` (indexed by active-set position) so
-    /// the fluid loop's per-iteration buffers come from the arena instead
-    /// of fresh allocations.
+    /// Max–min fair rates of the flows `members` (indices into `flows`),
+    /// dense-array water-filling written into `rate` (indexed by flow).
+    /// Only the links the members cross are reset and scanned, so
+    /// filling one component costs that component's links alone.
     ///
     /// Each link's share is stored and recomputed only when its capacity
     /// or count changes, so a bottleneck pick is a scan of `share` with no
@@ -500,11 +546,17 @@ impl DenseScratch {
     /// would have, and the scan keeps the first minimum in `used` order,
     /// so the picks match recomputing every share on every pick. A finite
     /// `bandwidth` keeps every live share finite, below the drained `+∞`.
-    fn fair_rates<F: AsRef<Flow>>(&mut self, bandwidth: f64, flows: &[F], active: &[usize]) {
+    fn fair_rates<F: AsRef<Flow>>(
+        &mut self,
+        bandwidth: f64,
+        flows: &[F],
+        members: &[u32],
+        rate: &mut [f64],
+    ) {
         self.generation += 1;
         self.used.clear();
-        for (pos, &i) in active.iter().enumerate() {
-            for l in &flows[i].as_ref().route {
+        for (pos, &i) in members.iter().enumerate() {
+            for l in &flows[i as usize].as_ref().route {
                 let idx = l.index();
                 self.grow_to(idx + 1);
                 if self.stamp[idx] != self.generation {
@@ -525,11 +577,9 @@ impl DenseScratch {
                 .iter()
                 .map(|&idx| self.cap[idx] / self.count[idx] as f64),
         );
-        self.rate.clear();
-        self.rate.resize(active.len(), 0.0);
         self.assigned.clear();
-        self.assigned.resize(active.len(), false);
-        let mut unassigned = active.len();
+        self.assigned.resize(members.len(), false);
+        let mut unassigned = members.len();
         while unassigned > 0 {
             // Bottleneck link: smallest fair share among links that still
             // carry unassigned flows.
@@ -552,10 +602,10 @@ impl DenseScratch {
                 if self.assigned[p] {
                     continue;
                 }
-                self.rate[p] = share;
+                rate[members[p] as usize] = share;
                 self.assigned[p] = true;
                 unassigned -= 1;
-                for l in &flows[active[p]].as_ref().route {
+                for l in &flows[members[p] as usize].as_ref().route {
                     let idx = l.index();
                     self.cap[idx] = (self.cap[idx] - share).max(0.0);
                     self.count[idx] -= 1;
@@ -617,16 +667,21 @@ impl ContentionSim {
     }
 
     /// As [`ContentionSim::simulate`] but computing fair rates with the
-    /// original `HashMap`-keyed water-filling over every live flow (no
-    /// component classes). Retained as the reference implementation the
-    /// dense fast path is regression-tested against (see
-    /// `tests/properties.rs`); not intended for production use.
+    /// original `HashMap`-keyed water-filling over every live flow as one
+    /// component, re-filled at every event (no component split, no
+    /// classes). Retained as the reference implementation the dense fast
+    /// path is regression-tested against (see `tests/properties.rs`); not
+    /// intended for production use.
     pub fn simulate_reference(&self, flows: &[Flow]) -> ContentionReport {
         self.run(flows, true)
     }
 
     fn run(&self, flows: &[Flow], reference: bool) -> ContentionReport {
-        let completion = self.completion_times(flows, reference);
+        let completion = RUN_ARENA.with(|arena| {
+            let arena = &mut *arena.borrow_mut();
+            self.solve_in(arena, flows, reference);
+            arena.completion.clone()
+        });
         let link_bytes = self.link_loads(flows);
         let max_loaded_link = max_loaded(&link_bytes);
         let makespan = completion.iter().fold(0.0f64, |a, b| a.max(*b));
@@ -638,93 +693,102 @@ impl ContentionSim {
         }
     }
 
-    /// Per-flow completion times, per-hop latency included. The dense
-    /// path runs the fluid loop on one representative component per
-    /// isomorphism class (see [`ClassScratch`]); the reference path runs
-    /// it on every live flow.
-    fn completion_times<F: AsRef<Flow>>(&self, flows: &[F], reference: bool) -> Vec<f64> {
-        RUN_ARENA.with(|arena| {
-            let arena = &mut *arena.borrow_mut();
-            arena.load(flows);
-            let mut completion = vec![0.0f64; flows.len()];
-            if reference {
-                self.fluid_loop(arena, flows, true, &mut completion);
-            } else {
-                arena.classes.keep_representatives(flows, &mut arena.active);
-                self.fluid_loop(arena, flows, false, &mut completion);
-                arena.classes.copy_completions(&mut completion);
-            }
-            self.add_hop_latency(flows, &mut completion);
-            completion
-        })
-    }
-
-    /// Charges per-hop pipeline latency on top of the fluid times.
-    fn add_hop_latency<F: AsRef<Flow>>(&self, flows: &[F], completion: &mut [f64]) {
-        for (c, f) in completion.iter_mut().zip(flows) {
+    /// Per-flow completion times into `arena.completion`, per-hop latency
+    /// included. The dense path runs the fluid loop on one representative
+    /// component per isomorphism class (see [`ClassScratch`]); the
+    /// reference path runs it on every live flow as one component.
+    fn solve_in<F: AsRef<Flow>>(&self, arena: &mut RunArena, flows: &[F], reference: bool) {
+        arena.load(flows);
+        if !reference {
+            arena
+                .classes
+                .keep_representatives(flows, &mut arena.active, &mut arena.comps);
+        }
+        self.fluid_loop(arena, flows, reference);
+        if !reference {
+            arena.classes.copy_completions(&mut arena.completion);
+        }
+        for (c, f) in arena.completion.iter_mut().zip(flows) {
             *c += f.as_ref().hops() as f64 * self.hop_latency;
         }
     }
 
-    /// Progressive filling over the flows in `arena.active` (whose
-    /// drain volumes [`RunArena::load`] set): repeatedly compute each
-    /// active flow's max–min fair rate, advance time until the next flow
-    /// drains, repeat. Writes the fluid completion time of every flow it
-    /// drains into `completion`.
-    fn fluid_loop<F: AsRef<Flow>>(
-        &self,
-        arena: &mut RunArena,
-        flows: &[F],
-        reference: bool,
-        completion: &mut [f64],
-    ) {
+    /// Progressive filling over the components in `arena.comps` (whose
+    /// drain volumes [`RunArena::load`] set): fill the max–min fair rates
+    /// of every stale component, advance time until the next flow
+    /// drains, mark the components that lost a flow stale, repeat.
+    /// Writes the fluid completion time of every flow it drains into
+    /// `arena.completion`.
+    ///
+    /// A component's rates depend on its active flows alone (see
+    /// [`ClassScratch`]), so a component no drain touched keeps its rates
+    /// bit for bit, and a drained one is re-filled whole even if the
+    /// drain split it. `dt` and the drain update stay global, in the same
+    /// per-flow arithmetic as one fill of the whole round. The reference
+    /// path re-fills its one component at every event, so it checks the
+    /// staleness bookkeeping instead of sharing it.
+    fn fluid_loop<F: AsRef<Flow>>(&self, arena: &mut RunArena, flows: &[F], reference: bool) {
         let RunArena {
             scratch,
             remaining,
+            rate,
+            completion,
             active,
-            next_active,
+            comps,
             ..
         } = arena;
         let mut now = 0.0f64;
         let mut guard = 0usize;
-        while !active.is_empty() {
+        while !comps.is_empty() {
             guard += 1;
             assert!(guard < 100_000, "contention sim failed to converge");
-            let single = [self.link_bandwidth];
-            let ref_rates: Vec<f64>;
-            let rates: &[f64] = if active.len() == 1 {
-                // A lone flow is never contended: every link it crosses
-                // serves exactly one flow, so its max–min rate is the full
-                // link bandwidth (identical in both formulations).
-                &single
-            } else if reference {
-                ref_rates = self.fair_rates_reference(flows, active);
-                &ref_rates
-            } else {
-                scratch.fair_rates(self.link_bandwidth, flows, active);
-                &scratch.rate
-            };
+            for c in comps.iter_mut().filter(|c| c.stale || reference) {
+                let members = &active[c.start as usize..c.end as usize];
+                if members.len() == 1 {
+                    // A lone flow is never contended: every link it
+                    // crosses serves exactly one flow, so its max–min
+                    // rate is the full link bandwidth (the bits either
+                    // water-filling gives it).
+                    rate[members[0] as usize] = self.link_bandwidth;
+                } else if reference {
+                    let filled = self.fair_rates_reference(flows, members);
+                    for (&i, r) in members.iter().zip(filled) {
+                        rate[i as usize] = r;
+                    }
+                } else {
+                    scratch.fair_rates(self.link_bandwidth, flows, members, rate);
+                }
+                c.stale = false;
+            }
             // Time until the first active flow drains.
             let mut dt = f64::INFINITY;
-            for (idx, &i) in active.iter().enumerate() {
-                let r = rates[idx].max(1e-9);
-                dt = dt.min(remaining[i] / r);
+            for c in comps.iter() {
+                for &i in &active[c.start as usize..c.end as usize] {
+                    let i = i as usize;
+                    dt = dt.min(remaining[i] / rate[i].max(1e-9));
+                }
             }
             if !dt.is_finite() {
                 break;
             }
             now += dt;
-            next_active.clear();
-            for (idx, &i) in active.iter().enumerate() {
-                remaining[i] -= rates[idx] * dt;
-                if remaining[i] <= 1e-6 {
-                    remaining[i] = 0.0;
-                    completion[i] = now;
-                } else {
-                    next_active.push(i);
+            for c in comps.iter_mut() {
+                let mut kept = c.start;
+                for k in c.start..c.end {
+                    let i = active[k as usize] as usize;
+                    remaining[i] -= rate[i] * dt;
+                    if remaining[i] <= 1e-6 {
+                        remaining[i] = 0.0;
+                        completion[i] = now;
+                        c.stale = true;
+                    } else {
+                        active[kept as usize] = i as u32;
+                        kept += 1;
+                    }
                 }
+                c.end = kept;
             }
-            std::mem::swap(active, next_active);
+            comps.retain(|c| c.start < c.end);
         }
     }
 
@@ -738,7 +802,7 @@ impl ContentionSim {
     /// to the first link in first-touch order (active flows in order,
     /// each route in order), the dense path's rule, so both formulations
     /// pick the same bottleneck sequence.
-    fn fair_rates_reference<F: AsRef<Flow>>(&self, flows: &[F], active: &[usize]) -> Vec<f64> {
+    fn fair_rates_reference<F: AsRef<Flow>>(&self, flows: &[F], active: &[u32]) -> Vec<f64> {
         let mut rate = vec![0.0f64; active.len()];
         let mut assigned = vec![false; active.len()];
         // Link -> (capacity left, unassigned flow positions crossing it),
@@ -747,7 +811,7 @@ impl ContentionSim {
         let mut link_flows: HashMap<LinkId, Vec<usize>> = HashMap::new();
         let mut touched: Vec<LinkId> = Vec::new();
         for (pos, &i) in active.iter().enumerate() {
-            for l in &flows[i].as_ref().route {
+            for l in &flows[i as usize].as_ref().route {
                 link_cap.entry(*l).or_insert_with(|| {
                     touched.push(*l);
                     self.link_bandwidth
@@ -783,7 +847,7 @@ impl ContentionSim {
                 assigned[p] = true;
                 unassigned -= 1;
                 // Subtract this flow's rate from every link it crosses.
-                for l in &flows[active[p]].as_ref().route {
+                for l in &flows[active[p] as usize].as_ref().route {
                     if let Some(c) = link_cap.get_mut(l) {
                         *c = (*c - share).max(0.0);
                     }
@@ -901,11 +965,14 @@ impl ContentionSim {
     /// and without building a [`ContentionReport`]. This is the
     /// planning paths' simulation: a pure function of the flow set and
     /// the link parameters, so plans do not depend on simulation history
-    /// or thread count.
+    /// or thread count. It solves in the thread's `RunArena` and folds
+    /// the maximum there, so after warm-up it allocates nothing.
     pub fn makespan_of<F: AsRef<Flow>>(&self, flows: &[F]) -> f64 {
-        self.completion_times(flows, false)
-            .iter()
-            .fold(0.0f64, |a, b| a.max(*b))
+        RUN_ARENA.with(|arena| {
+            let arena = &mut *arena.borrow_mut();
+            self.solve_in(arena, flows, false);
+            arena.completion.iter().fold(0.0f64, |a, b| a.max(*b))
+        })
     }
 }
 
@@ -1381,42 +1448,167 @@ mod tests {
                 // rescanning of every share picks.
                 let mut arena = RunArena::new();
                 arena.load(&flows);
-                scratch.fair_rates(sim.link_bandwidth, &flows, &arena.active);
+                let mut rate = vec![0.0; flows.len()];
+                scratch.fair_rates(sim.link_bandwidth, &flows, &arena.active, &mut rate);
                 let rescanned = sim.fair_rates_reference(&flows, &arena.active);
-                for (p, (a, b)) in scratch.rate.iter().zip(&rescanned).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{what}, flow {p}: {a} vs {b}");
+                for (&i, b) in arena.active.iter().zip(&rescanned) {
+                    let a = rate[i as usize];
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}, flow {i}: {a} vs {b}");
                 }
                 let of = sim.makespan_of(&tag(&flows));
                 let dense = sim.simulate(&flows).makespan;
                 assert_eq!(of.to_bits(), dense.to_bits(), "{what}: {of} vs {dense}");
-                let reference = sim.simulate_reference(&flows).makespan;
-                assert_eq!(
-                    of.to_bits(),
-                    reference.to_bits(),
-                    "{what}: {of} vs reference {reference}"
-                );
+                assert_matches_reference(&sim, &flows, &what);
             }
         }
     }
 
-    /// The fluid loop over every live flow, no component classes: the
-    /// baseline the deduplicated [`ContentionSim::simulate`] must match.
+    /// The dense fluid loop over every live flow as one component, no
+    /// component classes: every event re-fills the whole round. The
+    /// baseline the deduplicated, component-local
+    /// [`ContentionSim::simulate`] must match.
     fn undeduplicated(sim: &ContentionSim, flows: &[Flow]) -> Vec<f64> {
         let mut arena = RunArena::new();
         arena.load(flows);
-        let mut completion = vec![0.0; flows.len()];
-        sim.fluid_loop(&mut arena, flows, false, &mut completion);
-        sim.add_hop_latency(flows, &mut completion);
-        completion
+        sim.fluid_loop(&mut arena, flows, false);
+        for (c, f) in arena.completion.iter_mut().zip(flows) {
+            *c += f.hops() as f64 * sim.hop_latency;
+        }
+        arena.completion
     }
 
     /// `(live flows, flows the deduplicated loop runs)` of a flow set.
     fn dedup_counts(flows: &[Flow]) -> (usize, usize) {
+        component_counts(flows).0
+    }
+
+    /// `((live flows, flows kept), components kept)` of a flow set.
+    fn component_counts(flows: &[Flow]) -> ((usize, usize), usize) {
         let mut arena = RunArena::new();
         arena.load(flows);
         let live = arena.active.len();
-        arena.classes.keep_representatives(flows, &mut arena.active);
-        (live, arena.active.len())
+        arena
+            .classes
+            .keep_representatives(flows, &mut arena.active, &mut arena.comps);
+        ((live, arena.active.len()), arena.comps.len())
+    }
+
+    /// The dense path's completions equal both the reference's and the
+    /// whole-round dense loop's, bit for bit.
+    fn assert_matches_reference(sim: &ContentionSim, flows: &[Flow], what: &str) {
+        let dense = sim.simulate(flows);
+        let reference = sim.simulate_reference(flows);
+        let whole = undeduplicated(sim, flows);
+        for (i, ((d, r), u)) in dense
+            .completion
+            .iter()
+            .zip(&reference.completion)
+            .zip(&whole)
+            .enumerate()
+        {
+            assert_eq!(
+                d.to_bits(),
+                r.to_bits(),
+                "{what}, flow {i}: {d} vs reference {r}"
+            );
+            assert_eq!(
+                d.to_bits(),
+                u.to_bits(),
+                "{what}, flow {i}: {d} vs whole round {u}"
+            );
+        }
+        assert_eq!(
+            dense.makespan.to_bits(),
+            reference.makespan.to_bits(),
+            "{what}"
+        );
+        assert_eq!(
+            sim.makespan_of(flows).to_bits(),
+            dense.makespan.to_bits(),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn component_local_filling_matches_the_reference_on_many_component_sets() {
+        let (_, sim) = setup();
+        let mut rng = StdRng::seed_from_u64(0xc0c0);
+        let mut split = 0;
+        for case in 0..24 {
+            let (w, h) = [(8u32, 8u32), (16, 8), (16, 16)][case % 3];
+            let mesh = Mesh::new(w, h).unwrap();
+            // Small rings and short chains at random spots, with payloads
+            // drawn per group: many components, few of them copies.
+            let mut flows = Vec::new();
+            for _ in 0..rng.gen_range(4..(w * h / 4) as usize) {
+                let (x, y) = (rng.gen_range(0..w - 1), rng.gen_range(0..h - 1));
+                let bytes = rng.gen_range(1.0..64.0) * MB;
+                if rng.gen_range(0..2u32) == 0 {
+                    let g = [
+                        die(&mesh, x, y),
+                        die(&mesh, x + 1, y),
+                        die(&mesh, x + 1, y + 1),
+                        die(&mesh, x, y + 1),
+                    ];
+                    flows.extend(ring(&mesh, &g, bytes));
+                } else {
+                    let to = die(&mesh, (x + rng.gen_range(1..3u32)).min(w - 1), y);
+                    flows.push(Flow::xy(&mesh, die(&mesh, x, y), to, bytes));
+                }
+            }
+            let (_, comps) = component_counts(&flows);
+            split += usize::from(comps > 1);
+            assert_matches_reference(&sim, &flows, &format!("case {case} ({w}x{h})"));
+        }
+        assert!(split > 12, "most sets must split into components ({split})");
+    }
+
+    #[test]
+    fn component_local_filling_matches_the_reference_when_a_bridge_drains_first() {
+        let (_, sim) = setup();
+        let mesh = Mesh::new(16, 4).unwrap();
+        let mut rng = StdRng::seed_from_u64(0xb1d6e);
+        for case in 0..16 {
+            // Two contended clusters on one row, joined by a small flow
+            // that shares a link with each. The bridge drains first, and
+            // its component splits into clusters that contend unevenly.
+            let y = rng.gen_range(0..4u32);
+            let (left, right) = (rng.gen_range(8.0..64.0) * MB, rng.gen_range(8.0..64.0) * MB);
+            let mut flows = vec![
+                Flow::xy(&mesh, die(&mesh, 0, y), die(&mesh, 3, y), left),
+                Flow::xy(&mesh, die(&mesh, 1, y), die(&mesh, 3, y), 2.0 * left),
+                Flow::xy(&mesh, die(&mesh, 2, y), die(&mesh, 3, (y + 1) % 4), left),
+                Flow::xy(&mesh, die(&mesh, 8, y), die(&mesh, 11, y), right),
+                Flow::xy(&mesh, die(&mesh, 9, y), die(&mesh, 10, y), 3.0 * right),
+                Flow::xy(&mesh, die(&mesh, 10, y), die(&mesh, 12, y), right),
+            ];
+            let bridge = Flow::xy(
+                &mesh,
+                die(&mesh, 2, y),
+                die(&mesh, 9, y),
+                rng.gen_range(0.1..1.0) * MB,
+            );
+            flows.insert(rng.gen_range(0..flows.len() + 1), bridge.clone());
+            // A disjoint bystander component no drain touches early.
+            flows.push(Flow::xy(
+                &mesh,
+                die(&mesh, 14, y),
+                die(&mesh, 15, y),
+                96.0 * MB,
+            ));
+            let report = sim.simulate(&flows);
+            let at = flows.iter().position(|f| *f == bridge).unwrap();
+            let first = report
+                .completion
+                .iter()
+                .fold(f64::INFINITY, |a, b| a.min(*b));
+            assert_eq!(
+                report.completion[at], first,
+                "case {case}: the bridge drains first"
+            );
+            assert_eq!(component_counts(&flows).1, 2, "case {case}");
+            assert_matches_reference(&sim, &flows, &format!("bridge case {case}"));
+        }
     }
 
     fn assert_dedup_bit_identical(sim: &ContentionSim, flows: &[Flow], what: &str) {

@@ -395,57 +395,61 @@ impl Mesh {
     /// [`RouteOrder::YThenX`] is the transpose. On a torus the shorter wrap
     /// direction is taken per dimension.
     pub fn route(&self, src: DieId, dst: DieId, order: RouteOrder) -> Vec<DieId> {
-        let (cs, cd) = (
-            self.coord(src).expect("src in mesh"),
-            self.coord(dst).expect("dst in mesh"),
-        );
-        let mut path = vec![src];
-        let mut cur = cs;
-        let walk_x = |cur: &mut Coord, path: &mut Vec<DieId>| {
-            while cur.x != cd.x {
-                let step_right = if self.torus {
-                    let fwd = (cd.x + self.width - cur.x) % self.width;
-                    let bwd = (cur.x + self.width - cd.x) % self.width;
-                    fwd <= bwd
-                } else {
-                    cd.x > cur.x
-                };
-                cur.x = if step_right {
-                    (cur.x + 1) % self.width
-                } else {
-                    (cur.x + self.width - 1) % self.width
-                };
-                path.push(DieId(cur.y * self.width + cur.x));
+        std::iter::once(src)
+            .chain(self.walk(src, dst, order))
+            .collect()
+    }
+
+    /// The directed links of [`Mesh::route`]'s path, read off the
+    /// link-index table step by step without building the die path:
+    /// equal to `path_links(&route(src, dst, order))`.
+    pub fn route_links(
+        &self,
+        src: DieId,
+        dst: DieId,
+        order: RouteOrder,
+    ) -> impl Iterator<Item = LinkId> + '_ {
+        let mut at = src;
+        self.walk(src, dst, order).map(move |next| {
+            let link = self
+                .link_lookup(at, next)
+                .expect("dimension-ordered steps join mesh neighbors");
+            at = next;
+            link
+        })
+    }
+
+    /// The dies a dimension-ordered route visits after `src`, up to and
+    /// including `dst`.
+    fn walk(&self, src: DieId, dst: DieId, order: RouteOrder) -> impl Iterator<Item = DieId> + '_ {
+        let mut at = self.coord(src).expect("src in mesh");
+        let to = self.coord(dst).expect("dst in mesh");
+        std::iter::from_fn(move || {
+            let step_x = match order {
+                RouteOrder::XThenY => at.x != to.x,
+                RouteOrder::YThenX => at.y == to.y,
+            };
+            let (pos, target, size) = if step_x {
+                (&mut at.x, to.x, self.width)
+            } else {
+                (&mut at.y, to.y, self.height)
+            };
+            if *pos == target {
+                return None;
             }
-        };
-        let walk_y = |cur: &mut Coord, path: &mut Vec<DieId>| {
-            while cur.y != cd.y {
-                let step_down = if self.torus {
-                    let fwd = (cd.y + self.height - cur.y) % self.height;
-                    let bwd = (cur.y + self.height - cd.y) % self.height;
-                    fwd <= bwd
-                } else {
-                    cd.y > cur.y
-                };
-                cur.y = if step_down {
-                    (cur.y + 1) % self.height
-                } else {
-                    (cur.y + self.height - 1) % self.height
-                };
-                path.push(DieId(cur.y * self.width + cur.x));
-            }
-        };
-        match order {
-            RouteOrder::XThenY => {
-                walk_x(&mut cur, &mut path);
-                walk_y(&mut cur, &mut path);
-            }
-            RouteOrder::YThenX => {
-                walk_y(&mut cur, &mut path);
-                walk_x(&mut cur, &mut path);
-            }
-        }
-        path
+            // On a torus, step the shorter way round (forward on a tie).
+            let forward = if self.torus {
+                (target + size - *pos) % size <= (*pos + size - target) % size
+            } else {
+                target > *pos
+            };
+            *pos = if forward {
+                (*pos + 1) % size
+            } else {
+                (*pos + size - 1) % size
+            };
+            Some(DieId(at.y * self.width + at.x))
+        })
     }
 
     /// Converts a die path (as returned by [`Mesh::route`]) into its directed
@@ -633,6 +637,77 @@ mod tests {
                         .position(|l| l.src == a && l.dst == b)
                         .map(|i| LinkId(i as u32));
                     assert_eq!(m.link_lookup(a, b), scanned, "{a} -> {b}");
+                }
+            }
+        }
+    }
+
+    /// A dimension-ordered die path stepped out one dimension at a time:
+    /// an oracle for the walker [`Mesh::route`] and
+    /// [`Mesh::route_links`] share.
+    fn stepped_route(m: &Mesh, a: DieId, b: DieId, order: RouteOrder) -> Vec<DieId> {
+        let (mut c, to) = (m.coord(a).unwrap(), m.coord(b).unwrap());
+        let mut path = vec![a];
+        let x_dims = match order {
+            RouteOrder::XThenY => [true, false],
+            RouteOrder::YThenX => [false, true],
+        };
+        for x in x_dims {
+            let (size, target) = if x {
+                (m.width(), to.x)
+            } else {
+                (m.height(), to.y)
+            };
+            loop {
+                let pos = if x { c.x } else { c.y };
+                if pos == target {
+                    break;
+                }
+                let forward = if m.is_torus() {
+                    (target + size - pos) % size <= (pos + size - target) % size
+                } else {
+                    target > pos
+                };
+                let next = if forward {
+                    (pos + 1) % size
+                } else {
+                    (pos + size - 1) % size
+                };
+                if x {
+                    c.x = next;
+                } else {
+                    c.y = next;
+                }
+                path.push(m.die_at(c).unwrap());
+            }
+        }
+        path
+    }
+
+    #[test]
+    fn route_links_walk_the_route_path_for_every_pair() {
+        for m in [
+            Mesh::new(8, 4).unwrap(),
+            Mesh::torus(8, 4).unwrap(),
+            Mesh::new(5, 3).unwrap(),
+            Mesh::torus(5, 3).unwrap(),
+            Mesh::torus(2, 6).unwrap(),
+        ] {
+            for a in m.dies() {
+                for b in m.dies() {
+                    for order in [RouteOrder::XThenY, RouteOrder::YThenX] {
+                        let path = m.route(a, b, order);
+                        assert_eq!(path, stepped_route(&m, a, b, order));
+                        let walked: Vec<LinkId> = m.route_links(a, b, order).collect();
+                        assert_eq!(walked.len(), m.hops(a, b) as usize);
+                        let expected = m.path_links(&path).unwrap();
+                        assert_eq!(
+                            walked,
+                            expected,
+                            "{a}->{b} {order:?} torus={}",
+                            m.is_torus()
+                        );
+                    }
                 }
             }
         }
