@@ -32,7 +32,7 @@ fn main() {
             let candidates = ctx.candidates().to_vec();
             // One batched pass: recompute escalation and memory verdicts
             // are handled inside the shared costing pipeline.
-            let costed = ctx.cost_candidates(&candidates, MappingEngine::Tcme, None);
+            let costed = ctx.cost_candidates(&candidates, MappingEngine::Tcme);
             let mut best: Option<(HybridConfig, f64)> = None;
             let mut best_no_tatp: f64 = 0.0;
             for (cfg, (t, payload)) in candidates.iter().zip(&costed) {

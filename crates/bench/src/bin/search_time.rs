@@ -391,14 +391,14 @@ fn main() {
     serial_ctx.set_parallel(false);
     let candidates = serial_ctx.candidates().to_vec();
     let t0 = Instant::now();
-    let _ = serial_ctx.cost_candidates(&candidates, MappingEngine::Tcme, None);
+    let _ = serial_ctx.cost_candidates(&candidates, MappingEngine::Tcme);
     let serial_s = t0.elapsed().as_secs_f64();
 
     // Pool path: what `cost_candidates` actually runs in production —
     // the persistent work-stealing runtime behind `par_map`.
     let pool_ctx = context();
     let t0 = Instant::now();
-    let _ = pool_ctx.cost_candidates(&candidates, MappingEngine::Tcme, None);
+    let _ = pool_ctx.cost_candidates(&candidates, MappingEngine::Tcme);
     let pool_s = t0.elapsed().as_secs_f64();
 
     let pool_speedup = serial_s / pool_s.max(1e-9);

@@ -99,9 +99,17 @@ impl WaferLayout {
     ///
     /// Returns [`ParallelError::DegreeMismatch`] if the configuration does
     /// not cover the die count, or [`ParallelError::InvalidParameter`] when
-    /// no block factorization fits the mesh (topology-aware policy).
+    /// `ep > 1` (a layout places the five intra-wafer degrees only) or no
+    /// block factorization fits the mesh (topology-aware policy).
     pub fn build(mesh: &Mesh, config: &HybridConfig, policy: LayoutPolicy) -> Result<Self> {
         config.validate(mesh.die_count())?;
+        if config.ep > 1 {
+            return Err(ParallelError::InvalidParameter(format!(
+                "ep = {} must be folded into dp before laying out {}",
+                config.ep,
+                config.label()
+            )));
+        }
         match policy {
             LayoutPolicy::TopologyAware => Self::build_blocks(mesh, config),
             LayoutPolicy::RowMajorStrips => Self::build_strips(mesh, config),
@@ -449,6 +457,31 @@ mod tests {
         let cfg = HybridConfig::tuple(1, 1, 1, 32);
         let layout = WaferLayout::build(&m, &cfg, LayoutPolicy::TopologyAware).unwrap();
         assert!((layout.path_contiguity(&m, ParallelKind::Tatp) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn expert_parallel_configs_are_rejected_until_folded_into_dp() {
+        let m = mesh();
+        let moe = HybridConfig {
+            ep: 4,
+            tatp: 8,
+            ..Default::default()
+        };
+        let folded = HybridConfig {
+            dp: 4,
+            ep: 1,
+            ..moe
+        };
+        for policy in [LayoutPolicy::TopologyAware, LayoutPolicy::RowMajorStrips] {
+            match WaferLayout::build(&m, &moe, policy) {
+                Err(ParallelError::InvalidParameter(msg)) => {
+                    assert!(msg.contains("folded into dp"), "{msg}");
+                }
+                other => panic!("{policy:?}: ep = 4 was laid out: {other:?}"),
+            }
+            let layout = WaferLayout::build(&m, &folded, policy).unwrap();
+            assert_eq!(layout.groups_of(ParallelKind::Tatp).len(), 4);
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! line-delimited text protocol (stdin or a TCP socket, see the
 //! `temp-serve` binary). Every solve multiplexes onto the shared
 //! [`temp_solver::runtime::global`] work-stealing pool; a per-query
-//! deadline travels with its own solve as a
+//! deadline, on any engine, travels with its own solve as a
 //! [`temp_solver::runtime::CancelToken`], so a slow query degrades to a
-//! best-effort plan instead of stalling the server, and the queries
-//! sharing its context never see the deadline.
+//! best-effort plan instead of stalling the server (its costing stream
+//! ends once the deadline fired and it holds a feasible candidate), and
+//! the queries sharing its context never see the deadline.
 //!
 //! Concurrency is the point: simultaneous queries for the same model
 //! share one [`temp_solver::search::SearchContext`], whose single-flight
@@ -132,8 +133,10 @@ pub struct Query {
     pub wafer: String,
     /// Mapping engine to plan with.
     pub engine: MappingEngine,
-    /// Optional wall-clock budget; an expired budget returns the best
-    /// effort plan with `"timed_out":true`.
+    /// Optional wall-clock budget, on any engine; an expired budget
+    /// returns the best plan among the candidates costed in time, with
+    /// `"timed_out":true`. A solve fails under a deadline only where it
+    /// fails without one.
     pub deadline_ms: Option<u64>,
     /// Which metric the reply's `score` field carries.
     pub objective: Objective,
@@ -383,27 +386,11 @@ impl PlanServer {
         let workload = Workload::for_model(&model);
         let pool = self.pool(&query.wafer)?;
         let solver = pool.solver(&model, &workload);
-        self.queries.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let (plan, timed_out) = match query.deadline_ms {
-            Some(ms) => {
-                if query.engine != MappingEngine::Tcme {
-                    return Err("deadline_ms requires engine=tcme".to_string());
-                }
-                solver
-                    .solve_with_deadline(Duration::from_millis(ms))
-                    .map_err(|e| format!("{e:?}"))?
-            }
-            None => match query.engine {
-                MappingEngine::Tcme => (solver.solve().map_err(|e| format!("{e:?}"))?, false),
-                engine => (
-                    solver
-                        .solve_with_engine(engine, |_| true)
-                        .map_err(|e| format!("{e:?}"))?,
-                    false,
-                ),
-            },
-        };
+        let (plan, timed_out) = solver
+            .solve_within(query.engine, query.deadline_ms.map(Duration::from_millis))
+            .map_err(|e| format!("{e:?}"))?;
+        self.queries.fetch_add(1, Ordering::Relaxed);
         if timed_out {
             self.timeouts.fetch_add(1, Ordering::Relaxed);
         }
@@ -633,6 +620,40 @@ mod tests {
             "a warm key must serve the full plan under any deadline"
         );
         assert_eq!(server.aggregate().0.plan_hits, 1);
+    }
+
+    #[test]
+    fn zero_deadline_plans_on_every_engine() {
+        let server = PlanServer::new(None).expect("server");
+        for engine in ["smap", "gmap"] {
+            let reply =
+                server.handle_line(&format!("solve gpt3_6_7b engine={engine} deadline_ms=0"));
+            let text = reply.text();
+            assert!(text.starts_with("{\"ok\":true"), "{engine}: {text}");
+            assert!(text.contains("\"timed_out\":true"), "{engine}: {text}");
+        }
+        let stats = server.handle_line("stats");
+        assert!(stats.text().contains("\"timeouts\":2"), "{}", stats.text());
+        assert!(stats.text().contains("\"errors\":0"), "{}", stats.text());
+    }
+
+    #[test]
+    fn failed_solves_count_as_errors_not_queries() {
+        let server = PlanServer::new(None).expect("server");
+        // 48 dies admit no power-of-two tuple: the solve finds no plan.
+        let reply = server.handle_line("solve gpt3_6_7b wafer=fig3");
+        assert!(
+            reply.text().starts_with("{\"ok\":false"),
+            "{}",
+            reply.text()
+        );
+        let stats = server.handle_line("stats");
+        assert!(
+            stats.text().contains("\"queries\":0,\"errors\":1"),
+            "{}",
+            stats.text()
+        );
+        assert_eq!(server.queries(), 0);
     }
 
     #[test]

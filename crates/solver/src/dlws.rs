@@ -231,77 +231,47 @@ impl Dlws {
         self.solve_with_engine(MappingEngine::Tcme, |_| true)
     }
 
-    /// Runs the full search under a wall-clock budget. A memoized plan
-    /// is returned at once, never timed out. Otherwise the solve carries
-    /// its own [`CancelToken`] with the deadline; the exact costing loops
-    /// poll it between candidates and skip the remainder once it fires,
-    /// so the solve returns the best plan among the candidates it
-    /// managed to cost — and when *nothing* was costed in time (or
-    /// everything costed was infeasible), a bounded serial fallback scan
-    /// ignores the expired deadline and produces a usable plan anyway.
-    /// The token belongs to this call alone: solves running beside it on
-    /// the shared context never see it. A plan solved under a deadline
-    /// is never memoized, whether or not the deadline fired.
+    /// Runs the full search with `engine`, under a wall-clock budget when
+    /// one is given. A memoized plan is returned at once, never timed
+    /// out. Otherwise a budget gives the solve its own [`CancelToken`]
+    /// with the deadline: once it fires and a feasible candidate is
+    /// committed, the best-first costing stream ends at its commit
+    /// frontier (see [`SearchContext::cost_candidates_chain`]), and the
+    /// solve returns the best plan among the candidates costed so far.
+    /// Until then it keeps costing in bound order. The token belongs to
+    /// this call alone: solves running beside it on the shared context
+    /// never see it. A plan solved under a budget is never memoized,
+    /// whether or not the deadline fired; an unbounded one is, as in
+    /// [`Dlws::solve_with_engine_pp`].
     ///
     /// Returns the plan and whether the deadline fired. A `true` flag
-    /// means the plan is best-effort: some candidates were never costed.
+    /// means the plan is best-effort: some candidates may never have
+    /// been costed.
     ///
     /// # Errors
     ///
     /// Returns [`SolverError::NoFeasiblePlan`] only when no candidate at
     /// all fits the wafer — the same condition under which the unbounded
-    /// [`Dlws::solve`] fails.
+    /// solve fails.
+    pub fn solve_within(
+        &self,
+        engine: MappingEngine,
+        budget: Option<std::time::Duration>,
+    ) -> Result<(ExecutionPlan, bool)> {
+        let key = PlanKey::new(&self.ctx, engine, 1, |_| true);
+        self.solve_key(key, budget)
+    }
+
+    /// [`Dlws::solve_within`] on the TCME engine with a budget.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dlws::solve_within`].
     pub fn solve_with_deadline(
         &self,
         budget: std::time::Duration,
     ) -> Result<(ExecutionPlan, bool)> {
-        let key = PlanKey::new(&self.ctx, MappingEngine::Tcme, 1, |_| true);
-        self.solve_key(key, Some(budget))
-    }
-
-    /// The deadline-fallback path: serially cost a small prefix of the
-    /// candidate space (widening to all of it only if the prefix is
-    /// entirely infeasible), then solve restricted to that winner. No
-    /// token is consulted — by construction this runs *after* the
-    /// deadline fired, and its job is to guarantee a usable plan; the
-    /// scan is bounded so the overshoot stays small. Every evaluation
-    /// lands in the shared cache, so the work is never wasted.
-    fn fallback_plan(&self) -> Result<ExecutionPlan> {
-        const FALLBACK_SCAN: usize = 8;
-        let engine = MappingEngine::Tcme;
-        let dense: Vec<HybridConfig> = self
-            .ctx
-            .candidates()
-            .iter()
-            .copied()
-            .filter(|c| c.ep == 1)
-            .collect();
-        let head = dense.len().min(FALLBACK_SCAN);
-        let mut winner: Option<HybridConfig> = None;
-        let mut best = f64::INFINITY;
-        for window in [&dense[..head], &dense[head..]] {
-            for cfg in window {
-                let (t, _) = self.ctx.cost_of(cfg, engine);
-                if t < best {
-                    best = t;
-                    winner = Some(*cfg);
-                }
-            }
-            if winner.is_some() {
-                break;
-            }
-        }
-        let winner = winner.ok_or_else(|| {
-            SolverError::NoFeasiblePlan(
-                "deadline fallback: no candidate fits even with full recomputation".into(),
-            )
-        })?;
-        // Re-enter the normal pipeline restricted to the winner (plus the
-        // expert-parallel tuples a MoE chain's own segment row needs) so
-        // the returned plan carries well-formed segments and chain cost.
-        // Past the memo: a fallback is never stored.
-        let key = PlanKey::new(&self.ctx, engine, 1, |c| *c == winner || c.ep > 1);
-        self.solve_candidates(engine, &key.candidates, None)
+        self.solve_within(MappingEngine::Tcme, Some(budget))
     }
 
     /// Full search restricted to an engine and a configuration filter —
@@ -345,9 +315,8 @@ impl Dlws {
 
     /// The plan of `key`: the memoized one, or a fresh solve, bounded by
     /// `budget` when one is given. An unbounded solve memoizes its plan;
-    /// a bounded one never does, and falls back to
-    /// [`Dlws::fallback_plan`] when its deadline left no feasible
-    /// candidate costed. Returns the plan and whether the deadline fired.
+    /// a bounded one never does. Returns the plan and whether the
+    /// deadline fired.
     fn solve_key(
         &self,
         key: PlanKey,
@@ -363,13 +332,8 @@ impl Dlws {
             return Ok((plan, false));
         };
         let token = CancelToken::with_deadline(budget);
-        let result = self.solve_candidates(key.engine, &key.candidates, Some(&token));
-        let timed_out = token.is_cancelled();
-        match result {
-            Ok(plan) => Ok((plan, timed_out)),
-            Err(_) if timed_out => self.fallback_plan().map(|plan| (plan, true)),
-            Err(e) => Err(e),
-        }
+        let plan = self.solve_candidates(key.engine, &key.candidates, Some(&token))?;
+        Ok((plan, token.is_cancelled()))
     }
 
     /// The dual-level search proper over an admitted candidate list,
@@ -655,12 +619,12 @@ mod tests {
     #[test]
     fn timed_out_solves_leave_the_plan_memo_empty() {
         let s = solver(ModelZoo::gpt3_6_7b());
-        let (fallback, timed_out) = s
+        let (best_effort, timed_out) = s
             .solve_with_deadline(std::time::Duration::ZERO)
-            .expect("deadline fallback must produce a plan");
+            .expect("a zero deadline must produce a plan");
         assert!(timed_out);
         assert_eq!(s.context().plan_memo_len(), 0, "best effort was memoized");
-        // The next unbounded solve runs the full search, not the fallback.
+        // The next unbounded solve runs the full search.
         let full = s.solve().unwrap();
         assert_eq!(s.search_stats().plan_hits, 0);
         // A fresh context re-folds HashMap-ordered sums, so the cost
@@ -668,7 +632,7 @@ mod tests {
         let cold = solver(ModelZoo::gpt3_6_7b()).solve().unwrap();
         assert_eq!(full.config, cold.config);
         assert!((full.chain_cost - cold.chain_cost).abs() <= 1e-9 * cold.chain_cost);
-        assert!(full.chain_cost <= fallback.chain_cost);
+        assert!(full.chain_cost <= best_effort.chain_cost);
         assert_eq!(s.context().plan_memo_len(), 1);
     }
 
@@ -700,7 +664,7 @@ mod tests {
                             break;
                         }
                         s.solve_with_deadline(std::time::Duration::ZERO)
-                            .expect("deadline fallback must produce a plan");
+                            .expect("a zero deadline must produce a plan");
                     }
                 });
                 barrier.wait();
@@ -774,20 +738,20 @@ mod tests {
     #[test]
     fn zero_deadline_still_returns_a_usable_plan_and_the_context_survives() {
         let s = solver(ModelZoo::gpt3_6_7b());
-        let (fallback, timed_out) = s
+        let (best_effort, timed_out) = s
             .solve_with_deadline(std::time::Duration::ZERO)
-            .expect("deadline fallback must produce a plan");
+            .expect("a zero deadline must produce a plan");
         assert!(timed_out, "a zero budget must report expiry");
-        assert!(fallback.report.fits_memory);
-        assert!(fallback.chain_cost.is_finite());
-        assert_eq!(fallback.segments.len(), 3);
+        assert!(best_effort.report.fits_memory);
+        assert!(best_effort.chain_cost.is_finite());
+        assert_eq!(best_effort.segments.len(), 3);
         // The same context (and its shared pool) keeps serving full solves.
         let full = s.solve().unwrap();
         assert!(
-            full.chain_cost <= fallback.chain_cost,
-            "unbounded search can only improve on the fallback: {} vs {}",
+            full.chain_cost <= best_effort.chain_cost,
+            "unbounded search can only improve on the best effort: {} vs {}",
             full.chain_cost,
-            fallback.chain_cost
+            best_effort.chain_cost
         );
     }
 
@@ -803,27 +767,74 @@ mod tests {
 
     #[test]
     fn never_firing_deadline_costs_exactly_like_the_undeadlined_solve() {
-        let bounded = solver(ModelZoo::gpt3_6_7b());
-        let (plan, timed_out) = bounded
-            .solve_with_deadline(std::time::Duration::from_secs(3600))
-            .unwrap();
-        assert!(!timed_out);
-        let free = solver(ModelZoo::gpt3_6_7b());
-        let want = free.solve().unwrap();
-        // The same exact evaluations as a fresh undeadlined solve...
-        assert_eq!(
-            bounded.search_stats().misses,
-            free.search_stats().misses,
-            "a live token changed what was costed"
-        );
-        // ...and the same plan: bit for bit against an undeadlined solve
-        // over the same cost table (nothing new is costed), and up to
-        // float association against the fresh context.
-        let misses = bounded.search_stats().misses;
-        assert_eq!(bounded.solve().unwrap(), plan);
-        assert_eq!(bounded.search_stats().misses, misses);
-        assert_eq!(plan.config, want.config);
-        assert!((plan.chain_cost - want.chain_cost).abs() <= 1e-9 * want.chain_cost);
+        for engine in [
+            MappingEngine::Tcme,
+            MappingEngine::SMap,
+            MappingEngine::GMap,
+        ] {
+            let bounded = solver(ModelZoo::gpt3_6_7b());
+            let (plan, timed_out) = bounded
+                .solve_within(engine, Some(std::time::Duration::from_secs(3600)))
+                .unwrap();
+            assert!(!timed_out, "{engine}");
+            let free = solver(ModelZoo::gpt3_6_7b());
+            let want = free.solve_with_engine(engine, |_| true).unwrap();
+            // The same exact evaluations as a fresh undeadlined solve...
+            assert_eq!(
+                bounded.search_stats().misses,
+                free.search_stats().misses,
+                "{engine}: a live token changed what was costed"
+            );
+            // ...and the same plan: bit for bit against an undeadlined
+            // solve over the same cost table (nothing new is costed), and
+            // up to float association against the fresh context.
+            let misses = bounded.search_stats().misses;
+            assert_eq!(bounded.solve_with_engine(engine, |_| true).unwrap(), plan);
+            assert_eq!(bounded.search_stats().misses, misses, "{engine}");
+            assert_eq!(plan.config, want.config, "{engine}");
+            assert!(
+                (plan.chain_cost - want.chain_cost).abs() <= 1e-9 * want.chain_cost,
+                "{engine}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cold_zero_deadline_plans_every_engine_alike_serial_and_pooled() {
+        let shape = |plan: &ExecutionPlan| {
+            let configs: Vec<_> = plan.segments.iter().map(|a| a.config).collect();
+            (plan.config, configs)
+        };
+        for engine in [
+            MappingEngine::Tcme,
+            MappingEngine::SMap,
+            MappingEngine::GMap,
+        ] {
+            let run = |parallel: bool| {
+                let s = solver(ModelZoo::gpt3_6_7b());
+                s.context().set_parallel(parallel);
+                let (plan, timed_out) = s
+                    .solve_within(engine, Some(std::time::Duration::ZERO))
+                    .expect("a zero deadline must produce a plan");
+                assert!(timed_out, "{engine}");
+                assert!(plan.report.fits_memory, "{engine}");
+                assert!(plan.chain_cost.is_finite(), "{engine}");
+                assert_eq!(plan.engine, engine);
+                assert_eq!(s.context().plan_memo_len(), 0, "{engine}: memoized");
+                (plan, s.search_stats())
+            };
+            let (serial, serial_stats) = run(false);
+            let (pooled, pooled_stats) = run(true);
+            assert_eq!(shape(&serial), shape(&pooled), "{engine}");
+            assert!(
+                (serial.chain_cost - pooled.chain_cost).abs() <= 1e-9 * serial.chain_cost,
+                "{engine}"
+            );
+            assert_eq!(serial_stats.misses, pooled_stats.misses, "{engine}");
+            // Positions the deadline cut are not dominated.
+            assert_eq!(serial_stats.dominated_pruned, 0, "{engine}");
+            assert_eq!(pooled_stats.dominated_pruned, 0, "{engine}");
+        }
     }
 
     #[test]

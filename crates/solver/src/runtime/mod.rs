@@ -41,13 +41,11 @@ use deque::{Steal, WsDeque};
 
 /// Cooperative cancellation handle for bounded solves.
 ///
-/// A token is shared between the thread that owns a deadline and the map
-/// loops costing candidates on its behalf: the loops poll
-/// [`CancelToken::is_cancelled`] between items and skip the remaining
-/// work once it reports true. Cancellation is *cooperative* — an item
-/// already executing runs to completion — so the pool is never poisoned:
-/// every queued chunk still drains, skipped items just return the
-/// caller's fallback value instead of doing work.
+/// A token is shared between the thread that owns a deadline and the
+/// costing stream working on its behalf: the stream polls
+/// [`CancelToken::is_cancelled`] between positions and, once it reports
+/// true, stops as soon as it holds a feasible plan. Cancellation is *cooperative* — an item already
+/// executing runs to completion — so the pool is never poisoned.
 ///
 /// Tokens are cheap to clone (an `Arc` around an atomic) and may carry a
 /// deadline: once the deadline passes, `is_cancelled` latches the flag so
@@ -99,11 +97,6 @@ impl CancelToken {
             }
             _ => false,
         }
-    }
-
-    /// The deadline, if this token carries one.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.deadline
     }
 }
 
@@ -667,13 +660,11 @@ mod tests {
     fn cancel_token_latches_manual_and_deadline_cancellation() {
         let token = CancelToken::new();
         assert!(!token.is_cancelled());
-        assert!(token.deadline().is_none());
         let clone = token.clone();
         clone.cancel();
         assert!(token.is_cancelled(), "clones share one flag");
 
         let expired = CancelToken::with_deadline(Duration::ZERO);
-        assert!(expired.deadline().is_some());
         assert!(expired.is_cancelled(), "zero budget expires immediately");
         assert!(expired.is_cancelled(), "expiry latches");
 

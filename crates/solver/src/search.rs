@@ -161,16 +161,6 @@ impl SearchStats {
         }
     }
 
-    /// Hit rate of the per-segment cost table.
-    pub fn segment_hit_rate(&self) -> f64 {
-        let total = self.seg_hits + self.seg_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.seg_hits as f64 / total as f64
-        }
-    }
-
     /// Total candidates skipped without exact evaluation (prefilter +
     /// incumbent dominance).
     pub fn pruned_candidates(&self) -> u64 {
@@ -503,6 +493,8 @@ impl SearchContext {
     /// (default: enabled). Exhaustive reference runs (tests, benchmark
     /// baselines) disable it; plans are bit-identical either way — the
     /// flag only changes how many candidates pay the exact cost model.
+    /// Deadlines bound pruned solves only: with pruning off, a
+    /// deadline'd solve costs the whole space like an undeadlined one.
     pub fn set_pruning(&self, on: bool) {
         if self.pruning.swap(on, Ordering::Relaxed) != on {
             self.replace_plans(Vec::new());
@@ -1140,22 +1132,17 @@ impl SearchContext {
     /// candidate), through one [`WaferCostModel::eval_hoist`] per rung —
     /// bit-identical to `cost_of`. A repeated configuration is
     /// costed once and served from the cache after, exactly as sequential
-    /// costing counts it. Each task polls `token` (the deadline of a
-    /// deadline-bounded solve; `None` costs everything) before it
-    /// evaluates: once the token fires, the candidates not yet costed
-    /// come back `(INFINITY, None)` **without** being written to the
-    /// cache or escalated — a skip is not a verdict, so later unbounded
-    /// solves re-cost them. Misses another solve is already costing are
+    /// costing counts it. Misses another solve is already costing are
     /// **coalesced**: the batch publishes its own reports first, then
     /// waits for the foreign flights and serves their stored reports.
+    /// The batch is exhaustive: it takes no deadline.
     pub fn cost_candidates(
         &self,
         candidates: &[HybridConfig],
         engine: MappingEngine,
-        token: Option<&CancelToken>,
     ) -> Vec<CandidateCost> {
         let started = std::time::Instant::now();
-        let ladder = Ladder::new(self, engine, token);
+        let ladder = Ladder::new(self, engine);
         let mut unique_of: HashMap<HybridConfig, usize> = HashMap::new();
         let mut uniques: Vec<HybridConfig> = Vec::new();
         let slots: Vec<usize> = candidates
@@ -1236,10 +1223,10 @@ impl SearchContext {
     /// [`WaferCostModel::chain_bounds`] block row to it, the exact value
     /// its exact block row; the minimum of the exact values is the chain
     /// DP's optimum. See [`SearchContext::cost_candidates_bounded`] for
-    /// the skip rules. [`SearchContext::set_pruning`]`(false)` costs the
-    /// whole batch instead — the exhaustive reference tests compare
-    /// against; plans are bit-identical either way. `token` bounds the
-    /// costing as in [`SearchContext::cost_candidates`].
+    /// the skip rules, `token`'s deadline among them.
+    /// [`SearchContext::set_pruning`]`(false)` costs the whole batch
+    /// instead, ignoring `token` — the exhaustive reference tests compare
+    /// against; plans are bit-identical either way.
     pub fn cost_candidates_chain(
         &self,
         candidates: &[HybridConfig],
@@ -1250,7 +1237,7 @@ impl SearchContext {
         let chain = self.cost.chain();
         let block_row = match chain.position(SegmentKind::Block) {
             Some(row) if self.pruning() => row,
-            _ => return self.cost_candidates(candidates, engine, token),
+            _ => return self.cost_candidates(candidates, engine),
         };
 
         let bound_started = std::time::Instant::now();
@@ -1305,7 +1292,8 @@ impl SearchContext {
     /// objective it minimizes (`None` when the exact path is guaranteed
     /// to report infinity) and `exact(i, cost)`, the objective value
     /// candidate `i` achieves given its exact costing (infinite when it
-    /// cannot be scored). Three admissible skip rules:
+    /// cannot be scored). Three admissible skip rules and one deadline
+    /// rule:
     ///
     /// 1. **Prefilter** — `None` bounds come back `(INFINITY, None)`
     ///    without touching the cost model (counted in `bound_pruned`).
@@ -1320,6 +1308,11 @@ impl SearchContext {
     ///    cannot win, and neither can any later one, whose bound is at
     ///    least as large: the stream ends there, and those candidates
     ///    come back `(INFINITY, None)` (counted in `dominated_pruned`).
+    /// 4. **Deadline** — once `token` has fired and the committed
+    ///    incumbent is finite, the stream ends at its commit frontier and
+    ///    the positions from it on come back `(INFINITY, None)`, counted
+    ///    nowhere. Until then the stream keeps costing in bound order, so
+    ///    a deadline'd solve fails only where an unbounded one fails.
     ///
     /// Workers cost a few candidates past the commit frontier
     /// speculatively, but verdicts commit strictly in stream order under
@@ -1328,8 +1321,7 @@ impl SearchContext {
     /// speculative verdict the rule discards is not cached and counts in
     /// [`SearchStats::discarded`]. Skipped candidates are **not** cached
     /// (a skip is not a verdict); a warm rerun prunes a superset of the
-    /// cold run's skips, so replays stay zero-miss. `token` bounds the
-    /// costing as in [`SearchContext::cost_candidates`].
+    /// cold run's skips, so replays stay zero-miss.
     pub(crate) fn cost_candidates_bounded(
         &self,
         candidates: &[HybridConfig],
@@ -1369,8 +1361,10 @@ impl SearchContext {
 
         if !uncached.is_empty() {
             let started = std::time::Instant::now();
-            let ladder = Ladder::new(self, engine, token);
-            let stream = BestFirst::new(ladder, candidates, lower, &exact, uncached, incumbent);
+            let ladder = Ladder::new(self, engine);
+            let stream = BestFirst::new(
+                ladder, candidates, lower, &exact, token, uncached, incumbent,
+            );
             for (i, cc) in stream.run() {
                 results[i] = Some(cc);
             }
@@ -1406,7 +1400,6 @@ struct Ladder<'t> {
     engine: MappingEngine,
     base: Rung,
     full: Rung,
-    token: Option<&'t CancelToken>,
 }
 
 /// A recompute mode's workload and its lazily derived hoist.
@@ -1426,15 +1419,14 @@ struct Verdict<'t> {
 // Lives inside a `Verdict`, which the stream boxes.
 #[allow(clippy::large_enum_variant)]
 enum Outcome {
-    /// The candidate's cost (`(INFINITY, None)` when nothing fits or
-    /// the cancellation token skipped it).
+    /// The candidate's cost (`(INFINITY, None)` when nothing fits).
     Costed(CandidateCost),
     /// Another solve is costing the key of this recompute mode.
     Follow(RecomputeMode, Arc<Flight>),
 }
 
 impl<'t> Ladder<'t> {
-    fn new(ctx: &'t SearchContext, engine: MappingEngine, token: Option<&'t CancelToken>) -> Self {
+    fn new(ctx: &'t SearchContext, engine: MappingEngine) -> Self {
         let workload = ctx.cost.workload();
         Ladder {
             ctx,
@@ -1444,7 +1436,6 @@ impl<'t> Ladder<'t> {
                 workload.clone().with_recompute(RecomputeMode::Full),
                 OnceLock::new(),
             ),
-            token,
         }
     }
 
@@ -1497,11 +1488,6 @@ impl<'t> Ladder<'t> {
                             cached
                         }
                         None => {
-                            // A skip is not a verdict: nothing published,
-                            // nothing escalated.
-                            if self.token.is_some_and(CancelToken::is_cancelled) {
-                                break;
-                            }
                             let (workload, hoist) = self.rung(mode);
                             let hoist = hoist.get_or_init(|| ctx.cost.eval_hoist(workload));
                             let report = ctx
@@ -1556,7 +1542,7 @@ impl<'t> Ladder<'t> {
         self.ctx.coalesced.fetch_add(1, Ordering::Relaxed);
         flight.wait(|| false);
         // The leader published before retiring its flight; one that died
-        // or skipped without publishing leaves the key to `evaluate`,
+        // or was discarded without publishing leaves the key to `evaluate`,
         // which re-claims and computes.
         self.ctx.cost_from(cfg, self.engine, mode)
     }
@@ -1571,6 +1557,8 @@ struct BestFirst<'t, E> {
     candidates: &'t [HybridConfig],
     lower: &'t [Option<f64>],
     exact: &'t E,
+    /// The solve's deadline, if it has one.
+    token: Option<&'t CancelToken>,
     /// Candidate indices in stream order.
     order: Vec<usize>,
     state: Mutex<StreamState<'t>>,
@@ -1586,12 +1574,15 @@ struct StreamState<'t> {
     committed: usize,
     /// Positions at or past `end` are dominated and never committed.
     end: usize,
+    /// The deadline rule ended the stream at `committed`.
+    cut: bool,
     /// The best objective value committed so far.
     incumbent: f64,
     /// Per position, a worker's verdict and the objective value it gives,
     /// awaiting its turn; `None` before the deposit and after the commit.
     slots: Vec<Option<(Box<Verdict<'t>>, f64)>>,
-    /// The committed costs, by position; `None` for dominated positions.
+    /// The committed costs, by position; `None` for dominated and cut
+    /// positions.
     costs: Vec<Option<CandidateCost>>,
     discarded: u64,
     /// The frontier's verdict waits on another solve's flight: workers
@@ -1619,6 +1610,7 @@ impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
         candidates: &'t [HybridConfig],
         lower: &'t [Option<f64>],
         exact: &'t E,
+        token: Option<&'t CancelToken>,
         mut order: Vec<usize>,
         incumbent: f64,
     ) -> Self {
@@ -1636,11 +1628,13 @@ impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
             candidates,
             lower,
             exact,
+            token,
             order,
             state: Mutex::new(StreamState {
                 next: 0,
                 committed: 0,
                 end: len,
+                cut: false,
                 incumbent,
                 slots: (0..len).map(|_| None).collect(),
                 costs: vec![None; len],
@@ -1653,8 +1647,9 @@ impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
     }
 
     /// Runs the stream to its end and returns every streamed candidate's
-    /// `(index, cost)` — `(INFINITY, None)` for the dominated ones —
-    /// counting the dominated and discarded positions into the context.
+    /// `(index, cost)` — `(INFINITY, None)` for the dominated and cut
+    /// ones — counting the dominated and discarded positions into the
+    /// context.
     fn run(self) -> Vec<(usize, CandidateCost)> {
         let ctx = self.ladder.ctx;
         let pool = crate::runtime::global();
@@ -1675,7 +1670,7 @@ impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
             }
         }
         let state = self.state.into_inner().expect("stream lock");
-        let dominated = state.costs.iter().filter(|cc| cc.is_none()).count();
+        let dominated = state.costs.len() - state.end;
         ctx.dominated_pruned
             .fetch_add(dominated as u64, Ordering::Relaxed);
         ctx.discarded.fetch_add(state.discarded, Ordering::Relaxed);
@@ -1723,13 +1718,32 @@ impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
         }
     }
 
+    /// Whether the deadline rule ends the stream: the token fired and
+    /// the committed incumbent is finite, so the solve has a plan.
+    fn expired(&self, state: &StreamState<'t>) -> bool {
+        state.incumbent.is_finite() && self.token.is_some_and(CancelToken::is_cancelled)
+    }
+
+    /// Ends the stream at the commit frontier under the deadline rule,
+    /// discarding the verdicts filed from it on.
+    fn cut(state: &mut StreamState<'t>) {
+        state.cut = true;
+        let frontier = state.committed;
+        state.discard(frontier..state.slots.len());
+    }
+
     /// The next position to cost, waiting while it lies more than
     /// [`STREAM_LOOKAHEAD`] past the frontier; `None` once the stream
     /// ends, pauses or aborts.
     fn pull(&self) -> Option<usize> {
         let mut state = self.lock();
         loop {
-            if state.paused || state.aborted || state.next >= state.end {
+            if state.paused || state.aborted || state.cut || state.next >= state.end {
+                return None;
+            }
+            if self.expired(&state) {
+                Self::cut(&mut state);
+                self.turn.notify_all();
                 return None;
             }
             if state.next <= state.committed + STREAM_LOOKAHEAD {
@@ -1752,7 +1766,7 @@ impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
     /// Files a worker's verdict and commits what it unblocks.
     fn deposit(&self, pos: usize, verdict: Verdict<'t>, value: f64) {
         let mut state = self.lock();
-        if pos >= state.end || state.aborted {
+        if pos >= state.end || state.aborted || state.cut {
             state.discarded += 1;
         } else {
             state.slots[pos] = Some((Box::new(verdict), value));
@@ -1765,7 +1779,11 @@ impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
     /// Commits ready verdicts from the frontier on, in stream order,
     /// under the sequential rule.
     fn advance(&self, state: &mut StreamState<'t>) {
-        while !state.paused && state.committed < state.end {
+        while !state.paused && !state.cut && state.committed < state.end {
+            if self.expired(state) {
+                Self::cut(state);
+                return;
+            }
             let pos = state.committed;
             let Some((verdict, value)) = state.slots[pos].take() else {
                 return;
@@ -1809,6 +1827,10 @@ impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
     fn resume(&self) -> bool {
         let mut state = self.lock();
         if state.aborted || !state.paused {
+            return false;
+        }
+        if self.expired(&state) {
+            Self::cut(&mut state);
             return false;
         }
         let pos = state.committed;
@@ -1934,8 +1956,8 @@ mod tests {
         serial.set_parallel(false);
         let parallel = context();
         let cands: Vec<HybridConfig> = serial.candidates().to_vec();
-        let a = serial.cost_candidates(&cands, MappingEngine::SMap, None);
-        let b = parallel.cost_candidates(&cands, MappingEngine::SMap, None);
+        let a = serial.cost_candidates(&cands, MappingEngine::SMap);
+        let b = parallel.cost_candidates(&cands, MappingEngine::SMap);
         // The cost model folds HashMap-ordered sums, so two evaluations
         // of the same key agree only up to float association: compare
         // with a relative tolerance, not bitwise.
@@ -1957,32 +1979,50 @@ mod tests {
 
     #[test]
     fn a_fired_token_skips_uncached_candidates_without_caching_or_escalating() {
+        let engine = MappingEngine::Tcme;
+        let cands: Vec<HybridConfig> = context().candidates().to_vec();
+        // One feasible verdict cached before the token fires gives the
+        // stream a finite incumbent, so the deadline rule ends it at once.
+        let cfg = HybridConfig::tuple(2, 2, 1, 8);
+        let warm = |ctx: &SearchContext| {
+            let cc = ctx.cost_of(&cfg, engine);
+            assert!(cc.0.is_finite());
+            cc
+        };
         let ctx = context();
-        let cands: Vec<HybridConfig> = ctx.candidates().iter().copied().take(12).collect();
-        // Cache one candidate's verdict before the token fires.
-        let cached = ctx.cost_candidates(&cands[..1], MappingEngine::Tcme, None);
+        let cached = warm(&ctx);
         let (misses, entries) = (ctx.stats().misses, ctx.eval_cache_len());
-        assert!(misses >= 1);
         let token = CancelToken::new();
         token.cancel();
-        let skipped = ctx.cost_candidates(&cands, MappingEngine::Tcme, Some(&token));
+        let skipped = ctx.cost_candidates_chain(&cands, &cands, engine, Some(&token));
         // The cached verdict is still served; every other candidate comes
         // back infinite without a cost-model run, a cache entry or a
-        // Full-recompute escalation.
-        assert_eq!(skipped[0], cached[0]);
-        assert!(skipped[1..].iter().all(|c| c == &(f64::INFINITY, None)));
+        // Full-recompute escalation, and counts as neither miss nor
+        // dominated.
+        let at = cands
+            .iter()
+            .position(|c| *c == cfg)
+            .expect("cfg enumerated");
+        assert_eq!(skipped[at], cached);
+        assert!(skipped
+            .iter()
+            .enumerate()
+            .all(|(i, c)| i == at || c == &(f64::INFINITY, None)));
         assert_eq!(ctx.stats().misses, misses);
         assert_eq!(ctx.eval_cache_len(), entries);
-        // Unbounded costing afterwards re-costs the skipped candidates
-        // exactly as a fresh context does.
-        let recosted = ctx.cost_candidates(&cands, MappingEngine::Tcme, None);
+        assert_eq!(ctx.stats().dominated_pruned, 0);
+        // An unbounded chain costing afterwards re-costs the skipped
+        // candidates exactly as a fresh context does.
+        let recosted = ctx.cost_candidates_chain(&cands, &cands, engine, None);
         let fresh = context();
-        let want = fresh.cost_candidates(&cands, MappingEngine::Tcme, None);
+        warm(&fresh);
+        let want = fresh.cost_candidates_chain(&cands, &cands, engine, None);
         assert_eq!(ctx.stats().misses, fresh.stats().misses);
+        assert_eq!(ctx.stats().dominated_pruned, fresh.stats().dominated_pruned);
         for (i, (a, b)) in recosted.iter().zip(&want).enumerate() {
             assert_eq!(a.0.is_finite(), b.0.is_finite(), "candidate {i}");
         }
-        assert!(recosted.iter().any(|c| c.0.is_finite()));
+        assert!(ctx.stats().misses > misses);
     }
 
     #[test]
@@ -2203,7 +2243,6 @@ mod tests {
         ctx.segment_cost(SegmentKind::Head, &cfg, RecomputeMode::Selective);
         let s = ctx.stats();
         assert_eq!((s.seg_hits, s.seg_misses), (1, 1));
-        assert!((s.segment_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

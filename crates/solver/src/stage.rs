@@ -342,9 +342,7 @@ impl<'a> StageSearch<'a> {
     /// the exhaustive batch.
     fn cost(&self) -> Vec<CandidateCost> {
         if !self.ctx.pruning() {
-            return self
-                .ctx
-                .cost_candidates(&self.candidates, self.engine, None);
+            return self.ctx.cost_candidates(&self.candidates, self.engine);
         }
         let lower = self.lower_bounds();
         self.ctx
@@ -927,7 +925,7 @@ mod tests {
                 })
                 .unwrap();
                 let lower = search.lower_bounds();
-                let costs = ctx.cost_candidates(&search.candidates, MappingEngine::Tcme, None);
+                let costs = ctx.cost_candidates(&search.candidates, MappingEngine::Tcme);
                 for (i, (lb, cc)) in lower.iter().zip(&costs).enumerate() {
                     let cfg = search.candidates[i];
                     let Some(lb) = lb else {
@@ -971,7 +969,7 @@ mod tests {
         // Uniform-multiplier reference: best pp=2 candidate + handoff.
         let ctx = s.context();
         let candidates = ctx.candidates_with_pp(2);
-        let costed = ctx.cost_candidates(&candidates, MappingEngine::Tcme, None);
+        let costed = ctx.cost_candidates(&candidates, MappingEngine::Tcme);
         let uniform_best = costed
             .iter()
             .map(|(t, _)| *t)

@@ -809,7 +809,7 @@ fn chain_bounds_are_admissible_on_a_sampled_grid() {
             .collect();
         assert!(sampled.len() > 20, "{name}: sample too small to mean much");
         let bounds = ctx.cost_model().chain_bounds(&sampled);
-        let costs = ctx.cost_candidates(&sampled, MappingEngine::Tcme, None);
+        let costs = ctx.cost_candidates(&sampled, MappingEngine::Tcme);
         for ((cfg, b), (t, report)) in sampled.iter().zip(&bounds).zip(&costs) {
             if !b.feasible {
                 assert!(
@@ -930,7 +930,7 @@ fn pool_costing_matches_sequential_evaluation_bitwise_zoo_wide() {
                 MappingEngine::SMap,
                 MappingEngine::GMap,
             ] {
-                let pooled = ctx.cost_candidates(&sampled, engine, None);
+                let pooled = ctx.cost_candidates(&sampled, engine);
                 for (cfg, (t, got)) in sampled.iter().zip(&pooled) {
                     let want = [base, RecomputeMode::Full].into_iter().find_map(|mode| {
                         let w = cost.workload().clone().with_recompute(mode);

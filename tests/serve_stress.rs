@@ -162,21 +162,30 @@ fn a_deadline_query_never_fails_an_undeadlined_query_beside_it() {
     let want = label(lone.handle_line("solve gpt3_6_7b engine=smap").text());
 
     // A failed solve is not memoized, so every round re-costs until one
-    // succeeds; the deadline client keeps querying while it runs.
+    // succeeds; the deadline clients keep querying while it runs. The
+    // SMap deadline client races the undeadlined solve for the same keys.
     let server = PlanServer::new(None).expect("cold server");
     for round in 0..20 {
-        let barrier = Barrier::new(2);
+        let barrier = Barrier::new(3);
         let done = AtomicBool::new(false);
         let reply = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                barrier.wait();
-                for _ in 0..100 {
-                    if done.load(Ordering::Relaxed) {
-                        break;
+            for line in [
+                "solve gpt3_6_7b deadline_ms=0",
+                "solve gpt3_6_7b engine=smap deadline_ms=0",
+            ] {
+                let (barrier, done, server) = (&barrier, &done, &server);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for _ in 0..100 {
+                        if done.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let reply = server.handle_line(line);
+                        let text = reply.text();
+                        assert!(text.starts_with("{\"ok\":true"), "{line}: {text}");
                     }
-                    server.handle_line("solve gpt3_6_7b deadline_ms=0");
-                }
-            });
+                });
+            }
             barrier.wait();
             let reply = server
                 .handle_line("solve gpt3_6_7b engine=smap")
