@@ -572,7 +572,6 @@ fn main() {
     let mut pruned_candidates = 0u64;
     let mut zoo_bound_s = 0.0f64;
     let mut zoo_exact_s = 0.0f64;
-    let (mut coll_hits, mut coll_misses) = (0u64, 0u64);
     for model in ModelZoo::table2() {
         let workload = Workload::for_model(&model);
         let ctx = pruned_pool.context(&model, &workload);
@@ -581,11 +580,7 @@ fn main() {
         let (_, b, e, _) = s.phase_seconds();
         zoo_bound_s += b;
         zoo_exact_s += e;
-        let (h, m) = ctx.cost_model().collective_memo_stats();
-        coll_hits += h;
-        coll_misses += m;
     }
-    let coll_hit_rate = coll_hits as f64 / (coll_hits + coll_misses).max(1) as f64;
     // Concurrency counters from the sharded caches: evaluations that
     // parked on another thread's in-flight cost run instead of
     // duplicating it, and lock shards found contended. Single-threaded
@@ -603,11 +598,7 @@ fn main() {
         "single-flight: {coalesced_evals} coalesced evals, {shard_waits} shard waits \
          over {unique_eval_keys} unique keys on the pruned pool"
     );
-    println!(
-        "pruned-leg phases: bound {zoo_bound_s:.4} s vs exact {zoo_exact_s:.4} s; \
-         collective kernel {coll_hits} hits / {coll_misses} misses ({:.1}% hit rate)",
-        100.0 * coll_hit_rate
-    );
+    println!("pruned-leg phases: bound {zoo_bound_s:.4} s vs exact {zoo_exact_s:.4} s");
     for m in &zoo_model_stats {
         println!(
             "  {}: solve {:.4} s, mean exact eval {:.0} ns",
@@ -615,7 +606,7 @@ fn main() {
         );
     }
     println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"bound_pruning\",\"exhaustive_s\":{exhaustive_zoo_s:.6},\"pruned_s\":{pruned_zoo_s:.6},\"prune_speedup\":{prune_speedup:.4},\"exhaustive_evals\":{exhaustive_evals},\"pruned_evals\":{pruned_evals},\"pruned_candidates\":{pruned_candidates},\"bound_s\":{zoo_bound_s:.6},\"coll_hit_rate\":{coll_hit_rate:.4},\"winners_match\":{pruned_winners_match}}}"
+        "{{\"bench\":\"search_time\",\"metric\":\"bound_pruning\",\"exhaustive_s\":{exhaustive_zoo_s:.6},\"pruned_s\":{pruned_zoo_s:.6},\"prune_speedup\":{prune_speedup:.4},\"exhaustive_evals\":{exhaustive_evals},\"pruned_evals\":{pruned_evals},\"pruned_candidates\":{pruned_candidates},\"bound_s\":{zoo_bound_s:.6},\"winners_match\":{pruned_winners_match}}}"
     );
 
     header("best-first streaming: serial vs pooled cold zoo solve");
@@ -751,7 +742,7 @@ fn main() {
                 "\"exhaustive_zoo_s\":{:.6},\"pruned_zoo_s\":{:.6},",
                 "\"prune_speedup\":{:.4},\"exhaustive_evals\":{},\"pruned_evals\":{},",
                 "\"pruned_candidates\":{},\"bound_time_s\":{:.6},",
-                "\"coll_hit_rate\":{:.4},\"pruned_winners_match\":{},",
+                "\"pruned_winners_match\":{},",
                 "\"campaign_s\":{:.6},\"campaign_lanes\":{},\"map_drafts\":{},",
                 "\"coalesced_evals\":{},\"shard_waits\":{},\"unique_eval_keys\":{},",
                 "\"serial_zoo_evals\":{},\"discarded\":{},\"streams_agree\":{},",
@@ -785,7 +776,6 @@ fn main() {
             pruned_evals,
             pruned_candidates,
             zoo_bound_s,
-            coll_hit_rate,
             pruned_winners_match,
             campaign_s,
             campaign_lanes,

@@ -1,7 +1,7 @@
 //! Allocation smoke for the warm-cache costing loop: once the candidate
 //! cache is populated, repeated exact costing must not touch the heap.
 //! Every hot-path structure is scalar-only ([`CostReport`] clones are
-//! flat copies, the collective kernel answers from a thread-local table,
+//! flat copies, collective times are computed in closed form,
 //! per-eval scratch lives in reusable arenas), so a single allocation
 //! here is a regression, not noise.
 //!

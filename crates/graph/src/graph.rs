@@ -122,11 +122,6 @@ impl ComputeGraph {
         &self.residual_edges
     }
 
-    /// Ids in topological order.
-    pub fn topo_order(&self) -> impl Iterator<Item = OpId> + '_ {
-        (0..self.ops.len()).map(OpId)
-    }
-
     /// Direct successors of an operator.
     pub fn successors(&self, id: OpId) -> Vec<OpId> {
         self.edges

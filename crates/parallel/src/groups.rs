@@ -15,7 +15,7 @@
 use serde::{Deserialize, Serialize};
 
 use temp_wsc::rings;
-use temp_wsc::topology::{Coord, DieId, Mesh};
+use temp_wsc::topology::{DieId, Mesh};
 
 use crate::strategy::{HybridConfig, ParallelKind};
 use crate::{ParallelError, Result};
@@ -283,11 +283,6 @@ fn factor_tile(g: usize, rem_w: usize, rem_h: usize) -> Option<(usize, usize)> {
         }
     }
     best
-}
-
-/// Convenience: coordinates of a die as `(x, y)` for tests/reports.
-pub fn die_xy(mesh: &Mesh, die: DieId) -> Coord {
-    mesh.coord(die).expect("die in mesh")
 }
 
 #[cfg(test)]

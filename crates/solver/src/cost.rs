@@ -153,65 +153,6 @@ pub struct CandidateBound {
     pub lb_block: f64,
 }
 
-/// One persisted entry of the memoized collective kernel: the raw
-/// analytic time of `(kind, participants, payload-bytes-as-bits)` under
-/// this wafer's D2D link parameters (no link-derating or contention
-/// factors folded in — those vary per evaluation and multiply on top).
-pub type CollectiveEntry = (CollectiveKind, u32, u64, f64);
-
-/// Memoized collective-time kernel shared by every timing path
-/// ([`WaferCostModel::evaluate_with`]'s op loop, the segment evaluator's
-/// ring collectives, the MoE all-to-all). The idealized ring formula is a
-/// pure function of `(kind, group size, bytes)` for a fixed D2D config,
-/// so repeated sub-terms across candidates, segments, stages and fault
-/// maps collapse into one table lookup. Values are *raw* — the link
-/// derating factor differs per fault map, so [`WaferCostModel::derated`]
-/// siblings share one table through the `Arc`.
-struct CollectiveMemo {
-    /// Process-unique table id, distinguishing memos in the thread-local
-    /// read-through cache. Drawn from a monotonic counter, never reused —
-    /// unlike an `Arc` address, which a later memo could alias.
-    id: u64,
-    /// Sharded so concurrent solvers fill the kernel without serializing
-    /// on one lock (the thread-local read-through already keeps the
-    /// ~93%-hit read path lock-free; sharding takes the write path too).
-    table: crate::shard::ShardedMap<(CollectiveKind, u32, u64), f64>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-impl Default for CollectiveMemo {
-    fn default() -> Self {
-        static NEXT_MEMO_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        CollectiveMemo {
-            id: NEXT_MEMO_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            table: crate::shard::ShardedMap::new(),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-}
-
-impl std::fmt::Debug for CollectiveMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CollectiveMemo").finish_non_exhaustive()
-    }
-}
-
-thread_local! {
-    /// Read-through cache in front of the shared collective memo: the
-    /// ~93%-hit read path stops taking the shared `RwLock` per collective.
-    /// Keyed by the owning memo's process-unique id, so one thread can
-    /// serve many solvers without cross-talk and a dropped memo's entries
-    /// can never be served to a later one.
-    static COLL_TLS: std::cell::RefCell<
-        std::collections::HashMap<(u64, CollectiveKind, u32, u64), f64>,
-    > = std::cell::RefCell::new(std::collections::HashMap::new());
-}
-
-/// Bound on thread-local collective entries; the cache resets past it.
-const COLL_TLS_CAP: usize = 1 << 16;
-
 /// The communication-relevant slice of one engine's mapping — all an
 /// evaluation reads from it. Layouts, flows and link loads stay in the
 /// mapping crate; the costing hot path needs only the op table (read from
@@ -249,12 +190,12 @@ type DraftWithFlows = (
 );
 
 /// Memoized communication mappings, shared across clones and degraded
-/// siblings like the collective memo. Mapping (layout, routing, traffic
-/// optimization and contention simulation) dominates a cold evaluation's
-/// wall time; the memo runs it in two levels. `drafts` keeps one
-/// engine-independent [`Draft`] per `(policy, layout, geometry)` — comm
-/// ops and scalars, no layouts or flows — and every engine's selection
-/// reads from it, so each layout is drafted once. `table` keeps each
+/// siblings. Mapping (layout, routing, traffic optimization and
+/// contention simulation) dominates a cold evaluation's wall time; the
+/// memo runs it in two levels. `drafts` keeps one engine-independent
+/// [`Draft`] per `(policy, layout, geometry)` — comm ops and scalars, no
+/// layouts or flows — and every engine's selection reads from it, so
+/// each layout is drafted once. `table` keeps each
 /// engine's selection per `(engine, layout, geometry)`. Failures are
 /// stored as their exact errors so a memoized miss reproduces the same
 /// [`SolverError::Internal`] a fresh mapping would. Both levels are
@@ -355,11 +296,8 @@ pub struct WaferCostModel {
     /// `detour / bisection` factor and the [`ContentionSim`]-measured
     /// rerouted-neighbor-ring inflation. Exactly `1.0` when healthy.
     link_factor: f64,
-    /// Memoized raw collective times, shared across clones and degraded
-    /// siblings (the raw values are link-factor-independent).
-    coll_memo: std::sync::Arc<CollectiveMemo>,
-    /// Memoized communication mappings, shared the same way (layouts and
-    /// routed flows are fault-independent).
+    /// Memoized communication mappings, shared across clones and degraded
+    /// siblings (layouts and routed flows are fault-independent).
     map_memo: std::sync::Arc<MappingMemo>,
 }
 
@@ -420,11 +358,8 @@ impl WaferCostModel {
             self.workload.clone(),
             faults,
         );
-        // Raw collective times depend only on the (shared) D2D link
-        // parameters, never on the fault state — the whole campaign can
-        // reuse one kernel table. Mappings likewise: faults derate timing
-        // factors, not layouts or routes.
-        sibling.coll_memo = self.coll_memo.clone();
+        // Mappings depend only on the layout, never on the fault state:
+        // faults derate timing factors, not layouts or routes.
         sibling.map_memo = self.map_memo.clone();
         sibling
     }
@@ -446,7 +381,6 @@ impl WaferCostModel {
             chain,
             fault,
             link_factor,
-            coll_memo: std::sync::Arc::new(CollectiveMemo::default()),
             map_memo: std::sync::Arc::new(MappingMemo::default()),
         }
     }
@@ -512,40 +446,10 @@ impl WaferCostModel {
         crate::persist::fnv1a(ident.as_bytes())
     }
 
-    /// Raw analytic collective time through the shared memo table, fronted
-    /// by a thread-local read-through cache (no shared lock on the common
-    /// re-read path). Serving a memoized value is bit-identical to
-    /// recomputing: the formula is a pure function of the key for this
-    /// wafer's D2D config, so the stored `f64` is the exact value a fresh
-    /// computation would produce. Thread-local serves still count as
-    /// shared-table hits — the value originated there.
+    /// Raw analytic collective time of `kind` over `n` dies moving `bytes`
+    /// under this wafer's D2D link parameters (no link derating).
     fn collective_raw_time(&self, kind: CollectiveKind, n: usize, bytes: f64) -> f64 {
-        use std::sync::atomic::Ordering;
-        let tls_key = (self.coll_memo.id, kind, n as u32, bytes.to_bits());
-        if let Some(t) = COLL_TLS.with(|c| c.borrow().get(&tls_key).copied()) {
-            self.coll_memo.hits.fetch_add(1, Ordering::Relaxed);
-            return t;
-        }
-        let key = (kind, n as u32, bytes.to_bits());
-        let t = match self.coll_memo.table.get(&key) {
-            Some(t) => {
-                self.coll_memo.hits.fetch_add(1, Ordering::Relaxed);
-                t
-            }
-            None => {
-                let t = Collective::analytic_time_for(kind, n, bytes, &self.wafer.d2d);
-                self.coll_memo.misses.fetch_add(1, Ordering::Relaxed);
-                self.coll_memo.table.insert_if_absent(key, t)
-            }
-        };
-        COLL_TLS.with(|c| {
-            let mut c = c.borrow_mut();
-            if c.len() > COLL_TLS_CAP {
-                c.clear();
-            }
-            c.insert(tls_key, t);
-        });
-        t
+        Collective::analytic_time_for(kind, n, bytes, &self.wafer.d2d)
     }
 
     /// The memoized communication mapping of `(engine, layout_cfg)` under
@@ -646,41 +550,17 @@ impl WaferCostModel {
         )
     }
 
-    /// Snapshot of the memoized collective kernel (unordered), for
-    /// persistence alongside the cost table.
-    pub fn collective_table_entries(&self) -> Vec<CollectiveEntry> {
-        self.coll_memo
-            .table
-            .snapshot()
-            .into_iter()
-            .map(|((kind, n, bits), t)| (kind, n, bits, t))
-            .collect()
-    }
-
-    /// Merges persisted kernel entries into the memo (a warm start).
-    /// Entries already present win — both sides computed the same pure
-    /// function, so the choice is cosmetic.
-    pub fn merge_collective_entries(&self, entries: &[CollectiveEntry]) {
-        for &(kind, n, bits, t) in entries {
-            self.coll_memo.table.insert_if_absent((kind, n, bits), t);
-        }
-    }
-
-    /// `(hits, misses)` of the collective kernel since the table was
-    /// created (shared across clones and degraded siblings).
+    /// Always `(0, 0)`: collective times are computed directly, with no
+    /// memo in front. Kept for callers that still read the counters.
     pub fn collective_memo_stats(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering;
-        (
-            self.coll_memo.hits.load(Ordering::Relaxed),
-            self.coll_memo.misses.load(Ordering::Relaxed),
-        )
+        (0, 0)
     }
 
-    /// Contended lock-shard acquisitions observed by this model's memo
-    /// tables (collective kernel + mapping memo) — feeds the
-    /// `shard_waits` statistic of [`crate::search::SearchStats`].
-    pub fn collective_shard_waits(&self) -> u64 {
-        self.coll_memo.table.waits() + self.map_memo.table.waits()
+    /// Contended lock-shard acquisitions observed by the mapping memo's
+    /// table — feeds the `shard_waits` statistic of
+    /// [`crate::search::SearchStats`].
+    pub fn mapping_shard_waits(&self) -> u64 {
+        self.map_memo.table.waits()
     }
 
     /// Batched admissible prefilter (structure-of-arrays pass over a
@@ -747,7 +627,7 @@ impl WaferCostModel {
                     return INFEASIBLE;
                 }
                 // Compute floor: recompute-free per-layer compute time.
-                let comp_floor = self.ops_compute_time(block.ops(), cfg, base);
+                let comp_floor = self.ops_compute_time(block.ops(), cfg, base, 1);
                 // Comm floor: the traffic table of `extract_comm_ops` on
                 // the EP-folded layout config, one term per (source,
                 // pattern) class — the exact path takes the max over
@@ -915,7 +795,7 @@ impl WaferCostModel {
         // The block graph is hoisted — only the per-candidate degrees enter
         // the compute law here.
         let comp_layer =
-            self.ops_compute_time(hoist.block.ops(), cfg, workload) * hoist.recompute_factor;
+            self.ops_compute_time(hoist.block.ops(), cfg, workload, 1) * hoist.recompute_factor;
 
         // ---- Communication ---------------------------------------------------
         // Layout normalization: the expert-parallel groups occupy the die
@@ -1080,28 +960,30 @@ impl WaferCostModel {
         })
     }
 
-    /// Per-die, per-micro-batch compute time of one Transformer layer under
-    /// a configuration, including TATP's round granularity effects.
+    /// Per-die, per-micro-batch compute time of an operator list under a
+    /// configuration, including TATP's round granularity effects — the
+    /// GEMM law shared by the block, the embedding/head segments and both
+    /// halves of a MoE block.
     ///
     /// HBM traffic is charged once per operand per layer: the input shard
     /// stays SRAM-resident across TATP rounds and the streamed weight
     /// sub-blocks arrive over D2D, so round count affects only GEMM
     /// *efficiency* (smaller per-round tiles under-fill the PE array) and
     /// per-round launch overhead — the Fig. 9 diminishing-returns tail.
-    pub fn layer_compute_time(&self, cfg: &HybridConfig, workload: &Workload) -> f64 {
-        let block = TransformerBuilder::new(&self.model, workload).block();
-        self.ops_compute_time(block.ops(), cfg, workload)
-    }
-
-    /// Per-die, per-micro-batch compute time of an arbitrary operator list
-    /// under a configuration — the generalized body of
-    /// [`WaferCostModel::layer_compute_time`], shared by the block and the
-    /// embedding/head segment evaluations.
-    pub fn ops_compute_time(
+    ///
+    /// `experts_local` is the number of experts each die stores (`1` for
+    /// dense ops). Total per-die FLOPs do not depend on it (the
+    /// all-to-all rebalances tokens), but the granularity does: each die
+    /// runs one GEMM per local expert over its share of the routed token
+    /// rows, so low `ep` splits the token budget into many thin GEMMs
+    /// that under-fill the PE array and multiply launch overhead, and the
+    /// HBM traffic covers every local expert's weights and token shard.
+    pub fn ops_compute_time<'a>(
         &self,
-        ops: &[Operator],
+        ops: impl IntoIterator<Item = &'a Operator>,
         cfg: &HybridConfig,
         workload: &Workload,
+        experts_local: u64,
     ) -> f64 {
         // Expert parallelism folds into the data-parallel dimension for
         // all dense-path work (Megatron-style EP: the ep groups process
@@ -1121,29 +1003,32 @@ impl WaferCostModel {
             match op.kind.linear_dims() {
                 Some(dims) => {
                     // Per-die shares: DP/micro on batch, SP/CP + TATP on
-                    // rows, TP + TATP on columns.
+                    // rows (split across the local experts), TP + TATP
+                    // on columns.
                     let local = LinearDims {
                         b: shard(dims.b, batch_div),
-                        m: shard(dims.m, spcp * tatp),
+                        m: shard(dims.m, spcp * tatp * experts_local),
                         n: dims.n,
                         k: shard(dims.k, tp * tatp),
                     };
-                    // Local work: all `tatp` rounds together (each round is
-                    // one sub-output of the local rows x one weight block).
-                    let local_flops = 3.0 * local.flops() * tatp as f64;
+                    // Local work: all `tatp` rounds of every local expert
+                    // (each round is one sub-output of the local rows x
+                    // one weight block).
                     let per_round_flops = 3.0 * local.flops();
+                    let local_flops = per_round_flops * (tatp * experts_local) as f64;
                     let eff = self.compute.gemm_efficiency(per_round_flops).max(1e-3);
                     let compute_time = local_flops / (self.compute.peak_flops * eff);
-                    // HBM: input once, all weight blocks once, output once
-                    // (backward re-touches: x3).
+                    // HBM per local expert: input once, all weight blocks
+                    // once, output once (backward re-touches: x3).
                     let mem_bytes = 3.0
+                        * experts_local as f64
                         * (local.input_bytes(dtype)
                             + local.weight_bytes(dtype) * tatp as f64
                             + local.output_bytes(dtype) * tatp as f64);
                     let mem_time =
                         self.compute.hbm_latency + mem_bytes / self.compute.hbm_bandwidth;
-                    total +=
-                        compute_time.max(mem_time) + tatp as f64 * self.compute.launch_overhead;
+                    total += compute_time.max(mem_time)
+                        + (tatp * experts_local) as f64 * self.compute.launch_overhead;
                 }
                 None => {
                     let divisor = (batch_div * spcp * tatp * tp) as f64;
@@ -1222,15 +1107,16 @@ impl WaferCostModel {
             // routed tokens over the expert-parallel groups and streams
             // `E / ep` experts' weights per die.
             SegmentKind::MoeBlock => {
-                let (expert_ops, shared_ops): (Vec<&Operator>, Vec<&Operator>) = segment
-                    .ops
-                    .iter()
-                    .partition(|o| o.name.starts_with("expert-"));
-                let shared: Vec<Operator> = shared_ops.into_iter().cloned().collect();
-                self.ops_compute_time(&shared, cfg, workload)
-                    + self.expert_compute_time(&expert_ops, cfg, workload)
+                let experts_local = self
+                    .model
+                    .moe
+                    .map_or(1, |moe| moe.num_experts.div_ceil(cfg.ep.max(1) as u64));
+                let is_expert = |o: &&Operator| o.name.starts_with("expert-");
+                let ops = || segment.ops.iter();
+                self.ops_compute_time(ops().filter(|o| !is_expert(o)), cfg, workload, 1)
+                    + self.ops_compute_time(ops().filter(is_expert), cfg, workload, experts_local)
             }
-            _ => self.ops_compute_time(&segment.ops, cfg, workload),
+            _ => self.ops_compute_time(&segment.ops, cfg, workload, 1),
         } * recompute_factor;
         let (collective_time, stream_time) = self.segment_comm(segment, cfg, workload);
         let memory_bytes = self.segment_footprint(segment, cfg, workload);
@@ -1244,77 +1130,6 @@ impl WaferCostModel {
             memory_bytes,
             fits_memory,
         })
-    }
-
-    /// Per-die, per-micro-batch compute time of a MoE segment's expert
-    /// FFN operators. Mirrors the dense GEMM arithmetic of
-    /// [`WaferCostModel::ops_compute_time`] — total per-die FLOPs are
-    /// independent of `ep` (the all-to-all rebalances tokens) — but the
-    /// *granularity* is not:
-    ///
-    /// * each die runs one GEMM **per locally stored expert**
-    ///   (`E / ep` of them), so low `ep` splits the token budget into
-    ///   many thin GEMMs that under-fill the PE array and multiply launch
-    ///   overhead — the same fine-chunk effect as TATP's Fig. 9 tail;
-    /// * the HBM weight traffic covers all `E / ep` local experts — at
-    ///   `ep = 1` every die streams the *whole* expert set per
-    ///   micro-batch.
-    fn expert_compute_time(
-        &self,
-        expert_ops: &[&Operator],
-        cfg: &HybridConfig,
-        workload: &Workload,
-    ) -> f64 {
-        let Some(moe) = self.model.moe else {
-            return 0.0;
-        };
-        let ep = cfg.ep.max(1) as u64;
-        let (dp, tp, spcp, tatp) = (
-            cfg.dp as u64 * ep,
-            cfg.tp as u64,
-            (cfg.sp * cfg.cp) as u64,
-            cfg.tatp as u64,
-        );
-        let batch_div = dp * micro_share(workload);
-        let dtype = workload.compute_dtype;
-        let experts_local = moe.num_experts.div_ceil(ep);
-        let mut total = 0.0;
-        for op in expert_ops {
-            match op.kind.linear_dims() {
-                Some(dims) => {
-                    // Per-expert GEMM: the die's routed token rows split
-                    // across its local experts.
-                    let local = LinearDims {
-                        b: shard(dims.b, batch_div),
-                        m: shard(dims.m, spcp * tatp * experts_local),
-                        n: dims.n,
-                        k: shard(dims.k, tp * tatp),
-                    };
-                    let per_round_flops = 3.0 * local.flops();
-                    let local_flops = per_round_flops * (tatp * experts_local) as f64;
-                    let eff = self.compute.gemm_efficiency(per_round_flops).max(1e-3);
-                    let compute_time = local_flops / (self.compute.peak_flops * eff);
-                    // HBM: inputs/outputs for every local expert's token
-                    // shard, weights for every local expert.
-                    let mem_bytes = 3.0
-                        * experts_local as f64
-                        * (local.input_bytes(dtype)
-                            + local.weight_bytes(dtype) * tatp as f64
-                            + local.output_bytes(dtype) * tatp as f64);
-                    let mem_time =
-                        self.compute.hbm_latency + mem_bytes / self.compute.hbm_bandwidth;
-                    total += compute_time.max(mem_time)
-                        + (tatp * experts_local) as f64 * self.compute.launch_overhead;
-                }
-                None => {
-                    let divisor = (batch_div * spcp * tatp * tp) as f64;
-                    let scaled = scale_elementwise(&op.kind, divisor);
-                    let sub = temp_graph::op::Operator::new(op.name.clone(), scaled);
-                    total += self.compute.training_latency(&sub, 1.0);
-                }
-            }
-        }
-        total / self.compute_factor()
     }
 
     /// Analytic ring-collective time over a group of `n` dies (idealized
@@ -1349,7 +1164,7 @@ impl WaferCostModel {
         cfg: &HybridConfig,
         workload: &Workload,
     ) -> (f64, f64) {
-        use CollectiveKind::{AllGather, AllReduce, ReduceScatter};
+        use CollectiveKind::{AllGather, AllReduce, AllToAll, ReduceScatter};
         // Dense-path collectives see EP folded into DP (the ep groups are
         // batch shards for everything except the expert path).
         let ep = cfg.ep.max(1);
@@ -1425,7 +1240,7 @@ impl WaferCostModel {
                 // payload, and the collective finishes with it.
                 if ep > 1 {
                     let payload = act_local * moe.top_k as f64;
-                    coll += 4.0 * moe.capacity_factor * self.all_to_all_time(ep, payload);
+                    coll += 4.0 * moe.capacity_factor * self.ring_time(ep, AllToAll, payload);
                 }
                 // Gradient sync: attention grads replicate across the full
                 // dp x ep batch dimension like a dense block's; each
@@ -1456,17 +1271,6 @@ impl WaferCostModel {
             }
         }
         (coll, stream)
-    }
-
-    /// Analytic all-to-all time over the `ep` expert-parallel group
-    /// (contention-free, one-hop logical neighbors — the
-    /// [`CollectiveKind::AllToAll`] closed form, kept consistent with the
-    /// mesh-simulated collective by `temp-sim`'s contention check).
-    fn all_to_all_time(&self, ep: usize, bytes: f64) -> f64 {
-        if ep < 2 || bytes <= 0.0 {
-            return 0.0;
-        }
-        self.collective_raw_time(CollectiveKind::AllToAll, ep, bytes) * self.link_factor
     }
 
     /// One TATP stream round moving `chunk` bytes per direction — the

@@ -6,9 +6,9 @@
 //! written with `{:?}` (which round-trips `f64` exactly, including `inf`
 //! and `NaN`), one record per line. The cache-file format lives on top
 //! of these codecs in [`crate::search::SearchContext::export_cost_table`]:
-//! the evaluation cache, the segment table, the collective memo and the
-//! plan memo, so a restarted process answers its first query per key
-//! from a restored plan.
+//! the evaluation cache, the segment table and the plan memo, so a
+//! restarted process answers its first query per key from a restored
+//! plan.
 //!
 //! Cache files are keyed by an FNV-1a fingerprint of the full
 //! `(wafer, model, workload)` triple plus [`crate::cost::COST_MODEL_VERSION`],
@@ -30,7 +30,6 @@ use temp_graph::workload::{RecomputeMode, Workload};
 use temp_mapping::engines::MappingEngine;
 use temp_parallel::memory::FootprintBreakdown;
 use temp_parallel::strategy::HybridConfig;
-use temp_sim::collectives::CollectiveKind;
 use temp_sim::power::EnergyLedger;
 
 use crate::cost::{CostReport, SegmentCost};
@@ -90,29 +89,6 @@ pub(crate) fn kind_from_code(code: u8) -> Result<SegmentKind, String> {
         .ok_or_else(|| format!("unknown segment kind code {code}"))
 }
 
-pub(crate) fn collective_code(kind: CollectiveKind) -> u8 {
-    match kind {
-        CollectiveKind::AllGather => 0,
-        CollectiveKind::AllReduce => 1,
-        CollectiveKind::ReduceScatter => 2,
-        CollectiveKind::Broadcast => 3,
-        CollectiveKind::AllToAll => 4,
-        CollectiveKind::P2pShift => 5,
-    }
-}
-
-pub(crate) fn collective_from_code(code: u8) -> Result<CollectiveKind, String> {
-    match code {
-        0 => Ok(CollectiveKind::AllGather),
-        1 => Ok(CollectiveKind::AllReduce),
-        2 => Ok(CollectiveKind::ReduceScatter),
-        3 => Ok(CollectiveKind::Broadcast),
-        4 => Ok(CollectiveKind::AllToAll),
-        5 => Ok(CollectiveKind::P2pShift),
-        other => Err(format!("unknown collective kind code {other}")),
-    }
-}
-
 /// `dp fsdp01 tp sp cp tatp ep pp`.
 pub(crate) fn encode_cfg(c: &HybridConfig) -> String {
     format!(
@@ -152,10 +128,6 @@ impl<'a> Fields<'a> {
     }
 
     pub(crate) fn u8(&mut self) -> Result<u8, String> {
-        self.int()
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
         self.int()
     }
 
@@ -497,20 +469,9 @@ mod tests {
         for kind in SegmentKind::ALL {
             assert_eq!(kind_from_code(kind.code()).unwrap(), kind);
         }
-        for kind in [
-            CollectiveKind::AllGather,
-            CollectiveKind::AllReduce,
-            CollectiveKind::ReduceScatter,
-            CollectiveKind::Broadcast,
-            CollectiveKind::AllToAll,
-            CollectiveKind::P2pShift,
-        ] {
-            assert_eq!(collective_from_code(collective_code(kind)).unwrap(), kind);
-        }
         assert!(engine_from_code(9).is_err());
         assert!(mode_from_code(9).is_err());
         assert!(kind_from_code(9).is_err());
-        assert!(collective_from_code(9).is_err());
     }
 
     #[test]
@@ -567,11 +528,9 @@ mod tests {
 
     #[test]
     fn narrow_fields_reject_out_of_range_values() {
-        let mut f = Fields::new("255 256 4294967295 4294967296 -1");
+        let mut f = Fields::new("255 256 -1");
         assert_eq!(f.u8().unwrap(), 255);
         assert!(f.u8().is_err(), "256 must not wrap to 0");
-        assert_eq!(f.u32().unwrap(), u32::MAX);
-        assert!(f.u32().is_err(), "2^32 must not wrap to 0");
         assert!(f.u64().is_err(), "negative");
     }
 }

@@ -19,8 +19,8 @@
 //!   the caches the first sweep filled.
 //!
 //! Warmth also survives the process: [`ContextPool::save_to`] persists
-//! every context's cost table, segment table, collective memo and plan
-//! memo as one text file per context (named by the
+//! every context's cost table, segment table and plan memo as one text
+//! file per context (named by the
 //! [`crate::cost::WaferCostModel::fingerprint`] of its `(wafer, model,
 //! workload, cost-model version)`), and a pool pointed at that directory
 //! with [`ContextPool::load_from`] imports the matching file whenever a
@@ -72,10 +72,10 @@ impl ContextPool {
     }
 
     /// Persists every pooled context's warm state (cost table, segment
-    /// table, collective memo, plan memo) into `dir`, one text
-    /// file per context, named by fingerprint. Returns the number of
-    /// files written. Re-saving over an existing directory overwrites the
-    /// matching files and leaves foreign files alone.
+    /// table, plan memo) into `dir`, one text file per context, named by
+    /// fingerprint. Returns the number of files written. Re-saving over an
+    /// existing directory overwrites the matching files and leaves foreign
+    /// files alone.
     ///
     /// Each file is written **atomically**: the bytes go to a temporary
     /// sibling (`.cache-<fp>.txt.tmp-<pid>`) which is then renamed over
@@ -334,11 +334,20 @@ mod tests {
         };
         let bit_flipped = good.replacen('.', "x", 1).into_bytes();
         let version_skewed = good
-            .replacen("temp-cache v4", "temp-cache v9", 1)
+            .replacen("temp-cache v5", "temp-cache v9", 1)
             .into_bytes();
-        // The previous format: the header at v3, and no plans section.
-        let v3_body = tables.replacen("temp-cache v4", "temp-cache v3", 1);
-        // Three formats back: the header at v1, and segment records
+        // The previous format: the header at v4, and a collective-kernel
+        // section ahead of the plans.
+        let v4_format = good
+            .replacen("temp-cache v5", "temp-cache v4", 1)
+            .replacen("\nplans ", "\ncoll 0\nplans ", 1)
+            .into_bytes();
+        // Two formats back: the header at v3, and no plans section.
+        let v3_body = format!(
+            "{}coll 0\n",
+            tables.replacen("temp-cache v5", "temp-cache v3", 1)
+        );
+        // Four formats back: the header at v1, and segment records
         // stored once per engine (an engine code after the config).
         let v1_format = v3_body
             .replacen("temp-cache v3", "temp-cache v1", 1)
@@ -353,7 +362,7 @@ mod tests {
             })
             .collect::<String>()
             .into_bytes();
-        // Two formats back: the header at v2, with the winner-rank and
+        // Three formats back: the header at v2, with the winner-rank and
         // gate-predictor sections ahead of the collective section.
         let v2_format = v3_body
             .replacen("temp-cache v3", "temp-cache v2", 1)
@@ -426,13 +435,14 @@ mod tests {
                 .into_bytes()
         };
         let unreadable = vec![0xff, 0xfe, 0x80, 0x00, b'\n'];
-        let cases: [(&str, Vec<u8>); 15] = [
+        let cases: [(&str, Vec<u8>); 16] = [
             ("truncated", truncated),
             ("bit-flipped", bit_flipped),
             ("version-skewed", version_skewed),
             ("v1 format", v1_format),
             ("v2 format", v2_format),
             ("v3 format", v3_body.into_bytes()),
+            ("v4 format", v4_format),
             ("P mask with an extra word", extra_word),
             ("P mask bit past the enumeration", bit_past_end),
             ("truncated P record", torn_plan),

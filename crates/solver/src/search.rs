@@ -16,8 +16,8 @@
 //! * the **parallel costing** path — cache misses for a batch of
 //!   candidates are filled on the persistent work-stealing runtime
 //!   ([`crate::par`] over [`crate::runtime`]);
-//! * **cross-process warmth** — the evaluation cache, segment table,
-//!   collective memo and plan memo round-trip through plain text
+//! * **cross-process warmth** — the evaluation cache, segment table and
+//!   plan memo round-trip through plain text
 //!   ([`SearchContext::export_cost_table`] /
 //!   [`SearchContext::import_cost_table`]), fingerprint-keyed so imports
 //!   can never cross wafers, models, workloads or cost-model revisions;
@@ -43,7 +43,6 @@ use temp_wsc::fault::FaultMap;
 
 use crate::cost::{CostReport, EvalHoist, SegmentCost, WaferCostModel};
 use crate::dlws::{ExecutionPlan, PlanKey};
-use crate::dp::{DpError, StageCuts};
 use crate::par;
 use crate::runtime::CancelToken;
 use crate::shard::{Claim, Flight, FlightLease, FlightTable, ShardedMap, WordHashMap};
@@ -60,30 +59,6 @@ pub type EvalKey = (HybridConfig, MappingEngine, RecomputeMode);
 /// [`WaferCostModel::evaluate_segment_with`]), so one table serves every
 /// engine.
 pub type SegmentKey = (SegmentKind, HybridConfig, RecomputeMode);
-
-/// Memoization key of one stage-cut solve: the full argument tuple of
-/// [`crate::dp::balance_stage_cuts`] / [`crate::dp::balance_weighted_cuts`]
-/// — `(instances, wafers, floor-set)` plus the per-unit times, floats
-/// carried as bits. The solvers are pure, so equal keys give identical
-/// cuts (or the identical infeasibility verdict).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum StageCutKey {
-    Uniform {
-        blocks: u64,
-        stages: usize,
-        unit: u64,
-        first: u64,
-        last: u64,
-        mins: Vec<u64>,
-    },
-    Weighted {
-        weights: Vec<u64>,
-        stages: usize,
-        first: u64,
-        last: u64,
-        mins: Vec<u64>,
-    },
-}
 
 /// A costed candidate: its objective (step time; infinite when nothing
 /// fits memory) and, when feasible, the workload it was planned under
@@ -107,7 +82,7 @@ pub struct SearchStats {
     /// instead of recomputing. Each of these would have been a duplicate
     /// cost-model run before single-flight coalescing.
     pub coalesced: u64,
-    /// Lock-shard acquisitions (cost table, segment table, collective
+    /// Lock-shard acquisitions (cost table, segment table, mapping
     /// memo) that found their shard contended and had to block — the
     /// residual serialization left after sharding.
     pub shard_waits: u64,
@@ -226,8 +201,6 @@ pub struct ImportSummary {
     pub evals: usize,
     /// Per-segment cost-table entries imported.
     pub segs: usize,
-    /// Memoized collective-kernel entries imported.
-    pub colls: usize,
     /// Solved plans restored into the plan memo.
     pub plans: usize,
 }
@@ -258,10 +231,6 @@ pub struct SearchContext {
     /// Per-segment cost table — closed-form entries, memoized so repeated
     /// chain solves read their end-segment rows for free.
     seg_cache: ShardedMap<SegmentKey, Option<SegmentCost>>,
-    /// Memoized stage-cut solves — sweep re-solves (pipeline multipliers,
-    /// engines, campaign rate points) rediscover the same cut problems, so
-    /// the parametric bottleneck search runs once per distinct key.
-    stage_cuts: RwLock<HashMap<StageCutKey, Result<StageCuts, DpError>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Lookups answered by parking on another thread's in-flight
@@ -381,7 +350,6 @@ impl SearchContext {
             cache: ShardedMap::new(),
             flights: FlightTable::new(),
             seg_cache: ShardedMap::new(),
-            stage_cuts: RwLock::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -508,23 +476,20 @@ impl SearchContext {
 
     /// Serializes the full warm state of this context — the whole-chain
     /// evaluation cache (including memoized *failures*), the per-segment
-    /// cost table, the memoized collective kernel and the plan memo — as
-    /// plain text, keyed by [`WaferCostModel::fingerprint`]. A fresh
-    /// context importing this answers every memoized solve from its
-    /// restored plan, and re-solves other searches with near-zero exact
-    /// evaluations.
+    /// cost table and the plan memo — as plain text, keyed by
+    /// [`WaferCostModel::fingerprint`]. A fresh context importing this
+    /// answers every memoized solve from its restored plan, and re-solves
+    /// other searches with near-zero exact evaluations.
     ///
     /// Format (line-oriented, floats `{:?}`-rendered so they round-trip
     /// bit-exactly):
     ///
     /// ```text
-    /// temp-cache v4 <fingerprint as 16 hex digits>
+    /// temp-cache v5 <fingerprint as 16 hex digits>
     /// evals <n>
     /// E <dp> <fsdp> <tp> <sp> <cp> <tatp> <ep> <pp> <engine> <mode> <report | ->
     /// segs <n>
     /// S <kind> <dp> ... <pp> <mode> <segment-cost | ->
-    /// coll <n>
-    /// C <kind> <participants> <bytes-bits> <raw-time>
     /// plans <n> <enumeration hash as 16 hex digits>
     /// P <engine> <pp> <words> <mask word>... <winner cfg> <mode> <report>
     ///   <segments> (<kind> <count> <cfg> <step-time>)... <chain-cost>
@@ -544,7 +509,7 @@ impl SearchContext {
         use crate::persist;
         use std::fmt::Write as _;
 
-        let mut out = format!("temp-cache v4 {:016x}\n", self.cost.fingerprint());
+        let mut out = format!("temp-cache v5 {:016x}\n", self.cost.fingerprint());
 
         let mut evals: Vec<String> = self
             .cache
@@ -590,21 +555,6 @@ impl SearchContext {
         segs.sort_unstable();
         writeln!(out, "segs {}", segs.len()).expect("write to string");
         for line in segs {
-            out.push_str(&line);
-            out.push('\n');
-        }
-
-        let mut colls: Vec<String> = self
-            .cost
-            .collective_table_entries()
-            .into_iter()
-            .map(|(kind, n, bits, time)| {
-                format!("C {} {n} {bits} {time:?}", persist::collective_code(kind))
-            })
-            .collect();
-        colls.sort_unstable();
-        writeln!(out, "coll {}", colls.len()).expect("write to string");
-        for line in colls {
             out.push_str(&line);
             out.push('\n');
         }
@@ -661,8 +611,8 @@ impl SearchContext {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty cache text")?;
         let mut f = Fields::new(header);
-        if f.next()? != "temp-cache" || f.next()? != "v4" {
-            return Err(format!("not a temp-cache v4 header: {header:?}"));
+        if f.next()? != "temp-cache" || f.next()? != "v5" {
+            return Err(format!("not a temp-cache v5 header: {header:?}"));
         }
         let fp = u64::from_str_radix(f.next()?, 16).map_err(|e| format!("bad fingerprint: {e}"))?;
         f.finish()?;
@@ -731,23 +681,6 @@ impl SearchContext {
             segs.push(((kind, cfg, mode), cost));
         }
 
-        let n_colls = section(&mut lines, "coll")?;
-        let mut colls: Vec<crate::cost::CollectiveEntry> =
-            Vec::with_capacity(n_colls.min(line_count));
-        for _ in 0..n_colls {
-            let line = lines.next().ok_or("truncated coll section")?;
-            let mut f = Fields::new(line);
-            if f.next()? != "C" {
-                return Err(format!("expected C record, got {line:?}"));
-            }
-            let kind = persist::collective_from_code(f.u8()?)?;
-            let participants = f.u32()?;
-            let bits = f.u64()?;
-            let time = f.f64()?;
-            f.finish()?;
-            colls.push((kind, participants, bits, time));
-        }
-
         let plans_line = lines.next().ok_or("missing plans section")?;
         let mut f = Fields::new(plans_line);
         if f.next()? != "plans" {
@@ -788,7 +721,6 @@ impl SearchContext {
         let summary = ImportSummary {
             evals: evals.len(),
             segs: segs.len(),
-            colls: colls.len(),
             plans: plans.len(),
         };
         for (key, report) in evals {
@@ -797,7 +729,6 @@ impl SearchContext {
         for (key, cost) in segs {
             self.seg_cache.insert_if_absent(key, cost);
         }
-        self.cost.merge_collective_entries(&colls);
         // Imported verdicts can move what the incumbent sees, so the
         // memo is replaced by the file's plans, each a pure function of
         // the table it was saved with.
@@ -926,7 +857,7 @@ impl SearchContext {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             shard_waits: self.cache.waits()
                 + self.seg_cache.waits()
-                + self.cost.collective_shard_waits(),
+                + self.cost.mapping_shard_waits(),
             seg_hits: self.seg_hits.load(Ordering::Relaxed),
             seg_misses: self.seg_misses.load(Ordering::Relaxed),
             bound_pruned: self.bound_pruned.load(Ordering::Relaxed),
@@ -1051,77 +982,6 @@ impl SearchContext {
             }
         }
         (f64::INFINITY, None)
-    }
-
-    /// Memoized [`crate::dp::balance_stage_cuts`]. The parametric
-    /// bottleneck search is a pure function of its arguments, so its
-    /// verdict — cuts or infeasibility — is served from the context's
-    /// table on repeat keys (multi-wafer sweeps rediscover the same cut
-    /// problems across pipeline multipliers, engines and re-solves).
-    pub fn balanced_stage_cuts(
-        &self,
-        blocks: u64,
-        stages: usize,
-        unit: f64,
-        first_extra: f64,
-        last_extra: f64,
-        min_blocks: &[u64],
-    ) -> Result<StageCuts, DpError> {
-        let key = StageCutKey::Uniform {
-            blocks,
-            stages,
-            unit: unit.to_bits(),
-            first: first_extra.to_bits(),
-            last: last_extra.to_bits(),
-            mins: min_blocks.to_vec(),
-        };
-        if let Some(cached) = self.stage_cuts.read().expect("stage cuts lock").get(&key) {
-            return cached.clone();
-        }
-        let cuts = crate::dp::balance_stage_cuts(
-            blocks,
-            stages,
-            unit,
-            first_extra,
-            last_extra,
-            min_blocks,
-        );
-        self.stage_cuts
-            .write()
-            .expect("stage cuts lock")
-            .entry(key)
-            .or_insert(cuts)
-            .clone()
-    }
-
-    /// Memoized [`crate::dp::balance_weighted_cuts`] — see
-    /// [`SearchContext::balanced_stage_cuts`].
-    pub fn balanced_weighted_cuts(
-        &self,
-        weights: &[f64],
-        stages: usize,
-        first_extra: f64,
-        last_extra: f64,
-        min_items: &[u64],
-    ) -> Result<StageCuts, DpError> {
-        let key = StageCutKey::Weighted {
-            weights: weights.iter().map(|w| w.to_bits()).collect(),
-            stages,
-            first: first_extra.to_bits(),
-            last: last_extra.to_bits(),
-            mins: min_items.to_vec(),
-        };
-        if let Some(cached) = self.stage_cuts.read().expect("stage cuts lock").get(&key) {
-            return cached.clone();
-        }
-        let cuts =
-            crate::dp::balance_weighted_cuts(weights, stages, first_extra, last_extra, min_items);
-        self.stage_cuts
-            .write()
-            .expect("stage cuts lock")
-            .entry(key)
-            .or_insert(cuts)
-            .clone()
     }
 
     /// Costs a batch of candidates exactly, aligned with `candidates`.
@@ -2138,20 +1998,37 @@ mod tests {
         // Malformed input leaves the context untouched.
         let fresh = context();
         assert!(fresh.import_cost_table("").is_err());
-        assert!(fresh.import_cost_table("temp-cache v4 0\n").is_err());
-        // Older formats — v1 (per-engine segment table), v2 (winner-rank
-        // and gate-predictor sections) and v3 (no plans section) — are
-        // rejected whole.
-        for old in ["v1", "v2", "v3"] {
-            let stale = text.replacen("temp-cache v4", &format!("temp-cache {old}"), 1);
-            let err = fresh.import_cost_table(&stale).unwrap_err();
-            assert!(err.contains("v4 header"), "{err}");
-        }
-        // A v4 header over a body without the plans section is torn.
+        assert!(fresh.import_cost_table("temp-cache v5 0\n").is_err());
+        // The fingerprint embeds `COST_MODEL_VERSION`, so a cache written
+        // by any other cost-model revision dies at the header.
+        let header = text.lines().next().expect("header");
+        let skewed = text.replacen(header, "temp-cache v5 0000000000000000", 1);
+        let err = fresh.import_cost_table(&skewed).unwrap_err();
+        assert!(err.contains("fingerprint"), "{err}");
         let plans_line = text
             .lines()
             .find(|l| l.starts_with("plans "))
             .expect("plans section");
+        // A v4 file still carries the collective-kernel section before its
+        // plans; it is rejected whole at its header, and a v5 header over
+        // such a body fails at the section.
+        let v4_body = text.replacen("temp-cache v5", "temp-cache v4", 1).replacen(
+            plans_line,
+            &format!("coll 1\nC 0 2 0 0.0\n{plans_line}"),
+            1,
+        );
+        // Older formats — v1 (per-engine segment table), v2 (winner-rank
+        // and gate-predictor sections), v3 (no plans section) and v4
+        // (collective-kernel section) — are rejected whole.
+        for old in ["v1", "v2", "v3", "v4"] {
+            let stale = v4_body.replacen("temp-cache v4", &format!("temp-cache {old}"), 1);
+            let err = fresh.import_cost_table(&stale).unwrap_err();
+            assert!(err.contains("v5 header"), "{err}");
+        }
+        let relabeled = v4_body.replacen("temp-cache v4", "temp-cache v5", 1);
+        let err = fresh.import_cost_table(&relabeled).unwrap_err();
+        assert!(err.contains("expected plans section"), "{err}");
+        // A v5 header over a body without the plans section is torn.
         let sectionless = text.replacen(&format!("{plans_line}\n"), "", 1);
         let err = fresh.import_cost_table(&sectionless).unwrap_err();
         assert!(err.contains("missing plans section"), "{err}");
@@ -2166,61 +2043,6 @@ mod tests {
             fresh.export_cost_table().lines().nth(1),
             Some("evals 0"),
             "failed imports must not merge partial state"
-        );
-    }
-
-    #[test]
-    fn collective_table_round_trips_and_rejects_version_skew() {
-        let ctx = context();
-        let good = HybridConfig::tuple(2, 2, 1, 8);
-        ctx.evaluate(&good, MappingEngine::Tcme, RecomputeMode::Selective);
-        let mut entries = ctx.cost_model().collective_table_entries();
-        assert!(
-            !entries.is_empty(),
-            "an exact evaluation must fill the collective memo"
-        );
-
-        let text = ctx.export_cost_table();
-        assert!(
-            text.lines().any(|l| l.starts_with("coll ")),
-            "export must carry the collective section"
-        );
-
-        let fresh = context();
-        let summary = fresh.import_cost_table(&text).expect("import");
-        assert_eq!(summary.colls, entries.len());
-        let mut imported = fresh.cost_model().collective_table_entries();
-        let key =
-            |e: &crate::cost::CollectiveEntry| (crate::persist::collective_code(e.0), e.1, e.2);
-        entries.sort_by_key(key);
-        imported.sort_by_key(key);
-        assert_eq!(entries, imported, "timings must survive bit for bit");
-
-        // The warm table answers every collective the evaluation needs:
-        // re-evaluating the same candidate derives no new entries.
-        let (_, misses_before) = fresh.cost_model().collective_memo_stats();
-        let _ = fresh.cost_model().evaluate(&good, MappingEngine::Tcme);
-        let (hits, misses_after) = fresh.cost_model().collective_memo_stats();
-        assert_eq!(
-            misses_after, misses_before,
-            "warm kernel must not re-derive"
-        );
-        assert!(hits > 0);
-
-        // The fingerprint embeds `COST_MODEL_VERSION`, so a cache written
-        // by any other cost-model revision dies at the header.
-        let header = text.lines().next().unwrap().to_string();
-        let skewed = text.replacen(&header, "temp-cache v4 0000000000000000", 1);
-        let err = context().import_cost_table(&skewed).unwrap_err();
-        assert!(err.contains("fingerprint"), "{err}");
-
-        // A mangled collective record fails the parse and merges nothing.
-        let mangled = text.replacen("\nC ", "\nC x", 1);
-        let victim = context();
-        assert!(victim.import_cost_table(&mangled).is_err());
-        assert!(
-            victim.cost_model().collective_table_entries().is_empty(),
-            "failed imports must not merge partial collective state"
         );
     }
 

@@ -48,6 +48,7 @@ use temp_parallel::strategy::HybridConfig;
 use temp_wsc::multiwafer::MultiWaferSystem;
 
 use crate::dlws::{Dlws, ExecutionPlan, SegmentAssignment};
+use crate::dp;
 use crate::par;
 use crate::search::{finite_min, CandidateCost, SearchContext};
 use crate::{Result, SolverError};
@@ -456,7 +457,7 @@ impl<'a> StageSearch<'a> {
         // stretches onto their own wafers (a stage of expensive MoE
         // instances simply takes fewer of them).
         let cuts = if moe_blocks == 0 {
-            self.ctx.balanced_stage_cuts(
+            dp::balance_stage_cuts(
                 blocks,
                 wafer_count,
                 unit,
@@ -466,7 +467,7 @@ impl<'a> StageSearch<'a> {
             )
         } else {
             let weights = interior_weights(&self.interior, unit, unit_moe);
-            self.ctx.balanced_weighted_cuts(
+            dp::balance_weighted_cuts(
                 &weights,
                 wafer_count,
                 emb_step / micro,
