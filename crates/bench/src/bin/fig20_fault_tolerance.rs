@@ -64,7 +64,7 @@ fn main() {
     };
 
     // The whole figure — every (model x fault kind x rate x seed) — is
-    // one flat-batched grid on the work-stealing runtime: lanes are
+    // one flat-batched grid on the solver runtime: lanes are
     // (spec, seed) rate sweeps.
     let specs: Vec<CampaignSpec> = models
         .iter()

@@ -1,5 +1,5 @@
 //! §VIII-H: DLS search time vs the exact (ILP-style) baseline, plus the
-//! search-pipeline regression benchmark: serial vs work-stealing-pool
+//! search-pipeline regression benchmark: serial vs pooled
 //! candidate costing, the bound-pruned evaluation counts of a cold
 //! single-model solve, the multi-wafer sweep, the MoE chain and 16x16 and
 //! 32x32 wafers, the candidate-cache hit rate of the seven-system sweep,
@@ -380,9 +380,9 @@ fn main() {
         plan.config.label()
     );
 
-    header("search pipeline: serial vs work-stealing-pool costing");
+    header("search pipeline: serial vs pooled costing");
     let threads = available_workers();
-    // What the work-stealing runtime actually brought up — the figure CI
+    // What the solver runtime actually brought up — the figure CI
     // legs pin via TEMP_THREADS and the one every parallel claim is
     // conditioned on.
     let threads_effective = temp_solver::runtime::global().workers();
@@ -395,7 +395,7 @@ fn main() {
     let serial_s = t0.elapsed().as_secs_f64();
 
     // Pool path: what `cost_candidates` actually runs in production —
-    // the persistent work-stealing runtime behind `par_map`.
+    // the persistent solver runtime behind `par_map`.
     let pool_ctx = context();
     let t0 = Instant::now();
     let _ = pool_ctx.cost_candidates(&candidates, MappingEngine::Tcme);
@@ -654,7 +654,7 @@ fn main() {
 
     header("flat-batched fault campaigns: one (model x kind x rate x seed) grid");
     // A compact fig20-shaped campaign: every lane is one seed's full rate
-    // sweep, flat-batched on the work-stealing runtime.
+    // sweep, flat-batched on the solver runtime.
     use temp_solver::faultcamp::{run_campaigns, CampaignSpec, FaultKind};
     let campaign_specs = [
         CampaignSpec {

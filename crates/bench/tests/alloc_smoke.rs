@@ -14,8 +14,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use temp_graph::models::ModelZoo;
+use temp_graph::transformer::TransformerBuilder;
 use temp_graph::workload::Workload;
 use temp_mapping::engines::MappingEngine;
+use temp_parallel::strategy::HybridConfig;
 use temp_sim::network::{ContentionSim, Flow};
 use temp_solver::cost::WaferCostModel;
 use temp_solver::search::SearchContext;
@@ -148,5 +150,39 @@ fn contention_makespan_is_allocation_free() {
     assert_eq!(
         allocs, 0,
         "repeated makespan_of made {allocs} heap allocations (expected zero after warm-up)"
+    );
+}
+
+/// After one warm-up pass, pricing a Transformer block's operators with
+/// `ops_compute_time` — the compute term of every exact, segment and
+/// bound evaluation — performs zero heap allocations.
+#[test]
+fn block_compute_time_is_allocation_free() {
+    let model = ModelZoo::gpt3_6_7b();
+    let workload = Workload::for_model(&model);
+    let block = TransformerBuilder::new(&model, &workload).block();
+    let cm = WaferCostModel::new(WaferConfig::hpca(), model, workload.clone());
+    let configs = [
+        HybridConfig::tuple(4, 2, 2, 2),
+        HybridConfig::tuple(1, 1, 1, 32),
+    ];
+    let warm: Vec<f64> = configs
+        .iter()
+        .map(|cfg| cm.ops_compute_time(block.ops(), cfg, &workload, 1))
+        .collect();
+    assert!(warm.iter().all(|t| *t > 0.0));
+
+    start_counting();
+    let mut acc = 0.0f64;
+    for _ in 0..64 {
+        for cfg in &configs {
+            acc += cm.ops_compute_time(block.ops(), cfg, &workload, 1);
+        }
+    }
+    let allocs = stop_counting();
+    assert!(acc.is_finite());
+    assert_eq!(
+        allocs, 0,
+        "ops_compute_time made {allocs} heap allocations (expected zero after warm-up)"
     );
 }

@@ -5,7 +5,7 @@
 //! **mapping queries** — model + wafer config + objective — over a
 //! line-delimited text protocol (stdin or a TCP socket, see the
 //! `temp-serve` binary). Every solve multiplexes onto the shared
-//! [`temp_solver::runtime::global`] work-stealing pool; a per-query
+//! [`temp_solver::runtime::global`] solver pool; a per-query
 //! deadline, on any engine, travels with its own solve as a
 //! [`temp_solver::runtime::CancelToken`], so a slow query degrades to a
 //! best-effort plan instead of stalling the server (its costing stream

@@ -157,15 +157,24 @@ impl Collective {
     }
 
     /// Simulated latency on the real mesh: per-round contention makespans,
-    /// summed over rounds (rounds are barriers in ring algorithms). Routed
-    /// through the batch entry point: ring rounds repeat one flow shape,
-    /// so every round after the first is warm-started from the first
-    /// round's solved equilibrium instead of re-running progressive
-    /// filling (all-to-all rounds are distinct permutations and each
-    /// seeds its own shape).
+    /// summed over rounds (rounds are barriers in ring algorithms). Ring
+    /// rounds repeat one flow set, so a round equal to the one before it
+    /// reuses that round's makespan; [`ContentionSim::makespan_of`] is a
+    /// pure function of the flows, so the sum is bit-identical to solving
+    /// every round.
     pub fn simulate(&self, sim: &ContentionSim, mesh: &Mesh) -> f64 {
         let rounds = self.rounds(mesh);
-        sim.simulate_many(&rounds).iter().map(|r| r.makespan).sum()
+        let mut total = 0.0;
+        let mut previous: Option<(&[Flow], f64)> = None;
+        for round in &rounds {
+            let makespan = match previous {
+                Some((flows, makespan)) if flows == round.as_slice() => makespan,
+                _ => sim.makespan_of(round),
+            };
+            total += makespan;
+            previous = Some((round, makespan));
+        }
+        total
     }
 }
 
@@ -209,6 +218,24 @@ mod tests {
             Collective::new(CollectiveKind::P2pShift, g, 1.0).round_count(),
             1
         );
+    }
+
+    #[test]
+    fn simulate_is_the_bitwise_sum_of_cold_round_makespans() {
+        let (mesh, sim, _) = setup();
+        for kind in [CollectiveKind::AllReduce, CollectiveKind::AllToAll] {
+            let c = Collective::new(kind, strip_group(), 64.0 * MB);
+            let cold: f64 = c
+                .rounds(&mesh)
+                .iter()
+                .map(|round| sim.simulate(round).makespan)
+                .sum();
+            assert_eq!(
+                c.simulate(&sim, &mesh).to_bits(),
+                cold.to_bits(),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -21,24 +20,11 @@ use temp_wsc::topology::{DieId, LinkId, Mesh, RouteOrder};
 
 use crate::{Result, SimError};
 
-/// Process-wide warm-start hit counter (each proportional rescale
-/// replaced a full fluid solve).
-static WARM_HITS: AtomicU64 = AtomicU64::new(0);
-/// Process-wide warm-start miss counter (cold fluid solves performed on
-/// behalf of a warm-capable entry point).
-static WARM_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// `(hits, misses)` of the warm-start simulation entry points
-/// ([`ContentionSim::simulate_warm`], [`ContentionSim::simulate_many`])
-/// since process start. Callers that want a per-phase rate snapshot the
-/// pair before and after. Planning never warm-starts
-/// ([`ContentionSim::makespan_of`] always solves cold), so a planning
-/// phase reads no hits and no misses here.
+/// Always `(0, 0)`: the contention warm-start entry points these counted
+/// are deleted, and every simulation solves cold. Kept with its signature
+/// because the benchmark package (`perfbench/`) still reads it.
 pub fn contention_warm_stats() -> (u64, u64) {
-    (
-        WARM_HITS.load(Ordering::Relaxed),
-        WARM_MISSES.load(Ordering::Relaxed),
-    )
+    (0, 0)
 }
 
 /// A point-to-point transfer with an explicit route.
@@ -899,66 +885,6 @@ impl ContentionSim {
         now + hops_latency
     }
 
-    /// Order-sensitive signature of the flow set's *routes* plus this
-    /// simulator's link parameters — the shape key warm starts match on.
-    fn route_signature(&self, flows: &[Flow]) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv1a_extend(h, &self.link_bandwidth.to_bits().to_le_bytes());
-        h = fnv1a_extend(h, &self.hop_latency.to_bits().to_le_bytes());
-        h = fnv1a_extend(h, &(flows.len() as u64).to_le_bytes());
-        for f in flows {
-            h = fnv1a_extend(h, &(f.route.len() as u64).to_le_bytes());
-            for l in &f.route {
-                h = fnv1a_extend(h, &(l.index() as u64).to_le_bytes());
-            }
-        }
-        h
-    }
-
-    /// [`ContentionSim::simulate`] seeded from the previous equilibrium.
-    ///
-    /// The fluid phase of the max–min model is positively homogeneous in
-    /// the payload sizes: scaling every flow's bytes by `s` scales every
-    /// fluid completion time by `s` while the per-hop latency term stays
-    /// additive. So when `flows` has the *same shape* as the solve stored
-    /// in `warm` (identical routes, payloads proportional by one common
-    /// factor), the fixed point is recovered by rescaling the stored
-    /// equilibrium instead of re-running progressive filling. Any other
-    /// flow set falls back to a cold solve, which re-seeds `warm`.
-    ///
-    /// Rescaled fixed points match cold solves to ~1e-9 relative (the
-    /// fluid loop's absolute drain epsilon breaks exact homogeneity;
-    /// regression-tested against [`ContentionSim::simulate_reference`]).
-    /// Paths that must stay bit-identical to cold simulation use
-    /// [`ContentionSim::makespan_of`] instead.
-    pub fn simulate_warm(&self, flows: &[Flow], warm: &mut WarmStart) -> ContentionReport {
-        let sig = self.route_signature(flows);
-        if warm.valid && warm.routes_sig == sig && warm.bytes.len() == flows.len() {
-            if let Some(scale) = proportional_scale(&warm.bytes, flows) {
-                WARM_HITS.fetch_add(1, Ordering::Relaxed);
-                return warm.rescaled(self, scale);
-            }
-        }
-        WARM_MISSES.fetch_add(1, Ordering::Relaxed);
-        let report = self.simulate(flows);
-        warm.store(self, flows, sig, &report);
-        report
-    }
-
-    /// Batch entry point: simulates every flow set, chaining warm starts
-    /// per route shape — consecutive (or interleaved) sets sharing routes
-    /// reuse each other's equilibria, which is the common case for
-    /// per-layer collective rounds swept over payload scales.
-    pub fn simulate_many(&self, sets: &[Vec<Flow>]) -> Vec<ContentionReport> {
-        let mut warm: HashMap<u64, WarmStart> = HashMap::new();
-        sets.iter()
-            .map(|flows| {
-                let sig = self.route_signature(flows);
-                self.simulate_warm(flows, warm.entry(sig).or_default())
-            })
-            .collect()
-    }
-
     /// Makespan of a flow set, **bit-identical** to
     /// `simulate(flows).makespan`, run in place over any flow wrapper
     /// (the mapping engines pass their tagged flows without copying them)
@@ -990,107 +916,6 @@ fn max_loaded(link_bytes: &HashMap<LinkId, f64>) -> Option<(LinkId, f64)> {
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// The common payload scale factor between a stored solve and a new flow
-/// set, if one exists: `flows[i].bytes == s * prev[i]` for every `i` (to
-/// ~1e-12 relative — tighter than the 1e-9 warm-start contract).
-fn proportional_scale(prev: &[f64], flows: &[Flow]) -> Option<f64> {
-    let pivot = prev
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).expect("finite payloads"))
-        .map(|(i, _)| i)?;
-    if prev[pivot] == 0.0 {
-        return flows.iter().all(|f| f.bytes == 0.0).then_some(1.0);
-    }
-    let s = flows[pivot].bytes / prev[pivot];
-    if !(s.is_finite() && s > 0.0) {
-        return None;
-    }
-    for (p, f) in prev.iter().zip(flows) {
-        let scaled = p * s;
-        if (f.bytes - scaled).abs() > 1e-12 * f.bytes.abs().max(scaled.abs()) {
-            return None;
-        }
-    }
-    Some(s)
-}
-
-/// Stored fluid equilibrium of one solved flow set, reusable across
-/// payload rescales of the same route shape (see
-/// [`ContentionSim::simulate_warm`]).
-#[derive(Debug, Clone, Default)]
-pub struct WarmStart {
-    valid: bool,
-    routes_sig: u64,
-    /// Payload bytes of the stored solve, per flow.
-    bytes: Vec<f64>,
-    /// Fluid completion times (per-hop latency excluded), per flow.
-    fluid: Vec<f64>,
-    /// Hop counts, per flow.
-    hops: Vec<f64>,
-    /// Link loads of the stored solve.
-    link_bytes: Vec<(LinkId, f64)>,
-}
-
-impl WarmStart {
-    /// An empty warm start (first use falls back to a cold solve).
-    pub fn new() -> Self {
-        WarmStart::default()
-    }
-
-    /// Whether a previous equilibrium is stored.
-    pub fn is_seeded(&self) -> bool {
-        self.valid
-    }
-
-    fn rescaled(&self, sim: &ContentionSim, s: f64) -> ContentionReport {
-        let completion: Vec<f64> = self
-            .fluid
-            .iter()
-            .zip(&self.hops)
-            .map(|(f, h)| f * s + h * sim.hop_latency)
-            .collect();
-        let makespan = completion.iter().fold(0.0f64, |a, b| a.max(*b));
-        let link_bytes: HashMap<LinkId, f64> =
-            self.link_bytes.iter().map(|&(l, b)| (l, b * s)).collect();
-        let max_loaded_link = max_loaded(&link_bytes);
-        ContentionReport {
-            completion,
-            makespan,
-            link_bytes,
-            max_loaded_link,
-        }
-    }
-
-    fn store(&mut self, sim: &ContentionSim, flows: &[Flow], sig: u64, report: &ContentionReport) {
-        self.valid = true;
-        self.routes_sig = sig;
-        self.bytes.clear();
-        self.bytes.extend(flows.iter().map(|f| f.bytes));
-        self.hops.clear();
-        self.hops.extend(flows.iter().map(|f| f.hops() as f64));
-        self.fluid.clear();
-        self.fluid.extend(
-            report
-                .completion
-                .iter()
-                .zip(flows)
-                .map(|(c, f)| c - f.hops() as f64 * sim.hop_latency),
-        );
-        self.link_bytes.clear();
-        self.link_bytes
-            .extend(report.link_bytes.iter().map(|(&l, &b)| (l, b)));
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1269,64 +1094,6 @@ mod tests {
         flows
     }
 
-    #[test]
-    fn warm_start_rescale_matches_cold_and_reference() {
-        let (mesh, sim) = setup();
-        let mut warm = WarmStart::new();
-        // Cold seed.
-        let base = contended_mix(&mesh, 1.0);
-        let seeded = sim.simulate_warm(&base, &mut warm);
-        assert!(warm.is_seeded());
-        assert_eq!(seeded.completion, sim.simulate(&base).completion);
-        // Rescaled payloads over the same routes: warm fixed point must
-        // match both a cold dense solve and the reference solver to 1e-9.
-        for scale in [0.25, 3.0, 17.5] {
-            let scaled = contended_mix(&mesh, scale);
-            let hot = sim.simulate_warm(&scaled, &mut warm);
-            let cold = sim.simulate(&scaled);
-            let reference = sim.simulate_reference(&scaled);
-            for (w, c) in hot.completion.iter().zip(&cold.completion) {
-                assert!((w - c).abs() <= 1e-9 * c.abs().max(1e-12), "{w} vs {c}");
-            }
-            for (w, r) in hot.completion.iter().zip(&reference.completion) {
-                assert!((w - r).abs() <= 1e-9 * r.abs().max(1e-12), "{w} vs {r}");
-            }
-            assert!((hot.makespan - cold.makespan).abs() <= 1e-9 * cold.makespan);
-        }
-    }
-
-    #[test]
-    fn warm_start_rejects_non_proportional_payloads() {
-        let (mesh, sim) = setup();
-        let mut warm = WarmStart::new();
-        let base = contended_mix(&mesh, 1.0);
-        sim.simulate_warm(&base, &mut warm);
-        // Perturb one payload off-scale: must fall back to a cold solve
-        // (and re-seed), not serve a stale rescale.
-        let mut skewed = contended_mix(&mesh, 2.0);
-        skewed[3].bytes *= 1.5;
-        let hot = sim.simulate_warm(&skewed, &mut warm);
-        let cold = sim.simulate(&skewed);
-        assert_eq!(hot.completion, cold.completion);
-    }
-
-    #[test]
-    fn simulate_many_agrees_with_individual_solves() {
-        let (mesh, sim) = setup();
-        let sets: Vec<Vec<Flow>> = [1.0, 2.0, 0.5, 8.0]
-            .iter()
-            .map(|&s| contended_mix(&mesh, s))
-            .collect();
-        let batch = sim.simulate_many(&sets);
-        for (flows, report) in sets.iter().zip(&batch) {
-            let cold = sim.simulate(flows);
-            assert!((report.makespan - cold.makespan).abs() <= 1e-9 * cold.makespan);
-            for (b, c) in report.completion.iter().zip(&cold.completion) {
-                assert!((b - c).abs() <= 1e-9 * c.abs().max(1e-12), "{b} vs {c}");
-            }
-        }
-    }
-
     /// A flow wrapper like the mapping engines' tagged flows.
     struct Tagged {
         flow: Flow,
@@ -1369,11 +1136,6 @@ mod tests {
         );
         assert_ne!(other_makespan.to_bits(), fresh.to_bits());
         assert_eq!(sim.makespan_of(&tagged).to_bits(), fresh.to_bits());
-        // Planning solves are cold: they touch no warm-start counter.
-        let before = contention_warm_stats();
-        let _ = sim.makespan_of(&tagged);
-        let _ = sim.makespan_of::<Flow>(&[]);
-        assert_eq!(contention_warm_stats(), before);
     }
 
     /// Random flows over `mesh`: random endpoints, XY or YX routes, and

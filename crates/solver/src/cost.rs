@@ -1033,7 +1033,9 @@ impl WaferCostModel {
                 None => {
                     let divisor = (batch_div * spcp * tatp * tp) as f64;
                     let scaled = scale_elementwise(&op.kind, divisor);
-                    let sub = temp_graph::op::Operator::new(op.name.clone(), scaled);
+                    // The latency law reads only the kind; an empty name
+                    // keeps this per-op arm free of heap allocations.
+                    let sub = temp_graph::op::Operator::new(String::new(), scaled);
                     total += self.compute.training_latency(&sub, 1.0);
                 }
             }

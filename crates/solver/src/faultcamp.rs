@@ -144,7 +144,7 @@ pub fn run_campaign(
 static CAMPAIGN_LANES: crate::par::ParClass = crate::par::ParClass::new();
 
 /// Flat-batched fault campaigns: the full `(spec x seed)` grid is
-/// scheduled as one batch on the work-stealing runtime
+/// scheduled as one batch on the solver runtime
 /// ([`crate::runtime::global`]), so campaign wall time scales with the
 /// worker count instead of the grid size. Each lane re-solves every
 /// rate of its grid ([`Dlws::resolve_degraded`]), deriving each fault

@@ -18,8 +18,8 @@
 //!   evaluations memoized behind a thread-safe cache, cache misses costed
 //!   exactly and in parallel, with admissible bound pruning on chain
 //!   solves (the one way the solver prices candidates);
-//! * [`runtime`] — the persistent work-stealing thread pool (Chase–Lev
-//!   deques, chunked tasks, nested submission) every batch path runs on;
+//! * [`runtime`] — the persistent thread pool (one locked task queue,
+//!   chunked tasks, nested submission) every batch path runs on;
 //! * [`shard`] — sharded cache locks and single-flight coalescing, so
 //!   concurrent solvers neither serialize on one mutex nor duplicate an
 //!   in-flight evaluation;

@@ -1,16 +1,16 @@
-//! Data-parallel map facade over the work-stealing runtime.
+//! Data-parallel map facade over the solver runtime.
 //!
 //! The offline build environment has no rayon, so candidate costing uses
 //! this hand-rolled equivalent of `par_iter().map().collect()`:
 //! [`par_map`] dispatches onto the persistent [`crate::runtime`]
-//! work-stealing pool, with an **adaptive serial cutoff**. Each call site
+//! pool, with an **adaptive serial cutoff**. Each call site
 //! class keeps an EWMA of its observed per-item cost (`ParClass`); when
 //! `items × estimate` falls below the dispatch threshold the map runs
 //! inline, so tiny batches (a handful of DP transitions) never pay queue
 //! traffic, while real batches fan out in chunks of about 100 µs of work
 //! each — one item per task when an item costs more than that, as an
-//! exact candidate evaluation does, so idle workers steal single
-//! candidates.
+//! exact candidate evaluation does, so a free worker takes the next
+//! candidate.
 //!
 //! `TEMP_THREADS` (clamped to the machine's `available_parallelism`)
 //! controls the worker count and the size of the global pool.
@@ -47,7 +47,7 @@ fn clamp_override(raw: Option<&str>, hardware: usize) -> usize {
 const DISPATCH_THRESHOLD_NS: u64 = 300_000;
 
 /// Target per-chunk duration: long enough to amortize one task's queue
-/// traffic, short enough that a skewed batch still steals well.
+/// traffic, short enough that a skewed batch still spreads well.
 const TARGET_CHUNK_NS: u64 = 100_000;
 
 /// Per-call-site cost class: a lock-free EWMA of observed per-item nanos.
@@ -106,7 +106,7 @@ impl ParClass {
                     return None;
                 }
                 let chunk = (TARGET_CHUNK_NS / est).max(1) as usize;
-                // Keep at least ~2 chunks per worker for stealing slack.
+                // Keep at least ~2 chunks per worker for balancing slack.
                 Some(chunk.min(n.div_ceil(workers * 2)).max(1))
             }
             // Unknown cost: dispatch to learn, with conservative chunks.
@@ -119,7 +119,7 @@ impl ParClass {
 /// dominant batch shape in the solver.
 static COSTING_CLASS: ParClass = ParClass::new();
 
-/// Maps `f` over `items`, preserving order, on the global work-stealing
+/// Maps `f` over `items`, preserving order, on the global solver
 /// pool, with the default (candidate-costing) cost class. Falls back to a
 /// plain serial map when the batch is too small to be worth dispatching.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>

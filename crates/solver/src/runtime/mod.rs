@@ -1,43 +1,45 @@
-//! The persistent work-stealing solver runtime.
+//! The persistent solver runtime: one locked task queue.
 //!
 //! Candidate costing used to spawn fresh scoped threads on every
 //! `par_map` call; at real batch sizes the spawn/join overhead ate the
 //! parallelism (`BENCH_search.json` recorded `parallel_speedup ≈ 1.0`).
 //! This module replaces that with **one lazily-initialized pool of
-//! persistent workers**:
+//! persistent workers** around a single `Mutex<VecDeque>` and a single
+//! condvar:
 //!
-//! * each worker owns a Chase–Lev deque ([`deque`]) — LIFO for its own
-//!   tasks, stolen FIFO by idle peers, so skewed per-candidate costing
-//!   times load-balance without a central queue;
-//! * external threads submit through a shared injector and block on a
-//!   pool-wide condvar until their job completes (the waiting protocol
-//!   never touches job memory after the final task decrement, so the
-//!   job can live on the submitter's stack);
+//! * workers pop from the front of the queue and wait on the condvar
+//!   while it is empty;
+//! * external threads push their chunks to the back and wait on the same
+//!   condvar until their job completes. A job's last chunk notifies it
+//!   after its final access to job memory, so the job can live on the
+//!   submitter's stack;
 //! * **nested submission** is first-class: a task that itself calls
-//!   [`WorkPool::map`] pushes its chunks onto its own deque and *helps*
-//!   — popping local work and stealing from peers until its job drains —
-//!   so concurrent `ContextPool` solves share the pool without convoying
-//!   and without deadlock (workers never block on a job);
+//!   [`WorkPool::map`] pushes its chunks to the *front* and *helps* —
+//!   running queued tasks, its own newest chunks first, until its job
+//!   drains — so concurrent `ContextPool` solves share the pool without
+//!   convoying and without deadlock (workers never block on a job);
 //! * work is submitted in **chunks** sized by the caller so fine-grained
 //!   items amortize dispatch, while expensive items (candidate costing)
-//!   keep chunk = 1 for maximal stealing.
+//!   keep chunk = 1 so any free worker can take the next one.
+//!
+//! One queue is enough: the solver's parallel work is a handful of
+//! long tasks per solve (one per best-first lane, see
+//! [`crate::search`]), nearly all submitted from outside the pool, so
+//! per-worker queues would have almost nothing to balance (README
+//! "Solver runtime" gives the measured task and steal counts).
 //!
 //! The global pool is sized once from [`crate::par::available_workers`]
 //! (which honors `TEMP_THREADS`) on first use. Explicit pools with any
 //! worker count can be built for tests and benchmarks; dropping one
-//! parks, joins and frees its workers.
-
-pub(crate) mod deque;
+//! wakes, joins and frees its workers.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use deque::{Steal, WsDeque};
 
 /// Cooperative cancellation handle for bounded solves.
 ///
@@ -109,7 +111,7 @@ pub struct TaskPanicked;
 
 impl std::fmt::Display for TaskPanicked {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "a work-stealing pool map task panicked")
+        write!(f, "a solver pool map task panicked")
     }
 }
 
@@ -122,11 +124,10 @@ struct Task {
     end: usize,
 }
 
-/// Raw task pointer that may cross threads (ownership is transferred
-/// through the queues: exactly one thread executes and frees each task).
-struct TaskPtr(*mut Task);
-// SAFETY: see above — queue ownership transfer, never aliased execution.
-unsafe impl Send for TaskPtr {}
+// SAFETY: a task is moved through the queue to exactly one executing
+// thread; the job it points at outlives it (the submitter waits for
+// `pending` to reach zero) and is `Sync` (see `MapJob`).
+unsafe impl Send for Task {}
 
 /// The type-erased, job-generic header every job embeds first (`repr(C)`
 /// in the concrete job type guarantees the cast back).
@@ -146,42 +147,40 @@ struct JobHeader {
 pub struct PoolStats {
     /// Tasks executed by any thread.
     pub executed: u64,
-    /// Tasks obtained by stealing from another worker's deque.
-    pub steals: u64,
 }
 
 struct PoolShared {
-    deques: Vec<WsDeque<Task>>,
-    injector: Mutex<VecDeque<TaskPtr>>,
-    /// Worker parking and job-completion signaling. The condvar lives in
-    /// the pool (not the job) so a completing executor never touches a
-    /// possibly-freed job to wake its submitter.
-    idle: Mutex<IdleState>,
+    queue: Mutex<VecDeque<Task>>,
+    /// Signals new tasks, job completions and shutdown, always with the
+    /// queue lock taken in between, so no check-then-wait misses one.
+    /// It lives in the pool (not the job) so a completing executor never
+    /// touches a possibly-freed job to wake its submitter.
     wake: Condvar,
     executed: AtomicU64,
-    steals: AtomicU64,
     shutdown: AtomicBool,
 }
 
-#[derive(Default)]
-struct IdleState {
-    /// Workers currently parked on the condvar.
-    sleepers: usize,
-    /// Bumped on every job completion; external submitters wait on it.
-    completions: u64,
+impl PoolShared {
+    fn lock(&self) -> MutexGuard<'_, VecDeque<Task>> {
+        self.queue.lock().expect("pool queue lock")
+    }
+
+    fn pop(&self) -> Option<Task> {
+        self.lock().pop_front()
+    }
 }
 
-/// A persistent work-stealing thread pool. See the module docs.
+/// A persistent thread pool over one shared task queue. See the module
+/// docs.
 pub struct WorkPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
 }
 
 thread_local! {
-    /// (pool identity, worker index) of the current thread, when it is a
-    /// pool worker — lets `map` detect nested submission and find the
-    /// worker's own deque.
-    static CURRENT_WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    /// Identity of the pool the current thread works for, when it is a
+    /// pool worker — lets `map` detect nested submission.
+    static CURRENT_POOL: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// The global pool, sized from [`crate::par::available_workers`] on first
@@ -196,22 +195,18 @@ impl WorkPool {
     /// one). Worker counts above the machine's core count are legal —
     /// correctness tests use them to force preemption-heavy schedules.
     pub fn with_workers(workers: usize) -> Self {
-        let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
-            deques: (0..workers).map(|_| WsDeque::new()).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            idle: Mutex::new(IdleState::default()),
+            queue: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
             executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
-        let handles = (0..workers)
+        let handles = (0..workers.max(1))
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("temp-worker-{index}"))
-                    .spawn(move || worker_loop(shared, index))
+                    .spawn(move || worker_loop(shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -223,14 +218,13 @@ impl WorkPool {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.shared.deques.len()
+        self.workers.len()
     }
 
     /// Execution counters so far.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             executed: self.shared.executed.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
         }
     }
 
@@ -256,7 +250,7 @@ impl WorkPool {
     {
         match self.try_map(items, f, chunk) {
             Ok(out) => out,
-            Err(TaskPanicked) => panic!("work-stealing pool: a map task panicked"),
+            Err(TaskPanicked) => panic!("solver pool: a map task panicked"),
         }
     }
 
@@ -287,7 +281,8 @@ impl WorkPool {
             return Ok(Vec::new());
         }
         let chunk = chunk.max(1);
-        if n <= chunk || self.workers() == 1 && !self.on_this_pool() {
+        let nested = self.on_this_pool();
+        if n <= chunk || self.workers() == 1 && !nested {
             // One chunk (or a 1-worker pool called externally, where
             // dispatch would serialize anyway with extra hops): run
             // inline, catching the unwind so the error contract holds on
@@ -309,45 +304,37 @@ impl WorkPool {
             out: out.as_mut_ptr(),
         };
         let header = &job.header as *const JobHeader;
-        let tasks = (0..chunks).map(|c| {
-            TaskPtr(Box::into_raw(Box::new(Task {
-                job: header,
-                start: c * chunk,
-                end: ((c + 1) * chunk).min(n),
-            })))
+        let tasks = (0..chunks).map(|c| Task {
+            job: header,
+            start: c * chunk,
+            end: ((c + 1) * chunk).min(n),
         });
 
-        match self.worker_index() {
-            Some(me) => {
-                // Nested submission: queue on our own deque (newest-first
-                // execution keeps the working set hot; peers steal the
-                // oldest chunks) and help until the job drains.
-                for t in tasks {
-                    self.shared.deques[me].push(t.0);
-                }
-                self.notify_all();
-                while job.header.pending.load(Ordering::Acquire) > 0 {
-                    match find_task(&self.shared, Some(me)) {
-                        Some(task) => execute(&self.shared, task),
-                        None => std::thread::yield_now(),
-                    }
+        let mut queue = self.shared.lock();
+        if nested {
+            // Nested submission: queue at the front (pushed in order, so
+            // the newest chunk runs first and the working set stays hot)
+            // and help until the job drains.
+            for task in tasks {
+                queue.push_front(task);
+            }
+            drop(queue);
+            self.shared.wake.notify_all();
+            while job.header.pending.load(Ordering::Acquire) > 0 {
+                match self.shared.pop() {
+                    Some(task) => execute(&self.shared, task),
+                    None => std::thread::yield_now(),
                 }
             }
-            None => {
-                // External submission: through the injector, then block
-                // on the pool-wide completion condvar. Executors bump
-                // `completions` under the idle lock, so the check-then-
-                // wait below cannot miss a wakeup.
-                {
-                    let mut inj = self.shared.injector.lock().expect("injector lock");
-                    inj.extend(tasks);
-                }
-                self.notify_all();
-                let mut idle = self.shared.idle.lock().expect("idle lock");
-                while job.header.pending.load(Ordering::Acquire) > 0 {
-                    idle = self.shared.wake.wait(idle).expect("idle lock");
-                }
-                drop(idle);
+        } else {
+            // External submission: queue at the back, then wait on the
+            // pool's condvar. The job's last chunk takes the queue lock
+            // before notifying, so the check-then-wait below cannot miss
+            // the wakeup.
+            queue.extend(tasks);
+            self.shared.wake.notify_all();
+            while job.header.pending.load(Ordering::Acquire) > 0 {
+                queue = self.shared.wake.wait(queue).expect("pool queue lock");
             }
         }
 
@@ -363,8 +350,8 @@ impl WorkPool {
     }
 
     /// Tries to execute one queued task on the calling thread and
-    /// returns whether it did. Safe from workers (own deque first) and
-    /// from external threads (injector, then stealing) alike.
+    /// returns whether it did. Safe from workers and from external
+    /// threads alike.
     ///
     /// This is the help-while-waiting hook for code that must park on an
     /// external condition (e.g. a single-flight follower waiting for the
@@ -373,7 +360,7 @@ impl WorkPool {
     /// fan-out the awaited computation submitted — the waiter drains one
     /// task per call and re-checks its condition in between.
     pub fn help_one(&self) -> bool {
-        match find_task(&self.shared, self.worker_index()) {
+        match self.shared.pop() {
             Some(task) => {
                 execute(&self.shared, task);
                 true
@@ -384,138 +371,53 @@ impl WorkPool {
 
     /// Whether the current thread is a worker of *this* pool.
     fn on_this_pool(&self) -> bool {
-        self.worker_index().is_some()
-    }
-
-    fn worker_index(&self) -> Option<usize> {
-        let id = Arc::as_ptr(&self.shared) as usize;
-        CURRENT_WORKER.with(|c| match c.get() {
-            Some((pool, index)) if pool == id => Some(index),
-            _ => None,
-        })
-    }
-
-    fn notify_all(&self) {
-        // Taking the lock orders the notification after any sleeper's
-        // queue re-scan, closing the lost-wakeup window.
-        let _guard = self.shared.idle.lock().expect("idle lock");
-        self.shared.wake.notify_all();
+        CURRENT_POOL.with(|c| c.get()) == Some(Arc::as_ptr(&self.shared) as usize)
     }
 }
 
 impl Drop for WorkPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _guard = self.shared.idle.lock().expect("idle lock");
-            self.shared.wake.notify_all();
-        }
+        drop(self.shared.lock());
+        self.shared.wake.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// One worker: pop own deque, else steal (injector first, then peers),
-/// else park until new work is submitted.
-fn worker_loop(shared: Arc<PoolShared>, index: usize) {
-    let id = Arc::as_ptr(&shared) as usize;
-    CURRENT_WORKER.with(|c| c.set(Some((id, index))));
+/// One worker: run queued tasks front first, and wait on the condvar
+/// while the queue is empty, until the pool shuts down.
+fn worker_loop(shared: Arc<PoolShared>) {
+    CURRENT_POOL.with(|c| c.set(Some(Arc::as_ptr(&shared) as usize)));
+    let mut queue = shared.lock();
     loop {
-        if let Some(task) = find_task(&shared, Some(index)) {
+        if let Some(task) = queue.pop_front() {
+            drop(queue);
             execute(&shared, task);
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
+            queue = shared.lock();
+        } else if shared.shutdown.load(Ordering::Acquire) {
             return;
-        }
-        // Park: announce sleepiness, re-scan once (a submitter that
-        // missed our announcement published its tasks before we got the
-        // lock — `notify_all` takes the same lock), then wait.
-        let mut idle = shared.idle.lock().expect("idle lock");
-        idle.sleepers += 1;
-        drop(idle);
-        if let Some(task) = find_task(&shared, Some(index)) {
-            let mut idle = shared.idle.lock().expect("idle lock");
-            idle.sleepers -= 1;
-            drop(idle);
-            execute(&shared, task);
-            continue;
-        }
-        let mut idle = shared.idle.lock().expect("idle lock");
-        // Re-check under the lock: a completion/submission may have
-        // signaled between the scan and re-acquiring the lock.
-        if !has_visible_work(&shared) && !shared.shutdown.load(Ordering::Acquire) {
-            idle = shared.wake.wait(idle).expect("idle lock");
-        }
-        idle.sleepers -= 1;
-        drop(idle);
-    }
-}
-
-/// Racy check whether any queue looks non-empty.
-fn has_visible_work(shared: &PoolShared) -> bool {
-    if !shared.injector.lock().expect("injector lock").is_empty() {
-        return true;
-    }
-    shared.deques.iter().any(|d| !d.is_empty())
-}
-
-/// Finds one task: own deque (LIFO), then the injector, then stealing
-/// from peers (FIFO). `me` is `None` for external helper threads.
-fn find_task(shared: &PoolShared, me: Option<usize>) -> Option<*mut Task> {
-    if let Some(me) = me {
-        if let Some(task) = shared.deques[me].take() {
-            return Some(task);
+        } else {
+            queue = shared.wake.wait(queue).expect("pool queue lock");
         }
     }
-    if let Some(TaskPtr(task)) = shared.injector.lock().expect("injector lock").pop_front() {
-        return Some(task);
-    }
-    // Steal sweep, starting after our own index so victims spread.
-    let n = shared.deques.len();
-    let start = me.map(|m| m + 1).unwrap_or(0);
-    let mut retry = true;
-    while retry {
-        retry = false;
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if Some(victim) == me {
-                continue;
-            }
-            match shared.deques[victim].steal() {
-                Steal::Success(task) => {
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(task);
-                }
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-    }
-    None
 }
 
 /// Executes one task and publishes its completion. The `pending`
 /// decrement is the executor's final access to job memory; the waiter
 /// wake-up goes through pool state only.
-fn execute(shared: &PoolShared, task: *mut Task) {
-    // SAFETY: `task` came out of a queue exactly once (deque/injector
-    // ownership transfer); the job outlives its tasks because the
-    // submitter blocks until `pending` reaches zero.
-    let task = unsafe { Box::from_raw(task) };
-    let header = task.job;
-    unsafe {
-        ((*header).run)(header, task.start, task.end);
-    }
+fn execute(shared: &PoolShared, task: Task) {
+    // SAFETY: the job outlives its tasks because the submitter waits
+    // until `pending` reaches zero, and `run` never unwinds.
+    unsafe { ((*task.job).run)(task.job, task.start, task.end) };
     shared.executed.fetch_add(1, Ordering::Relaxed);
     // SAFETY: last access to job memory (see above).
-    let remaining = unsafe { (*header).pending.fetch_sub(1, Ordering::AcqRel) };
+    let remaining = unsafe { (*task.job).pending.fetch_sub(1, Ordering::AcqRel) };
     if remaining == 1 {
-        // Job complete: wake external waiters through the pool.
-        let mut idle = shared.idle.lock().expect("idle lock");
-        idle.completions = idle.completions.wrapping_add(1);
-        drop(idle);
+        // Job complete: taking the queue lock orders this wakeup after a
+        // waiting submitter's `pending` check.
+        drop(shared.lock());
         shared.wake.notify_all();
     }
 }
@@ -672,6 +574,91 @@ mod tests {
         assert!(!generous.is_cancelled());
         generous.cancel();
         assert!(generous.is_cancelled(), "manual cancel beats the deadline");
+    }
+
+    /// Runs `body` on a fresh thread and fails the test if it has not
+    /// returned within a minute, so a scheduling deadlock fails instead
+    /// of hanging the suite.
+    fn within_a_minute(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(Duration::from_secs(60)) {
+            Ok(()) => runner.join().expect("test body panicked"),
+            Err(_) if runner.is_finished() => {
+                std::panic::resume_unwind(runner.join().expect_err("body did not finish"))
+            }
+            Err(_) => panic!("pool deadlocked"),
+        }
+    }
+
+    #[test]
+    fn a_nested_job_is_drained_by_its_own_submitter() {
+        within_a_minute(|| {
+            let pool = WorkPool::with_workers(2);
+            let inner_done = AtomicBool::new(false);
+            let inner: Vec<u64> = (0..64).collect();
+            let out = pool.map(
+                &[0u64, 1],
+                &|&outer| {
+                    if outer == 0 {
+                        // Task A occupies its worker without helping
+                        // until B's nested map has returned.
+                        while !inner_done.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                        0
+                    } else {
+                        // Task B: with A's worker spinning, B's worker
+                        // must run all 64 chunks of its own job.
+                        let sum = pool.map(&inner, &|&c| c * 2, 1).iter().sum::<u64>();
+                        inner_done.store(true, Ordering::Release);
+                        sum
+                    }
+                },
+                1,
+            );
+            assert_eq!(out, vec![0, (0..64).map(|c| c * 2).sum::<u64>()]);
+        });
+    }
+
+    #[test]
+    fn a_nested_panic_fails_only_the_outer_job() {
+        within_a_minute(|| {
+            let pool = WorkPool::with_workers(2);
+            let inner: Vec<u32> = (0..32).collect();
+            let result = pool.try_map(
+                &[0u32, 1, 2, 3],
+                &|&outer| {
+                    pool.try_map(
+                        &inner,
+                        &|&x| {
+                            assert!(x != 7, "boom");
+                            outer + x
+                        },
+                        1,
+                    )
+                    .expect("the inner job panicked")
+                    .len()
+                },
+                1,
+            );
+            assert_eq!(result, Err(TaskPanicked));
+            // Both workers survived: two tasks that wait for each other
+            // only finish if they run at the same time.
+            let meet = std::sync::Barrier::new(2);
+            let out = pool.try_map(
+                &[1u32, 2],
+                &|&x| {
+                    meet.wait();
+                    x * 10
+                },
+                1,
+            );
+            assert_eq!(out, Ok(vec![10, 20]));
+        });
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   wafer and runs the contention simulator), and baseline sweeps like
 //!   `Temp::compare_all()` cost heavily overlapping candidate spaces;
 //! * the **parallel costing** path — cache misses for a batch of
-//!   candidates are filled on the persistent work-stealing runtime
+//!   candidates are filled on the persistent solver runtime
 //!   ([`crate::par`] over [`crate::runtime`]);
 //! * **cross-process warmth** — the evaluation cache, segment table and
 //!   plan memo round-trip through plain text
@@ -987,8 +987,8 @@ impl SearchContext {
     /// Costs a batch of candidates exactly, aligned with `candidates`.
     /// Verdicts the cache holds are served inline; every other distinct
     /// configuration climbs the `[base, Full]` recompute ladder of
-    /// [`SearchContext::cost_of`] as one task on the work-stealing
-    /// runtime when parallel costing is on (idle workers steal the next
+    /// [`SearchContext::cost_of`] as one task on the solver runtime
+    /// when parallel costing is on (a free worker takes the next
     /// candidate), through one [`WaferCostModel::eval_hoist`] per rung —
     /// bit-identical to `cost_of`. A repeated configuration is
     /// costed once and served from the cache after, exactly as sequential

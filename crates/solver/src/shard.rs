@@ -40,7 +40,7 @@ use std::time::Duration;
 pub const SHARDS: usize = 16;
 
 /// How long a follower sleeps between help attempts when the runtime has
-/// nothing to steal. Short enough that a completed flight is observed
+/// no queued task. Short enough that a completed flight is observed
 /// promptly even if the wake-up notification raced the sleep.
 const FOLLOWER_NAP: Duration = Duration::from_micros(200);
 
@@ -260,7 +260,7 @@ impl Flight {
     /// useful work (e.g. [`crate::runtime::WorkPool::help_one`] on the
     /// shared runtime) and return whether it did. While the leader's own
     /// fan-out occupies the runtime, followers drain it instead of
-    /// convoying; once there is nothing to steal they nap briefly on the
+    /// convoying; once no task is queued they nap briefly on the
     /// flight's condvar.
     pub fn wait(&self, mut help: impl FnMut() -> bool) {
         loop {

@@ -1,4 +1,4 @@
-//! Integration tests for the work-stealing solver runtime and the
+//! Integration tests for the solver runtime and the
 //! persistent cache warm starts: pool results must be bit-identical to
 //! serial execution under stress (concurrent submitters, skewed task
 //! costs, nested submission), and a fresh process importing persisted
@@ -92,7 +92,7 @@ fn nested_submission_inside_tasks_matches_serial() {
         &outer,
         &|&r| {
             // A task that itself fans out on the same pool: the worker
-            // helps (pop-own / steal) instead of blocking, so this must
+            // helps (runs queued tasks) instead of blocking, so this must
             // complete and agree with serial even at depth.
             pool.map(&inner_items, &|&c| skewed_work(r, c), 5)
                 .into_iter()

@@ -1046,100 +1046,6 @@ fn evaluate_batch_matches_sequential_evaluation_degraded() {
     }
 }
 
-/// Warm-started contention fixed points match cold solves on 48 random
-/// meshes: after seeding from one equilibrium, a proportional payload
-/// rescale reproduces the cold per-flow completions and makespan to
-/// 1e-9 relative, and a non-proportional perturbation falls back to a
-/// bit-identical cold solve.
-#[test]
-fn warm_started_fixed_points_match_cold_solves_on_random_meshes() {
-    use temp_repro::sim::network::WarmStart;
-
-    let mut rng = StdRng::seed_from_u64(0x3A11);
-    for case in 0..48 {
-        let w = rng.gen_range(2u32..9);
-        let h = rng.gen_range(2u32..7);
-        let wafer = WaferConfig {
-            mesh_width: w,
-            mesh_height: h,
-            ..WaferConfig::hpca()
-        };
-        let mesh = wafer.mesh();
-        let sim = ContentionSim::new(&wafer);
-        let n = mesh.die_count() as u32;
-        let flows: Vec<Flow> = (0..rng.gen_range(3usize..12))
-            .map(|_| {
-                Flow::xy(
-                    &mesh,
-                    DieId(rng.gen_range(0u32..n)),
-                    DieId(rng.gen_range(0u32..n)),
-                    rng.gen_range(1.0e6..64.0e6),
-                )
-            })
-            .collect();
-
-        let mut warm = WarmStart::new();
-        let seeded = sim.simulate_warm(&flows, &mut warm);
-        assert_eq!(
-            seeded.makespan.to_bits(),
-            sim.simulate(&flows).makespan.to_bits(),
-            "case {case} ({w}x{h}): cold seed must be bit-identical"
-        );
-        assert!(warm.is_seeded());
-
-        let scale = rng.gen_range(0.2..6.0);
-        let scaled: Vec<Flow> = flows
-            .iter()
-            .map(|f| {
-                let mut f = f.clone();
-                f.bytes *= scale;
-                f
-            })
-            .collect();
-        let warm_report = sim.simulate_warm(&scaled, &mut warm);
-        let cold = sim.simulate(&scaled);
-        let reference = sim.simulate_reference(&scaled);
-        for (i, ((a, b), r)) in warm_report
-            .completion
-            .iter()
-            .zip(&cold.completion)
-            .zip(&reference.completion)
-            .enumerate()
-        {
-            let tol = 1e-9 * b.abs().max(1.0);
-            assert!(
-                (a - b).abs() <= tol,
-                "case {case} ({w}x{h}) flow {i}: warm {a} vs cold {b}"
-            );
-            assert!(
-                (a - r).abs() <= tol,
-                "case {case} ({w}x{h}) flow {i}: warm {a} vs reference {r}"
-            );
-        }
-        let tol = 1e-9 * cold.makespan.abs().max(1.0);
-        assert!(
-            (warm_report.makespan - cold.makespan).abs() <= tol,
-            "case {case} ({w}x{h}): warm makespan {} vs cold {}",
-            warm_report.makespan,
-            cold.makespan
-        );
-
-        // A non-proportional perturbation must not be served warm: the
-        // fallback is a cold solve, bit-identical by construction.
-        let mut perturbed = scaled.clone();
-        if let Some(f) = perturbed.first_mut() {
-            f.bytes *= 1.0 + 0.37;
-        }
-        let fallback = sim.simulate_warm(&perturbed, &mut warm);
-        let cold_perturbed = sim.simulate(&perturbed);
-        assert_eq!(
-            fallback.makespan.to_bits(),
-            cold_perturbed.makespan.to_bits(),
-            "case {case} ({w}x{h}): non-proportional fallback must be cold"
-        );
-    }
-}
-
 /// Fig. 5(b)-style contended flow sets: neighbor chains forced through
 /// shared links, row/column crossings, plus seeded random traffic. The
 /// dense water-filling must agree with the HashMap reference bit for bit
