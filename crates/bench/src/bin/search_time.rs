@@ -33,8 +33,8 @@ use temp_solver::cost::WaferCostModel;
 use temp_solver::dlws::Dlws;
 use temp_solver::dp::solve_chain;
 use temp_solver::ilp::solve_exact;
-use temp_solver::par::available_workers;
 use temp_solver::pool::ContextPool;
+use temp_solver::runtime::available_workers;
 use temp_solver::search::SearchContext;
 use temp_wsc::config::WaferConfig;
 
@@ -394,8 +394,10 @@ fn main() {
     let _ = serial_ctx.cost_candidates(&candidates, MappingEngine::Tcme);
     let serial_s = t0.elapsed().as_secs_f64();
 
-    // Pool path: what `cost_candidates` actually runs in production —
-    // the persistent solver runtime behind `par_map`.
+    // Pool path: the same exhaustive batch with its best-first lanes
+    // (at most three) on the solver runtime. Production solves run this
+    // stream too, through `cost_candidates_chain` with real bounds; the
+    // equal bounds here take pruning out of the timing.
     let pool_ctx = context();
     let t0 = Instant::now();
     let _ = pool_ctx.cost_candidates(&candidates, MappingEngine::Tcme);

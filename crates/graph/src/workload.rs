@@ -6,7 +6,7 @@
 //! * parameter states — weights + gradients + optimizer (16 B/param before
 //!   sharding);
 //! * activations — per-layer footprints following the Megatron-3
-//!   (Korthikanti et al. [52]) accounting, with optional
+//!   (Korthikanti et al. \[52\]) accounting, with optional
 //!   selective/full recomputation and FlashAttention (which removes the
 //!   `S x S` score materialization).
 

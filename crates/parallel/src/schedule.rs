@@ -1,6 +1,6 @@
 //! Lowering stream orchestrations onto physical dies.
 //!
-//! A [`StreamOrchestration`](crate::stream::StreamOrchestration) talks about
+//! A [`StreamOrchestration`] talks about
 //! *logical positions*; this module binds logical positions to physical dies
 //! (the group's member list, in logical order) and emits a simulator-ready
 //! [`RoundSchedule`]: one overlapped round per stream round, flows routed on

@@ -684,6 +684,30 @@ mod tests {
     }
 
     #[test]
+    fn with_pruning_off_a_zero_deadline_costs_the_whole_space() {
+        // The exhaustive path passes no token to the costing stream, so a
+        // fired deadline changes neither what is costed nor the plan.
+        let engine = MappingEngine::SMap;
+        let s = solver(ModelZoo::gpt3_6_7b());
+        s.context().set_pruning(false);
+        let (deadlined, _) = s
+            .solve_within(engine, Some(std::time::Duration::ZERO))
+            .unwrap();
+        let after_deadline = s.search_stats();
+        assert_eq!(after_deadline.pruned_candidates(), 0);
+        let reference = solver(ModelZoo::gpt3_6_7b());
+        reference.context().set_pruning(false);
+        let (_, timed_out) = reference.solve_within(engine, None).unwrap();
+        assert!(!timed_out);
+        assert_eq!(after_deadline.misses, reference.search_stats().misses);
+        // The undeadlined solve on the same context re-costs nothing and
+        // returns the same plan, built from the same cached reports.
+        let (full, _) = s.solve_within(engine, None).unwrap();
+        assert_eq!(s.search_stats().misses, after_deadline.misses);
+        assert_eq!(full, deadlined);
+    }
+
+    #[test]
     fn settings_changes_clear_the_plan_memo() {
         let s = solver(ModelZoo::gpt3_6_7b());
         let ctx = s.context();

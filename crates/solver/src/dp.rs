@@ -7,7 +7,7 @@
 //! strategies the blocks cannot, and vice versa); adjacent segments with
 //! different strategies pay a resharding (transition) cost. The DP finds
 //! the optimal assignment in `O(segments x candidates^2)` — the "recursive
-//! dynamic-programming routine [that] iteratively optimizes one operator
+//! dynamic-programming routine \[that\] iteratively optimizes one operator
 //! at a time" of Fig. 12(b).
 //!
 //! The solver's own chains price every boundary by one law — staying on

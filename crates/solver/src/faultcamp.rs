@@ -1,6 +1,6 @@
 //! Seeded fault-injection campaigns over the model zoo (§VIII-F, Fig. 20).
 //!
-//! Where [`temp_core::fault`] predicts degradation with closed-form
+//! Where `temp_core::fault` predicts degradation with closed-form
 //! detour/derating formulas, this harness answers the question the paper
 //! actually poses: *what does the planner itself do on a broken wafer?*
 //! For every `(fault rate, seed)` point it injects faults into the mesh,
@@ -138,11 +138,6 @@ pub fn run_campaign(
     .expect("one spec in, one curve out")
 }
 
-/// The campaign-lane cost class: each item is a whole rate sweep of
-/// re-solves, orders of magnitude heavier than a candidate costing item,
-/// so it keeps its own dispatch estimate.
-static CAMPAIGN_LANES: crate::par::ParClass = crate::par::ParClass::new();
-
 /// Flat-batched fault campaigns: the full `(spec x seed)` grid is
 /// scheduled as one batch on the solver runtime
 /// ([`crate::runtime::global`]), so campaign wall time scales with the
@@ -190,31 +185,30 @@ pub fn run_campaigns(
         .collect();
 
     // One lane = one (spec, seed): every rate of that seed's sweep.
-    let lane_scores: Vec<Vec<Option<f64>>> =
-        crate::par::par_map_class(&CAMPAIGN_LANES, &lanes, |&(i, s)| {
-            let spec = &specs[i];
-            let (solver, _) = solver_of(&spec.model.name);
-            spec.rates
-                .iter()
-                .map(|&rate| {
-                    let faults = spec.kind.inject(&mesh, rate, spec.kind.seed_base() + s);
-                    match solver.resolve_degraded(&faults) {
-                        Ok(plan) => {
-                            assert!(
-                                plan.report.fits_memory,
-                                "{} {:?} rate {rate} seed {s}: re-solved plan \
-                                 violates the derated memory verdict",
-                                spec.model.name, spec.kind
-                            );
-                            Some(plan.chain_cost)
-                        }
-                        // Disconnected fabric or nothing fits the derated
-                        // wafer: zero throughput, counted, not skipped.
-                        Err(_) => None,
+    let lane_scores: Vec<Vec<Option<f64>>> = crate::runtime::global().map(&lanes, &|&(i, s)| {
+        let spec = &specs[i];
+        let (solver, _) = solver_of(&spec.model.name);
+        spec.rates
+            .iter()
+            .map(|&rate| {
+                let faults = spec.kind.inject(&mesh, rate, spec.kind.seed_base() + s);
+                match solver.resolve_degraded(&faults) {
+                    Ok(plan) => {
+                        assert!(
+                            plan.report.fits_memory,
+                            "{} {:?} rate {rate} seed {s}: re-solved plan \
+                             violates the derated memory verdict",
+                            spec.model.name, spec.kind
+                        );
+                        Some(plan.chain_cost)
                     }
-                })
-                .collect()
-        });
+                    // Disconnected fabric or nothing fits the derated
+                    // wafer: zero throughput, counted, not skipped.
+                    Err(_) => None,
+                }
+            })
+            .collect()
+    });
 
     // Aggregate per spec in seed order, so the curve is deterministic
     // regardless of lane scheduling.

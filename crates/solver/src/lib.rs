@@ -19,12 +19,10 @@
 //!   exactly and in parallel, with admissible bound pruning on chain
 //!   solves (the one way the solver prices candidates);
 //! * [`runtime`] — the persistent thread pool (one locked task queue,
-//!   chunked tasks, nested submission) every batch path runs on;
+//!   one item per task, nested submission) every parallel path runs on;
 //! * [`shard`] — sharded cache locks and single-flight coalescing, so
 //!   concurrent solvers neither serialize on one mutex nor duplicate an
 //!   in-flight evaluation;
-//! * [`par`] — the data-parallel map facade over the runtime, with an
-//!   adaptive serial cutoff;
 //! * [`dlws`] — the end-to-end solver: enumerate → cost → chain DP → plan;
 //! * [`stage`] — stage-partitioned multi-wafer planning: pipeline stages
 //!   as contiguous segment-chain slices, with cut positions, per-stage
@@ -52,7 +50,6 @@ pub mod dlws;
 pub mod dp;
 pub mod faultcamp;
 pub mod ilp;
-pub mod par;
 pub mod persist;
 pub mod pool;
 pub mod runtime;

@@ -19,7 +19,7 @@
 //! Plan records are solver output, not cost-model output: their candidate
 //! masks index the candidate enumeration, and their winners follow the
 //! chain DP's and the pruning's tie-breaking. The `plans` section header
-//! carries an [`enumeration_hash`], so a file saved under another
+//! carries an `enumeration_hash`, so a file saved under another
 //! enumeration is rejected whole. Any other change to what a solve
 //! returns for a given table must bump the `temp-cache` format version.
 

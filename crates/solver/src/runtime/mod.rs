@@ -1,26 +1,25 @@
 //! The persistent solver runtime: one locked task queue.
 //!
-//! Candidate costing used to spawn fresh scoped threads on every
-//! `par_map` call; at real batch sizes the spawn/join overhead ate the
-//! parallelism (`BENCH_search.json` recorded `parallel_speedup ≈ 1.0`).
-//! This module replaces that with **one lazily-initialized pool of
-//! persistent workers** around a single `Mutex<VecDeque>` and a single
-//! condvar:
+//! Parallel maps used to spawn fresh scoped threads on every call; at
+//! real batch sizes the spawn/join overhead ate the parallelism
+//! (`BENCH_search.json` recorded `parallel_speedup ≈ 1.0`). This module
+//! replaces that with **one lazily-initialized pool of persistent
+//! workers** around a single `Mutex<VecDeque>` and a single condvar:
 //!
 //! * workers pop from the front of the queue and wait on the condvar
 //!   while it is empty;
-//! * external threads push their chunks to the back and wait on the same
-//!   condvar until their job completes. A job's last chunk notifies it
+//! * external threads push their tasks to the back and wait on the same
+//!   condvar until their job completes. A job's last task notifies it
 //!   after its final access to job memory, so the job can live on the
 //!   submitter's stack;
 //! * **nested submission** is first-class: a task that itself calls
-//!   [`WorkPool::map`] pushes its chunks to the *front* and *helps* —
-//!   running queued tasks, its own newest chunks first, until its job
-//!   drains — so concurrent `ContextPool` solves share the pool without
-//!   convoying and without deadlock (workers never block on a job);
-//! * work is submitted in **chunks** sized by the caller so fine-grained
-//!   items amortize dispatch, while expensive items (candidate costing)
-//!   keep chunk = 1 so any free worker can take the next one.
+//!   [`WorkPool::map`] pushes its tasks to the *front* and *helps* —
+//!   running queued tasks, its own newest first, until its job drains —
+//!   so concurrent `ContextPool` solves share the pool without convoying
+//!   and without deadlock (workers never block on a job);
+//! * every task is **one item**: the pool's callers map a few long items
+//!   (best-first lanes, fault-campaign lanes), so any free worker takes
+//!   the next one.
 //!
 //! One queue is enough: the solver's parallel work is a handful of
 //! long tasks per solve (one per best-first lane, see
@@ -28,10 +27,10 @@
 //! per-worker queues would have almost nothing to balance (README
 //! "Solver runtime" gives the measured task and steal counts).
 //!
-//! The global pool is sized once from [`crate::par::available_workers`]
-//! (which honors `TEMP_THREADS`) on first use. Explicit pools with any
-//! worker count can be built for tests and benchmarks; dropping one
-//! wakes, joins and frees its workers.
+//! The global pool is sized once from [`available_workers`] (which
+//! honors `TEMP_THREADS`) on first use. Explicit pools with any worker
+//! count can be built for tests and benchmarks; dropping one wakes,
+//! joins and frees its workers.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -104,7 +103,7 @@ impl CancelToken {
 
 /// Error returned by [`WorkPool::try_map`] when a task's closure
 /// panicked: the failed job is surfaced to the submitter instead of
-/// re-panicking, and the pool keeps serving (no worker died — the chunk
+/// re-panicking, and the pool keeps serving (no worker died — the task
 /// caught the unwind and completed its bookkeeping).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskPanicked;
@@ -117,11 +116,10 @@ impl std::fmt::Display for TaskPanicked {
 
 impl std::error::Error for TaskPanicked {}
 
-/// One schedulable unit: a contiguous chunk of a job's items.
+/// One schedulable unit: one item of a job.
 struct Task {
     job: *const JobHeader,
-    start: usize,
-    end: usize,
+    index: usize,
 }
 
 // SAFETY: a task is moved through the queue to exactly one executing
@@ -132,13 +130,13 @@ unsafe impl Send for Task {}
 /// The type-erased, job-generic header every job embeds first (`repr(C)`
 /// in the concrete job type guarantees the cast back).
 struct JobHeader {
-    /// Runs items `[start, end)` of the job. Must not unwind.
-    run: unsafe fn(*const JobHeader, usize, usize),
-    /// Chunks not yet finished. The submitter frees the job only after
+    /// Runs one item of the job. Must not unwind.
+    run: unsafe fn(*const JobHeader, usize),
+    /// Tasks not yet finished. The submitter frees the job only after
     /// observing zero, and executors never touch job memory after their
     /// decrement — the decrement is the last job access.
     pending: AtomicUsize,
-    /// Set when any chunk's closure panicked.
+    /// Set when any task's closure panicked.
     panicked: AtomicBool,
 }
 
@@ -183,11 +181,34 @@ thread_local! {
     static CURRENT_POOL: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// The global pool, sized from [`crate::par::available_workers`] on first
-/// use (honoring `TEMP_THREADS`).
+/// The global pool, sized from [`available_workers`] on first use
+/// (honoring `TEMP_THREADS`).
 pub fn global() -> &'static WorkPool {
     static POOL: OnceLock<WorkPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkPool::with_workers(crate::par::available_workers()))
+    POOL.get_or_init(|| WorkPool::with_workers(available_workers()))
+}
+
+/// Number of workers the global pool runs on this machine.
+///
+/// Honors a `TEMP_THREADS` environment override (clamped to the machine's
+/// `available_parallelism`) so CI and benchmarks can pin worker counts
+/// reproducibly; unset, zero or unparsable values fall back to the
+/// hardware count.
+pub fn available_workers() -> usize {
+    let hardware = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
+    clamp_override(std::env::var("TEMP_THREADS").ok().as_deref(), hardware)
+}
+
+/// The `TEMP_THREADS` clamping rule, factored out so it is testable
+/// without mutating process environment (setenv racing getenv across
+/// test threads is undefined behavior on glibc).
+fn clamp_override(raw: Option<&str>, hardware: usize) -> usize {
+    match raw.and_then(|v| v.trim().parse::<usize>().ok()) {
+        Some(n) if n >= 1 => n.min(hardware),
+        _ => hardware,
+    }
 }
 
 impl WorkPool {
@@ -228,9 +249,8 @@ impl WorkPool {
         }
     }
 
-    /// Maps `f` over `items` on the pool, preserving order, splitting the
-    /// range into chunks of `chunk` items (clamped to at least 1).
-    /// Results are written straight into their output slots — no
+    /// Maps `f` over `items` on the pool, preserving order, one task per
+    /// item. Results are written straight into their output slots — no
     /// `Vec<Option<R>>` pass, no per-item `Option`.
     ///
     /// Safe to call from inside a pool task (nested submission: the
@@ -242,13 +262,13 @@ impl WorkPool {
     /// Propagates (as a fresh panic) any panic raised by `f`; already
     /// computed results are leaked, never dropped uninitialized. Use
     /// [`WorkPool::try_map`] to receive the failure as an error instead.
-    pub fn map<T, R, F>(&self, items: &[T], f: &F, chunk: usize) -> Vec<R>
+    pub fn map<T, R, F>(&self, items: &[T], f: &F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        match self.try_map(items, f, chunk) {
+        match self.try_map(items, f) {
             Ok(out) => out,
             Err(TaskPanicked) => panic!("solver pool: a map task panicked"),
         }
@@ -256,8 +276,8 @@ impl WorkPool {
 
     /// As [`WorkPool::map`], but a panicking closure is surfaced as
     /// `Err(TaskPanicked)` instead of re-panicking in the submitter. The
-    /// failed job is fully drained first (every chunk completes its
-    /// bookkeeping, the panic is caught inside the chunk), so the pool —
+    /// failed job is fully drained first (every task completes its
+    /// bookkeeping, the panic is caught inside the task), so the pool —
     /// including the shared global one — keeps serving subsequent jobs.
     /// Already computed results of the failed job are leaked, never
     /// dropped uninitialized.
@@ -265,12 +285,7 @@ impl WorkPool {
     /// # Errors
     ///
     /// Returns [`TaskPanicked`] when any invocation of `f` panicked.
-    pub fn try_map<T, R, F>(
-        &self,
-        items: &[T],
-        f: &F,
-        chunk: usize,
-    ) -> std::result::Result<Vec<R>, TaskPanicked>
+    pub fn try_map<T, R, F>(&self, items: &[T], f: &F) -> std::result::Result<Vec<R>, TaskPanicked>
     where
         T: Sync,
         R: Send,
@@ -280,10 +295,9 @@ impl WorkPool {
         if n == 0 {
             return Ok(Vec::new());
         }
-        let chunk = chunk.max(1);
         let nested = self.on_this_pool();
-        if n <= chunk || self.workers() == 1 && !nested {
-            // One chunk (or a 1-worker pool called externally, where
+        if n == 1 || self.workers() == 1 && !nested {
+            // One item (or a 1-worker pool called externally, where
             // dispatch would serialize anyway with extra hops): run
             // inline, catching the unwind so the error contract holds on
             // this path too.
@@ -292,11 +306,10 @@ impl WorkPool {
         }
 
         let mut out: Vec<R> = Vec::with_capacity(n);
-        let chunks = n.div_ceil(chunk);
         let job = MapJob::<T, R, F> {
             header: JobHeader {
-                run: run_map_chunk::<T, R, F>,
-                pending: AtomicUsize::new(chunks),
+                run: run_map_item::<T, R, F>,
+                pending: AtomicUsize::new(n),
                 panicked: AtomicBool::new(false),
             },
             items: items.as_ptr(),
@@ -304,16 +317,12 @@ impl WorkPool {
             out: out.as_mut_ptr(),
         };
         let header = &job.header as *const JobHeader;
-        let tasks = (0..chunks).map(|c| Task {
-            job: header,
-            start: c * chunk,
-            end: ((c + 1) * chunk).min(n),
-        });
+        let tasks = (0..n).map(|index| Task { job: header, index });
 
         let mut queue = self.shared.lock();
         if nested {
             // Nested submission: queue at the front (pushed in order, so
-            // the newest chunk runs first and the working set stays hot)
+            // the newest task runs first and the working set stays hot)
             // and help until the job drains.
             for task in tasks {
                 queue.push_front(task);
@@ -328,7 +337,7 @@ impl WorkPool {
             }
         } else {
             // External submission: queue at the back, then wait on the
-            // pool's condvar. The job's last chunk takes the queue lock
+            // pool's condvar. The job's last task takes the queue lock
             // before notifying, so the check-then-wait below cannot miss
             // the wakeup.
             queue.extend(tasks);
@@ -343,8 +352,8 @@ impl WorkPool {
             // uninitialized is dropped.
             return Err(TaskPanicked);
         }
-        // SAFETY: all `chunks` tasks completed without panic, so every
-        // slot `0..n` was written exactly once.
+        // SAFETY: all `n` tasks completed without panic, so every slot
+        // `0..n` was written exactly once.
         unsafe { out.set_len(n) };
         Ok(out)
     }
@@ -410,7 +419,7 @@ fn worker_loop(shared: Arc<PoolShared>) {
 fn execute(shared: &PoolShared, task: Task) {
     // SAFETY: the job outlives its tasks because the submitter waits
     // until `pending` reaches zero, and `run` never unwinds.
-    unsafe { ((*task.job).run)(task.job, task.start, task.end) };
+    unsafe { ((*task.job).run)(task.job, task.index) };
     shared.executed.fetch_add(1, Ordering::Relaxed);
     // SAFETY: last access to job memory (see above).
     let remaining = unsafe { (*task.job).pending.fetch_sub(1, Ordering::AcqRel) };
@@ -433,24 +442,30 @@ struct MapJob<'a, T, R, F> {
 }
 
 // SAFETY: the raw pointers stand for `&[T]` (T: Sync at the call site)
-// and an exclusively-partitioned output buffer (R: Send); chunks never
-// overlap, so no slot is written twice.
+// and an exclusively-partitioned output buffer (R: Send); each task
+// writes its own slot, so no slot is written twice.
 unsafe impl<T: Sync, R: Send, F: Sync> Sync for MapJob<'_, T, R, F> {}
 
-/// Runs items `[start, end)` of a [`MapJob`], writing each result
-/// directly into its output slot. Panics from `f` are caught and
-/// recorded; the chunk still completes (its unwritten slots are never
-/// read — the submitter propagates the panic instead).
-unsafe fn run_map_chunk<T, R, F>(header: *const JobHeader, start: usize, end: usize)
+/// Runs item `index` of a [`MapJob`], writing its result directly into
+/// its output slot. A panic from `f` is caught and recorded; the task
+/// still completes (its unwritten slot is never read — the submitter
+/// propagates the panic instead).
+///
+/// # Safety
+///
+/// `header` must point at the header of a live `MapJob<T, R, F>` whose
+/// `items` and `out` hold more than `index` elements, and no other task
+/// of that job may run with the same `index`.
+unsafe fn run_map_item<T, R, F>(header: *const JobHeader, index: usize)
 where
     F: Fn(&T) -> R,
 {
     let job = header as *const MapJob<T, R, F>;
     let result = catch_unwind(AssertUnwindSafe(|| {
-        for i in start..end {
-            let value = ((*job).f)(&*(*job).items.add(i));
-            (*job).out.add(i).write(value);
-        }
+        // SAFETY: per the contract above, `index` is in bounds of both
+        // buffers and this task is the only writer of slot `index`.
+        let value = ((*job).f)(&*(*job).items.add(index));
+        (*job).out.add(index).write(value);
     }));
     if result.is_err() {
         (*job).header.panicked.store(true, Ordering::Release);
@@ -465,11 +480,8 @@ mod tests {
     fn maps_preserve_order_and_values() {
         let pool = WorkPool::with_workers(4);
         let items: Vec<u64> = (0..1000).collect();
-        let out = pool.map(&items, &|x| x * 3 + 1, 1);
+        let out = pool.map(&items, &|x| x * 3 + 1);
         assert_eq!(out, items.iter().map(|x| x * 3 + 1).collect::<Vec<_>>());
-        // Chunked dispatch agrees with chunk = 1.
-        let chunked = pool.map(&items, &|x| x * 3 + 1, 17);
-        assert_eq!(out, chunked);
         assert!(pool.stats().executed > 0);
     }
 
@@ -477,22 +489,18 @@ mod tests {
     fn empty_and_tiny_inputs() {
         let pool = WorkPool::with_workers(2);
         let empty: Vec<u32> = vec![];
-        assert!(pool.map(&empty, &|x| *x, 1).is_empty());
-        assert_eq!(pool.map(&[5u32], &|x| x + 1, 1), vec![6]);
+        assert!(pool.map(&empty, &|x| *x).is_empty());
+        assert_eq!(pool.map(&[5u32], &|x| x + 1), vec![6]);
     }
 
     #[test]
     fn nested_submission_from_inside_a_task() {
         let pool = WorkPool::with_workers(3);
         let rows: Vec<u64> = (0..16).collect();
-        let out = pool.map(
-            &rows,
-            &|&r| {
-                let inner: Vec<u64> = (0..64).collect();
-                pool.map(&inner, &|&c| r * 1000 + c, 4).iter().sum::<u64>()
-            },
-            1,
-        );
+        let out = pool.map(&rows, &|&r| {
+            let inner: Vec<u64> = (0..64).collect();
+            pool.map(&inner, &|&c| r * 1000 + c).iter().sum::<u64>()
+        });
         let expect: Vec<u64> = rows
             .iter()
             .map(|&r| (0..64).map(|c| r * 1000 + c).sum::<u64>())
@@ -508,7 +516,7 @@ mod tests {
                 let pool = Arc::clone(&pool);
                 std::thread::spawn(move || {
                     let items: Vec<u64> = (0..500).collect();
-                    pool.map(&items, &|x| x + s, 1)
+                    pool.map(&items, &|x| x + s)
                 })
             })
             .collect();
@@ -523,38 +531,30 @@ mod tests {
         let pool = WorkPool::with_workers(2);
         let items: Vec<u32> = (0..64).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.map(
-                &items,
-                &|&x| {
-                    assert!(x != 13, "boom");
-                    x
-                },
-                1,
-            )
+            pool.map(&items, &|&x| {
+                assert!(x != 13, "boom");
+                x
+            })
         }));
         assert!(result.is_err());
         // The pool survives the panic and keeps serving jobs.
-        assert_eq!(pool.map(&[1u32, 2], &|x| x * 2, 1), vec![2, 4]);
+        assert_eq!(pool.map(&[1u32, 2], &|x| x * 2), vec![2, 4]);
     }
 
     #[test]
     fn try_map_surfaces_a_panicked_task_as_an_error() {
         let pool = WorkPool::with_workers(2);
         let items: Vec<u32> = (0..64).collect();
-        let result = pool.try_map(
-            &items,
-            &|&x| {
-                assert!(x != 13, "boom");
-                x
-            },
-            1,
-        );
+        let result = pool.try_map(&items, &|&x| {
+            assert!(x != 13, "boom");
+            x
+        });
         assert_eq!(result, Err(TaskPanicked));
         // The failed job drained cleanly: the same pool serves the next
         // job, and a clean job returns Ok.
-        assert_eq!(pool.try_map(&[1u32, 2], &|x| x * 2, 1), Ok(vec![2, 4]));
-        // The inline path (single chunk) honors the same contract.
-        let inline = pool.try_map(&[7u32], &|_| -> u32 { panic!("boom") }, 8);
+        assert_eq!(pool.try_map(&[1u32, 2], &|x| x * 2), Ok(vec![2, 4]));
+        // The inline path (single item) honors the same contract.
+        let inline = pool.try_map(&[7u32], &|_| -> u32 { panic!("boom") });
         assert_eq!(inline, Err(TaskPanicked));
     }
 
@@ -600,26 +600,22 @@ mod tests {
             let pool = WorkPool::with_workers(2);
             let inner_done = AtomicBool::new(false);
             let inner: Vec<u64> = (0..64).collect();
-            let out = pool.map(
-                &[0u64, 1],
-                &|&outer| {
-                    if outer == 0 {
-                        // Task A occupies its worker without helping
-                        // until B's nested map has returned.
-                        while !inner_done.load(Ordering::Acquire) {
-                            std::thread::yield_now();
-                        }
-                        0
-                    } else {
-                        // Task B: with A's worker spinning, B's worker
-                        // must run all 64 chunks of its own job.
-                        let sum = pool.map(&inner, &|&c| c * 2, 1).iter().sum::<u64>();
-                        inner_done.store(true, Ordering::Release);
-                        sum
+            let out = pool.map(&[0u64, 1], &|&outer| {
+                if outer == 0 {
+                    // Task A occupies its worker without helping
+                    // until B's nested map has returned.
+                    while !inner_done.load(Ordering::Acquire) {
+                        std::thread::yield_now();
                     }
-                },
-                1,
-            );
+                    0
+                } else {
+                    // Task B: with A's worker spinning, B's worker
+                    // must run all 64 tasks of its own job.
+                    let sum = pool.map(&inner, &|&c| c * 2).iter().sum::<u64>();
+                    inner_done.store(true, Ordering::Release);
+                    sum
+                }
+            });
             assert_eq!(out, vec![0, (0..64).map(|c| c * 2).sum::<u64>()]);
         });
     }
@@ -629,34 +625,22 @@ mod tests {
         within_a_minute(|| {
             let pool = WorkPool::with_workers(2);
             let inner: Vec<u32> = (0..32).collect();
-            let result = pool.try_map(
-                &[0u32, 1, 2, 3],
-                &|&outer| {
-                    pool.try_map(
-                        &inner,
-                        &|&x| {
-                            assert!(x != 7, "boom");
-                            outer + x
-                        },
-                        1,
-                    )
-                    .expect("the inner job panicked")
-                    .len()
-                },
-                1,
-            );
+            let result = pool.try_map(&[0u32, 1, 2, 3], &|&outer| {
+                pool.try_map(&inner, &|&x| {
+                    assert!(x != 7, "boom");
+                    outer + x
+                })
+                .expect("the inner job panicked")
+                .len()
+            });
             assert_eq!(result, Err(TaskPanicked));
             // Both workers survived: two tasks that wait for each other
             // only finish if they run at the same time.
             let meet = std::sync::Barrier::new(2);
-            let out = pool.try_map(
-                &[1u32, 2],
-                &|&x| {
-                    meet.wait();
-                    x * 10
-                },
-                1,
-            );
+            let out = pool.try_map(&[1u32, 2], &|&x| {
+                meet.wait();
+                x * 10
+            });
             assert_eq!(out, Ok(vec![10, 20]));
         });
     }
@@ -666,8 +650,18 @@ mod tests {
         let pool = WorkPool::with_workers(1);
         let items: Vec<u32> = (0..100).collect();
         assert_eq!(
-            pool.map(&items, &|x| x + 1, 1),
+            pool.map(&items, &|x| x + 1),
             items.iter().map(|x| x + 1).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn temp_threads_override_clamps_and_falls_back() {
+        assert_eq!(clamp_override(Some("1"), 8), 1);
+        assert_eq!(clamp_override(Some(" 4 "), 8), 4, "whitespace tolerated");
+        assert_eq!(clamp_override(Some("1000000"), 8), 8, "clamped to machine");
+        assert_eq!(clamp_override(Some("0"), 8), 8, "zero is ignored");
+        assert_eq!(clamp_override(Some("not-a-number"), 8), 8);
+        assert_eq!(clamp_override(None, 8), 8);
     }
 }

@@ -13,9 +13,10 @@
 //!   of a solve is costing candidates (each one maps traffic onto the
 //!   wafer and runs the contention simulator), and baseline sweeps like
 //!   `Temp::compare_all()` cost heavily overlapping candidate spaces;
-//! * the **parallel costing** path — cache misses for a batch of
-//!   candidates are filled on the persistent solver runtime
-//!   ([`crate::par`] over [`crate::runtime`]);
+//! * **one costing stream** — every batch, pruned or exhaustive, is
+//!   costed by the best-first stream of
+//!   `SearchContext::cost_candidates_bounded`, whose lanes run on the
+//!   persistent solver runtime ([`crate::runtime`]);
 //! * **cross-process warmth** — the evaluation cache, segment table and
 //!   plan memo round-trip through plain text
 //!   ([`SearchContext::export_cost_table`] /
@@ -25,13 +26,12 @@
 //!   function of the costs above plus the solve's engine, pipeline
 //!   degree and candidate list, so a repeated query returns the stored
 //!   [`ExecutionPlan`] without costing or DP (see
-//!   [`SearchContext::memoized_plan`]).
+//!   `SearchContext::memoized_plan`).
 //!
 //! Sharing a context across solves (clone the [`std::sync::Arc`]) turns
 //! the seed behavior — seven baselines × full re-enumeration and
 //! re-costing — into one costing pass per distinct evaluation key.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 
@@ -43,7 +43,6 @@ use temp_wsc::fault::FaultMap;
 
 use crate::cost::{CostReport, EvalHoist, SegmentCost, WaferCostModel};
 use crate::dlws::{ExecutionPlan, PlanKey};
-use crate::par;
 use crate::runtime::CancelToken;
 use crate::shard::{Claim, Flight, FlightLease, FlightTable, ShardedMap, WordHashMap};
 
@@ -98,7 +97,7 @@ pub struct SearchStats {
     pub bound_pruned: u64,
     /// Candidates whose admissible lower bound exceeded the incumbent
     /// committed before them, skipped without evaluation (see
-    /// [`SearchContext::cost_candidates_bounded`]).
+    /// `SearchContext::cost_candidates_bounded`).
     pub dominated_pruned: u64,
     /// Speculative verdicts the best-first stream computed past its
     /// commit frontier and then discarded (their bound turned out
@@ -238,9 +237,9 @@ pub struct SearchContext {
     coalesced: AtomicU64,
     seg_hits: AtomicU64,
     seg_misses: AtomicU64,
-    /// Whether the chain costing path may skip candidates via the
-    /// admissible prefilter + incumbent dominance (default on; turned off
-    /// for exhaustive reference runs).
+    /// Whether the chain and stage costing paths may skip candidates via
+    /// the admissible prefilter + incumbent dominance (default on; turned
+    /// off for exhaustive reference runs).
     pruning: AtomicBool,
     bound_pruned: AtomicU64,
     dominated_pruned: AtomicU64,
@@ -457,19 +456,21 @@ impl SearchContext {
         ctx
     }
 
-    /// Enables/disables bound pruning in the chain costing path
-    /// (default: enabled). Exhaustive reference runs (tests, benchmark
-    /// baselines) disable it; plans are bit-identical either way — the
-    /// flag only changes how many candidates pay the exact cost model.
-    /// Deadlines bound pruned solves only: with pruning off, a
-    /// deadline'd solve costs the whole space like an undeadlined one.
+    /// Enables/disables bound pruning in the chain and stage costing
+    /// paths (default: enabled). Exhaustive reference runs (tests,
+    /// benchmark baselines) disable it; plans are bit-identical either
+    /// way — the flag only changes how many candidates pay the exact cost
+    /// model. With pruning off both paths cost every candidate through
+    /// [`SearchContext::cost_candidates`], which passes no token:
+    /// deadlines bound pruned solves only, so a deadline'd solve costs
+    /// the whole space like an undeadlined one.
     pub fn set_pruning(&self, on: bool) {
         if self.pruning.swap(on, Ordering::Relaxed) != on {
             self.replace_plans(Vec::new());
         }
     }
 
-    /// Whether the chain costing path may prune.
+    /// Whether the chain and stage costing paths may prune.
     pub fn pruning(&self) -> bool {
         self.pruning.load(Ordering::Relaxed)
     }
@@ -934,9 +935,8 @@ impl SearchContext {
     /// with the number of cache entries read: `None` when the cached
     /// entries cannot determine the outcome (some mode on the escalation
     /// path is not cached yet). Never evaluates and never touches the
-    /// hit/miss counters — the batch paths use this to serve verdicts a
-    /// warm context already owns, the pruned paths to draw their
-    /// incumbent from them.
+    /// hit/miss counters — the costing stream uses this to serve verdicts
+    /// a warm context already owns and to draw its incumbent from them.
     fn cost_of_cached(
         &self,
         cfg: &HybridConfig,
@@ -984,89 +984,23 @@ impl SearchContext {
         (f64::INFINITY, None)
     }
 
-    /// Costs a batch of candidates exactly, aligned with `candidates`.
-    /// Verdicts the cache holds are served inline; every other distinct
-    /// configuration climbs the `[base, Full]` recompute ladder of
-    /// [`SearchContext::cost_of`] as one task on the solver runtime
-    /// when parallel costing is on (a free worker takes the next
-    /// candidate), through one [`WaferCostModel::eval_hoist`] per rung —
-    /// bit-identical to `cost_of`. A repeated configuration is
-    /// costed once and served from the cache after, exactly as sequential
-    /// costing counts it. Misses another solve is already costing are
-    /// **coalesced**: the batch publishes its own reports first, then
-    /// waits for the foreign flights and serves their stored reports.
-    /// The batch is exhaustive: it takes no deadline.
+    /// Costs a batch of candidates exactly, aligned with `candidates`:
+    /// the best-first stream of `SearchContext::cost_candidates_bounded`
+    /// with every bound `-INFINITY`, no deadline and the step time as the
+    /// objective. With every bound equal the stream runs in index order
+    /// and no position is ever dominated, so every candidate is costed:
+    /// cached verdicts are served as hits, every other candidate climbs
+    /// the `[base, Full]` recompute ladder of [`SearchContext::cost_of`]
+    /// through one `WaferCostModel::eval_hoist` per rung —
+    /// bit-identical to `cost_of`. A repeated configuration is costed
+    /// once; single-flight serves its other occurrences the same reports.
     pub fn cost_candidates(
         &self,
         candidates: &[HybridConfig],
         engine: MappingEngine,
     ) -> Vec<CandidateCost> {
-        let started = std::time::Instant::now();
-        let ladder = Ladder::new(self, engine);
-        let mut unique_of: HashMap<HybridConfig, usize> = HashMap::new();
-        let mut uniques: Vec<HybridConfig> = Vec::new();
-        let slots: Vec<usize> = candidates
-            .iter()
-            .map(|cfg| {
-                *unique_of.entry(*cfg).or_insert_with(|| {
-                    uniques.push(*cfg);
-                    uniques.len() - 1
-                })
-            })
-            .collect();
-        // Verdicts the cache already holds are served inline; only the
-        // rest are dispatched, one climb per task.
-        let mut costs: Vec<Option<CandidateCost>> = Vec::with_capacity(uniques.len());
-        let mut climbs: Vec<usize> = Vec::new();
-        let mut reads = 0;
-        for (u, cfg) in uniques.iter().enumerate() {
-            let cached = self.cost_of_cached(cfg, engine);
-            if cached.is_none() {
-                climbs.push(u);
-            }
-            costs.push(cached.map(|(cc, hits)| {
-                reads += hits;
-                cc
-            }));
-        }
-        self.hits.fetch_add(reads, Ordering::Relaxed);
-        let cost = |&u: &usize| ladder.cost(&uniques[u]);
-        let verdicts: Vec<Verdict<'_>> = if self.parallel() {
-            par::par_map(&climbs, cost)
-        } else {
-            climbs.iter().map(cost).collect()
-        };
-        // Publish every report before waiting on any foreign flight, so
-        // no lease is held while parked: two batches leading each other's
-        // keys would otherwise wait on each other.
-        let outcomes: Vec<Outcome> = verdicts.into_iter().map(|v| ladder.publish(v)).collect();
-        for (outcome, &u) in outcomes.into_iter().zip(&climbs) {
-            costs[u] = Some(match outcome {
-                Outcome::Costed(cc) => cc,
-                Outcome::Follow(mode, flight) => ladder.follow(&uniques[u], mode, flight),
-            });
-        }
-        let costs: Vec<CandidateCost> = costs
-            .into_iter()
-            .map(|cc| cc.expect("every configuration costed"))
-            .collect();
-        // Every occurrence past a configuration's first reads the rungs
-        // its first occurrence climbed, as cache hits.
-        let mut seen = vec![false; uniques.len()];
-        let mut repeat_hits = 0;
-        let out = slots
-            .into_iter()
-            .map(|u| {
-                if std::mem::replace(&mut seen[u], true) {
-                    repeat_hits += ladder.rungs(&costs[u]);
-                }
-                costs[u].clone()
-            })
-            .collect();
-        self.hits.fetch_add(repeat_hits, Ordering::Relaxed);
-        self.exact_ns
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        out
+        let lower = vec![Some(f64::NEG_INFINITY); candidates.len()];
+        self.cost_candidates_bounded(candidates, engine, None, &lower, |_, cc| cc.0)
     }
 
     /// Batch costing for a **chain solve** (the DLWS body row): like
@@ -1082,11 +1016,12 @@ impl SearchContext {
     /// each block choice. The lower bound adds the candidate's
     /// [`WaferCostModel::chain_bounds`] block row to it, the exact value
     /// its exact block row; the minimum of the exact values is the chain
-    /// DP's optimum. See [`SearchContext::cost_candidates_bounded`] for
+    /// DP's optimum. See `SearchContext::cost_candidates_bounded` for
     /// the skip rules, `token`'s deadline among them.
     /// [`SearchContext::set_pruning`]`(false)` costs the whole batch
-    /// instead, ignoring `token` — the exhaustive reference tests compare
-    /// against; plans are bit-identical either way.
+    /// through [`SearchContext::cost_candidates`] instead, which passes
+    /// no token — the exhaustive reference tests compare against; plans
+    /// are bit-identical either way.
     pub fn cost_candidates_chain(
         &self,
         candidates: &[HybridConfig],
@@ -1145,9 +1080,10 @@ impl SearchContext {
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// The bound-pruning skeleton shared by the chain solve
-    /// ([`SearchContext::cost_candidates_chain`]) and the
-    /// stage-partitioned solve (`Dlws::solve_stage_partitioned`). The
+    /// The one costing stream, shared by the chain solve
+    /// ([`SearchContext::cost_candidates_chain`]), the
+    /// stage-partitioned solve (`Dlws::solve_stage_partitioned`) and the
+    /// exhaustive batch ([`SearchContext::cost_candidates`]). The
     /// caller supplies, per candidate, an admissible lower bound on the
     /// objective it minimizes (`None` when the exact path is guaranteed
     /// to report infinity) and `exact(i, cost)`, the objective value
@@ -1250,11 +1186,9 @@ const STREAM_LOOKAHEAD: usize = 2;
 /// exact evaluation's fold order.
 const REL_MARGIN: f64 = 1e-9;
 
-/// The `[base, Full]` recompute ladder of one costing pass, shared by the
-/// exhaustive batch ([`SearchContext::cost_candidates`]) and the
-/// best-first stream: the workload of each rung and its evaluation
-/// hoist, derived once per pass on first use, and the single-flight
-/// protocol around each key.
+/// The `[base, Full]` recompute ladder of one best-first stream: the
+/// workload of each rung and its evaluation hoist, derived once per
+/// stream on first use, and the single-flight protocol around each key.
 struct Ladder<'t> {
     ctx: &'t SearchContext,
     engine: MappingEngine,
@@ -1305,18 +1239,6 @@ impl<'t> Ladder<'t> {
             &self.base
         } else {
             &self.full
-        }
-    }
-
-    /// The cache reads a repeat of a candidate costed `cc` makes: one per
-    /// rung its climb reached.
-    fn rungs(&self, cc: &CandidateCost) -> u64 {
-        let base = self.base.0.recompute;
-        let stopped_at_base = matches!(&cc.1, Some((w, _)) if w.recompute == base);
-        if base == RecomputeMode::Full || stopped_at_base {
-            1
-        } else {
-            2
         }
     }
 
@@ -1521,7 +1443,7 @@ impl<'t, E: Fn(usize, &CandidateCost) -> f64 + Sync> BestFirst<'t, E> {
         loop {
             if workers > 1 {
                 let lanes: Vec<usize> = (0..workers).collect();
-                pool.map(&lanes, &|_| self.work(), 1);
+                pool.map(&lanes, &|_| self.work());
             } else {
                 self.work();
             }
@@ -1835,6 +1757,46 @@ mod tests {
         // One full pass: misses == one evaluation per candidate plus any
         // full-recompute escalations, all distinct keys.
         assert!(serial.stats().misses >= cands.len() as u64);
+    }
+
+    #[test]
+    fn a_repeated_configuration_is_costed_once_with_one_verdict() {
+        let engine = MappingEngine::Tcme;
+        let distinct: Vec<HybridConfig> =
+            context().candidates().iter().step_by(5).copied().collect();
+        // Each configuration appears three times: twice adjacent (within
+        // the stream's lookahead, so pooled lanes can cost both at once)
+        // and once more at the end of the batch.
+        let batch: Vec<HybridConfig> = distinct
+            .iter()
+            .flat_map(|c| [*c, *c])
+            .chain(distinct.iter().copied())
+            .collect();
+        let reference = context();
+        reference.set_parallel(false);
+        reference.cost_candidates(&distinct, engine);
+        let rungs = reference.stats().misses;
+        assert!(
+            rungs > distinct.len() as u64,
+            "no configuration escalated to Full recompute"
+        );
+        for parallel in [false, true] {
+            let ctx = context();
+            ctx.set_parallel(parallel);
+            let costs = ctx.cost_candidates(&batch, engine);
+            for (i, cfg) in batch.iter().enumerate() {
+                let first = batch.iter().position(|c| c == cfg).expect("present");
+                // `{:?}` renders every float bit-exactly.
+                assert_eq!(
+                    format!("{:?}", costs[i]),
+                    format!("{:?}", costs[first]),
+                    "parallel={parallel} {cfg:?}"
+                );
+            }
+            let stats = ctx.stats();
+            assert_eq!(stats.misses, rungs, "parallel={parallel}");
+            assert_eq!(ctx.eval_cache_len() as u64, rungs, "parallel={parallel}");
+        }
     }
 
     #[test]

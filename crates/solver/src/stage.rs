@@ -34,7 +34,7 @@
 //! least the mean wafer load, `(1 + (micro - 1) / W) x` a floor on
 //! `sum_s t_s` bounds every candidate's step from below, and a candidate
 //! whose bound exceeds an already-scored candidate's exact step is never
-//! costed (see [`crate::search::SearchContext::cost_candidates_bounded`]).
+//! costed (see `SearchContext::cost_candidates_bounded`).
 //! Plans are bit-identical to the exhaustive search. With one stage the
 //! planner delegates to the single-wafer solve, so `wafer_count = 1`
 //! reproduces it bit-for-bit.
@@ -49,7 +49,6 @@ use temp_wsc::multiwafer::MultiWaferSystem;
 
 use crate::dlws::{Dlws, ExecutionPlan, SegmentAssignment};
 use crate::dp;
-use crate::par;
 use crate::search::{finite_min, CandidateCost, SearchContext};
 use crate::{Result, SolverError};
 
@@ -188,18 +187,14 @@ impl Dlws {
         }
 
         // Scoring one candidate is pure arithmetic over the precomputed
-        // rows, so the batch fans out on the runtime pool (its own cost
-        // class — items here are far cheaper than exact costing, so the
-        // adaptive cutoff keeps small sweeps serial), while the winner
-        // fold below runs in index order with strict less-than,
-        // bit-identical to the serial loop.
-        static STAGE_SCORE_CLASS: par::ParClass = par::ParClass::new();
-        let indices: Vec<usize> = (0..costed.len()).collect();
-        let scored = par::par_map_class(&STAGE_SCORE_CLASS, &indices, |&i| {
-            search.score(i, &costed[i])
-        });
+        // rows; the winner fold runs in index order with strict
+        // less-than.
         let mut best: Option<Winner> = None;
-        for candidate in scored.into_iter().flatten() {
+        for candidate in costed
+            .iter()
+            .enumerate()
+            .filter_map(|(i, cc)| search.score(i, cc))
+        {
             if best
                 .as_ref()
                 .map(|b| candidate.step < b.step)
@@ -340,7 +335,7 @@ impl<'a> StageSearch<'a> {
     /// Costs the candidates exactly, skipping those whose stage-step
     /// lower bound cannot beat the incumbent
     /// ([`SearchContext::cost_candidates_bounded`]); with pruning off,
-    /// the exhaustive batch.
+    /// every candidate through [`SearchContext::cost_candidates`].
     fn cost(&self) -> Vec<CandidateCost> {
         if !self.ctx.pruning() {
             return self.ctx.cost_candidates(&self.candidates, self.engine);
@@ -945,6 +940,36 @@ mod tests {
             }
             assert!(scored > 20, "{name}: only {scored} candidates scored");
         }
+    }
+
+    #[test]
+    fn with_pruning_off_a_two_wafer_stage_solve_costs_every_candidate() {
+        let stage_solve = |s: &Dlws| {
+            s.solve_stage_partitioned(MappingEngine::Tcme, &wafers(2), 1, |_| true)
+                .unwrap()
+        };
+        let s = solver(ModelZoo::gpt3_6_7b());
+        let pruned = stage_solve(&s);
+        let pruned_stats = s.search_stats();
+        assert!(pruned_stats.dominated_pruned > 0, "{pruned_stats:?}");
+        s.context().set_pruning(false);
+        // Same context, so the winner is literally the same cached report.
+        assert_eq!(stage_solve(&s), pruned);
+        let stats = s.search_stats();
+        assert_eq!(stats.pruned_candidates(), pruned_stats.pruned_candidates());
+        // Every candidate's verdict is cached now: the per-candidate
+        // reference over the stage's list costs nothing more.
+        let ctx = s.context();
+        for cfg in ctx.candidates_with_pp(2) {
+            ctx.cost_of(&cfg, MappingEngine::Tcme);
+        }
+        assert_eq!(ctx.stats().misses, stats.misses);
+        // A cold exhaustive stage solve costs the same keys.
+        let cold = solver(ModelZoo::gpt3_6_7b());
+        cold.context().set_pruning(false);
+        stage_solve(&cold);
+        assert_eq!(cold.search_stats().misses, stats.misses);
+        assert_eq!(cold.search_stats().pruned_candidates(), 0);
     }
 
     #[test]

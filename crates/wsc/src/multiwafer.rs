@@ -1,7 +1,7 @@
 //! Multi-wafer systems (Fig. 19, §VIII-E).
 //!
 //! Models beyond ~200B parameters exceed one wafer's HBM; the paper scales
-//! to 2–6 WSCs joined by inter-wafer links (9 TB/s, Dojo-class [109]) and
+//! to 2–6 WSCs joined by inter-wafer links (9 TB/s, Dojo-class \[109\]) and
 //! distributes pipeline stages across wafers. Intra-wafer parallelism stays
 //! whatever TEMP chooses per wafer.
 

@@ -41,10 +41,8 @@ fn pool_matches_serial_under_skewed_costs() {
     for seed in [1u64, 42, 0xdead_beef] {
         let items: Vec<u64> = (0..1500).collect();
         let serial: Vec<u64> = items.iter().map(|&i| skewed_work(seed, i)).collect();
-        for chunk in [1, 7, 64] {
-            let pooled = pool.map(&items, &|&i| skewed_work(seed, i), chunk);
-            assert_eq!(pooled, serial, "seed {seed}, chunk {chunk}");
-        }
+        let pooled = pool.map(&items, &|&i| skewed_work(seed, i));
+        assert_eq!(pooled, serial, "seed {seed}");
     }
     let stats = pool.stats();
     assert!(stats.executed > 0, "work must actually run on the pool");
@@ -59,12 +57,12 @@ fn many_concurrent_submitters_get_order_preserving_results() {
             let pool = Arc::clone(&pool);
             std::thread::spawn(move || {
                 // Each submitter runs several rounds so submissions from
-                // different threads interleave on the shared deques.
+                // different threads interleave on the shared queue.
                 for round in 0..4u64 {
                     let n = 200 + (seed * 37 + round * 13) % 300;
                     let items: Vec<u64> = (0..n).collect();
                     let expect: Vec<u64> = items.iter().map(|&i| skewed_work(seed, i)).collect();
-                    let got = pool.map(&items, &|&i| skewed_work(seed, i), 3);
+                    let got = pool.map(&items, &|&i| skewed_work(seed, i));
                     assert_eq!(got, expect, "submitter {seed}, round {round}");
                 }
             })
@@ -88,18 +86,14 @@ fn nested_submission_inside_tasks_matches_serial() {
         })
         .collect();
     let inner_items: Vec<u64> = (0..100).collect();
-    let nested = pool.map(
-        &outer,
-        &|&r| {
-            // A task that itself fans out on the same pool: the worker
-            // helps (runs queued tasks) instead of blocking, so this must
-            // complete and agree with serial even at depth.
-            pool.map(&inner_items, &|&c| skewed_work(r, c), 5)
-                .into_iter()
-                .fold(0u64, u64::wrapping_add)
-        },
-        1,
-    );
+    let nested = pool.map(&outer, &|&r| {
+        // A task that itself fans out on the same pool: the worker
+        // helps (runs queued tasks) instead of blocking, so this must
+        // complete and agree with serial even at depth.
+        pool.map(&inner_items, &|&c| skewed_work(r, c))
+            .into_iter()
+            .fold(0u64, u64::wrapping_add)
+    });
     assert_eq!(nested, serial);
 }
 
