@@ -387,21 +387,29 @@ fn main() {
     // conditioned on.
     let threads_effective = temp_solver::runtime::global().workers();
     println!("threads: {threads} requested, {threads_effective} effective in the runtime");
-    let serial_ctx = context();
-    serial_ctx.set_parallel(false);
-    let candidates = serial_ctx.candidates().to_vec();
-    let t0 = Instant::now();
-    let _ = serial_ctx.cost_candidates(&candidates, MappingEngine::Tcme);
-    let serial_s = t0.elapsed().as_secs_f64();
-
     // Pool path: the same exhaustive batch with its best-first lanes
     // (at most three) on the solver runtime. Production solves run this
     // stream too, through `cost_candidates_chain` with real bounds; the
-    // equal bounds here take pruning out of the timing.
-    let pool_ctx = context();
-    let t0 = Instant::now();
-    let _ = pool_ctx.cost_candidates(&candidates, MappingEngine::Tcme);
-    let pool_s = t0.elapsed().as_secs_f64();
+    // equal bounds here take pruning out of the timing. A cold batch
+    // takes milliseconds, too short to time once, so each side is the
+    // median of five rounds on fresh contexts, after one untimed pooled
+    // round that pays the workers' cold thread-local arenas.
+    let candidates = context().candidates().to_vec();
+    let cold_batch_s = |parallel: bool| {
+        let ctx = context();
+        ctx.set_parallel(parallel);
+        let t0 = Instant::now();
+        let _ = ctx.cost_candidates(&candidates, MappingEngine::Tcme);
+        t0.elapsed().as_secs_f64()
+    };
+    cold_batch_s(true);
+    let median_of_5 = |parallel: bool| {
+        let mut rounds: Vec<f64> = (0..5).map(|_| cold_batch_s(parallel)).collect();
+        rounds.sort_by(f64::total_cmp);
+        rounds[2]
+    };
+    let serial_s = median_of_5(false);
+    let pool_s = median_of_5(true);
 
     let pool_speedup = serial_s / pool_s.max(1e-9);
     println!(

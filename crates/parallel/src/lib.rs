@@ -12,8 +12,6 @@
 //! * [`tatp`] — Algorithm 1: bidirectional redundant-transfer orchestration
 //!   where every transfer is a single hop and each die computes exactly one
 //!   sub-output per round;
-//! * [`selective`] — the selective transfer policy (stream weights or
-//!   activations, whichever is smaller);
 //! * [`memory`] — per-die memory footprints under any hybrid configuration
 //!   (the replication accounting behind Figs. 4(c) and 13);
 //! * [`schedule`] — lowering stream orchestrations onto physical dies as
@@ -33,7 +31,6 @@
 pub mod groups;
 pub mod memory;
 pub mod schedule;
-pub mod selective;
 pub mod strategy;
 pub mod stream;
 pub mod tatp;

@@ -259,6 +259,17 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// Exact evaluations ÷ distinct keys costed, 0.0 when nothing was
+/// costed: the ratio behind [`PlanServer::duplicate_work_ratio`] and the
+/// `stats` reply.
+fn work_ratio(stats: &SearchStats, unique: usize) -> f64 {
+    if unique == 0 {
+        0.0
+    } else {
+        stats.misses as f64 / unique as f64
+    }
+}
+
 /// An `{"ok":false,...}` reply.
 pub fn error_reply(message: &str) -> String {
     format!("{{\"ok\":false,\"error\":\"{}\"}}", json_escape(message))
@@ -438,11 +449,7 @@ impl PlanServer {
     /// queries at ~1.0 (0.0 on an idle server).
     pub fn duplicate_work_ratio(&self) -> f64 {
         let (stats, unique) = self.aggregate();
-        if unique == 0 {
-            0.0
-        } else {
-            stats.misses as f64 / unique as f64
-        }
+        work_ratio(&stats, unique)
     }
 
     /// The `stats` reply.
@@ -458,11 +465,7 @@ impl PlanServer {
             self.timeouts.load(Ordering::Relaxed),
             stats.misses,
             stats.hits,
-            if unique == 0 {
-                0.0
-            } else {
-                stats.misses as f64 / unique as f64
-            },
+            work_ratio(&stats, unique),
             stats.coalesced,
             stats.shard_waits,
             stats.plan_hits,

@@ -5,7 +5,8 @@
 //! substitute: an analytic + link-level-contention simulator producing the
 //! same quantities the paper's figures consume — operator latencies,
 //! collective/P2P communication times under mesh contention, per-link load
-//! and utilization, memory occupancy (OOM detection) and energy.
+//! and utilization, and energy. Memory occupancy (the OOM verdict) is
+//! `temp_parallel::memory`'s per-die footprint.
 //!
 //! Modules:
 //!
@@ -15,7 +16,6 @@
 //!   model over mesh links;
 //! * [`collectives`] — ring/chain implementations of all-gather, all-reduce,
 //!   reduce-scatter, broadcast and P2P chains as flow programs;
-//! * [`memory`] — HBM3-lite capacity/bandwidth model with OOM detection;
 //! * [`power`] — energy ledger and throughput-per-watt accounting;
 //! * [`engine`] — round-based schedule execution with communication/
 //!   computation overlap (Eq. 2 of the paper).
@@ -38,28 +38,17 @@
 pub mod collectives;
 pub mod compute;
 pub mod engine;
-pub mod memory;
 pub mod network;
 pub mod power;
 
 pub use compute::ComputeModel;
 pub use engine::{Round, RoundReport, RoundSchedule, ScheduleEngine};
-pub use memory::MemoryLedger;
 pub use network::{ContentionSim, Flow};
 pub use power::EnergyLedger;
 
 /// Errors produced by simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
-    /// A die ran out of HBM capacity.
-    OutOfMemory {
-        /// The die that overflowed.
-        die: u32,
-        /// Bytes requested beyond capacity.
-        needed: f64,
-        /// Die capacity in bytes.
-        capacity: f64,
-    },
     /// A flow referenced a route with no links (distinct endpoints but an
     /// empty path).
     EmptyRoute {
@@ -75,14 +64,6 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::OutOfMemory {
-                die,
-                needed,
-                capacity,
-            } => write!(
-                f,
-                "die {die} out of memory: needs {needed:.3e} B beyond capacity {capacity:.3e} B"
-            ),
             SimError::EmptyRoute { src, dst } => {
                 write!(f, "flow {src} -> {dst} has an empty route")
             }

@@ -760,6 +760,31 @@ mod tests {
     }
 
     #[test]
+    fn an_imported_cache_recomputes_segment_rows_and_replans_identically() {
+        // An exhaustive TCME solve costs every TCME candidate, so a
+        // Megatron-style TCME solve after the import needs no exact
+        // evaluation; its segment rows are not in the file and are
+        // recomputed, and the plan matches the exporting context's.
+        let megatron = |c: &HybridConfig| c.tatp == 1 && !c.fsdp;
+        let s = solver(ModelZoo::gpt3_6_7b());
+        s.context().set_pruning(false);
+        let _ = s.solve().unwrap();
+        let text = s.context().export_cost_table();
+        let restarted = solver(ModelZoo::gpt3_6_7b());
+        restarted.context().import_cost_table(&text).unwrap();
+        let plan = restarted
+            .solve_with_engine(MappingEngine::Tcme, megatron)
+            .unwrap();
+        let stats = restarted.search_stats();
+        assert_eq!(stats.misses, 0, "every exact evaluation was imported");
+        assert!(stats.seg_misses > 0, "segment rows must be recomputed");
+        assert_eq!(
+            plan,
+            s.solve_with_engine(MappingEngine::Tcme, megatron).unwrap()
+        );
+    }
+
+    #[test]
     fn zero_deadline_still_returns_a_usable_plan_and_the_context_survives() {
         let s = solver(ModelZoo::gpt3_6_7b());
         let (best_effort, timed_out) = s

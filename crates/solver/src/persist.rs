@@ -6,9 +6,8 @@
 //! written with `{:?}` (which round-trips `f64` exactly, including `inf`
 //! and `NaN`), one record per line. The cache-file format lives on top
 //! of these codecs in [`crate::search::SearchContext::export_cost_table`]:
-//! the evaluation cache, the segment table and the plan memo, so a
-//! restarted process answers its first query per key from a restored
-//! plan.
+//! the evaluation cache and the plan memo, so a restarted process answers
+//! its first query per key from a restored plan.
 //!
 //! Cache files are keyed by an FNV-1a fingerprint of the full
 //! `(wafer, model, workload)` triple plus [`crate::cost::COST_MODEL_VERSION`],
@@ -32,7 +31,7 @@ use temp_parallel::memory::FootprintBreakdown;
 use temp_parallel::strategy::HybridConfig;
 use temp_sim::power::EnergyLedger;
 
-use crate::cost::{CostReport, SegmentCost};
+use crate::cost::CostReport;
 use crate::dlws::{ExecutionPlan, SegmentAssignment};
 
 /// 64-bit FNV-1a over arbitrary bytes — stable, dependency-free, and good
@@ -249,34 +248,6 @@ pub(crate) fn decode_report(
         power: f.f64()?,
         power_efficiency: f.f64()?,
         contention_factor: f.f64()?,
-    })
-}
-
-/// The 6 value fields of a [`SegmentCost`] (its `kind` rides in the key).
-pub(crate) fn encode_segment_cost(s: &SegmentCost) -> String {
-    format!(
-        "{:?} {:?} {:?} {:?} {:?} {}",
-        s.time,
-        s.compute_time,
-        s.collective_time,
-        s.stream_time,
-        s.memory_bytes,
-        s.fits_memory as u8,
-    )
-}
-
-pub(crate) fn decode_segment_cost(
-    kind: SegmentKind,
-    f: &mut Fields,
-) -> Result<SegmentCost, String> {
-    Ok(SegmentCost {
-        kind,
-        time: f.f64()?,
-        compute_time: f.f64()?,
-        collective_time: f.f64()?,
-        stream_time: f.f64()?,
-        memory_bytes: f.f64()?,
-        fits_memory: f.bool01()?,
     })
 }
 

@@ -19,8 +19,8 @@
 //!   the caches the first sweep filled.
 //!
 //! Warmth also survives the process: [`ContextPool::save_to`] persists
-//! every context's cost table, segment table and plan memo as one text
-//! file per context (named by the
+//! every context's cost table and plan memo as one text file per context
+//! (named by the
 //! [`crate::cost::WaferCostModel::fingerprint`] of its `(wafer, model,
 //! workload, cost-model version)`), and a pool pointed at that directory
 //! with [`ContextPool::load_from`] imports the matching file whenever a
@@ -71,8 +71,8 @@ impl ContextPool {
         format!("cache-{:016x}.txt", ctx.cost_model().fingerprint())
     }
 
-    /// Persists every pooled context's warm state (cost table, segment
-    /// table, plan memo) into `dir`, one text file per context, named by
+    /// Persists every pooled context's warm state (cost table and plan
+    /// memo) into `dir`, one text file per context, named by
     /// fingerprint. Returns the number of files written. Re-saving over an
     /// existing directory overwrites the matching files and leaves foreign
     /// files alone.
@@ -334,20 +334,30 @@ mod tests {
         };
         let bit_flipped = good.replacen('.', "x", 1).into_bytes();
         let version_skewed = good
-            .replacen("temp-cache v5", "temp-cache v9", 1)
+            .replacen("temp-cache v6", "temp-cache v9", 1)
             .into_bytes();
-        // The previous format: the header at v4, and a collective-kernel
-        // section ahead of the plans.
+        // The sections every older format kept ahead of its plans: the
+        // closed-form segment table (up to v5) and the collective-kernel
+        // table (up to v4).
+        let segs = "segs 1\nS 3 2 0 2 1 1 8 1 1 1 0.5 0.25 0.125 0.0 1024.0 1\n";
+        // The previous format: the header at v5, and the segment table
+        // between the evals and the plans.
+        let v5_format = good
+            .replacen("temp-cache v6", "temp-cache v5", 1)
+            .replacen("\nplans ", &format!("\n{segs}plans "), 1)
+            .into_bytes();
+        // Two formats back: the header at v4, and a collective-kernel
+        // section after the segment table.
         let v4_format = good
-            .replacen("temp-cache v5", "temp-cache v4", 1)
-            .replacen("\nplans ", "\ncoll 0\nplans ", 1)
+            .replacen("temp-cache v6", "temp-cache v4", 1)
+            .replacen("\nplans ", &format!("\n{segs}coll 0\nplans "), 1)
             .into_bytes();
-        // Two formats back: the header at v3, and no plans section.
+        // Three formats back: the header at v3, and no plans section.
         let v3_body = format!(
-            "{}coll 0\n",
-            tables.replacen("temp-cache v5", "temp-cache v3", 1)
+            "{}{segs}coll 0\n",
+            tables.replacen("temp-cache v6", "temp-cache v3", 1)
         );
-        // Four formats back: the header at v1, and segment records
+        // Five formats back: the header at v1, and segment records
         // stored once per engine (an engine code after the config).
         let v1_format = v3_body
             .replacen("temp-cache v3", "temp-cache v1", 1)
@@ -362,7 +372,7 @@ mod tests {
             })
             .collect::<String>()
             .into_bytes();
-        // Three formats back: the header at v2, with the winner-rank and
+        // Four formats back: the header at v2, with the winner-rank and
         // gate-predictor sections ahead of the collective section.
         let v2_format = v3_body
             .replacen("temp-cache v3", "temp-cache v2", 1)
@@ -435,7 +445,7 @@ mod tests {
                 .into_bytes()
         };
         let unreadable = vec![0xff, 0xfe, 0x80, 0x00, b'\n'];
-        let cases: [(&str, Vec<u8>); 16] = [
+        let cases: [(&str, Vec<u8>); 17] = [
             ("truncated", truncated),
             ("bit-flipped", bit_flipped),
             ("version-skewed", version_skewed),
@@ -443,6 +453,7 @@ mod tests {
             ("v2 format", v2_format),
             ("v3 format", v3_body.into_bytes()),
             ("v4 format", v4_format),
+            ("v5 format", v5_format),
             ("P mask with an extra word", extra_word),
             ("P mask bit past the enumeration", bit_past_end),
             ("truncated P record", torn_plan),

@@ -17,11 +17,12 @@
 //!   costed by the best-first stream of
 //!   `SearchContext::cost_candidates_bounded`, whose lanes run on the
 //!   persistent solver runtime ([`crate::runtime`]);
-//! * **cross-process warmth** — the evaluation cache, segment table and
-//!   plan memo round-trip through plain text
-//!   ([`SearchContext::export_cost_table`] /
+//! * **cross-process warmth** — the evaluation cache and plan memo
+//!   round-trip through plain text ([`SearchContext::export_cost_table`] /
 //!   [`SearchContext::import_cost_table`]), fingerprint-keyed so imports
 //!   can never cross wafers, models, workloads or cost-model revisions;
+//!   the segment table is not persisted, because its rows are closed form
+//!   and recomputed on first read;
 //! * a **plan memo** keyed by `PlanKey` — a solved plan is a pure
 //!   function of the costs above plus the solve's engine, pipeline
 //!   degree and candidate list, so a repeated query returns the stored
@@ -198,8 +199,6 @@ pub struct ImportSummary {
     /// Whole-chain evaluation entries imported (including cached
     /// failures).
     pub evals: usize,
-    /// Per-segment cost-table entries imported.
-    pub segs: usize,
     /// Solved plans restored into the plan memo.
     pub plans: usize,
 }
@@ -475,31 +474,30 @@ impl SearchContext {
         self.pruning.load(Ordering::Relaxed)
     }
 
-    /// Serializes the full warm state of this context — the whole-chain
-    /// evaluation cache (including memoized *failures*), the per-segment
-    /// cost table and the plan memo — as plain text, keyed by
+    /// Serializes the warm state of this context that takes a mapping or
+    /// a solve to rebuild — the whole-chain evaluation cache (including
+    /// memoized *failures*) and the plan memo — as plain text, keyed by
     /// [`WaferCostModel::fingerprint`]. A fresh context importing this
     /// answers every memoized solve from its restored plan, and re-solves
-    /// other searches with near-zero exact evaluations.
+    /// other searches with near-zero exact evaluations. The per-segment
+    /// cost table is left out: its rows are closed form, so a re-solve
+    /// recomputes each one on first read in microseconds.
     ///
     /// Format (line-oriented, floats `{:?}`-rendered so they round-trip
     /// bit-exactly):
     ///
     /// ```text
-    /// temp-cache v5 <fingerprint as 16 hex digits>
+    /// temp-cache v6 <fingerprint as 16 hex digits>
     /// evals <n>
     /// E <dp> <fsdp> <tp> <sp> <cp> <tatp> <ep> <pp> <engine> <mode> <report | ->
-    /// segs <n>
-    /// S <kind> <dp> ... <pp> <mode> <segment-cost | ->
     /// plans <n> <enumeration hash as 16 hex digits>
     /// P <engine> <pp> <words> <mask word>... <winner cfg> <mode> <report>
     ///   <segments> (<kind> <count> <cfg> <step-time>)... <chain-cost>
     /// ```
     ///
-    /// `S` records carry no engine: segment costs are engine-free, so one
-    /// segment table serves every mapping engine. A `P` record (one line)
-    /// is a memoized plan: its key's admitted candidates are a hex bitmask
-    /// over [`SearchContext::candidates_with_pp`], and its workload is the
+    /// A `P` record (one line) is a memoized plan: its key's admitted
+    /// candidates are a hex bitmask over
+    /// [`SearchContext::candidates_with_pp`], and its workload is the
     /// context's own with the plan's recompute mode. The `plans` line
     /// carries a hash of the base enumeration the masks index, so a
     /// file written under another enumeration is rejected. Deadline'd solves
@@ -510,7 +508,7 @@ impl SearchContext {
         use crate::persist;
         use std::fmt::Write as _;
 
-        let mut out = format!("temp-cache v5 {:016x}\n", self.cost.fingerprint());
+        let mut out = format!("temp-cache v6 {:016x}\n", self.cost.fingerprint());
 
         let mut evals: Vec<String> = self
             .cache
@@ -532,30 +530,6 @@ impl SearchContext {
         evals.sort_unstable();
         writeln!(out, "evals {}", evals.len()).expect("write to string");
         for line in evals {
-            out.push_str(&line);
-            out.push('\n');
-        }
-
-        let mut segs: Vec<String> = self
-            .seg_cache
-            .snapshot()
-            .into_iter()
-            .map(|((kind, cfg, mode), cost)| {
-                let payload = match cost {
-                    Some(sc) => persist::encode_segment_cost(&sc),
-                    None => "-".to_string(),
-                };
-                format!(
-                    "S {} {} {} {payload}",
-                    kind.code(),
-                    persist::encode_cfg(&cfg),
-                    persist::mode_code(mode),
-                )
-            })
-            .collect();
-        segs.sort_unstable();
-        writeln!(out, "segs {}", segs.len()).expect("write to string");
-        for line in segs {
             out.push_str(&line);
             out.push('\n');
         }
@@ -612,8 +586,8 @@ impl SearchContext {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty cache text")?;
         let mut f = Fields::new(header);
-        if f.next()? != "temp-cache" || f.next()? != "v5" {
-            return Err(format!("not a temp-cache v5 header: {header:?}"));
+        if f.next()? != "temp-cache" || f.next()? != "v6" {
+            return Err(format!("not a temp-cache v6 header: {header:?}"));
         }
         let fp = u64::from_str_radix(f.next()?, 16).map_err(|e| format!("bad fingerprint: {e}"))?;
         f.finish()?;
@@ -625,24 +599,18 @@ impl SearchContext {
             ));
         }
 
-        let section = |lines: &mut std::str::Lines, name: &str| -> Result<usize, String> {
-            let line = lines
-                .next()
-                .ok_or_else(|| format!("missing {name} section"))?;
-            let mut f = Fields::new(line);
-            if f.next()? != name {
-                return Err(format!("expected {name} section, got {line:?}"));
-            }
-            let n = f.usize()?;
-            f.finish()?;
-            Ok(n)
-        };
         // Section counts come from the file itself: never reserve more
         // records than the file has lines.
         let line_count = text.bytes().filter(|&b| b == b'\n').count() + 1;
 
         // Parse everything first; merge only a fully-valid import.
-        let n_evals = section(&mut lines, "evals")?;
+        let evals_line = lines.next().ok_or("missing evals section")?;
+        let mut f = Fields::new(evals_line);
+        if f.next()? != "evals" {
+            return Err(format!("expected evals section, got {evals_line:?}"));
+        }
+        let n_evals = f.usize()?;
+        f.finish()?;
         let mut evals = Vec::with_capacity(n_evals.min(line_count));
         for _ in 0..n_evals {
             let line = lines.next().ok_or("truncated evals section")?;
@@ -660,26 +628,6 @@ impl SearchContext {
             };
             f.finish()?;
             evals.push(((cfg, engine, mode), report));
-        }
-
-        let n_segs = section(&mut lines, "segs")?;
-        let mut segs = Vec::with_capacity(n_segs.min(line_count));
-        for _ in 0..n_segs {
-            let line = lines.next().ok_or("truncated segs section")?;
-            let mut f = Fields::new(line);
-            if f.next()? != "S" {
-                return Err(format!("expected S record, got {line:?}"));
-            }
-            let kind = persist::kind_from_code(f.u8()?)?;
-            let cfg = persist::decode_cfg(&mut f)?;
-            let mode = persist::mode_from_code(f.u8()?)?;
-            let cost = if f.takes_none_marker() {
-                None
-            } else {
-                Some(persist::decode_segment_cost(kind, &mut f)?)
-            };
-            f.finish()?;
-            segs.push(((kind, cfg, mode), cost));
         }
 
         let plans_line = lines.next().ok_or("missing plans section")?;
@@ -721,14 +669,10 @@ impl SearchContext {
         // All parsed — merge.
         let summary = ImportSummary {
             evals: evals.len(),
-            segs: segs.len(),
             plans: plans.len(),
         };
         for (key, report) in evals {
             self.cache.insert_if_absent(key, report);
-        }
-        for (key, cost) in segs {
-            self.seg_cache.insert_if_absent(key, cost);
         }
         // Imported verdicts can move what the incumbent sees, so the
         // memo is replaced by the file's plans, each a pure function of
@@ -1916,10 +1860,17 @@ mod tests {
             "export must be deterministic"
         );
 
+        // The segment row above is closed form and stays out of the file.
+        assert!(
+            !text
+                .lines()
+                .any(|l| l.starts_with("S ") || l.starts_with("segs")),
+            "{text}"
+        );
+
         let fresh = context();
         let summary = fresh.import_cost_table(&text).expect("import");
         assert_eq!(summary.evals, 3);
-        assert_eq!(summary.segs, 1);
 
         // Imported entries answer without running the cost model, and the
         // memoized failure is a failure on the warm side too.
@@ -1960,37 +1911,38 @@ mod tests {
         // Malformed input leaves the context untouched.
         let fresh = context();
         assert!(fresh.import_cost_table("").is_err());
-        assert!(fresh.import_cost_table("temp-cache v5 0\n").is_err());
+        assert!(fresh.import_cost_table("temp-cache v6 0\n").is_err());
         // The fingerprint embeds `COST_MODEL_VERSION`, so a cache written
         // by any other cost-model revision dies at the header.
         let header = text.lines().next().expect("header");
-        let skewed = text.replacen(header, "temp-cache v5 0000000000000000", 1);
+        let skewed = text.replacen(header, "temp-cache v6 0000000000000000", 1);
         let err = fresh.import_cost_table(&skewed).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
         let plans_line = text
             .lines()
             .find(|l| l.starts_with("plans "))
             .expect("plans section");
-        // A v4 file still carries the collective-kernel section before its
-        // plans; it is rejected whole at its header, and a v5 header over
-        // such a body fails at the section.
-        let v4_body = text.replacen("temp-cache v5", "temp-cache v4", 1).replacen(
+        // A v5 file still carries the segment table between its evals and
+        // its plans; it is rejected whole at its header, and a v6 header
+        // over such a body fails at the section.
+        let v5_body = text.replacen("temp-cache v6", "temp-cache v5", 1).replacen(
             plans_line,
-            &format!("coll 1\nC 0 2 0 0.0\n{plans_line}"),
+            &format!("segs 1\nS 3 2 0 2 1 1 8 1 1 1 0.5 0.25 0.125 0.0 1024.0 1\n{plans_line}"),
             1,
         );
         // Older formats — v1 (per-engine segment table), v2 (winner-rank
-        // and gate-predictor sections), v3 (no plans section) and v4
-        // (collective-kernel section) — are rejected whole.
-        for old in ["v1", "v2", "v3", "v4"] {
-            let stale = v4_body.replacen("temp-cache v4", &format!("temp-cache {old}"), 1);
+        // and gate-predictor sections), v3 (no plans section), v4
+        // (collective-kernel section) and v5 (segment table) — are
+        // rejected whole.
+        for old in ["v1", "v2", "v3", "v4", "v5"] {
+            let stale = v5_body.replacen("temp-cache v5", &format!("temp-cache {old}"), 1);
             let err = fresh.import_cost_table(&stale).unwrap_err();
-            assert!(err.contains("v5 header"), "{err}");
+            assert!(err.contains("v6 header"), "{err}");
         }
-        let relabeled = v4_body.replacen("temp-cache v4", "temp-cache v5", 1);
+        let relabeled = v5_body.replacen("temp-cache v5", "temp-cache v6", 1);
         let err = fresh.import_cost_table(&relabeled).unwrap_err();
         assert!(err.contains("expected plans section"), "{err}");
-        // A v5 header over a body without the plans section is torn.
+        // A v6 header over a body without the plans section is torn.
         let sectionless = text.replacen(&format!("{plans_line}\n"), "", 1);
         let err = fresh.import_cost_table(&sectionless).unwrap_err();
         assert!(err.contains("missing plans section"), "{err}");

@@ -98,15 +98,6 @@ impl FaultMap {
         }
     }
 
-    /// Sets a die's dead-core fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the die index is out of range for the map.
-    pub fn set_core_fault(&mut self, die: DieId, fraction: f64) {
-        self.core_fault[die.index()] = fraction.clamp(0.0, 1.0);
-    }
-
     /// Whether a directed link is dead.
     pub fn link_dead(&self, link: LinkId) -> bool {
         self.dead_links.contains(&link)
