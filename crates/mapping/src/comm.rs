@@ -9,7 +9,7 @@
 //! | SP       | 2 all-gathers + 2 reduce-scatters of the (sequence-sharded) activation |
 //! | CP       | 1 KV all-gather per attention |
 //! | FSDP     | per-layer weight all-gather (fwd + bwd) + gradient reduce-scatter |
-//! | DP       | per-step gradient all-reduce (amortized per layer here) |
+//! | DP       | gradient all-reduce every micro-batch (vanilla DDP) |
 //! | TATP     | the bidirectional 1-hop stream (handled by the orchestration; tagged P2P flows for contention analysis) |
 
 use serde::{Deserialize, Serialize};
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use temp_graph::models::ModelConfig;
 use temp_graph::workload::Workload;
 use temp_parallel::groups::WaferLayout;
-use temp_parallel::strategy::ParallelKind;
+use temp_parallel::strategy::{HybridConfig, ParallelKind};
 use temp_sim::collectives::{Collective, CollectiveKind};
 use temp_sim::network::Flow;
 use temp_wsc::topology::{DieId, Mesh};
@@ -49,6 +49,71 @@ impl CommPattern {
             CommPattern::P2pStream => 3,
         }
     }
+
+    /// The collective kind this pattern times as (P2P streams map to one
+    /// shift).
+    pub fn collective_kind(self) -> CollectiveKind {
+        match self {
+            CommPattern::AllReduce => CollectiveKind::AllReduce,
+            CommPattern::AllGather => CollectiveKind::AllGather,
+            CommPattern::ReduceScatter => CollectiveKind::ReduceScatter,
+            CommPattern::P2pStream => CollectiveKind::P2pShift,
+        }
+    }
+}
+
+/// One `(source, pattern)` traffic class of one layer: what every group of
+/// its strategy moves. Layout-free — every group of a class has the
+/// strategy's degree as its size and carries the same bytes and count, so
+/// one class prices all of its groups.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrafficClass {
+    /// Which strategy generates it.
+    pub source: ParallelKind,
+    /// Pattern class.
+    pub pattern: CommPattern,
+    /// Dies per group (the strategy's degree).
+    pub group_size: usize,
+    /// Full payload bytes (per rank).
+    pub bytes: f64,
+    /// How many times the op runs per layer (fwd+bwd combined).
+    pub per_layer_count: f64,
+}
+
+impl TrafficClass {
+    /// Total distinct `(source, pattern)` traffic-class codes.
+    pub const CLASS_COUNT: usize = ParallelKind::COUNT * CommPattern::COUNT;
+
+    /// Canonical traffic-class code in `0..TrafficClass::CLASS_COUNT` —
+    /// the index of this class's accumulator slot in the costing hot path.
+    pub fn class_code(&self) -> usize {
+        self.source.index() * CommPattern::COUNT + self.pattern.index()
+    }
+
+    /// The collective kind this class times as.
+    pub fn collective_kind(&self) -> CollectiveKind {
+        self.pattern.collective_kind()
+    }
+
+    /// The strategy whose layout groups carry this class (FSDP runs on
+    /// the DP groups).
+    pub fn group_kind(&self) -> ParallelKind {
+        match self.source {
+            ParallelKind::Fsdp => ParallelKind::Dp,
+            kind => kind,
+        }
+    }
+
+    /// This class placed on one group.
+    fn place(&self, group: Vec<DieId>) -> CommOp {
+        CommOp {
+            source: self.source,
+            pattern: self.pattern,
+            group,
+            bytes: self.bytes,
+            per_layer_count: self.per_layer_count,
+        }
+    }
 }
 
 /// One communication operation of the plan.
@@ -62,36 +127,17 @@ pub struct CommOp {
     pub group: Vec<DieId>,
     /// Full payload bytes (per rank).
     pub bytes: f64,
-    /// How many times the op runs per layer (fwd+bwd combined); DP gradient
-    /// all-reduce is amortized to `1 / layers`.
+    /// How many times the op runs per layer (fwd+bwd combined).
     pub per_layer_count: f64,
 }
 
 impl CommOp {
-    /// Total distinct `(source, pattern)` traffic-class codes.
-    pub const CLASS_COUNT: usize = ParallelKind::COUNT * CommPattern::COUNT;
-
-    /// Canonical `(source, pattern)` traffic-class code in
-    /// `0..CommOp::CLASS_COUNT` — the index of this op's per-class
-    /// accumulator slot in the costing hot path.
-    pub fn class_code(&self) -> usize {
-        self.source.index() * CommPattern::COUNT + self.pattern.index()
-    }
-
     /// The collective kind this op times as (P2P streams map to one shift).
     pub fn collective_kind(&self) -> CollectiveKind {
-        match self.pattern {
-            CommPattern::AllReduce => CollectiveKind::AllReduce,
-            CommPattern::AllGather => CollectiveKind::AllGather,
-            CommPattern::ReduceScatter => CollectiveKind::ReduceScatter,
-            CommPattern::P2pStream => CollectiveKind::P2pShift,
-        }
+        self.pattern.collective_kind()
     }
 
-    /// The collective equivalent for timing. Timing-only callers that
-    /// would discard the group can skip this allocation:
-    /// [`Collective::analytic_time_for`] with
-    /// [`CommOp::collective_kind`] and `group.len()` prices identically.
+    /// The collective equivalent for timing and round simulation.
     pub fn collective(&self) -> Collective {
         Collective::new(self.collective_kind(), self.group.clone(), self.bytes)
     }
@@ -113,15 +159,17 @@ impl AsRef<Flow> for TaggedFlow {
     }
 }
 
-/// Extracts every communication op of one training step, per layer, for a
-/// laid-out hybrid configuration.
-pub fn extract_comm_ops(
-    layout: &WaferLayout,
+/// The traffic table of one Transformer layer: calls `visit` once per
+/// `(source, pattern)` class `cfg` issues, in a fixed order (TP, SP, CP,
+/// FSDP or DP, TATP). `cfg` must have expert parallelism already folded
+/// into `dp` (a layout places the dense-path degrees only). Allocates
+/// nothing, so the costing hot path can price a layer straight from it.
+pub fn layer_traffic(
+    cfg: &HybridConfig,
     model: &ModelConfig,
     workload: &Workload,
-) -> Vec<CommOp> {
-    let cfg = layout.config();
-    let mut ops = Vec::new();
+    mut visit: impl FnMut(TrafficClass),
+) {
     let e = workload.compute_dtype.bytes() as f64;
     let (dp, tp, sp, cp, tatp) = (
         cfg.dp as f64,
@@ -137,91 +185,73 @@ pub fn extract_comm_ops(
     // Per-die weight shard of one layer.
     let layer_weight_bytes =
         model.params_per_layer() as f64 * e / (tp * tatp * if cfg.fsdp { dp } else { 1.0 });
+    let mut class = |source, pattern, group_size, bytes, per_layer_count| {
+        visit(TrafficClass {
+            source,
+            pattern,
+            group_size,
+            bytes,
+            per_layer_count,
+        })
+    };
+    use CommPattern::{AllGather, AllReduce, P2pStream, ReduceScatter};
+    use ParallelKind::{Cp, Dp, Fsdp, Sp, Tatp, Tp};
 
     if cfg.tp > 1 {
-        for group in layout.groups_of(ParallelKind::Tp) {
-            ops.push(CommOp {
-                source: ParallelKind::Tp,
-                pattern: CommPattern::AllReduce,
-                group,
-                bytes: act_bytes,
-                per_layer_count: 4.0,
-            });
-        }
+        class(Tp, AllReduce, cfg.tp, act_bytes, 4.0);
     }
     if cfg.sp > 1 {
-        for group in layout.groups_of(ParallelKind::Sp) {
-            ops.push(CommOp {
-                source: ParallelKind::Sp,
-                pattern: CommPattern::AllGather,
-                group: group.clone(),
-                bytes: act_bytes * sp,
-                per_layer_count: 2.0,
-            });
-            ops.push(CommOp {
-                source: ParallelKind::Sp,
-                pattern: CommPattern::ReduceScatter,
-                group,
-                bytes: act_bytes * sp,
-                per_layer_count: 2.0,
-            });
-        }
+        class(Sp, AllGather, cfg.sp, act_bytes * sp, 2.0);
+        class(Sp, ReduceScatter, cfg.sp, act_bytes * sp, 2.0);
     }
     if cfg.cp > 1 {
-        for group in layout.groups_of(ParallelKind::Cp) {
-            ops.push(CommOp {
-                source: ParallelKind::Cp,
-                pattern: CommPattern::AllGather,
-                group,
-                bytes: 2.0 * act_bytes * cp / model.heads as f64 * model.kv_heads as f64,
-                per_layer_count: 1.0,
-            });
-        }
+        let kv_bytes = 2.0 * act_bytes * cp / model.heads as f64 * model.kv_heads as f64;
+        class(Cp, AllGather, cfg.cp, kv_bytes, 1.0);
     }
     if cfg.fsdp && cfg.dp > 1 {
-        for group in layout.groups_of(ParallelKind::Dp) {
-            ops.push(CommOp {
-                source: ParallelKind::Fsdp,
-                pattern: CommPattern::AllGather,
-                group: group.clone(),
-                bytes: layer_weight_bytes * cfg.dp as f64,
-                per_layer_count: 2.0,
-            });
-            ops.push(CommOp {
-                source: ParallelKind::Fsdp,
-                pattern: CommPattern::ReduceScatter,
-                group,
-                bytes: layer_weight_bytes * cfg.dp as f64,
-                per_layer_count: 1.0,
-            });
-        }
+        let bytes = layer_weight_bytes * cfg.dp as f64;
+        class(Fsdp, AllGather, cfg.dp, bytes, 2.0);
+        class(Fsdp, ReduceScatter, cfg.dp, bytes, 1.0);
     } else if cfg.dp > 1 {
-        for group in layout.groups_of(ParallelKind::Dp) {
-            ops.push(CommOp {
-                source: ParallelKind::Dp,
-                pattern: CommPattern::AllReduce,
-                group,
-                bytes: layer_weight_bytes,
-                // Vanilla DDP semantics: gradients synchronize every
-                // micro-batch (no gradient-accumulation fusion), which is
-                // what makes DP-heavy configurations communication-bound on
-                // the wafer (§VIII-D).
-                per_layer_count: 1.0,
-            });
-        }
+        // Vanilla DDP semantics: gradients synchronize every micro-batch
+        // (no gradient-accumulation fusion), which is what makes DP-heavy
+        // configurations communication-bound on the wafer (§VIII-D).
+        class(Dp, AllReduce, cfg.dp, layer_weight_bytes, 1.0);
     }
     if cfg.tatp > 1 {
-        for group in layout.groups_of(ParallelKind::Tatp) {
-            // Bidirectional redundant stream: ~2x the streamed tensor per
-            // layer, all 1-hop between logical neighbors.
-            ops.push(CommOp {
-                source: ParallelKind::Tatp,
-                pattern: CommPattern::P2pStream,
-                group,
-                bytes: 2.0 * layer_weight_bytes * tatp,
-                per_layer_count: 3.0, // fwd + bwd + grad stages (Eq. 1)
-            });
+        // Bidirectional redundant stream: ~2x the streamed tensor per
+        // layer, all 1-hop between logical neighbors; fwd + bwd + grad
+        // stages (Eq. 1).
+        let bytes = 2.0 * layer_weight_bytes * tatp;
+        class(Tatp, P2pStream, cfg.tatp, bytes, 3.0);
+    }
+}
+
+/// Extracts every communication op of one training step, per layer, for a
+/// laid-out hybrid configuration: each [`layer_traffic`] class placed on
+/// every group of its strategy.
+pub fn extract_comm_ops(
+    layout: &WaferLayout,
+    model: &ModelConfig,
+    workload: &Workload,
+) -> Vec<CommOp> {
+    let mut classes = Vec::with_capacity(TrafficClass::CLASS_COUNT);
+    layer_traffic(layout.config(), model, workload, |class| {
+        classes.push(class)
+    });
+    let mut ops = Vec::new();
+    // A strategy's classes go group by group (an SP group's all-gather
+    // beside its reduce-scatter). `layer_flows` routes and numbers the
+    // payloads in op order, and TCME's simulated round depends on that
+    // order in the last bit, so it is part of every mapping's identity.
+    let mut rest = &classes[..];
+    while let Some(first) = rest.first() {
+        let kind = first.group_kind();
+        let (run, tail) = rest.split_at(rest.iter().take_while(|c| c.group_kind() == kind).count());
+        for group in layout.groups_of(kind) {
+            ops.extend(run.iter().map(|class| class.place(group.clone())));
         }
+        rest = tail;
     }
     ops
 }
@@ -356,6 +386,54 @@ mod tests {
             .sum();
         let ratio = sp_total / tp_total;
         assert!((0.4..1.1).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn every_placed_op_matches_its_traffic_class() {
+        // Folding EP into DP maps every MoE candidate onto a dense tuple,
+        // so the dense enumerations (plus a CP split, which they lack)
+        // cover the whole zoo's layouts.
+        let models = [ModelZoo::table2(), ModelZoo::moe_zoo()].concat();
+        let row = |c: &TrafficClass| {
+            let (bytes, count) = (c.bytes.to_bits(), c.per_layer_count.to_bits());
+            (c.source, c.pattern, c.group_size, bytes, count)
+        };
+        let placed = |o: &CommOp| {
+            let (bytes, count) = (o.bytes.to_bits(), o.per_layer_count.to_bits());
+            (o.source, o.pattern, o.group.len(), bytes, count)
+        };
+        for wafer in [WaferConfig::hpca(), WaferConfig::with_array(8, 8).unwrap()] {
+            let dies = wafer.die_count();
+            let mut cfgs = HybridConfig::enumerate_tuples(dies, false);
+            let fsdp = HybridConfig::enumerate_tuples(dies, true);
+            cfgs.extend(fsdp.into_iter().filter(|c| c.dp > 1));
+            cfgs.push(HybridConfig {
+                cp: 2,
+                ..HybridConfig::tuple(2, 2, 1, dies / 8)
+            });
+            let policies = [LayoutPolicy::TopologyAware, LayoutPolicy::RowMajorStrips];
+            for (cfg, policy) in cfgs.iter().flat_map(|c| policies.map(|p| (c, p))) {
+                let Ok(layout) = WaferLayout::build(&wafer.mesh(), cfg, policy) else {
+                    continue;
+                };
+                for model in &models {
+                    let workload = Workload::for_model(model);
+                    let mut classes = Vec::new();
+                    layer_traffic(cfg, model, &workload, |c| classes.push(c));
+                    let ops = extract_comm_ops(&layout, model, &workload);
+                    let label = format!("{} {} {policy:?}", model.name, cfg.label());
+                    for op in &ops {
+                        let matches = |c: &TrafficClass| row(c) == placed(op);
+                        assert!(classes.iter().any(matches), "{label}: {op:?}");
+                    }
+                    for class in &classes {
+                        assert_eq!(class.group_size, cfg.degree(class.group_kind()));
+                        let matches = |o: &CommOp| row(class) == placed(o);
+                        assert!(ops.iter().any(matches), "{label}: no group for {class:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use temp_parallel::strategy::HybridConfig;
 use temp_sim::network::ContentionSim;
 use temp_wsc::config::WaferConfig;
 
-use crate::comm::{extract_comm_ops, layer_flows, CommOp, TaggedFlow};
+use crate::comm::{extract_comm_ops, layer_flows, layer_traffic, CommOp, TaggedFlow};
 use crate::optimizer::{multicast_link_loads, TrafficOptimizer};
 use crate::{MappingError, Result};
 
@@ -186,7 +186,7 @@ impl Draft {
             .map_err(|e| MappingError::Layout(e.to_string()))?;
         let comm_ops = extract_comm_ops(&layout, model, workload);
         let flows = layer_flows(&mesh, &comm_ops);
-        let scale = comm_rounds_scale(&comm_ops);
+        let scale = comm_rounds_scale(cfg, model, workload);
         let draft = Draft {
             isolated_comm_time: isolated_round(wafer, &flows) * scale,
             comm_ops,
@@ -339,14 +339,17 @@ fn round_makespan(wafer: &WaferConfig, flows: &[TaggedFlow]) -> f64 {
     ContentionSim::new(wafer).makespan_of(flows)
 }
 
-/// Weighted ring-round count across ops: each op runs
-/// `rounds x per_layer_count` rounds per layer; concurrent ops share the
-/// simulated round, so we scale by the maximum schedule length.
-fn comm_rounds_scale(ops: &[CommOp]) -> f64 {
-    ops.iter()
-        .map(|op| op.collective().round_count() as f64 * op.per_layer_count)
-        .fold(0.0, f64::max)
-        .max(1.0)
+/// Weighted ring-round count across the layer's traffic classes: each
+/// class runs `rounds x per_layer_count` rounds per layer; concurrent
+/// classes share the simulated round, so we scale by the maximum schedule
+/// length.
+fn comm_rounds_scale(cfg: &HybridConfig, model: &ModelConfig, workload: &Workload) -> f64 {
+    let mut scale = 0.0f64;
+    layer_traffic(cfg, model, workload, |class| {
+        let rounds = class.collective_kind().round_count(class.group_size) as f64;
+        scale = scale.max(rounds * class.per_layer_count);
+    });
+    scale.max(1.0)
 }
 
 #[cfg(test)]
@@ -466,6 +469,7 @@ mod tests {
         workload: &Workload,
         cfg: &HybridConfig,
     ) -> Result<MappingOutcome> {
+        let scale = comm_rounds_scale(cfg, model, workload);
         let drafted = |policy| -> Result<MappingOutcome> {
             let mesh = wafer.mesh();
             let layout = WaferLayout::build(&mesh, cfg, policy)
@@ -475,7 +479,6 @@ mod tests {
             if engine == MappingEngine::Tcme {
                 flows = TrafficOptimizer::new(mesh).optimize(flows).flows;
             }
-            let scale = comm_rounds_scale(&comm_ops);
             Ok(MappingOutcome {
                 engine,
                 layout,
@@ -486,8 +489,7 @@ mod tests {
             })
         };
         let simulate = |mut outcome: MappingOutcome| {
-            outcome.comm_time_per_layer =
-                round_makespan(wafer, &outcome.flows) * comm_rounds_scale(&outcome.comm_ops);
+            outcome.comm_time_per_layer = round_makespan(wafer, &outcome.flows) * scale;
             outcome
         };
         match engine {

@@ -36,6 +36,21 @@ pub enum CollectiveKind {
     P2pShift,
 }
 
+impl CollectiveKind {
+    /// Number of ring rounds this kind takes over a group of `n` dies.
+    pub fn round_count(self, n: usize) -> usize {
+        if n < 2 {
+            return 0;
+        }
+        match self {
+            CollectiveKind::AllGather | CollectiveKind::ReduceScatter => n - 1,
+            CollectiveKind::AllReduce => 2 * (n - 1),
+            CollectiveKind::Broadcast | CollectiveKind::AllToAll => n - 1,
+            CollectiveKind::P2pShift => 1,
+        }
+    }
+}
+
 /// A collective over a logical group order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Collective {
@@ -56,16 +71,7 @@ impl Collective {
 
     /// Number of ring rounds the collective takes.
     pub fn round_count(&self) -> usize {
-        let n = self.group.len();
-        if n < 2 {
-            return 0;
-        }
-        match self.kind {
-            CollectiveKind::AllGather | CollectiveKind::ReduceScatter => n - 1,
-            CollectiveKind::AllReduce => 2 * (n - 1),
-            CollectiveKind::Broadcast | CollectiveKind::AllToAll => n - 1,
-            CollectiveKind::P2pShift => 1,
-        }
+        self.kind.round_count(self.group.len())
     }
 
     /// Bytes each rank sends per round.
@@ -140,12 +146,7 @@ impl Collective {
         if n < 2 {
             return 0.0;
         }
-        let rounds = match kind {
-            CollectiveKind::AllGather | CollectiveKind::ReduceScatter => n - 1,
-            CollectiveKind::AllReduce => 2 * (n - 1),
-            CollectiveKind::Broadcast | CollectiveKind::AllToAll => n - 1,
-            CollectiveKind::P2pShift => 1,
-        } as f64;
+        let rounds = kind.round_count(n) as f64;
         let shard = match kind {
             CollectiveKind::AllGather
             | CollectiveKind::ReduceScatter

@@ -25,6 +25,7 @@ use temp_graph::segment::{Segment, SegmentChain, SegmentKind};
 use temp_graph::tensor::LinearDims;
 use temp_graph::transformer::TransformerBuilder;
 use temp_graph::workload::Workload;
+use temp_mapping::comm::{layer_traffic, CommPattern, TrafficClass};
 use temp_mapping::engines::{select, Draft, MappingEngine};
 use temp_mapping::MappingError;
 use temp_parallel::groups::LayoutPolicy;
@@ -155,20 +156,18 @@ pub struct CandidateBound {
 
 /// The communication-relevant slice of one engine's mapping — all an
 /// evaluation reads from it. Layouts, flows and link loads stay in the
-/// mapping crate; the costing hot path needs only the op table (read from
-/// the shared [`Draft`]), the simulated contention factor, and the
-/// pre-reduced D2D volume.
-#[derive(Debug)]
+/// mapping crate; the costing hot path prices the layout-free traffic
+/// table itself ([`WaferCostModel::layer_comm`]) and needs only the
+/// simulated contention factor and the pre-reduced D2D volume.
+#[derive(Debug, Clone, Copy)]
 struct MappedComm {
-    /// The selected draft; its comm ops are the layer's op table.
-    draft: std::sync::Arc<Draft>,
     contention_factor: f64,
     /// Per-layer D2D byte volume (`Σ bytes · per_layer_count · group`),
     /// pre-reduced for the energy ledger.
     comm_bytes_layer: f64,
 }
 
-/// The only workload fields `extract_comm_ops` reads: batch geometry
+/// The only workload fields `layer_traffic` reads: batch geometry
 /// (global batch, sequence length, micro-batches) and dtype width.
 type Geometry = (u64, u64, u64, u8);
 
@@ -203,10 +202,7 @@ type DraftWithFlows = (
 /// others wait for the stored entry.
 struct MappingMemo {
     #[allow(clippy::type_complexity)]
-    table: crate::shard::ShardedMap<
-        MappingKey,
-        std::result::Result<std::sync::Arc<MappedComm>, String>,
-    >,
+    table: crate::shard::ShardedMap<MappingKey, std::result::Result<MappedComm, String>>,
     drafts: crate::shard::ShardedMap<
         DraftKey,
         std::result::Result<std::sync::Arc<Draft>, MappingError>,
@@ -266,7 +262,6 @@ pub(crate) struct EvalHoist {
     layers: f64,
     moe_count: f64,
     dense_count: f64,
-    usable_hbm: f64,
     /// Step FLOPs with the recompute factor applied.
     step_flops: f64,
     /// Per-step HBM traffic (parameter states + activations).
@@ -463,7 +458,7 @@ impl WaferCostModel {
         engine: MappingEngine,
         workload: &Workload,
         layout_cfg: &HybridConfig,
-    ) -> Result<std::sync::Arc<MappedComm>> {
+    ) -> Result<MappedComm> {
         use std::sync::atomic::Ordering;
         let geometry = (
             workload.global_batch,
@@ -486,11 +481,10 @@ impl WaferCostModel {
                         .iter()
                         .map(|op| op.bytes * op.per_layer_count * op.group.len().max(1) as f64)
                         .sum();
-                    std::sync::Arc::new(MappedComm {
+                    MappedComm {
                         contention_factor: selection.contention_factor(),
                         comm_bytes_layer,
-                        draft: selection.draft,
-                    })
+                    }
                 })
                 .map_err(|e| e.to_string());
                 (computed, ())
@@ -573,18 +567,21 @@ impl WaferCostModel {
     /// * `feasible == false` only when the exact escalation path
     ///   ([`crate::search::SearchContext::cost_of`]) is *guaranteed* to
     ///   return infinity: the degree product is invalid, the fabric is
-    ///   disconnected, or the [`per_die_footprint`] verdict (with the
-    ///   logits transient, exactly as [`WaferCostModel::evaluate_with`]
-    ///   computes it) overflows usable HBM under the base **and** the
-    ///   fully-recomputed workload.
+    ///   disconnected, or the memory verdict the exact path reads (the
+    ///   same `memory_verdict` call: [`per_die_footprint`] plus the
+    ///   logits transient) overflows usable HBM under the base **and**
+    ///   the fully-recomputed workload.
     /// * `lb_block <=` the exact [`CostReport::block_time`] (up to float
     ///   association; pruning thresholds carry a relative epsilon). The
     ///   bound keeps only terms the exact evaluation can never undercut:
-    ///   compute without the recompute factor (`>= 1`), the per-class
-    ///   collective times at contention factor 1 (the simulated factor is
-    ///   `>= 1`) on the same EP-folded traffic table
-    ///   (`temp_mapping::comm::extract_comm_ops`), and the exact TATP
-    ///   stream law (bitwise identical, it has no contention term).
+    ///   compute without the recompute factor (`>= 1`), and the layer's
+    ///   communication priced by the exact path's own function
+    ///   (`layer_comm` over `temp_mapping::comm::layer_traffic`) at
+    ///   contention factor 1, where the exact path passes the simulated
+    ///   factor (`>= 1`). The TATP stream term carries no contention
+    ///   factor, so it is bitwise the exact one. Because the bound and the
+    ///   price read one table through one function, a change to either
+    ///   moves both.
     pub fn chain_bounds(&self, candidates: &[HybridConfig]) -> Vec<CandidateBound> {
         use temp_graph::workload::RecomputeMode;
         const INFEASIBLE: CandidateBound = CandidateBound {
@@ -598,12 +595,7 @@ impl WaferCostModel {
         let full = self.workload.clone().with_recompute(RecomputeMode::Full);
         // Hoisted across the batch: block ops and model scalars do not
         // depend on the candidate.
-        let block = TransformerBuilder::new(&self.model, base).block();
-        let micro = base.micro_batches as f64;
-        let layers = self.model.layers as f64;
-        let moe_count = self.model.moe_layer_count() as f64;
-        let dense_count = self.model.dense_layer_count() as f64;
-        let e = base.compute_dtype.bytes() as f64;
+        let hoist = self.eval_hoist(base);
         let dies = self.wafer.die_count();
         candidates
             .iter()
@@ -611,94 +603,27 @@ impl WaferCostModel {
                 if cfg.validate(dies).is_err() {
                     return INFEASIBLE;
                 }
-                let mut fits_any = false;
-                for w in [base, &full] {
-                    let mut memory = per_die_footprint(&self.model, w, cfg);
-                    memory.buffers += self.logits_transient_bytes(cfg, w);
-                    if memory.fits(self.usable_hbm()) {
-                        fits_any = true;
-                        break;
-                    }
-                    if base.recompute == RecomputeMode::Full {
-                        break;
-                    }
-                }
+                let fits_any = self.memory_verdict(cfg, base).1
+                    || (base.recompute != RecomputeMode::Full && self.memory_verdict(cfg, &full).1);
                 if !fits_any {
                     return INFEASIBLE;
                 }
                 // Compute floor: recompute-free per-layer compute time.
-                let comp_floor = self.ops_compute_time(block.ops(), cfg, base, 1);
-                // Comm floor: the traffic table of `extract_comm_ops` on
-                // the EP-folded layout config, one term per (source,
-                // pattern) class — the exact path takes the max over
-                // same-class groups, and every group of a class carries
-                // identical (kind, size, bytes).
-                use CollectiveKind::{AllGather, AllReduce, ReduceScatter};
-                let dp_n = cfg.dp * cfg.ep.max(1);
-                let dp = dp_n as f64;
-                let (tp, sp, cp, tatp) =
-                    (cfg.tp as f64, cfg.sp as f64, cfg.cp as f64, cfg.tatp as f64);
-                let local_tokens =
-                    base.micro_batch_size() as f64 / dp * base.seq_len as f64 / (sp * cp);
-                let act_bytes = local_tokens * self.model.hidden as f64 * e;
-                let layer_weight_bytes = self.model.params_per_layer() as f64 * e
-                    / (tp * tatp * if cfg.fsdp { dp } else { 1.0 });
-                let mut comm_floor = 0.0;
-                if cfg.tp > 1 {
-                    comm_floor += self.collective_raw_time(AllReduce, cfg.tp, act_bytes)
-                        * 4.0
-                        * self.link_factor;
-                }
-                if cfg.sp > 1 {
-                    comm_floor += self.collective_raw_time(AllGather, cfg.sp, act_bytes * sp)
-                        * 2.0
-                        * self.link_factor;
-                    comm_floor += self.collective_raw_time(ReduceScatter, cfg.sp, act_bytes * sp)
-                        * 2.0
-                        * self.link_factor;
-                }
-                if cfg.cp > 1 {
-                    let kv_bytes =
-                        2.0 * act_bytes * cp / self.model.heads as f64 * self.model.kv_heads as f64;
-                    comm_floor += self.collective_raw_time(AllGather, cfg.cp, kv_bytes)
-                        * 1.0
-                        * self.link_factor;
-                }
-                if cfg.fsdp && dp_n > 1 {
-                    comm_floor +=
-                        self.collective_raw_time(AllGather, dp_n, layer_weight_bytes * dp)
-                            * 2.0
-                            * self.link_factor;
-                    comm_floor +=
-                        self.collective_raw_time(ReduceScatter, dp_n, layer_weight_bytes * dp)
-                            * 1.0
-                            * self.link_factor;
-                } else if dp_n > 1 {
-                    comm_floor += self.collective_raw_time(AllReduce, dp_n, layer_weight_bytes)
-                        * 1.0
-                        * self.link_factor;
-                }
-                // Stream term: bitwise the exact path's P2P pricing (no
-                // contention factor exists there to drop).
-                let mut stream_floor = 0.0;
-                if cfg.tatp > 1 {
-                    let stream_bytes = 2.0 * layer_weight_bytes * tatp;
-                    let t_deg = cfg.tatp.max(1) as f64;
-                    let chunk = stream_bytes / t_deg;
-                    stream_floor = 3.0 * t_deg * self.stream_round_time(chunk);
-                }
+                let comp_floor = self.ops_compute_time(hoist.block.ops(), cfg, base, 1);
+                // Comm floor: the exact path's price at contention factor 1.
+                let (comm_floor, stream_floor) = self.layer_comm(&ep_folded(cfg), base, 1.0);
                 let lb_layer = comm_floor + comp_floor.max(stream_floor);
                 let pp = cfg.pp as f64;
-                let local_layers = (layers / pp).max(1.0);
+                let local_layers = (hoist.layers / pp).max(1.0);
                 // Dense-block share of one pipeline stage: MoE models
                 // price only their dense layers here (the MoE run has its
                 // own chain row).
-                let mult = if moe_count > 0.0 {
-                    local_layers / layers * dense_count
+                let mult = if hoist.moe_count > 0.0 {
+                    local_layers / hoist.layers * hoist.dense_count
                 } else {
                     local_layers
                 };
-                let lb_block = (micro + pp - 1.0) * mult * lb_layer;
+                let lb_block = (hoist.micro + pp - 1.0) * mult * lb_layer;
                 CandidateBound {
                     feasible: true,
                     lb_block,
@@ -762,7 +687,6 @@ impl WaferCostModel {
             layers: self.model.layers as f64,
             moe_count: self.model.moe_layer_count() as f64,
             dense_count: self.model.dense_layer_count() as f64,
-            usable_hbm: self.usable_hbm(),
             step_flops: workload.step_flops(&self.model) * recompute_factor,
             hbm_bytes: 3.0 * workload.param_state_bytes(&self.model)
                 + 2.0 * workload.activation_bytes_total(&self.model) * micro,
@@ -783,13 +707,7 @@ impl WaferCostModel {
         self.check_connected()?;
 
         // ---- Memory ---------------------------------------------------------
-        let mut memory = per_die_footprint(&self.model, workload, cfg);
-        // The whole-model verdict owns chain feasibility, so it must also
-        // see the end segments' transients — notably the head's logits
-        // shard, which `per_die_footprint`'s per-layer accounting never
-        // prices.
-        memory.buffers += self.logits_transient_bytes(cfg, workload);
-        let fits_memory = memory.fits(hoist.usable_hbm);
+        let (memory, fits_memory) = self.memory_verdict(cfg, workload);
 
         // ---- Per-layer compute (per micro-batch) ---------------------------
         // The block graph is hoisted — only the per-candidate degrees enter
@@ -798,59 +716,14 @@ impl WaferCostModel {
             self.ops_compute_time(hoist.block.ops(), cfg, workload, 1) * hoist.recompute_factor;
 
         // ---- Communication ---------------------------------------------------
-        // Layout normalization: the expert-parallel groups occupy the die
-        // array like an outer data-parallel dimension (experts shard where
-        // replicas would sit), so the mapping engines see `ep` folded into
-        // `dp`. The MoE-specific traffic (all-to-all dispatch/combine,
-        // expert gradient sync) is priced by the segment evaluator below,
-        // not by the dense mapping.
-        let layout_cfg = HybridConfig {
-            dp: cfg.dp * cfg.ep.max(1),
-            ep: 1,
-            ..*cfg
-        };
+        // The mapping engines see `ep` folded into `dp` (see `ep_folded`).
+        // The MoE-specific traffic (all-to-all dispatch/combine, expert
+        // gradient sync) is priced by the segment evaluator below, not by
+        // the dense mapping.
+        let layout_cfg = ep_folded(cfg);
         let mapping = self.mapped_comm(engine, workload, &layout_cfg)?;
         let contention_factor = mapping.contention_factor;
-        // Split: stream ops overlap, everything else is exposed.
-        // Groups of the same (source, pattern) run concurrently on disjoint
-        // die sets: take the max over groups, then sum distinct op classes.
-        // Classes index a fixed array by their canonical code (absent
-        // classes hold `0.0`, the additive identity), so the steady-state
-        // loop touches no heap.
-        let mut coll_by_class = [0.0f64; temp_mapping::comm::CommOp::CLASS_COUNT];
-        let mut stream_layer: f64 = 0.0;
-        for op in &mapping.draft.comm_ops {
-            match op.pattern {
-                temp_mapping::comm::CommPattern::P2pStream => {
-                    // Per-round pricing: the stream runs `tatp` rounds per
-                    // stage; each round moves one chunk per direction with
-                    // up to ~3 concurrent waves per link (measured from the
-                    // orchestration) and granularity-dependent effective
-                    // bandwidth — fine chunks at very high degrees
-                    // under-utilize the D2D links (§III-B), producing the
-                    // Fig. 9 tail. The two directions run on disjoint
-                    // directed links (the 0.5 factor).
-                    // Mean waves per directed link per round is ~1; the
-                    // occasional 3-wave peak (see
-                    // TatpOrchestration::peak_link_multiplicity) averages
-                    // out to ~1.5 over a stage.
-                    let t_deg = cfg.tatp.max(1) as f64;
-                    let chunk = op.bytes / t_deg;
-                    let t = op.per_layer_count * t_deg * self.stream_round_time(chunk);
-                    stream_layer = stream_layer.max(t);
-                }
-                _ => {
-                    let t =
-                        self.collective_raw_time(op.collective_kind(), op.group.len(), op.bytes)
-                            * op.per_layer_count
-                            * contention_factor
-                            * self.link_factor;
-                    let slot = &mut coll_by_class[op.class_code()];
-                    *slot = slot.max(t);
-                }
-            }
-        }
-        let coll_layer: f64 = coll_by_class.iter().sum();
+        let (coll_layer, stream_layer) = self.layer_comm(&layout_cfg, workload, contention_factor);
 
         // ---- Eq. 2 per layer, Eq. 4 per step --------------------------------
         let layer_time = coll_layer + comp_layer.max(stream_layer);
@@ -1153,9 +1026,9 @@ impl WaferCostModel {
     ///   over the `tp x tatp` table shards; gradients are row-sparse, so
     ///   the DP exchange moves only the touched rows (`tokens x H`), not
     ///   the `V x H` table.
-    /// * **Block** — TP activation all-reduces, SP/CP gather/scatter
-    ///   around the norms, the DP/FSDP gradient collectives amortized over
-    ///   micro-batches and the TATP weight stream.
+    /// * **Block** — the dense layer's contention-free price, read from
+    ///   the same traffic table as the exact evaluation and the bound
+    ///   ([`WaferCostModel::layer_comm`] at contention factor 1).
     /// * **Head** — vocab-parallel cross-entropy needs only two scalars
     ///   per token across the shard group, but the tied `V x H` weight
     ///   picks up *dense* gradients that must all-reduce across DP
@@ -1182,7 +1055,6 @@ impl WaferCostModel {
             * (workload.seq_len as f64 / spcp as f64).max(1.0);
         let act_local = tokens_local * self.model.hidden as f64 * e;
         let vocab_shard = tp * tatp;
-        let params_bytes = segment.params as f64 * e;
         let mut coll = 0.0;
         let mut stream = 0.0;
         match segment.kind {
@@ -1202,35 +1074,22 @@ impl WaferCostModel {
                     self.model.hidden as f64 * self.model.vocab as f64 * e / vocab_shard as f64;
                 coll += self.ring_time(dp, AllReduce, table_shard) / micro;
             }
-            SegmentKind::Block => {
-                // TP: two activation all-reduces forward, two backward.
-                coll += 4.0 * self.ring_time(tp, AllReduce, act_local);
-                // SP/CP: gather/scatter around the norm path, fwd + bwd.
-                coll += 2.0
-                    * (self.ring_time(spcp, AllGather, act_local)
-                        + self.ring_time(spcp, ReduceScatter, act_local));
-                // DP/FSDP parameter collectives amortized per micro-batch.
-                if cfg.fsdp {
-                    coll += self.ring_time(dp, AllGather, params_bytes)
-                        + self.ring_time(dp, ReduceScatter, params_bytes) / micro;
-                } else {
-                    coll += self.ring_time(dp, AllReduce, params_bytes) / micro;
-                }
-                // TATP weight stream (same per-round pricing as the exact
-                // path, with one stage per layer).
-                if tatp > 1 {
-                    let chunk = params_bytes / (tp * tatp * tatp) as f64;
-                    stream = tatp as f64 * self.stream_round_time(chunk);
-                }
-            }
+            SegmentKind::Block => return self.layer_comm(&ep_folded(cfg), workload, 1.0),
             SegmentKind::MoeBlock => {
                 let Some(moe) = self.model.moe else {
                     return (0.0, 0.0);
                 };
                 let attn_params_bytes = self.model.attn_params_per_layer() as f64 * e;
                 let expert_params_bytes = moe.expert_params(self.model.hidden) as f64 * e;
-                // Shared attention path: same TP/SP collectives as a dense
-                // block (EP already folded into the dp-sharded act_local).
+                // Known gap: the attention-path terms of this arm are not
+                // read from `layer_traffic`. SP and CP share one group over
+                // the local activation, there is no CP KV gather, the
+                // DP/FSDP terms amortize over micro-batches and the stream
+                // runs one stage per layer. Reading them from the table
+                // would move MoE plans.
+                //
+                // Shared attention path: TP/SP collectives (EP already
+                // folded into the dp-sharded act_local).
                 coll += 4.0 * self.ring_time(tp, AllReduce, act_local);
                 coll += 2.0
                     * (self.ring_time(spcp, AllGather, act_local)
@@ -1264,8 +1123,8 @@ impl WaferCostModel {
                     coll += self.ring_time(dp, AllReduce, attn_params_bytes) / micro;
                     coll += self.ring_time(group_dp, AllReduce, expert_shard_bytes) / micro;
                 }
-                // TATP streams the attention weights exactly like a dense
-                // block (expert weights stay put — tokens travel instead).
+                // TATP streams the attention weights (expert weights stay
+                // put — tokens travel instead).
                 if tatp > 1 {
                     let chunk = attn_params_bytes / (tp * tatp * tatp) as f64;
                     stream = tatp as f64 * self.stream_round_time(chunk);
@@ -1275,10 +1134,65 @@ impl WaferCostModel {
         (coll, stream)
     }
 
+    /// Per-layer, per-micro-batch `(collective, stream)` time of the dense
+    /// layer's traffic table ([`temp_mapping::comm::layer_traffic`] of the
+    /// EP-folded `layout_cfg`) — the one function that prices it, for the
+    /// exact evaluation (at the mapping's simulated contention factor),
+    /// the bound and the Block segment row (both at `1.0`).
+    ///
+    /// Groups of one class run concurrently on disjoint die sets with
+    /// identical size, bytes and count, so a class costs what one of its
+    /// groups costs; distinct collective classes add up, summed in
+    /// class-code order. The TATP stream overlaps compute and is returned
+    /// apart: it runs `tatp` rounds per stage, each moving one chunk per
+    /// direction (see `stream_round_time`). Allocates nothing.
+    fn layer_comm(
+        &self,
+        layout_cfg: &HybridConfig,
+        workload: &Workload,
+        contention_factor: f64,
+    ) -> (f64, f64) {
+        let mut coll_by_class = [0.0f64; TrafficClass::CLASS_COUNT];
+        let mut stream = 0.0;
+        layer_traffic(layout_cfg, &self.model, workload, |class| {
+            if class.pattern == CommPattern::P2pStream {
+                let t_deg = class.group_size as f64;
+                stream =
+                    class.per_layer_count * t_deg * self.stream_round_time(class.bytes / t_deg);
+            } else {
+                coll_by_class[class.class_code()] = self.collective_raw_time(
+                    class.collective_kind(),
+                    class.group_size,
+                    class.bytes,
+                ) * class.per_layer_count
+                    * contention_factor
+                    * self.link_factor;
+            }
+        });
+        (coll_by_class.iter().sum(), stream)
+    }
+
+    /// The whole-model memory verdict: the [`per_die_footprint`] plus the
+    /// end segments' transients — notably the head's logits shard, which
+    /// the per-layer accounting never prices — against usable HBM. Shared
+    /// by the exact evaluation and the bound's feasibility test.
+    fn memory_verdict(
+        &self,
+        cfg: &HybridConfig,
+        workload: &Workload,
+    ) -> (FootprintBreakdown, bool) {
+        let mut memory = per_die_footprint(&self.model, workload, cfg);
+        memory.buffers += self.logits_transient_bytes(cfg, workload);
+        let fits = memory.fits(self.usable_hbm());
+        (memory, fits)
+    }
+
     /// One TATP stream round moving `chunk` bytes per direction — the
-    /// single source of the per-round pricing for both the exact
-    /// per-layer path and the closed-form segment evaluator (they must
-    /// agree or the uniform-chain identity breaks).
+    /// single source of the per-round pricing for the dense layer
+    /// (`layer_comm`) and the MoE segment's attention stream. Effective
+    /// bandwidth depends on granularity: fine chunks at very high degrees
+    /// under-utilize the D2D links (§III-B), producing the Fig. 9 tail.
+    /// The two directions run on disjoint directed links (the 0.5 factor).
     fn stream_round_time(&self, chunk: f64) -> f64 {
         (self.wafer.d2d.latency
             + 0.5 * STREAM_WAVE_MULTIPLICITY * chunk / self.wafer.d2d.effective_bandwidth(chunk))
@@ -1368,6 +1282,18 @@ impl WaferCostModel {
             _ => 0.0,
         };
         params_state + act + extra
+    }
+}
+
+/// Layout normalization: the expert-parallel groups occupy the die array
+/// like an outer data-parallel dimension (experts shard where replicas
+/// would sit), so the dense path and the mapping engines see `ep` folded
+/// into `dp`.
+fn ep_folded(cfg: &HybridConfig) -> HybridConfig {
+    HybridConfig {
+        dp: cfg.dp * cfg.ep.max(1),
+        ep: 1,
+        ..*cfg
     }
 }
 
@@ -1738,6 +1664,80 @@ mod tests {
             }
         });
         assert_eq!(m.mapping_memo_stats(), (THREADS as u64 - 1, 1));
+    }
+
+    /// The per-layer pricing loop before the traffic table: each mapped
+    /// op priced on its own group, the max over a class's groups, then the
+    /// class sum in class-code order; the stream is the max over groups.
+    /// Returns the report's `(collective_time, stream_time)` bits.
+    fn per_group_times(
+        m: &WaferCostModel,
+        cfg: &HybridConfig,
+        engine: MappingEngine,
+    ) -> (u64, u64) {
+        let mapping = temp_mapping::engines::map_hybrid(
+            engine,
+            &m.wafer,
+            &m.model,
+            &m.workload,
+            &ep_folded(cfg),
+        )
+        .expect("a valid candidate maps");
+        let mut coll_by_class = [0.0f64; TrafficClass::CLASS_COUNT];
+        let mut stream: f64 = 0.0;
+        for op in &mapping.comm_ops {
+            if op.pattern == CommPattern::P2pStream {
+                let t_deg = cfg.tatp.max(1) as f64;
+                let t = op.per_layer_count * t_deg * m.stream_round_time(op.bytes / t_deg);
+                stream = stream.max(t);
+            } else {
+                let t = m.collective_raw_time(op.collective_kind(), op.group.len(), op.bytes)
+                    * op.per_layer_count
+                    * mapping.contention_factor()
+                    * m.link_factor;
+                let code = op.source.index() * CommPattern::COUNT + op.pattern.index();
+                coll_by_class[code] = coll_by_class[code].max(t);
+            }
+        }
+        let local_layers = (m.model.layers as f64 / cfg.pp as f64).max(1.0);
+        let micro = m.workload.micro_batches as f64;
+        let coll: f64 = coll_by_class.iter().sum();
+        let scaled = |t: f64| (t * local_layers * micro).to_bits();
+        (scaled(coll), scaled(stream))
+    }
+
+    #[test]
+    fn the_traffic_table_prices_like_the_per_group_loop() {
+        use crate::search::SearchContext;
+        use MappingEngine::{GMap, SMap, Tcme};
+        let wafer = WaferConfig::hpca();
+        let faults = FaultMap::inject_link_faults(&wafer.mesh(), 0.1, 11);
+        for model in [ModelZoo::gpt3_6_7b(), ModelZoo::deepseek_moe_16b()] {
+            let dies = wafer.die_count();
+            let candidates = match model.moe {
+                Some(moe) => SearchContext::enumerate_moe_candidates(dies, moe.num_experts as _),
+                None => SearchContext::enumerate_base_candidates(dies),
+            };
+            let healthy =
+                WaferCostModel::new(wafer.clone(), model.clone(), Workload::for_model(&model));
+            let degraded = healthy.derated(&faults);
+            assert_ne!(degraded.link_factor, 1.0);
+            let mut checked = 0;
+            for cfg in &candidates {
+                for (engine, m) in [SMap, GMap, Tcme]
+                    .iter()
+                    .flat_map(|e| [(*e, &healthy), (*e, &degraded)])
+                {
+                    if let Ok(r) = m.evaluate(cfg, engine) {
+                        let got = (r.collective_time.to_bits(), r.stream_time.to_bits());
+                        let label = format!("{} {} {engine}", model.name, cfg.label());
+                        assert_eq!(got, per_group_times(m, cfg, engine), "{label}");
+                        checked += 1;
+                    }
+                }
+            }
+            assert!(checked >= candidates.len(), "{}: {checked}", model.name);
+        }
     }
 
     #[test]
