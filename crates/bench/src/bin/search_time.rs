@@ -3,7 +3,8 @@
 //! candidate costing, the bound-pruned evaluation counts of a cold
 //! single-model solve, the multi-wafer sweep, the MoE chain and 16x16 and
 //! 32x32 wafers, the candidate-cache hit rate of the seven-system sweep,
-//! and the persisted-cache warm start over the fig13 zoo.
+//! the persisted-cache warm start over the fig13 zoo, and the mapping
+//! drafts and segment rows a pipeline-degree sweep builds.
 //!
 //! Machine-readable results are emitted as single-line JSON records
 //! (prefix `{"bench":"search_time",...}`) for the bench trajectory.
@@ -172,6 +173,27 @@ fn zoo_map_drafts() -> u64 {
         .sum()
 }
 
+/// Mapping drafts built and segment rows computed by one GPT-3 6.7B
+/// context running `compare_all` and then the 2/4/8-wafer x 1/2-stage
+/// sweep. The sweep's stage solves cost the candidates at pipeline
+/// degrees 2 to 16, and share the single-wafer solves' drafts and
+/// segment rows (both are keyed at `pp = 1`). The context costs serially,
+/// as in [`zoo_map_drafts`].
+fn sweep_sharing() -> (u64, u64) {
+    let temp = Temp::hpca(ModelZoo::gpt3_6_7b());
+    temp.solver().context().set_parallel(false);
+    let _ = temp.compare_all();
+    let _ = temp.evaluate_multiwafer_sweep(
+        &temp_core::baselines::BaselineSystem::temp(),
+        &[2, 4, 8],
+        &[1, 2],
+    );
+    (
+        temp.solver().cost_model().draft_memo_stats().1,
+        temp.search_stats().seg_misses,
+    )
+}
+
 /// Strips the bit-exact step time off a zoo fingerprint, leaving
 /// `model label`. Fingerprints from *independent* contexts agree only up
 /// to float association (HashMap-ordered sums), so cross-pool winner
@@ -316,6 +338,10 @@ fn main() {
                 .unwrap_or_else(|| panic!("no wafer64_exact_evals field in {path}"));
             let map_drafts = json_u64_field(&record, "map_drafts")
                 .unwrap_or_else(|| panic!("no map_drafts field in {path}"));
+            let sweep_map_drafts = json_u64_field(&record, "sweep_map_drafts")
+                .unwrap_or_else(|| panic!("no sweep_map_drafts field in {path}"));
+            let sweep_seg_misses = json_u64_field(&record, "sweep_seg_misses")
+                .unwrap_or_else(|| panic!("no sweep_seg_misses field in {path}"));
             let pruned_candidates = json_u64_field(&record, "pruned_candidates")
                 .unwrap_or_else(|| panic!("no pruned_candidates field in {path}"));
             let campaign_s = json_f64_field(&record, "campaign_s")
@@ -329,6 +355,8 @@ fn main() {
                 wafer32_evals,
                 wafer64_evals,
                 map_drafts,
+                sweep_map_drafts,
+                sweep_seg_misses,
                 pruned_candidates,
                 campaign_s,
             )
@@ -662,6 +690,13 @@ fn main() {
     );
     println!("{{\"bench\":\"search_time\",\"metric\":\"map_drafts\",\"map_drafts\":{map_drafts}}}");
 
+    header("pipeline-degree sharing: compare_all, then the 2/4/8-wafer x 1/2-stage sweep");
+    let (sweep_map_drafts, sweep_seg_misses) = sweep_sharing();
+    println!("{sweep_map_drafts} drafts built, {sweep_seg_misses} segment rows computed");
+    println!(
+        "{{\"bench\":\"search_time\",\"metric\":\"sweep_sharing\",\"sweep_map_drafts\":{sweep_map_drafts},\"sweep_seg_misses\":{sweep_seg_misses}}}"
+    );
+
     header("flat-batched fault campaigns: one (model x kind x rate x seed) grid");
     // A compact fig20-shaped campaign: every lane is one seed's full rate
     // sweep, flat-batched on the solver runtime.
@@ -754,6 +789,7 @@ fn main() {
                 "\"pruned_candidates\":{},\"bound_time_s\":{:.6},",
                 "\"pruned_winners_match\":{},",
                 "\"campaign_s\":{:.6},\"campaign_lanes\":{},\"map_drafts\":{},",
+                "\"sweep_map_drafts\":{},\"sweep_seg_misses\":{},",
                 "\"coalesced_evals\":{},\"shard_waits\":{},\"unique_eval_keys\":{},",
                 "\"serial_zoo_evals\":{},\"discarded\":{},\"streams_agree\":{},",
                 "\"pruned_zoo_baseline_s\":{:.6},\"zoo_models\":[{}]}}\n"
@@ -790,6 +826,8 @@ fn main() {
             campaign_s,
             campaign_lanes,
             map_drafts,
+            sweep_map_drafts,
+            sweep_seg_misses,
             coalesced_evals,
             shard_waits,
             unique_eval_keys,
@@ -819,6 +857,8 @@ fn main() {
         baseline_wafer32_evals,
         baseline_wafer64_evals,
         baseline_map_drafts,
+        baseline_sweep_map_drafts,
+        baseline_sweep_seg_misses,
         baseline_pruned_candidates,
         baseline_campaign_s,
     )) = check_baseline
@@ -826,8 +866,9 @@ fn main() {
         // Bench-regression gate: fail when a cold bound-pruned search —
         // single wafer, the multi-wafer sweep, the MoE chain, or the
         // 16x16, 32x32 and 64x64 wafers — needs >20% more exact
-        // evaluations, or the cold three-engine zoo >20% more mapping
-        // drafts, than the committed baseline record.
+        // evaluations, the cold three-engine zoo >20% more mapping
+        // drafts, or the pipeline-degree sweep >20% more drafts or
+        // segment rows, than the committed baseline record.
         // (`large_wafer_solve_s`, `wafer32_solve_s` and `wafer64_solve_s`
         // are recorded, not gated: wall time varies across runners.)
         let mut failed = false;
@@ -851,6 +892,16 @@ fn main() {
                 baseline_wafer64_evals,
             ),
             ("map_drafts", map_drafts, baseline_map_drafts),
+            (
+                "sweep_map_drafts",
+                sweep_map_drafts,
+                baseline_sweep_map_drafts,
+            ),
+            (
+                "sweep_seg_misses",
+                sweep_seg_misses,
+                baseline_sweep_seg_misses,
+            ),
         ] {
             let limit = (baseline as f64 * 1.2).ceil() as u64;
             println!(

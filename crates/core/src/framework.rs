@@ -308,10 +308,11 @@ impl Temp {
     /// Sweeps wafer counts and pipeline multipliers inside this
     /// framework's one shared search context. Each point is one
     /// [`Temp::evaluate_multiwafer`] solve, bound-pruned against the
-    /// verdicts the points before it left in the cache: combinations
-    /// sharing a pipeline degree (2 wafers x 2 stages, 4 wafers x 1)
-    /// share their candidate costing and differ only in wafer placement
-    /// and handoff pricing.
+    /// verdicts the points before it left in the cache. Every point
+    /// shares mappings and end-segment rows (keyed at `pp = 1`);
+    /// combinations sharing a pipeline degree (2 wafers x 2 stages, 4
+    /// wafers x 1) also share their exact evaluations and differ only in
+    /// wafer placement and handoff pricing.
     pub fn evaluate_multiwafer_sweep(
         &self,
         system: &BaselineSystem,

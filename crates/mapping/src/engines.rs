@@ -368,11 +368,7 @@ mod tests {
     fn all_engines_map_a_hybrid_config() {
         let (wafer, model, workload) = setup();
         let cfg = HybridConfig::tuple(2, 2, 1, 8);
-        for engine in [
-            MappingEngine::SMap,
-            MappingEngine::GMap,
-            MappingEngine::Tcme,
-        ] {
+        for engine in ENGINES {
             let out = map_hybrid(engine, &wafer, &model, &workload, &cfg)
                 .unwrap_or_else(|e| panic!("{engine}: {e}"));
             assert!(out.comm_time_per_layer > 0.0, "{engine}");
@@ -517,6 +513,28 @@ mod tests {
         }
     }
 
+    const ENGINES: [MappingEngine; 3] = [
+        MappingEngine::SMap,
+        MappingEngine::GMap,
+        MappingEngine::Tcme,
+    ];
+
+    /// The engine test configs plus tuples scaled to a `dies`-die wafer.
+    fn wafer_configs(dies: usize) -> Vec<HybridConfig> {
+        let mut cfgs = test_configs().to_vec();
+        cfgs.extend([
+            HybridConfig::tuple(dies, 1, 1, 1),
+            HybridConfig::tuple(2, 2, 1, dies / 4),
+            HybridConfig::tuple(dies / 8, 2, 2, 2),
+            HybridConfig::tuple(dies / 4, 4, 1, 1),
+            // TCME reroutes the topology-aware draft of these: the
+            // first wins with it, the second loses with it on 8x8.
+            HybridConfig::tuple(dies / 2, 2, 1, 1),
+            HybridConfig::tuple(2, 1, 4, dies / 8),
+        ]);
+        cfgs
+    }
+
     #[test]
     fn shared_drafts_map_like_per_engine_drafts() {
         let model = ModelZoo::gpt3_6_7b();
@@ -524,24 +542,8 @@ mod tests {
         let mut tcme_rerouted = [false, false];
         for (w, h) in [(8u32, 4u32), (8, 8), (16, 8)] {
             let wafer = WaferConfig::with_array(w, h).unwrap();
-            let dies = (w * h) as usize;
-            let mut cfgs = test_configs().to_vec();
-            cfgs.extend([
-                HybridConfig::tuple(dies, 1, 1, 1),
-                HybridConfig::tuple(2, 2, 1, dies / 4),
-                HybridConfig::tuple(dies / 8, 2, 2, 2),
-                HybridConfig::tuple(dies / 4, 4, 1, 1),
-                // TCME reroutes the topology-aware draft of these: the
-                // first wins with it, the second loses with it on 8x8.
-                HybridConfig::tuple(dies / 2, 2, 1, 1),
-                HybridConfig::tuple(2, 1, 4, dies / 8),
-            ]);
-            for cfg in cfgs {
-                for engine in [
-                    MappingEngine::SMap,
-                    MappingEngine::GMap,
-                    MappingEngine::Tcme,
-                ] {
+            for cfg in wafer_configs((w * h) as usize) {
+                for engine in ENGINES {
                     let got = map_hybrid(engine, &wafer, &model, &workload, &cfg);
                     let expected = map_reference(engine, &wafer, &model, &workload, &cfg);
                     let label = format!("{engine} {} on {w}x{h}", cfg.label());
@@ -575,6 +577,37 @@ mod tests {
         // Both TCME branches ran: a pick the optimizer left alone (the
         // draft's times reused) and one it rerouted (re-simulated).
         assert_eq!(tcme_rerouted, [true, true]);
+    }
+
+    #[test]
+    fn mappings_never_read_the_pipeline_degree() {
+        // The solver's mapping and draft memos key on a `pp = 1` layout
+        // config. If a layout, route or traffic class ever reads `pp`,
+        // this fails and `pp` must go back into those keys.
+        let model = ModelZoo::gpt3_6_7b();
+        let workload = Workload::for_model(&model);
+        for (w, h) in [(8u32, 4u32), (16, 8)] {
+            let wafer = WaferConfig::with_array(w, h).unwrap();
+            for cfg in wafer_configs((w * h) as usize) {
+                for engine in ENGINES {
+                    let map = |pp| {
+                        let staged = HybridConfig { pp, ..cfg };
+                        map_hybrid(engine, &wafer, &model, &workload, &staged).map(|m| {
+                            let times = (
+                                m.comm_time_per_layer.to_bits(),
+                                m.isolated_comm_time.to_bits(),
+                            );
+                            (times, m.flows, m.comm_ops)
+                        })
+                    };
+                    let single = map(1);
+                    for pp in [2, 8] {
+                        let label = format!("{engine} {} pp={pp} on {w}x{h}", cfg.label());
+                        assert_eq!(map(pp), single, "{label}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

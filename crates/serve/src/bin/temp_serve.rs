@@ -10,14 +10,16 @@
 //! while `stats`/`save`/`shutdown` first drain outstanding solves so
 //! their answers are settled. With `--port` it listens on
 //! `127.0.0.1:PORT` and serves one protocol session per connection;
-//! concurrency comes from concurrent connections.
+//! concurrency comes from concurrent connections. Either way a line over
+//! `MAX_LINE_BYTES`, or not UTF-8, gets one error reply and the session
+//! reads on.
 //!
 //! With `--cache-dir` the server warm-imports matching
 //! `cache-<fingerprint>.txt` files on startup and saves every pooled
 //! context back on `shutdown`/EOF, so a restart answers repeat queries
 //! with zero exact evaluations.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -25,7 +27,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use temp_serve::{is_noise, PlanServer, Request, Response};
+use temp_serve::{
+    is_noise, BoundedLines, PlanServer, ProtocolLine, Request, Response, MAX_LINE_BYTES,
+};
 
 struct Args {
     cache_dir: Option<PathBuf>,
@@ -67,8 +71,16 @@ fn serve_stdin(server: Arc<PlanServer>) -> std::io::Result<()> {
     let stdout = Arc::new(Mutex::new(std::io::stdout()));
     let mut solves: Vec<thread::JoinHandle<()>> = Vec::new();
     let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line?;
+    for line in BoundedLines::new(stdin.lock(), MAX_LINE_BYTES) {
+        let line = match line? {
+            ProtocolLine::Text(line) => line,
+            ProtocolLine::Rejected(reason) => {
+                let mut out = stdout.lock().expect("stdout lock");
+                writeln!(out, "{}", server.reject(&reason).text())?;
+                out.flush()?;
+                continue;
+            }
+        };
         if is_noise(&line) {
             continue;
         }
@@ -113,13 +125,12 @@ fn serve_connection(
     self_addr: std::net::SocketAddr,
 ) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if is_noise(&line) {
-            continue;
-        }
-        let response = server.handle_line(&line);
+    for line in BoundedLines::new(BufReader::new(stream), MAX_LINE_BYTES) {
+        let response = match line? {
+            ProtocolLine::Text(line) if is_noise(&line) => continue,
+            ProtocolLine::Text(line) => server.handle_line(&line),
+            ProtocolLine::Rejected(reason) => server.reject(&reason),
+        };
         writeln!(writer, "{}", response.text())?;
         writer.flush()?;
         if matches!(response, Response::Quit(_)) {

@@ -41,8 +41,14 @@
 //!
 //! Blank lines and `#` comments are ignored. Replies are `{"ok":true,...}`
 //! or `{"ok":false,"error":"..."}`.
+//!
+//! Two admission limits answer `{"ok":false}` before any allocation: a
+//! line over [`MAX_LINE_BYTES`] (or not UTF-8) is read to its end and
+//! dropped by [`BoundedLines`], and a `WxH` wafer over
+//! [`MAX_SERVED_DIES`] dies is refused before its pool is built.
 
 use std::collections::HashMap;
+use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -223,10 +229,93 @@ pub fn is_noise(line: &str) -> bool {
     trimmed.is_empty() || trimmed.starts_with('#')
 }
 
+/// Longest protocol line the server reads, in bytes (line ending
+/// excluded). The longest valid request is about a hundred bytes.
+pub const MAX_LINE_BYTES: usize = 4096;
+
+/// Largest die array a `WxH` wafer key may name: 128x128, the largest
+/// array any committed measurement solved.
+pub const MAX_SERVED_DIES: usize = 16_384;
+
+/// One line read by [`BoundedLines`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProtocolLine {
+    /// A line within [`MAX_LINE_BYTES`], line ending stripped.
+    Text(String),
+    /// A line that is too long or not UTF-8, with the reason for its
+    /// `{"ok":false}` reply. Its bytes were read and dropped.
+    Rejected(String),
+}
+
+/// Protocol lines of at most `max_bytes` each: [`BufRead::lines`]
+/// without unbounded growth. A longer line is consumed chunk by chunk
+/// while its bytes are dropped, so one missing newline costs at most
+/// `max_bytes` of memory and the session reads on.
+pub struct BoundedLines<R> {
+    reader: R,
+    max_bytes: usize,
+}
+
+impl<R: BufRead> BoundedLines<R> {
+    /// Reads lines of at most `max_bytes` from `reader`.
+    pub fn new(reader: R, max_bytes: usize) -> Self {
+        BoundedLines { reader, max_bytes }
+    }
+}
+
+impl<R: BufRead> Iterator for BoundedLines<R> {
+    type Item = std::io::Result<ProtocolLine>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut line = Vec::new();
+        let mut oversize = false;
+        let mut read_any = false;
+        loop {
+            let chunk = match self.reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Some(Err(e)),
+            };
+            if chunk.is_empty() {
+                break;
+            }
+            read_any = true;
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let take = newline.unwrap_or(chunk.len());
+            // A `\r\n` ending's `\r` may still come: allow one byte over.
+            if !oversize && line.len() + take <= self.max_bytes + 1 {
+                line.extend_from_slice(&chunk[..take]);
+            } else {
+                oversize = true;
+                line = Vec::new();
+            }
+            self.reader.consume(take + usize::from(newline.is_some()));
+            if newline.is_some() {
+                break;
+            }
+        }
+        if !read_any {
+            return None;
+        }
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        Some(Ok(if oversize || line.len() > self.max_bytes {
+            ProtocolLine::Rejected(format!("line over the {}-byte limit", self.max_bytes))
+        } else {
+            match String::from_utf8(line) {
+                Ok(text) => ProtocolLine::Text(text),
+                Err(_) => ProtocolLine::Rejected("line is not UTF-8".to_string()),
+            }
+        }))
+    }
+}
+
 /// Resolves a protocol wafer key: `hpca` (the 8x4 evaluation wafer),
 /// `fig3` (the 6x8 reference array — note its 48 dies admit no
 /// power-of-two parallel tuples, so solves on it report
-/// `NoFeasiblePlan`), or a custom `WxH` array such as `4x4`.
+/// `NoFeasiblePlan`), or a custom `WxH` array such as `4x4` of at most
+/// [`MAX_SERVED_DIES`] dies.
 pub fn wafer_config(key: &str) -> Result<WaferConfig, String> {
     match key {
         "hpca" => Ok(WaferConfig::hpca()),
@@ -237,7 +326,14 @@ pub fn wafer_config(key: &str) -> Result<WaferConfig, String> {
                 .ok_or_else(|| format!("unknown wafer {custom:?} (want hpca, fig3, or WxH)"))?;
             let w: u32 = w.parse().map_err(|_| format!("bad wafer width {w:?}"))?;
             let h: u32 = h.parse().map_err(|_| format!("bad wafer height {h:?}"))?;
-            WaferConfig::with_array(w, h).map_err(|e| e.to_string())
+            let config = WaferConfig::with_array(w, h).map_err(|e| e.to_string())?;
+            if config.die_count() > MAX_SERVED_DIES {
+                return Err(format!(
+                    "wafer {w}x{h} has {} dies, over the {MAX_SERVED_DIES}-die limit",
+                    config.die_count()
+                ));
+            }
+            Ok(config)
         }
     }
 }
@@ -354,28 +450,19 @@ impl PlanServer {
     pub fn handle_line(&self, line: &str) -> Response {
         let request = match Request::parse(line) {
             Ok(request) => request,
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                return Response::Reply(error_reply(&e));
-            }
+            Err(e) => return self.reject(&e),
         };
         match request {
-            Request::Solve(query) => Response::Reply(match self.solve(&query) {
-                Ok(reply) => reply,
-                Err(e) => {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
-                    error_reply(&e)
-                }
-            }),
+            Request::Solve(query) => match self.solve(&query) {
+                Ok(reply) => Response::Reply(reply),
+                Err(e) => self.reject(&e),
+            },
             Request::Stats => Response::Reply(self.stats_json()),
             Request::Ping => Response::Reply("{\"ok\":true,\"pong\":true}".to_string()),
-            Request::Save => Response::Reply(match self.save() {
-                Ok(saved) => format!("{{\"ok\":true,\"saved\":{saved}}}"),
-                Err(e) => {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
-                    error_reply(&e.to_string())
-                }
-            }),
+            Request::Save => match self.save() {
+                Ok(saved) => Response::Reply(format!("{{\"ok\":true,\"saved\":{saved}}}")),
+                Err(e) => self.reject(&e.to_string()),
+            },
             Request::Shutdown => {
                 let saved = self.save().unwrap_or_default();
                 Response::Quit(format!(
@@ -383,6 +470,13 @@ impl PlanServer {
                 ))
             }
         }
+    }
+
+    /// An `{"ok":false}` reply, counted as an error: for a failed
+    /// request, or a [`ProtocolLine::Rejected`] line.
+    pub fn reject(&self, reason: &str) -> Response {
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        Response::Reply(error_reply(reason))
     }
 
     /// Plans one query and renders its reply line.
@@ -662,11 +756,65 @@ mod tests {
     #[test]
     fn oversized_wafer_is_an_error_reply() {
         let server = PlanServer::new(None).expect("server");
-        let reply = server.handle_line("solve gpt3_6_7b wafer=70000x70000");
-        let text = reply.text();
-        assert!(text.starts_with("{\"ok\":false"), "got {text}");
-        assert!(text.contains("die-id range"), "got {text}");
+        for (wafer, reason) in [
+            ("70000x70000", "die-id range"),
+            ("65536x65535", "16384-die limit"),
+            ("129x128", "16384-die limit"),
+        ] {
+            let reply = server.handle_line(&format!("solve gpt3_6_7b wafer={wafer}"));
+            let text = reply.text();
+            assert!(text.starts_with("{\"ok\":false"), "got {text}");
+            assert!(text.contains(reason), "got {text}");
+        }
+        // The largest admitted array still parses.
+        assert!(wafer_config("128x128").is_ok());
+        assert!(server.pools.lock().unwrap().is_empty(), "no pool was built");
         assert!(matches!(server.handle_line("ping"), Response::Reply(_)));
+    }
+
+    #[test]
+    fn bounded_lines_reject_oversize_and_non_utf8_lines_and_read_on() {
+        let max = 8;
+        let input: Vec<u8> = [
+            &b"ping\n"[..],
+            &[b'x'; 20],
+            b"\n",
+            &[b'y'; 8],
+            b"\r\n",
+            &[b'z'; 9],
+            b"\n",
+            &[0xff, 0xfe],
+            b"\nstats",
+        ]
+        .concat();
+        // A 3-byte buffer splits every long line across reads.
+        let reader = std::io::BufReader::with_capacity(3, std::io::Cursor::new(input));
+        let lines: Vec<ProtocolLine> = BoundedLines::new(reader, max)
+            .map(|line| line.expect("in-memory read"))
+            .collect();
+        let over = ProtocolLine::Rejected("line over the 8-byte limit".to_string());
+        assert_eq!(
+            lines,
+            [
+                ProtocolLine::Text("ping".to_string()),
+                over.clone(),
+                ProtocolLine::Text("y".repeat(8)),
+                over,
+                ProtocolLine::Rejected("line is not UTF-8".to_string()),
+                ProtocolLine::Text("stats".to_string()),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_rejected_line_gets_one_error_reply() {
+        let server = PlanServer::new(None).expect("server");
+        let reply = server.reject("line over the 4096-byte limit");
+        assert_eq!(
+            reply.text(),
+            "{\"ok\":false,\"error\":\"line over the 4096-byte limit\"}"
+        );
+        assert!(server.stats_json().contains("\"errors\":1"));
     }
 
     #[test]

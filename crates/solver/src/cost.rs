@@ -171,15 +171,19 @@ struct MappedComm {
 /// (global batch, sequence length, micro-batches) and dtype width.
 type Geometry = (u64, u64, u64, u8);
 
-/// Key of one memoized mapping: the engine, the EP-folded layout config,
-/// and the batch geometry. Recompute mode and fault state are deliberately
-/// absent — mappings are identical across recompute escalation and across
-/// degraded siblings (faults derate timing factors, not the layout), which
-/// is exactly where the sharing pays.
+/// Key of one memoized mapping: the engine, the pp-free layout config
+/// (`layout_config`: `ep` folded into `dp`, `pp = 1`) and the batch
+/// geometry. Recompute mode, fault state and the pipeline degree are
+/// deliberately absent — mappings are identical across recompute
+/// escalation, across degraded siblings (faults derate timing factors,
+/// not the layout) and across pipeline degrees (stages live on other
+/// wafers, so no layout, route or traffic class reads `pp`), which is
+/// exactly where the sharing pays.
 type MappingKey = (u8, HybridConfig, Geometry);
 
 /// Key of one memoized [`Draft`]: as [`MappingKey`] with the layout policy
-/// in place of the engine, so the three engines share drafts.
+/// in place of the engine, so the three engines and every pipeline degree
+/// share drafts.
 type DraftKey = (LayoutPolicy, HybridConfig, Geometry);
 
 /// A memoized draft and, when it was built just now, its XY flows.
@@ -192,10 +196,10 @@ type DraftWithFlows = (
 /// siblings. Mapping (layout, routing, traffic optimization and
 /// contention simulation) dominates a cold evaluation's wall time; the
 /// memo runs it in two levels. `drafts` keeps one engine-independent
-/// [`Draft`] per `(policy, layout, geometry)` — comm ops and scalars, no
-/// layouts or flows — and every engine's selection reads from it, so
-/// each layout is drafted once. `table` keeps each
-/// engine's selection per `(engine, layout, geometry)`. Failures are
+/// [`Draft`] per `(policy, pp-free layout, geometry)` — comm ops and
+/// scalars, no layouts or flows — and every engine's selection reads from
+/// it, so each layout is drafted once. `table` keeps each engine's
+/// selection per `(engine, pp-free layout, geometry)`. Failures are
 /// stored as their exact errors so a memoized miss reproduces the same
 /// [`SolverError::Internal`] a fresh mapping would. Both levels are
 /// single-flighted: concurrent requests for one key build it once, the
@@ -449,10 +453,12 @@ impl WaferCostModel {
 
     /// The memoized communication mapping of `(engine, layout_cfg)` under
     /// `workload`'s batch geometry: the engine's [`select`] over the
-    /// memoized drafts. A serve is bit-identical to remapping: for a fixed
-    /// wafer/model, drafts and selections are pure functions of their keys
-    /// (recompute mode and fault state never reach them), and failures are
-    /// replayed with their exact error strings.
+    /// memoized drafts. `layout_cfg` is a `layout_config`, so every
+    /// pipeline degree of a layout shares one entry. A serve is
+    /// bit-identical to remapping: for a fixed wafer/model, drafts and
+    /// selections are pure functions of their keys (recompute mode, fault
+    /// state and `pp` never reach them), and failures are replayed with
+    /// their exact error strings.
     fn mapped_comm(
         &self,
         engine: MappingEngine,
@@ -611,7 +617,7 @@ impl WaferCostModel {
                 // Compute floor: recompute-free per-layer compute time.
                 let comp_floor = self.ops_compute_time(hoist.block.ops(), cfg, base, 1);
                 // Comm floor: the exact path's price at contention factor 1.
-                let (comm_floor, stream_floor) = self.layer_comm(&ep_folded(cfg), base, 1.0);
+                let (comm_floor, stream_floor) = self.layer_comm(&layout_config(cfg), base, 1.0);
                 let lb_layer = comm_floor + comp_floor.max(stream_floor);
                 let pp = cfg.pp as f64;
                 let local_layers = (hoist.layers / pp).max(1.0);
@@ -716,11 +722,11 @@ impl WaferCostModel {
             self.ops_compute_time(hoist.block.ops(), cfg, workload, 1) * hoist.recompute_factor;
 
         // ---- Communication ---------------------------------------------------
-        // The mapping engines see `ep` folded into `dp` (see `ep_folded`).
+        // The mapping engines see the pp-free, EP-folded `layout_config`.
         // The MoE-specific traffic (all-to-all dispatch/combine, expert
         // gradient sync) is priced by the segment evaluator below, not by
         // the dense mapping.
-        let layout_cfg = ep_folded(cfg);
+        let layout_cfg = layout_config(cfg);
         let mapping = self.mapped_comm(engine, workload, &layout_cfg)?;
         let contention_factor = mapping.contention_factor;
         let (coll_layer, stream_layer) = self.layer_comm(&layout_cfg, workload, contention_factor);
@@ -1074,7 +1080,7 @@ impl WaferCostModel {
                     self.model.hidden as f64 * self.model.vocab as f64 * e / vocab_shard as f64;
                 coll += self.ring_time(dp, AllReduce, table_shard) / micro;
             }
-            SegmentKind::Block => return self.layer_comm(&ep_folded(cfg), workload, 1.0),
+            SegmentKind::Block => return self.layer_comm(&layout_config(cfg), workload, 1.0),
             SegmentKind::MoeBlock => {
                 let Some(moe) = self.model.moe else {
                     return (0.0, 0.0);
@@ -1136,9 +1142,9 @@ impl WaferCostModel {
 
     /// Per-layer, per-micro-batch `(collective, stream)` time of the dense
     /// layer's traffic table ([`temp_mapping::comm::layer_traffic`] of the
-    /// EP-folded `layout_cfg`) — the one function that prices it, for the
-    /// exact evaluation (at the mapping's simulated contention factor),
-    /// the bound and the Block segment row (both at `1.0`).
+    /// pp-free, EP-folded `layout_cfg`) — the one function that prices it,
+    /// for the exact evaluation (at the mapping's simulated contention
+    /// factor), the bound and the Block segment row (both at `1.0`).
     ///
     /// Groups of one class run concurrently on disjoint die sets with
     /// identical size, bytes and count, so a class costs what one of its
@@ -1285,14 +1291,19 @@ impl WaferCostModel {
     }
 }
 
-/// Layout normalization: the expert-parallel groups occupy the die array
-/// like an outer data-parallel dimension (experts shard where replicas
-/// would sit), so the dense path and the mapping engines see `ep` folded
-/// into `dp`.
-fn ep_folded(cfg: &HybridConfig) -> HybridConfig {
+/// Layout normalization: the configuration one wafer lays out. The
+/// expert-parallel groups occupy the die array like an outer
+/// data-parallel dimension (experts shard where replicas would sit), so
+/// the dense path and the mapping engines see `ep` folded into `dp`; and
+/// pipeline stages live across wafers, so `pp = 1`. Every pipeline degree
+/// of one layout therefore shares its drafts and mappings; `pp` enters
+/// only the pipeline arithmetic and the whole-model memory verdict, both
+/// read from the candidate itself.
+fn layout_config(cfg: &HybridConfig) -> HybridConfig {
     HybridConfig {
         dp: cfg.dp * cfg.ep.max(1),
         ep: 1,
+        pp: 1,
         ..*cfg
     }
 }
@@ -1680,7 +1691,7 @@ mod tests {
             &m.wafer,
             &m.model,
             &m.workload,
-            &ep_folded(cfg),
+            &layout_config(cfg),
         )
         .expect("a valid candidate maps");
         let mut coll_by_class = [0.0f64; TrafficClass::CLASS_COUNT];
@@ -1737,6 +1748,48 @@ mod tests {
                 }
             }
             assert!(checked >= candidates.len(), "{}: {checked}", model.name);
+        }
+    }
+
+    #[test]
+    fn every_pipeline_degree_shares_one_mapping_and_prices_like_a_fresh_model() {
+        // The mapping and draft memos key on the pp-free `layout_config`:
+        // every pipeline degree must reuse the pp = 1 entries and still
+        // price exactly as a fresh model does at that degree. (The
+        // tripwire in `temp_mapping::engines` checks that no mapping
+        // reads `pp`; if one does, `pp` must go back into the keys.)
+        use crate::search::SearchContext;
+        use MappingEngine::{GMap, SMap, Tcme};
+        let wafer = WaferConfig::hpca();
+        for model in [ModelZoo::gpt3_6_7b(), ModelZoo::mixtral_8x7b()] {
+            let dies = wafer.die_count();
+            let candidates = match model.moe {
+                Some(moe) => SearchContext::enumerate_moe_candidates(dies, moe.num_experts as _),
+                None => SearchContext::enumerate_base_candidates(dies),
+            };
+            assert!(candidates.iter().any(|c| c.ep > 1) == model.moe.is_some());
+            let fresh =
+                || WaferCostModel::new(wafer.clone(), model.clone(), Workload::for_model(&model));
+            let reports = |m: &WaferCostModel, pp: usize| -> Vec<String> {
+                let mut out = Vec::new();
+                for engine in [SMap, GMap, Tcme] {
+                    for cfg in &candidates {
+                        let staged = HybridConfig { pp, ..*cfg };
+                        out.push(format!("{:?}", m.evaluate(&staged, engine)));
+                    }
+                }
+                out
+            };
+            let shared = fresh();
+            reports(&shared, 1);
+            let built = (shared.mapping_memo_stats().1, shared.draft_memo_stats().1);
+            for pp in [2, 4, 8, 16] {
+                let got = reports(&shared, pp);
+                let label = format!("{} pp={pp}", model.name);
+                let now = (shared.mapping_memo_stats().1, shared.draft_memo_stats().1);
+                assert_eq!(now, built, "{label}: no new mapping or draft");
+                assert_eq!(got, reports(&fresh(), pp), "{label}");
+            }
         }
     }
 

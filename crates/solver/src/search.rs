@@ -56,8 +56,9 @@ pub type EvalKey = (HybridConfig, MappingEngine, RecomputeMode);
 /// `(SegmentKind, HybridConfig, recompute)` — block instances are
 /// identical, so the kind (not the instance index) keys the table, and
 /// segment costs never depend on the mapping engine (see
-/// [`WaferCostModel::evaluate_segment_with`]), so one table serves every
-/// engine.
+/// [`WaferCostModel::evaluate_segment_with`]) or the pipeline degree (the
+/// config is stored with `pp = 1`), so one table serves every engine and
+/// every sweep point.
 pub type SegmentKey = (SegmentKind, HybridConfig, RecomputeMode);
 
 /// A costed candidate: its objective (step time; infinite when nothing
@@ -374,14 +375,18 @@ impl SearchContext {
     }
 
     /// Memoized per-segment cost of one `(kind, config, recompute)` key.
-    /// `None` records "the segment could not be evaluated" (invalid
-    /// configuration), exactly like the whole-chain cache.
+    /// The config is keyed and evaluated with `pp = 1`: a segment row is
+    /// one wafer's cost (no segment formula reads the pipeline degree), so
+    /// every pipeline degree of a config shares its rows. `None` records
+    /// "the segment could not be evaluated" (invalid configuration),
+    /// exactly like the whole-chain cache.
     pub fn segment_cost(
         &self,
         kind: SegmentKind,
         cfg: &HybridConfig,
         mode: RecomputeMode,
     ) -> Option<SegmentCost> {
+        let cfg = &HybridConfig { pp: 1, ..*cfg };
         let key = (kind, *cfg, mode);
         if let Some(cached) = self.seg_cache.get(&key) {
             self.seg_hits.fetch_add(1, Ordering::Relaxed);
@@ -1815,6 +1820,48 @@ mod tests {
                 .is_none());
         }
         assert_eq!(ctx.stats().seg_misses, misses + 2);
+    }
+
+    #[test]
+    fn every_pipeline_degree_shares_one_segment_row() {
+        // Segment rows key on `pp = 1`. If a segment formula ever reads
+        // `pp`, the memoized rows below stop matching a direct evaluation
+        // at the candidate's own `pp`, and `pp` must go back into the key.
+        for model in [ModelZoo::gpt3_6_7b(), ModelZoo::mixtral_8x7b()] {
+            let workload = Workload::for_model(&model);
+            let ctx = SearchContext::new(WaferCostModel::new(
+                WaferConfig::hpca(),
+                model.clone(),
+                workload.clone(),
+            ));
+            let modes = [RecomputeMode::Selective, RecomputeMode::Full];
+            let rows = |pp: usize, direct: bool| -> Vec<String> {
+                let mut out = Vec::new();
+                for cfg in ctx.candidates_with_pp(pp) {
+                    for segment in ctx.chain().segments() {
+                        for mode in modes {
+                            let cost = if direct {
+                                let workload = workload.clone().with_recompute(mode);
+                                ctx.cost_model()
+                                    .evaluate_segment_with(segment, &cfg, &workload)
+                                    .ok()
+                            } else {
+                                ctx.segment_cost(segment.kind, &cfg, mode)
+                            };
+                            out.push(format!("{cost:?}"));
+                        }
+                    }
+                }
+                out
+            };
+            rows(1, false);
+            let misses = ctx.stats().seg_misses;
+            for pp in [2, 4, 8, 16] {
+                let label = format!("{} pp={pp}", model.name);
+                assert_eq!(rows(pp, false), rows(pp, true), "{label}");
+                assert_eq!(ctx.stats().seg_misses, misses, "{label}: no new row");
+            }
+        }
     }
 
     #[test]
